@@ -141,8 +141,17 @@ def _status(flag: bool) -> str:
     return HOLDS if flag else FAILS
 
 
-def _failed_keys(assumptions: dict[str, str]) -> list[str]:
-    return [k for k, v in assumptions.items() if v != HOLDS]
+def _gated_out(
+    theorem: str, assumptions: dict[str, str], evidence: list[Evidence], notes: list[str]
+) -> ClassificationEntry | None:
+    """The NotApplicable entry when a gating hypothesis does not hold, else None."""
+    failed = [k for k, v in assumptions.items() if v != HOLDS]
+    if not failed:
+        return None
+    notes.append("gating failed: " + ", ".join(failed))
+    return ClassificationEntry(
+        theorem, assumptions, NOT_APPLICABLE, tuple(evidence), tuple(notes)
+    )
 
 
 def _kappa(params: ProblemParams) -> float:
@@ -200,16 +209,9 @@ def classify_mass_critical(
         evidence.insert(0, Evidence("mass_norm_vs_threshold", mass_norm, float(mass_th)))
     notes = [f"weighted_variance_sq = {var_sq:.6e}"]
 
-    failed = _failed_keys(assumptions)
-    if failed:
-        notes.append("gating failed: " + ", ".join(failed))
-        return ClassificationEntry(
-            "mass_critical_threshold",
-            assumptions,
-            NOT_APPLICABLE,
-            tuple(evidence),
-            tuple(notes),
-        )
+    gated = _gated_out("mass_critical_threshold", assumptions, evidence, notes)
+    if gated is not None:
+        return gated
     _require_frequency_one(gs1, ("mass_threshold",))
 
     mass_cmp = _compare(mass_norm, float(mass_th))
@@ -279,16 +281,9 @@ def classify_intercritical(
                 Evidence("grad_product_vs_threshold", grad_prod, float(grad_th))
             )
 
-    failed = _failed_keys(assumptions)
-    if failed:
-        notes.append("gating failed: " + ", ".join(failed))
-        return ClassificationEntry(
-            "intercritical_threshold",
-            assumptions,
-            NOT_APPLICABLE,
-            tuple(evidence),
-            tuple(notes),
-        )
+    gated = _gated_out("intercritical_threshold", assumptions, evidence, notes)
+    if gated is not None:
+        return gated
     _require_frequency_one(gs1, ("em_sigma", "grad_mass"))
 
     em_cmp = _compare(em_prod, float(em_th))
@@ -376,15 +371,13 @@ def classify_sets(
             f"min action rescaled from omega = {gs.omega:.12g} by the frequency power law"
         )
 
-    failed = _failed_keys(assumptions)
-    if failed:
-        notes.append("gating failed: " + ", ".join(failed))
+    gated = _gated_out("action_set_membership", assumptions, evidence, notes)
+    if gated is not None:
+        return gated
+
+    def entry(verdict: str, near: bool = False) -> ClassificationEntry:
         return ClassificationEntry(
-            "action_set_membership",
-            assumptions,
-            NOT_APPLICABLE,
-            tuple(evidence),
-            tuple(notes),
+            "action_set_membership", assumptions, verdict, tuple(evidence), tuple(notes), near
         )
 
     s_cmp = _compare(action, float(m_omega))
@@ -393,37 +386,17 @@ def classify_sets(
         notes.append("action not below the minimal action: outside both sets")
         if near:
             notes.append("near_boundary: action inside the dead band")
-        return ClassificationEntry(
-            "action_set_membership",
-            assumptions,
-            NOT_APPLICABLE,
-            tuple(evidence),
-            tuple(notes),
-            near_boundary=near,
-        )
+        return entry(NOT_APPLICABLE, near)
 
     # Sign of K^{n,2} decides the set; it is a cancellation residue, so
     # the band is taken relative to the positive-definite part L.
     k_cmp = _compare(k_n2, 0.0, scale=rep.L)
     if k_cmp == "band":
         notes.append("near_boundary: K^{n,2} inside the dead band")
-        return ClassificationEntry(
-            "action_set_membership",
-            assumptions,
-            UNDETERMINED,
-            tuple(evidence),
-            tuple(notes),
-            near_boundary=True,
-        )
+        return entry(UNDETERMINED, near=True)
     if k_cmp == "above":
         notes.append("membership: nonnegative-K set")
-        return ClassificationEntry(
-            "action_set_membership",
-            assumptions,
-            GLOBAL_CANDIDATE,
-            tuple(evidence),
-            tuple(notes),
-        )
+        return entry(GLOBAL_CANDIDATE)
 
     # Negative-K set.  Report the gap bound, then test the blow-up window.
     notes.append("membership: negative-K set")
@@ -451,13 +424,7 @@ def classify_sets(
         else:
             verdict = UNDETERMINED
             notes.append("inside the negative-K set but outside the blow-up window")
-    return ClassificationEntry(
-        "action_set_membership",
-        assumptions,
-        verdict,
-        tuple(evidence),
-        tuple(notes),
-    )
+    return entry(verdict)
 
 
 def optimal_frequency(
@@ -524,15 +491,18 @@ def classify_all(
     params: ProblemParams,
     spec: PotentialSpec,
     gs1: GroundState,
+    omega: float | None = None,
 ) -> Classification:
     """Run every route on one datum.
 
-    The set route runs at the optimized frequency when the exponents
-    are intercritical; otherwise it runs at the frequency of the
-    supplied ground state and its own gating reports NotApplicable.
+    The set route runs at frequency omega.  When omega is None it runs
+    at the optimized frequency if the exponents are intercritical;
+    otherwise, where the optimized frequency is undefined, at the
+    frequency of the supplied ground state, and its own gating reports
+    NotApplicable.
     """
-    exps = derive_exponents(params)
-    omega = None if exps.criticality is Criticality.INTERCRITICAL else gs1.omega
+    if omega is None and derive_exponents(params).criticality is not Criticality.INTERCRITICAL:
+        omega = gs1.omega
     return Classification(
         (
             classify_mass_critical(u0, params, spec, gs1),

@@ -24,14 +24,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .classify import (
-    NOT_APPLICABLE,
-    ClassificationEntry,
-    classify_intercritical,
-    classify_mass_critical,
-    classify_sets,
-    optimal_frequency,
-)
+from .classify import NOT_APPLICABLE, ClassificationEntry, classify_all, optimal_frequency
 from .evolve import EvolutionConfig, evolve, trace_to_csv
 from .grid import RadialField, RadialGrid, build_grid, field_from_csv, field_to_csv
 from .groundstate import GroundState, petviashvili_solve
@@ -67,8 +60,7 @@ class _ConfigView:
         return self.pairs[key][1]
 
     def get_str(self, key: str, default=_REQUIRED) -> str:
-        v = self._raw(key, default)
-        return v if isinstance(v, str) else v
+        return self._raw(key, default)
 
     def get_float(self, key: str, default=_REQUIRED) -> float:
         v = self._raw(key, default)
@@ -334,25 +326,6 @@ def cmd_check_potential(cfg: RunConfig) -> int:
     return 0
 
 
-def _classification_entries(
-    cfg: RunConfig, u0: RadialField, gs1: GroundState
-) -> tuple[list[ClassificationEntry], dict | None]:
-    """All three routes plus the frequency report when it exists."""
-    entries = [
-        classify_mass_critical(u0, cfg.params, cfg.potential, gs1),
-        classify_intercritical(u0, cfg.params, cfg.potential, gs1),
-    ]
-    freq = None
-    crit = derive_exponents(cfg.params).criticality
-    omega = cfg.classify_omega
-    if crit is Criticality.INTERCRITICAL:
-        freq = optimal_frequency(u0, cfg.params, gs1, cfg.potential).as_dict()
-    elif omega is None:
-        omega = gs1.omega  # optimized frequency undefined off the intercritical range
-    entries.append(classify_sets(u0, cfg.params, cfg.potential, gs1, omega))
-    return entries, freq
-
-
 def headline_verdict(entries: list[ClassificationEntry]) -> str:
     """First applicable verdict in route order, else NotApplicable."""
     for e in entries:
@@ -365,20 +338,41 @@ def _solve_reference_state(cfg: RunConfig, grid: RadialGrid) -> GroundState:
     return petviashvili_solve(cfg.params.with_omega(1.0), grid=grid)
 
 
-def cmd_classify(cfg: RunConfig) -> int:
-    grid = _make_grid(cfg)
-    gs1 = _solve_reference_state(cfg, grid)
-    u0 = build_initial(cfg, grid)
-    entries, freq = _classification_entries(cfg, u0, gs1)
+def _classify_and_write(
+    cfg: RunConfig, u0: RadialField, gs1: GroundState
+) -> tuple[tuple[ClassificationEntry, ...], list[str]]:
+    """Classify u0 into classification.json (and frequency.json when intercritical)."""
+    classification = classify_all(u0, cfg.params, cfg.potential, gs1, cfg.classify_omega)
+    freq = None
+    if derive_exponents(cfg.params).criticality is Criticality.INTERCRITICAL:
+        freq = optimal_frequency(u0, cfg.params, gs1, cfg.potential).as_dict()
     os.makedirs(cfg.out_dir, exist_ok=True)
-    _write_json(
-        os.path.join(cfg.out_dir, "classification.json"),
-        [e.as_dict() for e in entries],
-    )
+    _write_json(os.path.join(cfg.out_dir, "classification.json"), classification.as_json_list())
     outputs = ["classification.json"]
     if freq is not None:
         _write_json(os.path.join(cfg.out_dir, "frequency.json"), freq)
         outputs.append("frequency.json")
+    return classification.entries, outputs
+
+
+_TRACE_OUTPUTS = ["trace.csv", "trace.events.json"]
+
+
+def _evolve_and_write(cfg: RunConfig, u0: RadialField) -> tuple[str, float, float]:
+    """March u0 into trace.csv; returns the final event, its time, the gradient growth."""
+    trace = evolve(u0, cfg.evolution, cfg.params, cfg.potential)
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    trace_to_csv(trace, os.path.join(cfg.out_dir, "trace.csv"))
+    kind, t = trace.events[-1]
+    growth = trace.grad_norm[-1] / trace.grad_norm[0] if trace.grad_norm[0] > 0 else 0.0
+    return kind, t, growth
+
+
+def cmd_classify(cfg: RunConfig) -> int:
+    grid = _make_grid(cfg)
+    gs1 = _solve_reference_state(cfg, grid)
+    u0 = build_initial(cfg, grid)
+    entries, outputs = _classify_and_write(cfg, u0, gs1)
     write_manifest(cfg, "classify", outputs)
     for e in entries:
         print(f"{e.theorem}: {e.verdict}")
@@ -386,14 +380,9 @@ def cmd_classify(cfg: RunConfig) -> int:
 
 
 def cmd_evolve(cfg: RunConfig) -> int:
-    grid = _make_grid(cfg)
-    u0 = build_initial(cfg, grid)
-    trace = evolve(u0, cfg.evolution, cfg.params, cfg.potential)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    trace_to_csv(trace, os.path.join(cfg.out_dir, "trace.csv"))
-    write_manifest(cfg, "evolve", ["trace.csv", "trace.events.json"])
-    kind, t = trace.events[-1]
-    growth = trace.grad_norm[-1] / trace.grad_norm[0] if trace.grad_norm[0] > 0 else 0.0
+    u0 = build_initial(cfg, _make_grid(cfg))
+    kind, t, growth = _evolve_and_write(cfg, u0)
+    write_manifest(cfg, "evolve", _TRACE_OUTPUTS)
     print(f"evolve: {kind} at t = {t:.6g}, gradient growth {growth:.6g}")
     return 0
 
@@ -407,23 +396,9 @@ def _run_sweep_point(args: tuple) -> tuple[int, str, str, str, float, float]:
     grid = _make_grid(cfg)
     gs1 = _solve_reference_state(cfg, grid)
     u0 = build_initial(cfg, grid)
-    entries, freq = _classification_entries(cfg, u0, gs1)
-    trace = evolve(u0, cfg.evolution, cfg.params, cfg.potential)
-
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    _write_json(
-        os.path.join(cfg.out_dir, "classification.json"),
-        [e.as_dict() for e in entries],
-    )
-    outputs = ["classification.json", "trace.csv", "trace.events.json"]
-    if freq is not None:
-        _write_json(os.path.join(cfg.out_dir, "frequency.json"), freq)
-        outputs.append("frequency.json")
-    trace_to_csv(trace, os.path.join(cfg.out_dir, "trace.csv"))
-    write_manifest(cfg, "sweep-point", outputs)
-
-    kind, t = trace.events[-1]
-    growth = trace.grad_norm[-1] / trace.grad_norm[0] if trace.grad_norm[0] > 0 else 0.0
+    entries, outputs = _classify_and_write(cfg, u0, gs1)
+    kind, t, growth = _evolve_and_write(cfg, u0)
+    write_manifest(cfg, "sweep-point", outputs + _TRACE_OUTPUTS)
     return idx, value, headline_verdict(entries), kind, t, growth
 
 

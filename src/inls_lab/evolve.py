@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .functionals import evaluate_all, k_functional
+from .functionals import evaluate_all
 from .grid import (
     RadialField,
     assemble_operator,
@@ -57,6 +57,7 @@ __all__ = [
     "evolve",
     "step",
     "trace_to_csv",
+    "variance_concavity",
     "virial_check",
 ]
 
@@ -134,6 +135,30 @@ def _cayley(sym_diag, sym_off, mu, u, dt):
     return solve_tridiagonal(mu + z * sym_diag, z * sym_off, rhs)
 
 
+def _strang(op, mu, rc, p, u, dt):
+    """nonlinear(dt/2) o Cayley(dt) o nonlinear(dt/2) on node values."""
+    v = _nonlinear_phase(u, rc, p, dt / 2)
+    v = _cayley(op.sym_diag, op.sym_off, mu, v, dt)
+    return _nonlinear_phase(v, rc, p, dt / 2)
+
+
+def variance_concavity(trace: EvolutionTrace) -> float:
+    """Largest nonuniform second difference of the variance over the
+    trailing ten samples: negative means concave.  Fewer than three
+    samples give +inf, so concavity is never claimed without evidence.
+    """
+    ts = np.array(trace.times[-10:])
+    Is = np.array(trace.variance[-10:])
+    if ts.size < 3:
+        return float("inf")
+    h1 = ts[1:-1] - ts[:-2]
+    h2 = ts[2:] - ts[1:-1]
+    d2 = 2 * (h1 * Is[2:] - (h1 + h2) * Is[1:-1] + h2 * Is[:-2]) / (
+        h1 * h2 * (h1 + h2)
+    )
+    return float(np.max(d2))
+
+
 def step(
     u: RadialField, dt: float, params: ProblemParams, spec: PotentialSpec
 ) -> RadialField:
@@ -144,10 +169,7 @@ def step(
     V = eval_potential(spec, g.nodes)[0]
     op = assemble_operator(g, V)
     rc = g.nodes**params.c
-    v = _nonlinear_phase(u.values, rc, params.p, dt / 2)
-    v = _cayley(op.sym_diag, op.sym_off, g.measure_weights, v, dt)
-    v = _nonlinear_phase(v, rc, params.p, dt / 2)
-    return RadialField(g, v)
+    return RadialField(g, _strang(op, g.measure_weights, rc, params.p, u.values, dt))
 
 
 def evolve(
@@ -193,24 +215,11 @@ def evolve(
         gsq = rep.grad_norm_V**2 - rep.potential_energy
         trace.grad_norm.append(float(np.sqrt(max(gsq, 0.0))))
         trace.virial.append(rep.virial)
-        trace.k_n2.append(k_functional(f, float(params.n), 2.0, params, spec))
+        trace.k_n2.append((2 - params.b) * rep.virial)  # K^{n,2} = (2-b) P
         trace.variance.append(weighted_norm(f, 2 - params.b, 2.0) ** 2)
         trace.nehari.append(rep.nehari)
         trace.outer_amp.append(float(np.abs(vals[-1])))
         return gsq
-
-    def variance_concave() -> bool:
-        ts = np.array(trace.times[-10:])
-        Is = np.array(trace.variance[-10:])
-        if ts.size < 3:
-            return False
-        # nonuniform centered second differences on consecutive triples
-        h1 = ts[1:-1] - ts[:-2]
-        h2 = ts[2:] - ts[1:-1]
-        d2 = 2 * (h1 * Is[2:] - (h1 + h2) * Is[1:-1] + h2 * Is[:-2]) / (
-            h1 * h2 * (h1 + h2)
-        )
-        return bool(np.all(d2 < 0))
 
     t = 0.0
     gsq = sample(t, u)
@@ -228,9 +237,7 @@ def evolve(
             dt = cfg.dt0
         dt = min(dt, cfg.t_end - t)
 
-        v = _nonlinear_phase(u, rc, p, dt / 2)
-        v = _cayley(op.sym_diag, op.sym_off, mu, v, dt)
-        u = _nonlinear_phase(v, rc, p, dt / 2)
+        u = _strang(op, mu, rc, p, u, dt)
         t += dt
         steps += 1
 
@@ -238,7 +245,7 @@ def evolve(
             if not np.all(np.isfinite(u)):
                 raise EvolveError(f"non-finite field at t = {t:.6g}")
             gsq = sample(t, u)
-            if gsq >= trigger_sq and variance_concave():
+            if gsq >= trigger_sq and variance_concavity(trace) < 0:
                 trace.events.append(("BlowupTriggered", t))
                 break
         else:

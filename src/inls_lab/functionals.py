@@ -27,10 +27,10 @@ Special slots: K^{1,0} is the Nehari functional and K^{n,2} = (2-b) P.
 L is stored with the first term squared; only that reading makes the
 two-sided bound 2S <= L (valid on K >= 0) an identity-tight estimate.
 
-Scalings are realized on the fixed mesh by cubic spline interpolation
-(zero beyond r_max) rather than by rebuilding the grid, so that every
-functional of a scaled field is evaluated with the same quadrature as
-the original.
+Scalings are realized on the fixed mesh by grid.resample, the cubic
+spline transfer (zero beyond r_max), rather than by rebuilding the
+grid, so that every functional of a scaled field is evaluated with the
+same quadrature as the original.
 """
 
 from __future__ import annotations
@@ -39,9 +39,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
-from .grid import RadialField, gradient_norm_sq, weighted_norm
+from .grid import RadialField, gradient_norm_sq, resample, weighted_norm
 from .params import Criticality, ProblemParams, derive_exponents
 from .potential import PotentialSpec, eval_potential
 
@@ -182,13 +181,6 @@ def k_functional(
     )
 
 
-def _interpolant(u: RadialField):
-    """Cubic spline of the node values; extrapolates past the ends."""
-    re = CubicSpline(u.grid.nodes, u.values.real, extrapolate=True)
-    im = CubicSpline(u.grid.nodes, u.values.imag, extrapolate=True)
-    return lambda r: re(r) + 1j * im(r)
-
-
 def scale_alpha_beta(
     u: RadialField, alpha: float, beta: float, lam: float
 ) -> RadialField:
@@ -208,8 +200,7 @@ def scale_alpha_beta(
     inside = r_src <= g.r_max
     vals = np.zeros(g.N, dtype=complex)
     if np.any(inside):
-        f = _interpolant(u)
-        vals[inside] = np.exp(alpha * lam) * f(r_src[inside])
+        vals[inside] = np.exp(alpha * lam) * resample(u, r_src[inside])
     if beta * lam < 0:
         lost_nodes = g.nodes > stretch * g.r_max
         if np.any(lost_nodes):

@@ -66,6 +66,7 @@ __all__ = [
     "field_to_csv",
     "gradient_norm_sq",
     "inner_product",
+    "resample",
     "solve_shifted",
     "solve_tridiagonal",
     "weighted_norm",
@@ -208,6 +209,20 @@ def gradient_norm_sq(f: RadialField) -> float:
     interior = float(np.sum(g.face_weights * np.abs(d) ** 2))
     edge = g.outer_face_weight * abs(f.values[-1]) ** 2
     return interior + edge
+
+
+def resample(f: RadialField, r) -> np.ndarray:
+    """Cubic-spline values of f at radii r; extrapolates past the ends.
+
+    The one transfer of a field between meshes.  scipy.interpolate is
+    imported here so that importing the package does not load it.
+    """
+    from scipy.interpolate import CubicSpline
+
+    nodes = f.grid.nodes
+    re = CubicSpline(nodes, f.values.real, extrapolate=True)
+    im = CubicSpline(nodes, f.values.imag, extrapolate=True)
+    return re(r) + 1j * im(r)
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .functionals import evaluate_all
 from .grid import (
@@ -368,6 +367,8 @@ def _series_start(
 
 def _shoot_once(params: ProblemParams, q0: float, r_end: float, r0: float):
     """One outward shot; returns ('cross'|'regrow'|'decay', solution)."""
+    from scipy.integrate import solve_ivp  # only the oracle needs the integrator
+
     n, b, c, p, w = params.n, params.b, params.c, params.p, params.omega
 
     def rhs(r, y):

@@ -23,12 +23,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .classify import classify_intercritical, optimal_frequency, classify_sets
-from .evolve import EvolutionConfig, EvolutionTrace, evolve, step, virial_check
+from .evolve import EvolutionConfig, EvolutionTrace, evolve, step, variance_concavity, virial_check
 from .functionals import evaluate_all, k_functional, scale_alpha_beta
-from .grid import RadialField, RadialGrid, build_grid, gradient_norm_sq
+from .grid import RadialField, RadialGrid, build_grid, gradient_norm_sq, resample
 from .groundstate import gn_ratio, petviashvili_solve, shooting_solve
 from .params import ProblemParams
 from .potential import PotentialSpec, check_assumptions
@@ -328,23 +327,6 @@ def check_standing_wave() -> list[CheckResult]:
     ]
 
 
-def _trailing_concavity(trace: EvolutionTrace) -> float:
-    """Largest second difference of the variance over the trailing samples."""
-    t = np.asarray(trace.times)[-10:]
-    v = np.asarray(trace.variance)[-10:]
-    worst = -np.inf
-    for i in range(1, len(t) - 1):
-        h01 = t[i] - t[i - 1]
-        h12 = t[i + 1] - t[i]
-        dd = 2 * (
-            v[i - 1] / (h01 * (h01 + h12))
-            - v[i] / (h01 * h12)
-            + v[i + 1] / (h12 * (h01 + h12))
-        )
-        worst = max(worst, dd)
-    return float(worst)
-
-
 def check_dichotomy() -> list[CheckResult]:
     """Sub/super-threshold data complete or trigger as the theorems say."""
     rows = []
@@ -363,7 +345,7 @@ def check_dichotomy() -> list[CheckResult]:
         )
     )
     tr = evolve(_scaled(gsM, 1.2), cfg, MASS_CRITICAL, _ZERO)
-    concave = _trailing_concavity(tr)
+    concave = variance_concavity(tr)
     rows.append(
         CheckResult(
             "mass_critical_blowup",
@@ -508,10 +490,7 @@ def check_nminus_flow() -> list[CheckResult]:
     """
     gs = _solve(NMINUS, 4096)
     ugrid = build_grid(NMINUS.n, NMINUS.b, r_max=30.0, N=2048, grading=1.0)
-    spline = CubicSpline(
-        gs.profile.grid.nodes, gs.profile.values.real, extrapolate=True
-    )
-    u0 = RadialField(ugrid, 1.3 * np.clip(spline(ugrid.nodes), 0.0, None))
+    u0 = RadialField(ugrid, 1.3 * np.clip(resample(gs.profile, ugrid.nodes).real, 0.0, None))
 
     entry = classify_sets(u0, NMINUS, _ZERO, gs, 1.0)
     gap = {e.name: e for e in entry.evidence}["k_gap_bound"]

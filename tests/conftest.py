@@ -1,42 +1,32 @@
-"""Shared fixtures: parameter sets and cached ground-state solves."""
+"""Shared fixtures: the parameter sets and cached ground-state solves of
+the acceptance suite, so tests and `inls-lab verify` share one cache."""
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import pytest
 
-from inls_lab.grid import build_grid
-from inls_lab.groundstate import petviashvili_solve
-from inls_lab.params import ProblemParams
-
-F1 = ProblemParams(3, 0.0, 0.0, 2.0, 1.0)
-F2 = ProblemParams(3, -0.5, -0.5, 2.0, 1.0)
-F3 = ProblemParams(4, -1.0, -1.0, 2.5, 1.0)
-MC = ProblemParams(3, 0.0, 0.0, 4.0 / 3.0, 1.0)
-NM = ProblemParams(3, -0.5, -0.6, 1.5, 1.0)
-
-
-@lru_cache(maxsize=None)
-def grid_for(n: int, b: float, N: int = 4096, grading: float = 2.0, r_max: float = 30.0):
-    return build_grid(n, b, r_max=r_max, N=N, grading=grading)
-
-
-@lru_cache(maxsize=None)
-def solve(params: ProblemParams, N: int = 4096, grading: float = 2.0):
-    return petviashvili_solve(params, grid=grid_for(params.n, params.b, N, grading))
+# Re-exported to the test modules, which import them from here.
+from inls_lab.verification import (  # noqa: F401
+    F1,
+    F2,
+    F3,
+    MASS_CRITICAL as MC,
+    NMINUS as NM,
+    _grid as grid_for,
+    _solve as solve,
+)
 
 
 @pytest.fixture(scope="session")
 def gs_f1():
-    return solve(F1)
+    return solve(F1, 4096)
 
 
 @pytest.fixture(scope="session")
 def gs_f2():
-    return solve(F2)
+    return solve(F2, 4096)
 
 
 @pytest.fixture(scope="session")
 def gs_mc():
-    return solve(MC)
+    return solve(MC, 4096)

@@ -1,6 +1,8 @@
 """Config parsing, command dispatch, file outputs, exit codes."""
 
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,8 +17,9 @@ from inls_lab.cli import (
     main,
     parse_config_text,
 )
-from inls_lab.classify import NOT_APPLICABLE, ClassificationEntry
-from inls_lab.grid import build_grid, field_from_csv
+from inls_lab.classify import NOT_APPLICABLE, ClassificationEntry, classify_all
+from inls_lab.grid import RadialField, build_grid, field_from_csv
+from inls_lab.potential import PotentialSpec
 
 from conftest import F1, solve
 
@@ -272,6 +275,43 @@ def test_sweep_parallel_matches_serial(tmp_path):
     for i in range(2):
         assert (s1 / f"point_{i:03d}" / "classification.json").exists()
         assert (s1 / f"point_{i:03d}" / "manifest.json").exists()
+
+
+def test_classify_command_honours_classify_omega(tmp_path):
+    cfg = write_config(tmp_path, BASE + "classify.omega = 2.0\n")
+    out = tmp_path / "cls"
+    assert main(["classify", "--config", cfg, "--out", str(out)]) == 0
+    gs1 = solve(F1, 1024)
+    u0 = RadialField(gs1.profile.grid, 0.5 * gs1.profile.values)
+    want = classify_all(u0, F1, PotentialSpec.zero(), gs1, omega=2.0).as_json_list()
+    assert json.loads((out / "classification.json").read_text()) == json.loads(json.dumps(want))
+
+
+def test_sweep_point_matches_separate_commands(tmp_path):
+    single = write_config(tmp_path, BASE)
+    axis = "sweep.key = initial.alpha\nsweep.values = 0.5\n"
+    sweep = write_config(tmp_path, BASE + axis, "s.cfg")
+    cls, ev, sw = tmp_path / "cls", tmp_path / "ev", tmp_path / "sw"
+    assert main(["classify", "--config", single, "--out", str(cls)]) == 0
+    assert main(["evolve", "--config", single, "--out", str(ev)]) == 0
+    assert main(["sweep", "--config", sweep, "--out", str(sw)]) == 0
+    point = sw / "point_000"
+    for name in ("classification.json", "frequency.json"):
+        assert (point / name).read_bytes() == (cls / name).read_bytes()
+    for name in ("trace.csv", "trace.events.json"):
+        assert (point / name).read_bytes() == (ev / name).read_bytes()
+
+
+def test_cli_import_leaves_scipy_solvers_unloaded():
+    # Only the shooting oracle and the mesh transfer need these, and
+    # every CLI command pays for what the package imports up front.
+    code = (
+        "import sys, inls_lab.cli; "
+        "print([m for m in ('scipy.integrate', 'scipy.interpolate', 'scipy.optimize') "
+        "if m in sys.modules])"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_sweep_requires_axis(tmp_path):

@@ -12,6 +12,7 @@ from inls_lab.evolve import (
     evolve,
     step,
     trace_to_csv,
+    variance_concavity,
     virial_check,
 )
 from inls_lab.grid import RadialField, gradient_norm_sq, weighted_norm
@@ -120,11 +121,7 @@ def test_supercritical_multiple_triggers_blowup():
     assert 0.0 < t_event < 2.0
     assert trace.grad_norm[-1] > 9.5 * trace.grad_norm[0]
     # Trailing variance samples are concave at the trigger.
-    ts = np.array(trace.times[-10:])
-    Is = np.array(trace.variance[-10:])
-    h1, h2 = ts[1:-1] - ts[:-2], ts[2:] - ts[1:-1]
-    d2 = 2 * (h1 * Is[2:] - (h1 + h2) * Is[1:-1] + h2 * Is[:-2]) / (h1 * h2 * (h1 + h2))
-    assert np.all(d2 < 0)
+    assert variance_concavity(trace) < 0
     m = np.asarray(trace.mass)
     assert np.max(np.abs(m - m[0])) < 1e-12 * m[0]
 
@@ -141,6 +138,20 @@ def test_adaptive_floor_stops_collapse():
     kind, t_event = trace.events[-1]
     assert kind == "StepFloorHit"
     assert t_event < 2.0
+
+
+def test_variance_concavity_needs_three_samples():
+    # Two samples support no second difference: no evidence of concavity.
+    tr = EvolutionTrace(times=[0.0, 0.1], variance=[1.0, 0.5])
+    assert variance_concavity(tr) == np.inf
+
+
+def test_variance_concavity_on_nonuniform_concave_quadratic():
+    # The nonuniform stencil is exact on quadratics: every second
+    # difference of I(t) = 2 + t - 0.8 t^2 equals I'' = -1.6.
+    ts = [0.0, 0.05, 0.2, 0.22, 0.4, 0.7, 0.75, 1.0, 1.3, 1.32, 1.6, 2.0]
+    tr = EvolutionTrace(times=ts, variance=[2.0 + t - 0.8 * t**2 for t in ts])
+    assert variance_concavity(tr) == pytest.approx(-1.6, rel=1e-9)
 
 
 def test_virial_check_validates_sampling():

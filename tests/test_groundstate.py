@@ -33,7 +33,7 @@ def test_fixture_convergence_invariants(gs_f1, gs_f2):
 def test_frozen_action_values(gs_f1):
     # Regression values at r_max = 30, N = 4096, grading 2.
     assert gs_f1.m_omega == pytest.approx(18.8971773147, rel=1e-9)
-    assert solve(NM).m_omega == pytest.approx(16.6830241602, rel=1e-9)
+    assert solve(NM, 4096).m_omega == pytest.approx(16.6830241602, rel=1e-9)
 
 
 def test_frozen_threshold_values(gs_f1):
