@@ -266,10 +266,15 @@ def _make_grid(cfg: RunConfig) -> RadialGrid:
     )
 
 
-def build_initial(cfg: RunConfig, grid: RadialGrid) -> RadialField:
-    """Construct the initial datum declared by the config."""
+def build_initial(cfg: RunConfig, grid: RadialGrid, gs: GroundState | None = None) -> RadialField:
+    """Construct the initial datum declared by the config.
+
+    gs, when given, is the ground state of cfg.params on grid; it spares
+    the solve of a ground-state multiple.
+    """
     if cfg.initial_kind == "ground_state_multiple":
-        gs = petviashvili_solve(cfg.params, grid=grid)
+        if gs is None:
+            gs = petviashvili_solve(cfg.params, grid=grid)
         return RadialField(grid, cfg.initial_alpha * gs.profile.values)
     if cfg.initial_kind == "gaussian":
         vals = cfg.initial_amplitude * np.exp(-((grid.nodes / cfg.initial_width) ** 2))
@@ -334,18 +339,25 @@ def headline_verdict(entries: list[ClassificationEntry]) -> str:
     return NOT_APPLICABLE
 
 
-def _solve_reference_state(cfg: RunConfig, grid: RadialGrid) -> GroundState:
-    return petviashvili_solve(cfg.params.with_omega(1.0), grid=grid)
+def _reference_and_initial(cfg: RunConfig, grid: RadialGrid) -> tuple[GroundState, RadialField]:
+    """The frequency-1 ground state and the initial datum; at params.omega = 1
+    a ground-state multiple reuses that solve."""
+    gs1 = petviashvili_solve(cfg.params.with_omega(1.0), grid=grid)
+    return gs1, build_initial(cfg, grid, gs1 if cfg.params.omega == 1.0 else None)
 
 
 def _classify_and_write(
     cfg: RunConfig, u0: RadialField, gs1: GroundState
 ) -> tuple[tuple[ClassificationEntry, ...], list[str]]:
     """Classify u0 into classification.json (and frequency.json when intercritical)."""
-    classification = classify_all(u0, cfg.params, cfg.potential, gs1, cfg.classify_omega)
+    omega = cfg.classify_omega
     freq = None
     if derive_exponents(cfg.params).criticality is Criticality.INTERCRITICAL:
-        freq = optimal_frequency(u0, cfg.params, gs1, cfg.potential).as_dict()
+        report = optimal_frequency(u0, cfg.params, gs1, cfg.potential)
+        freq = report.as_dict()
+        if omega is None:
+            omega = report.omega0
+    classification = classify_all(u0, cfg.params, cfg.potential, gs1, omega)
     os.makedirs(cfg.out_dir, exist_ok=True)
     _write_json(os.path.join(cfg.out_dir, "classification.json"), classification.as_json_list())
     outputs = ["classification.json"]
@@ -370,8 +382,7 @@ def _evolve_and_write(cfg: RunConfig, u0: RadialField) -> tuple[str, float, floa
 
 def cmd_classify(cfg: RunConfig) -> int:
     grid = _make_grid(cfg)
-    gs1 = _solve_reference_state(cfg, grid)
-    u0 = build_initial(cfg, grid)
+    gs1, u0 = _reference_and_initial(cfg, grid)
     entries, outputs = _classify_and_write(cfg, u0, gs1)
     write_manifest(cfg, "classify", outputs)
     for e in entries:
@@ -394,8 +405,7 @@ def _run_sweep_point(args: tuple) -> tuple[int, str, str, str, float, float]:
     pairs[key] = (value, 0)
     cfg = build_run_config(pairs, out_override=point_dir)
     grid = _make_grid(cfg)
-    gs1 = _solve_reference_state(cfg, grid)
-    u0 = build_initial(cfg, grid)
+    gs1, u0 = _reference_and_initial(cfg, grid)
     entries, outputs = _classify_and_write(cfg, u0, gs1)
     kind, t, growth = _evolve_and_write(cfg, u0)
     write_manifest(cfg, "sweep-point", outputs + _TRACE_OUTPUTS)

@@ -16,6 +16,18 @@ discretely self-adjoint.  The Strang composition
 nonlinear-linear-nonlinear is therefore mass-exact to solver roundoff
 and second-order accurate in time for the energy.
 
+StrangStepper holds the operator for a whole run and caches what
+repeats.  The LAPACK LU factor (zgttrf) of mu + i (dt/2) M and the
+right-hand-side bands are kept for the last dt, so a step at an
+unchanged dt costs one band multiply and one zgttrs solve.  Because
+the phase leaves |u| unchanged, a step's trailing half-phase
+multiplier exp(i (dt/2) r^c |v|^p) is also the next step's leading one
+when dt repeats: the first-same-as-last (FSAL) form of Strang
+splitting (Hairer-Lubich-Wanner, Geometric Numerical Integration,
+II.5).  The stepper keeps r^c |v|^p and that multiplier tied to the
+read-only array it returned, so the adaptive phase cap and the next
+leading phase reuse them; u is still formed after every step.
+
 Adaptive stepping follows the self-similar collapse scale,
 dt = dt0 min(1, ||grad u0||^2/||grad u||^2), with two safeguards: a
 hard floor dt_min that ends the run honestly (StepFloorHit), and a
@@ -38,15 +50,10 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .functionals import evaluate_all
-from .grid import (
-    RadialField,
-    assemble_operator,
-    gradient_norm_sq,
-    solve_tridiagonal,
-    weighted_norm,
-)
+from .grid import RadialField, RadialGrid, assemble_operator, gradient_norm_sq, weighted_norm
 from .params import ProblemParams
 from .potential import PotentialSpec, eval_potential
 
@@ -54,8 +61,8 @@ __all__ = [
     "EvolutionConfig",
     "EvolutionTrace",
     "EvolveError",
+    "StrangStepper",
     "evolve",
-    "step",
     "trace_to_csv",
     "variance_concavity",
     "virial_check",
@@ -102,7 +109,10 @@ class EvolutionTrace:
     time derivative the virial identity controls.  outer_amp records
     |u| at the outermost cell as a boundary-contamination witness.
     events holds (kind, time) pairs with kind in {"BlowupTriggered",
-    "Completed", "StepFloorHit"}.
+    "Completed", "StepFloorHit"}; a run stopped by the step floor
+    samples its exit state, and BlowupTriggered follows StepFloorHit
+    when the trigger fires on that sample.  steps, factorizations and
+    the dt range (None before the first step) describe the march.
     """
 
     times: list[float] = field(default_factory=list)
@@ -116,30 +126,87 @@ class EvolutionTrace:
     outer_amp: list[float] = field(default_factory=list)
     events: list[tuple[str, float]] = field(default_factory=list)
     final_state: RadialField | None = None
+    steps: int = 0
+    factorizations: int = 0
+    dt_min: float | None = None
+    dt_max: float | None = None
 
 
-def _nonlinear_phase(u: np.ndarray, rc: np.ndarray, p: float, half_dt: float) -> np.ndarray:
-    return u * np.exp(1j * half_dt * rc * np.abs(u) ** p)
+class StrangStepper:
+    """Strang steps nonlinear(dt/2) o Cayley(dt) o nonlinear(dt/2) on one grid.
 
-
-def _cayley(sym_diag, sym_off, mu, u, dt):
-    """One unitary linear step (1 + i dt/2 A) u+ = (1 - i dt/2 A) u.
-
-    Solved in the symmetric form (mu + i dt/2 M) u+ = (mu - i dt/2 M) u
-    so both sides share the tridiagonal bands of M.
+    Built once per grid, problem and potential: it holds the symmetric
+    bands of M, mu, r^c and p.  It keeps the LAPACK factor of
+    mu + i dt/2 M for the last dt, and r^c |u|^p with the half-phase
+    multiplier of the last array it returned (see the module
+    docstring).  Returned arrays are read-only, so that cache cannot go
+    stale; any other input is evaluated afresh.
     """
-    z = 1j * (dt / 2)
-    rhs = (mu - z * sym_diag) * u
-    rhs[:-1] -= z * sym_off * u[1:]
-    rhs[1:] -= z * sym_off * u[:-1]
-    return solve_tridiagonal(mu + z * sym_diag, z * sym_off, rhs)
 
+    def __init__(self, grid: RadialGrid, params: ProblemParams, spec: PotentialSpec):
+        op = assemble_operator(grid, eval_potential(spec, grid.nodes)[0])
+        self.sym_diag = op.sym_diag
+        self.sym_off = op.sym_off
+        self.mu = grid.measure_weights
+        self.rc = grid.nodes**params.c
+        self.p = params.p
+        self.factorizations = 0
+        self._dt: float | None = None
+        self._factor: tuple | None = None
+        self._z_off: np.ndarray | None = None
+        self._rhs_diag: np.ndarray | None = None
+        self._last: np.ndarray | None = None
+        self._last_rate: np.ndarray | None = None
+        self._last_w: np.ndarray | None = None
+        self._last_dt: float | None = None
 
-def _strang(op, mu, rc, p, u, dt):
-    """nonlinear(dt/2) o Cayley(dt) o nonlinear(dt/2) on node values."""
-    v = _nonlinear_phase(u, rc, p, dt / 2)
-    v = _cayley(op.sym_diag, op.sym_off, mu, v, dt)
-    return _nonlinear_phase(v, rc, p, dt / 2)
+    def phase_rate(self, u: np.ndarray) -> np.ndarray:
+        """r^c |u|^p, the nonlinear phase angle per unit time at each node."""
+        if u is self._last:
+            return self._last_rate
+        return self.rc * np.abs(u) ** self.p
+
+    def cayley(self, v: np.ndarray, dt: float) -> np.ndarray:
+        """One unitary linear step (1 + i dt/2 A) v+ = (1 - i dt/2 A) v.
+
+        Solved in the symmetric form (mu + i dt/2 M) v+ = (mu - i dt/2 M) v
+        so both sides share the tridiagonal bands of M; the left side is
+        factored only when dt changes.
+        """
+        if dt != self._dt:
+            z = 1j * (dt / 2)
+            z_off = z * self.sym_off
+            *factor, info = zgttrf(z_off, self.mu + z * self.sym_diag, z_off)
+            if info != 0:
+                raise EvolveError(f"Cayley factorization failed (zgttrf info {info})")
+            self._dt = dt
+            self._factor = tuple(factor)
+            self._z_off = z_off
+            self._rhs_diag = self.mu - z * self.sym_diag
+            self.factorizations += 1
+        rhs = self._rhs_diag * v
+        rhs[:-1] -= self._z_off * v[1:]
+        rhs[1:] -= self._z_off * v[:-1]
+        x, info = zgttrs(*self._factor, rhs, overwrite_b=1)
+        if info != 0:
+            raise EvolveError(f"Cayley solve failed (zgttrs info {info})")
+        return x
+
+    def step(self, u: np.ndarray, dt: float) -> np.ndarray:
+        """One Strang step of the node values u; returns a new read-only array."""
+        if dt == 0.0:
+            raise EvolveError("dt must be nonzero")
+        if u is self._last and dt == self._last_dt:
+            w = self._last_w  # first same as last: |u| is the modulus the trailing phase saw
+        else:
+            w = np.exp(1j * (dt / 2) * self.phase_rate(u))
+        v = self.cayley(u * w, dt)
+        rate = self.rc * np.abs(v) ** self.p
+        w = np.exp(1j * (dt / 2) * rate)
+        out = v * w
+        out.flags.writeable = False
+        self._last, self._last_rate, self._last_w, self._last_dt = out, rate, w, dt
+        return out
 
 
 def variance_concavity(trace: EvolutionTrace) -> float:
@@ -159,19 +226,6 @@ def variance_concavity(trace: EvolutionTrace) -> float:
     return float(np.max(d2))
 
 
-def step(
-    u: RadialField, dt: float, params: ProblemParams, spec: PotentialSpec
-) -> RadialField:
-    """One Strang step nonlinear(dt/2) o Cayley(dt) o nonlinear(dt/2)."""
-    if dt == 0.0:
-        raise EvolveError("dt must be nonzero")
-    g = u.grid
-    V = eval_potential(spec, g.nodes)[0]
-    op = assemble_operator(g, V)
-    rc = g.nodes**params.c
-    return RadialField(g, _strang(op, g.measure_weights, rc, params.p, u.values, dt))
-
-
 def evolve(
     u0: RadialField,
     cfg: EvolutionConfig,
@@ -182,7 +236,9 @@ def evolve(
 
     Stops at t_end (Completed), at the blow-up trigger
     (BlowupTriggered), or when the adaptive step hits the floor
-    (StepFloorHit).  The trigger fires at the first sample where the
+    (StepFloorHit); a floor exit samples the state the run ended in,
+    unless it was just sampled, and evaluates the trigger on that
+    sample.  The trigger fires at the first sample where the
     gradient norm exceeds blowup_factor times its initial value AND
     the variance is concave in time over the trailing ten samples;
     gradient growth alone is treated as unconfirmed until at least
@@ -194,12 +250,7 @@ def evolve(
             f"grid built for (n={g.n}, b={g.b}) but params have "
             f"(n={params.n}, b={params.b})"
         )
-    V = eval_potential(spec, g.nodes)[0]
-    op = assemble_operator(g, V)
-    mu = g.measure_weights
-    rc = g.nodes**params.c
-    p = params.p
-
+    stepper = StrangStepper(g, params, spec)
     u = u0.values.astype(complex, copy=True)
     grad0_sq = gradient_norm_sq(u0)
     trigger_sq = cfg.blowup_factor**2 * grad0_sq
@@ -207,6 +258,8 @@ def evolve(
     trace = EvolutionTrace()
 
     def sample(t: float, vals: np.ndarray) -> float:
+        if not np.all(np.isfinite(vals)):
+            raise EvolveError(f"non-finite field at t = {t:.6g}")
         f = RadialField(g, vals)
         rep = evaluate_all(f, params, spec)
         trace.times.append(t)
@@ -221,39 +274,49 @@ def evolve(
         trace.outer_amp.append(float(np.abs(vals[-1])))
         return gsq
 
+    def triggered(gsq: float) -> bool:
+        return gsq >= trigger_sq and variance_concavity(trace) < 0
+
     t = 0.0
     gsq = sample(t, u)
-    steps = 0
+    sampled = True
+    dts = []
     while t < cfg.t_end - 1e-12:
         if cfg.adaptivity:
             dt = cfg.dt0 * float(min(1.0, grad0_sq / max(gsq, 1e-300)))
-            phase_rate = float(np.max(rc * np.abs(u) ** p))
+            phase_rate = float(np.max(stepper.phase_rate(u)))
             if phase_rate > 0:
                 dt = min(dt, PHASE_CAP / phase_rate)
             if dt < cfg.dt_min:
                 trace.events.append(("StepFloorHit", t))
+                # the summary must describe the state the run ended in
+                if not sampled and triggered(sample(t, u)):
+                    trace.events.append(("BlowupTriggered", t))
                 break
         else:
             dt = cfg.dt0
         dt = min(dt, cfg.t_end - t)
 
-        u = _strang(op, mu, rc, p, u, dt)
+        u = stepper.step(u, dt)
         t += dt
-        steps += 1
+        dts.append(dt)
 
-        if steps % cfg.sample_every == 0 or t >= cfg.t_end - 1e-12:
-            if not np.all(np.isfinite(u)):
-                raise EvolveError(f"non-finite field at t = {t:.6g}")
+        sampled = len(dts) % cfg.sample_every == 0 or t >= cfg.t_end - 1e-12
+        if sampled:
             gsq = sample(t, u)
-            if gsq >= trigger_sq and variance_concavity(trace) < 0:
+            if triggered(gsq):
                 trace.events.append(("BlowupTriggered", t))
                 break
-        else:
+        elif cfg.adaptivity:
             # keep the adaptive law responsive between samples
             gsq = gradient_norm_sq(RadialField(g, u))
     else:
         trace.events.append(("Completed", t))
 
+    trace.steps = len(dts)
+    trace.factorizations = stepper.factorizations
+    if dts:
+        trace.dt_min, trace.dt_max = min(dts), max(dts)
     trace.final_state = RadialField(g, u)
     return trace
 
@@ -282,10 +345,11 @@ def virial_check(trace: EvolutionTrace, params: ProblemParams, floor: float = 1.
 
 
 def trace_to_csv(trace: EvolutionTrace, path) -> None:
-    """Write the sampled series as CSV plus a JSON events sidecar."""
+    """Write the sampled series as CSV plus a JSON sidecar with the
+    events and the march counters."""
     path = str(path)
     with open(path, "w") as fh:
-        fh.write("t,mass,energy,grad_norm,P,K_n2,variance,nehari\n")
+        fh.write("t,mass,energy,grad_norm,P,K_n2,variance,nehari,outer_amp\n")
         for row in zip(
             trace.times,
             trace.mass,
@@ -295,12 +359,19 @@ def trace_to_csv(trace: EvolutionTrace, path) -> None:
             trace.k_n2,
             trace.variance,
             trace.nehari,
+            trace.outer_amp,
         ):
             fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
     sidecar = path[:-4] + ".events.json" if path.endswith(".csv") else path + ".events.json"
     with open(sidecar, "w") as fh:
         json.dump(
-            {"events": [{"kind": k, "t": t} for k, t in trace.events]},
+            {
+                "events": [{"kind": k, "t": t} for k, t in trace.events],
+                "steps": trace.steps,
+                "factorizations": trace.factorizations,
+                "dt_min": trace.dt_min,
+                "dt_max": trace.dt_max,
+            },
             fh,
             indent=2,
             sort_keys=True,

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from math import gamma, pi
 
 import numpy as np
-from scipy.linalg import solve_banded, solveh_banded
+from scipy.linalg import solveh_banded
 
 __all__ = [
     "DiscreteOperator",
@@ -68,7 +68,6 @@ __all__ = [
     "inner_product",
     "resample",
     "solve_shifted",
-    "solve_tridiagonal",
     "weighted_norm",
 ]
 
@@ -280,16 +279,6 @@ def solve_shifted(op: DiscreteOperator, shift: float, rhs: np.ndarray) -> np.nda
     ab[0, 1:] = op.sym_off
     ab[1, :] = op.sym_diag + shift * mu
     return solveh_banded(ab, mu * np.asarray(rhs), lower=False)
-
-
-def solve_tridiagonal(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve the (possibly complex) symmetric tridiagonal system."""
-    N = diag.shape[0]
-    ab = np.zeros((3, N), dtype=np.result_type(diag, off, rhs))
-    ab[0, 1:] = off
-    ab[1, :] = diag
-    ab[2, :-1] = off
-    return solve_banded((1, 1), ab, rhs)
 
 
 def field_to_csv(f: RadialField, path) -> None:

@@ -25,7 +25,14 @@ from functools import lru_cache
 import numpy as np
 
 from .classify import classify_intercritical, optimal_frequency, classify_sets
-from .evolve import EvolutionConfig, EvolutionTrace, evolve, step, variance_concavity, virial_check
+from .evolve import (
+    EvolutionConfig,
+    EvolutionTrace,
+    StrangStepper,
+    evolve,
+    variance_concavity,
+    virial_check,
+)
 from .functionals import evaluate_all, k_functional, scale_alpha_beta
 from .grid import RadialField, RadialGrid, build_grid, gradient_norm_sq, resample
 from .groundstate import gn_ratio, petviashvili_solve, shooting_solve
@@ -308,14 +315,15 @@ def check_standing_wave() -> list[CheckResult]:
     peak = float(np.max(q))
     grad_sq = gradient_norm_sq(gs.profile)
     dt = 1e-3
-    u = gs.profile.copy()
-    mass0 = evaluate_all(u, params, _ZERO).mass
+    stepper = StrangStepper(gs.profile.grid, params, _ZERO)
+    u = gs.profile.values
+    mass0 = evaluate_all(gs.profile, params, _ZERO).mass
     dev = p_worst = mass_worst = 0.0
     for k in range(1000):
-        u = step(u, dt, params, _ZERO)
+        u = stepper.step(u, dt)
         if (k + 1) % 10 == 0:
-            rep = evaluate_all(u, params, _ZERO)
-            dev = max(dev, float(np.max(np.abs(np.abs(u.values) - q)) / peak))
+            rep = evaluate_all(RadialField(gs.profile.grid, u), params, _ZERO)
+            dev = max(dev, float(np.max(np.abs(np.abs(u) - q)) / peak))
             p_worst = max(p_worst, abs(rep.virial))
             mass_worst = max(mass_worst, abs(rep.mass - mass0) / mass0)
     return [

@@ -242,10 +242,31 @@ def test_evolve_from_file_roundtrip(tmp_path):
     assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "ff")]) == 0
 
 
-def test_classify_command(tmp_path, capsys):
+def test_classify_command(tmp_path, capsys, monkeypatch):
+    import inls_lab.classify
+    import inls_lab.cli
+
+    calls = {"petviashvili_solve": 0, "optimal_frequency": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(inls_lab.cli, "petviashvili_solve", counted(inls_lab.cli, "petviashvili_solve"))
+    of = counted(inls_lab.classify, "optimal_frequency")
+    monkeypatch.setattr(inls_lab.cli, "optimal_frequency", of)
+    monkeypatch.setattr(inls_lab.classify, "optimal_frequency", of)
     cfg = write_config(tmp_path, BASE)
     out = tmp_path / "cls"
     assert main(["classify", "--config", cfg, "--out", str(out)]) == 0
+    # At params.omega = 1 the reference state is the ground state the
+    # datum multiplies, and one frequency serves both outputs.
+    assert calls == {"petviashvili_solve": 1, "optimal_frequency": 1}
     stdout = capsys.readouterr().out
     assert "intercritical_threshold: GlobalCandidate" in stdout
     rows = json.loads((out / "classification.json").read_text())
@@ -258,6 +279,10 @@ def test_classify_command(tmp_path, capsys):
     assert rows[1]["verdict"] == "GlobalCandidate"
     freq = json.loads((out / "frequency.json").read_text())
     assert freq["f_omega0"] > 0
+    gs1 = solve(F1, 1024)
+    u0 = RadialField(gs1.profile.grid, 0.5 * gs1.profile.values)
+    want = classify_all(u0, F1, PotentialSpec.zero(), gs1).as_json_list()
+    assert rows == json.loads(json.dumps(want))
 
 
 def test_sweep_parallel_matches_serial(tmp_path):

@@ -5,12 +5,14 @@ import json
 import numpy as np
 import pytest
 
+from scipy.linalg import solve_banded
+
 from inls_lab.evolve import (
     EvolutionConfig,
     EvolutionTrace,
     EvolveError,
+    StrangStepper,
     evolve,
-    step,
     trace_to_csv,
     variance_concavity,
     virial_check,
@@ -47,12 +49,13 @@ def gaussian(grid, width=1.5):
 def test_step_is_time_reversible():
     g = grid_for(3, -0.5, 512)
     u0 = gaussian(g)
+    stepper = StrangStepper(g, F2, BUMP)
     dt = 1e-3
-    u1 = step(u0, dt, F2, BUMP)
-    u2 = step(u1, -dt, F2, BUMP)
-    assert np.max(np.abs(u2.values - u0.values)) < 1e-12
+    u1 = stepper.step(u0.values, dt)
+    u2 = stepper.step(u1, -dt)
+    assert np.max(np.abs(u2 - u0.values)) < 1e-12
     with pytest.raises(EvolveError):
-        step(u0, 0.0, F2, BUMP)
+        stepper.step(u0.values, 0.0)
 
 
 def test_step_preserves_mass_exactly():
@@ -61,22 +64,74 @@ def test_step_preserves_mass_exactly():
     g = grid_for(3, -0.5, 512)
     u = gaussian(g)
     m0 = weighted_norm(u, 0.0, 2.0)
+    stepper = StrangStepper(g, F2, BUMP)
+    v = u.values
     for _ in range(20):
-        u = step(u, 1e-3, F2, BUMP)
-    assert weighted_norm(u, 0.0, 2.0) == pytest.approx(m0, rel=1e-13)
+        v = stepper.step(v, 1e-3)
+    assert weighted_norm(RadialField(g, v), 0.0, 2.0) == pytest.approx(m0, rel=1e-13)
 
 
 def test_standing_wave_rotates_at_omega():
     gs = solve(F1, 1024)
     q = gs.profile.values
-    u = gs.profile
+    stepper = StrangStepper(gs.profile.grid, F1, ZERO)
+    u = q
     dt, nsteps = 1e-3, 200
     for _ in range(nsteps):
-        u = step(u, dt, F1, ZERO)
+        u = stepper.step(u, dt)
     phase = np.exp(1j * F1.omega * dt * nsteps)
     peak = float(np.max(np.abs(q)))
-    assert np.max(np.abs(u.values - phase * q)) < 1e-3 * peak
-    assert np.max(np.abs(np.abs(u.values) - np.abs(q))) < 1e-3 * peak
+    assert np.max(np.abs(u - phase * q)) < 1e-3 * peak
+    assert np.max(np.abs(np.abs(u) - np.abs(q))) < 1e-3 * peak
+
+
+def _random_field(g, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(g.N) + 1j * rng.standard_normal(g.N)
+
+
+def test_cached_cayley_matches_banded_reference_exactly():
+    g = grid_for(3, -0.5, 512)
+    stepper = StrangStepper(g, F2, BUMP)
+    dt = 1e-3
+    z = 1j * (dt / 2)
+    ab = np.zeros((3, g.N), dtype=complex)
+    ab[0, 1:] = z * stepper.sym_off
+    ab[1, :] = stepper.mu + z * stepper.sym_diag
+    ab[2, :-1] = z * stepper.sym_off
+    for seed in (0, 1):  # the first call factors, the second reuses the factor
+        v = _random_field(g, seed)
+        rhs = (stepper.mu - z * stepper.sym_diag) * v
+        rhs[:-1] -= z * stepper.sym_off * v[1:]
+        rhs[1:] -= z * stepper.sym_off * v[:-1]
+        assert np.array_equal(stepper.cayley(v, dt), solve_banded((1, 1), ab, rhs))
+    assert stepper.factorizations == 1
+
+
+def test_stepper_refactors_only_when_dt_changes():
+    g = grid_for(3, -0.5, 256)
+    stepper = StrangStepper(g, F2, BUMP)
+    u = gaussian(g).values
+    counts = []
+    for dt in (1e-3, 1e-3, 5e-4, 5e-4, 5e-4, 1e-3):
+        u = stepper.step(u, dt)
+        counts.append(stepper.factorizations)
+    assert counts == [1, 1, 2, 2, 2, 3]
+
+
+def test_stepper_cache_is_tied_to_its_own_output():
+    g = grid_for(3, -0.5, 256)
+    dt = 1e-3
+    stepper = StrangStepper(g, F2, BUMP)
+    u1 = stepper.step(gaussian(g).values, dt)
+    with pytest.raises(ValueError):
+        u1[0] = 0.0  # returned arrays are read-only, so the cache cannot go stale
+    other = _random_field(g, 2)
+    assert np.array_equal(stepper.step(other, dt), StrangStepper(g, F2, BUMP).step(other, dt))
+    # A copy of a returned array is another input: evaluated afresh.
+    assert np.array_equal(
+        stepper.step(u1.copy(), dt), StrangStepper(g, F2, BUMP).step(u1.copy(), dt)
+    )
 
 
 def test_evolve_completes_and_conserves():
@@ -140,6 +195,23 @@ def test_adaptive_floor_stops_collapse():
     assert t_event < 2.0
 
 
+def test_step_floor_exit_state_is_sampled():
+    # The F1 alpha = 2 sweep point: the step floor stops the run between
+    # samples, and the last sample must describe the state it ended in.
+    gs = solve(F1, 4096)
+    u0 = RadialField(gs.profile.grid, 2.0 * gs.profile.values)
+    trace = evolve(u0, EvolutionConfig(t_end=0.2), F1, ZERO)
+    t_exit = trace.events[0][1]
+    assert trace.events[0][0] == "StepFloorHit"
+    assert trace.times[-1] == t_exit
+    growth = np.sqrt(gradient_norm_sq(trace.final_state) / gradient_norm_sq(u0))
+    assert trace.grad_norm[-1] / trace.grad_norm[0] == pytest.approx(growth, rel=1e-12)
+    # The trigger is evaluated on that sample: growth past 100 with a
+    # concave variance.
+    assert growth > 100 and variance_concavity(trace) < 0
+    assert trace.events[-1] == ("BlowupTriggered", t_exit)
+
+
 def test_variance_concavity_needs_three_samples():
     # Two samples support no second difference: no evidence of concavity.
     tr = EvolutionTrace(times=[0.0, 0.1], variance=[1.0, 0.5])
@@ -187,11 +259,16 @@ def test_trace_csv_and_events_sidecar(tmp_path):
     path = tmp_path / "trace.csv"
     trace_to_csv(trace, path)
     lines = path.read_text().splitlines()
-    assert lines[0] == "t,mass,energy,grad_norm,P,K_n2,variance,nehari"
+    assert lines[0] == "t,mass,energy,grad_norm,P,K_n2,variance,nehari,outer_amp"
     assert len(lines) == 1 + len(trace.times)
     first = [float(x) for x in lines[1].split(",")]
     assert first[0] == trace.times[0]
     assert first[1] == trace.mass[0]
-    sidecar = tmp_path / "trace.events.json"
-    events = json.loads(sidecar.read_text())["events"]
-    assert events == [{"kind": "Completed", "t": trace.events[0][1]}]
+    assert first[8] == trace.outer_amp[0]
+    sidecar = json.loads((tmp_path / "trace.events.json").read_text())
+    assert sidecar["events"] == [{"kind": "Completed", "t": trace.events[0][1]}]
+    # Fixed dt: one factorization, plus one for a shortened last step.
+    assert sidecar["steps"] == trace.steps == 50
+    assert sidecar["factorizations"] == trace.factorizations <= 2
+    assert sidecar["dt_max"] == 1e-3
+    assert 0 < sidecar["dt_min"] <= 1e-3

@@ -18,9 +18,11 @@ from inls_lab.grid import (
     inner_product,
     resample,
     solve_shifted,
-    solve_tridiagonal,
     weighted_norm,
 )
+from inls_lab.evolve import StrangStepper
+from inls_lab.params import ProblemParams
+from inls_lab.potential import PotentialSpec
 
 
 @pytest.mark.parametrize(
@@ -140,14 +142,18 @@ def test_solve_shifted_recovers_manufactured_solution():
 
 
 def test_solve_tridiagonal_matches_dense():
+    # The cached LAPACK factor of mu + i dt/2 M against a dense solve.
     rng = np.random.default_rng(3)
-    N = 40
-    diag = rng.standard_normal(N) + 4.0 + 1j * rng.standard_normal(N)
-    off = 0.1 * rng.standard_normal(N - 1)
-    rhs = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-    dense = np.diag(diag) + np.diag(off, -1) + np.diag(off, 1)
-    x = solve_tridiagonal(diag, off, rhs)
-    assert x == pytest.approx(np.linalg.solve(dense, rhs), rel=1e-11)
+    g = build_grid(3, -0.5, r_max=10.0, N=40, grading=2.0)
+    params = ProblemParams(3, -0.5, -0.5, 2.0)
+    stepper = StrangStepper(g, params, PotentialSpec.smooth_bump(0.4, 2.0))
+    dt = 0.3
+    z = 1j * dt / 2
+    M = np.diag(stepper.sym_diag) + np.diag(stepper.sym_off, -1) + np.diag(stepper.sym_off, 1)
+    mu = np.diag(stepper.mu)
+    v = rng.standard_normal(g.N) + 1j * rng.standard_normal(g.N)
+    x = stepper.cayley(v, dt)
+    assert x == pytest.approx(np.linalg.solve(mu + z * M, (mu - z * M) @ v), rel=1e-11)
 
 
 def test_field_csv_roundtrip(tmp_path):
