@@ -15,6 +15,10 @@ sub-action sets split by the sign of the scaling derivative K^{n,2}
 at a chosen frequency; the frequency-optimized choice omega0 makes
 the set route equivalent to the intercritical energy-mass gate.
 
+classify_all is the one entry point: it derives the exponents, checks
+the assumptions and integrates the datum once, every route reads that
+one FunctionalReport, and it holds the one set-route frequency rule.
+
 Strict inequalities are decided with a relative dead band of 1e-6.
 Values inside the band yield Undetermined with a near-boundary flag:
 the theorems are open-condition statements, and numerical equality is
@@ -24,13 +28,13 @@ not evidence for either side.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
-from .functionals import evaluate_all, k_functional
+from .functionals import FunctionalReport, at_frequency, evaluate_all, k_from_report
 from .grid import RadialField, weighted_norm
-from .groundstate import GroundState
-from .params import Criticality, ProblemParams, derive_exponents
-from .potential import HOLDS, FAILS, PotentialSpec, check_assumptions
+from .groundstate import GroundState, is_frequency_one
+from .params import CriticalExponents, Criticality, ProblemParams, derive_exponents
+from .potential import HOLDS, FAILS, AssumptionReport, PotentialSpec, check_assumptions
 
 # Relative half-width of the band around a threshold inside which a
 # strict inequality is treated as undecided.
@@ -89,16 +93,6 @@ class ClassificationEntry:
 
 
 @dataclass(frozen=True)
-class Classification:
-    """Per-theorem entries for one initial datum."""
-
-    entries: tuple[ClassificationEntry, ...]
-
-    def as_json_list(self) -> list[dict]:
-        return [e.as_dict() for e in self.entries]
-
-
-@dataclass(frozen=True)
 class FrequencyReport:
     """Optimized frequency and the action gap attained there.
 
@@ -115,13 +109,26 @@ class FrequencyReport:
     near_boundary: bool
 
     def as_dict(self) -> dict:
-        return {
-            "omega0": self.omega0,
-            "f_omega0": self.f_omega0,
-            "em_product": self.em_product,
-            "em_threshold": self.em_threshold,
-            "near_boundary": self.near_boundary,
-        }
+        return asdict(self)
+
+
+@dataclass(frozen=True)
+class Classification:
+    """Per-theorem entries for one initial datum, in route order, and
+    the optimized frequency whenever the exponents are intercritical."""
+
+    entries: tuple[ClassificationEntry, ...]
+    frequency: FrequencyReport | None = None
+
+    def entry(self, theorem: str) -> ClassificationEntry:
+        """The entry of one theorem id."""
+        for e in self.entries:
+            if e.theorem == theorem:
+                return e
+        raise KeyError(theorem)
+
+    def as_json_list(self) -> list[dict]:
+        return [e.as_dict() for e in self.entries]
 
 
 def _compare(lhs: float, rhs: float, scale: float | None = None) -> str:
@@ -161,7 +168,7 @@ def _kappa(params: ProblemParams) -> float:
 
 
 def _require_frequency_one(gs1: GroundState, keys: tuple[str, ...]) -> None:
-    if gs1.omega != 1.0:
+    if not is_frequency_one(gs1.omega):
         raise ClassifyError(
             f"threshold route needs the frequency-1 ground state, got omega={gs1.omega}"
         )
@@ -170,10 +177,12 @@ def _require_frequency_one(gs1: GroundState, keys: tuple[str, ...]) -> None:
         raise ClassifyError(f"ground state lacks thresholds {missing}")
 
 
-def classify_mass_critical(
+def _mass_critical(
     u0: RadialField,
     params: ProblemParams,
-    spec: PotentialSpec,
+    exps: CriticalExponents,
+    report: AssumptionReport,
+    rep: FunctionalReport,
     gs1: GroundState,
 ) -> ClassificationEntry:
     """L2-threshold dichotomy at mass-critical exponents.
@@ -183,8 +192,6 @@ def classify_mass_critical(
     (the weighted variance of grid data is finite by construction, so
     the finite-variance branch hypothesis always holds here).
     """
-    exps = derive_exponents(params)
-    report = check_assumptions(spec, params)
     assumptions = {
         "criticality_mass_critical": _status(
             exps.criticality is Criticality.MASS_CRITICAL
@@ -195,7 +202,6 @@ def classify_mass_critical(
         "finite_variance": HOLDS,
     }
 
-    rep = evaluate_all(u0, params, spec)
     mass_norm = math.sqrt(rep.mass)
     var_sq = float(weighted_norm(u0, 2.0 - params.b, 2.0)) ** 2
     assumptions["finite_variance"] = _status(math.isfinite(var_sq))
@@ -237,10 +243,11 @@ def classify_mass_critical(
     )
 
 
-def classify_intercritical(
-    u0: RadialField,
+def _intercritical(
     params: ProblemParams,
-    spec: PotentialSpec,
+    exps: CriticalExponents,
+    report: AssumptionReport,
+    rep: FunctionalReport,
     gs1: GroundState,
 ) -> ClassificationEntry:
     """Scale-invariant product dichotomy at intercritical exponents.
@@ -252,8 +259,6 @@ def classify_intercritical(
     data through the finite-variance hypothesis; the radial branch
     additionally needs p < 4 and is recorded alongside.
     """
-    exps = derive_exponents(params)
-    report = check_assumptions(spec, params)
     assumptions = {
         "criticality_intercritical": _status(
             exps.criticality is Criticality.INTERCRITICAL
@@ -264,7 +269,6 @@ def classify_intercritical(
         "radial": HOLDS,
     }
 
-    rep = evaluate_all(u0, params, spec)
     evidence: list[Evidence] = []
     notes: list[str] = []
     sigma = exps.sigma
@@ -315,12 +319,13 @@ def classify_intercritical(
     )
 
 
-def classify_sets(
-    u0: RadialField,
+def _sets(
     params: ProblemParams,
-    spec: PotentialSpec,
+    exps: CriticalExponents,
+    report: AssumptionReport,
+    rep: FunctionalReport,
     gs: GroundState,
-    omega: float | None = None,
+    omega: float,
 ) -> ClassificationEntry:
     """Membership test in the sub-action sets at frequency omega.
 
@@ -331,17 +336,8 @@ def classify_sets(
     blow-up argument closes), else Undetermined with a note.  When the
     datum sits in the negative-K set the gap bound
     K^{n,2} <= -2(2-b)(m_omega - S) is reported as a consistency
-    check.  omega defaults to the optimized frequency, which requires
-    gs to be the frequency-1 ground state.
+    check.  The action, L and K^{n,2} at omega are closed forms of rep.
     """
-    if omega is None:
-        omega = optimal_frequency(u0, params, gs, spec).omega0
-    omega = float(omega)
-    if not omega > 0:
-        raise ClassifyError(f"frequency must be positive, got {omega}")
-
-    exps = derive_exponents(params)
-    report = check_assumptions(spec, params)
     n, b, c = params.n, params.b, params.c
     assumptions = {
         "criticality_intercritical": _status(
@@ -356,9 +352,9 @@ def classify_sets(
     }
 
     pw = params.with_omega(omega)
-    rep = evaluate_all(u0, pw, spec)
-    action = rep.action
-    k_n2 = k_functional(u0, float(n), 2.0, pw, spec)
+    rep_w = at_frequency(rep, pw)
+    action = rep_w.action
+    k_n2 = k_from_report(rep_w, float(n), 2.0, pw)
     m_omega = gs.m_omega * (omega / gs.omega) ** _kappa(params)
 
     evidence = [
@@ -390,7 +386,7 @@ def classify_sets(
 
     # Sign of K^{n,2} decides the set; it is a cancellation residue, so
     # the band is taken relative to the positive-definite part L.
-    k_cmp = _compare(k_n2, 0.0, scale=rep.L)
+    k_cmp = _compare(k_n2, 0.0, scale=rep_w.L)
     if k_cmp == "band":
         notes.append("near_boundary: K^{n,2} inside the dead band")
         return entry(UNDETERMINED, near=True)
@@ -427,33 +423,15 @@ def classify_sets(
     return entry(verdict)
 
 
-def optimal_frequency(
-    u0: RadialField,
-    params: ProblemParams,
-    gs1: GroundState,
-    spec: PotentialSpec | None = None,
+def _optimal_frequency(
+    rep: FunctionalReport, params: ProblemParams, exps: CriticalExponents, gs1: GroundState
 ) -> FrequencyReport:
-    """Frequency maximizing the action gap f(w) = w^kappa m_1 - S_{w,V}(u0).
-
-    The critical point has the closed form
-
-        omega0 = [ (2-b)p / (2(2-b)(p+2) - 2 p_c) * M(u0)/m_1 ]^{(2-b)p/(2(2-b)-p_c)}
-
-    and f(omega0) > 0 holds exactly when the energy-mass product of u0
-    is below its ground-state value.  The two directions are asserted
-    to agree outside a relative band of 1e-6 around equality; band
-    cases are flagged instead of asserted.
-    """
-    spec = PotentialSpec.zero() if spec is None else spec
-    exps = derive_exponents(params)
-    if exps.criticality is not Criticality.INTERCRITICAL:
-        raise ClassifyError("frequency optimization needs intercritical exponents")
+    """The optimized frequency from the report of the datum (intercritical exponents)."""
     _require_frequency_one(gs1, ("em_sigma",))
 
     b, p = params.b, params.p
     pc = params.p_c
     m1 = gs1.m_omega
-    rep = evaluate_all(u0, params, spec)
     mass = rep.mass
     if not mass > 0:
         raise ClassifyError("frequency optimization needs a nonzero datum")
@@ -486,6 +464,30 @@ def optimal_frequency(
     )
 
 
+def optimal_frequency(
+    u0: RadialField,
+    params: ProblemParams,
+    gs1: GroundState,
+    spec: PotentialSpec | None = None,
+) -> FrequencyReport:
+    """Frequency maximizing the action gap f(w) = w^kappa m_1 - S_{w,V}(u0).
+
+    The critical point has the closed form
+
+        omega0 = [ (2-b)p / (2(2-b)(p+2) - 2 p_c) * M(u0)/m_1 ]^{(2-b)p/(2(2-b)-p_c)}
+
+    and f(omega0) > 0 holds exactly when the energy-mass product of u0
+    is below its ground-state value.  The two directions are asserted
+    to agree outside a relative band of 1e-6 around equality; band
+    cases are flagged instead of asserted.
+    """
+    spec = PotentialSpec.zero() if spec is None else spec
+    exps = derive_exponents(params)
+    if exps.criticality is not Criticality.INTERCRITICAL:
+        raise ClassifyError("frequency optimization needs intercritical exponents")
+    return _optimal_frequency(evaluate_all(u0, params, spec), params, exps, gs1)
+
+
 def classify_all(
     u0: RadialField,
     params: ProblemParams,
@@ -495,18 +497,30 @@ def classify_all(
 ) -> Classification:
     """Run every route on one datum.
 
-    The set route runs at frequency omega.  When omega is None it runs
-    at the optimized frequency if the exponents are intercritical;
-    otherwise, where the optimized frequency is undefined, at the
-    frequency of the supplied ground state, and its own gating reports
-    NotApplicable.
+    Entries come in route order: mass_critical_threshold,
+    intercritical_threshold, action_set_membership.  The set route
+    runs at frequency omega; when omega is None, at the optimized
+    frequency if the exponents are intercritical, else at the
+    frequency of the supplied ground state, where its own gating
+    reports NotApplicable.  Classification.frequency is the
+    optimal_frequency report whenever the exponents are intercritical.
     """
-    if omega is None and derive_exponents(params).criticality is not Criticality.INTERCRITICAL:
-        omega = gs1.omega
+    exps = derive_exponents(params)
+    report = check_assumptions(spec, params)
+    rep = evaluate_all(u0, params, spec)
+    frequency = None
+    if exps.criticality is Criticality.INTERCRITICAL:
+        frequency = _optimal_frequency(rep, params, exps, gs1)
+    if omega is None:
+        omega = gs1.omega if frequency is None else frequency.omega0
+    omega = float(omega)
+    if not omega > 0:
+        raise ClassifyError(f"frequency must be positive, got {omega}")
     return Classification(
         (
-            classify_mass_critical(u0, params, spec, gs1),
-            classify_intercritical(u0, params, spec, gs1),
-            classify_sets(u0, params, spec, gs1, omega),
-        )
+            _mass_critical(u0, params, exps, report, rep, gs1),
+            _intercritical(params, exps, report, rep, gs1),
+            _sets(params, exps, report, rep, gs1, omega),
+        ),
+        frequency,
     )

@@ -24,11 +24,11 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .classify import NOT_APPLICABLE, ClassificationEntry, classify_all, optimal_frequency
+from .classify import NOT_APPLICABLE, ClassificationEntry, classify_all
 from .evolve import EvolutionConfig, evolve, trace_to_csv
 from .grid import RadialField, RadialGrid, build_grid, field_from_csv, field_to_csv
 from .groundstate import GroundState, petviashvili_solve
-from .params import Criticality, ProblemParams, derive_exponents
+from .params import ProblemParams
 from .potential import PotentialSpec, check_assumptions
 
 
@@ -350,19 +350,12 @@ def _classify_and_write(
     cfg: RunConfig, u0: RadialField, gs1: GroundState
 ) -> tuple[tuple[ClassificationEntry, ...], list[str]]:
     """Classify u0 into classification.json (and frequency.json when intercritical)."""
-    omega = cfg.classify_omega
-    freq = None
-    if derive_exponents(cfg.params).criticality is Criticality.INTERCRITICAL:
-        report = optimal_frequency(u0, cfg.params, gs1, cfg.potential)
-        freq = report.as_dict()
-        if omega is None:
-            omega = report.omega0
-    classification = classify_all(u0, cfg.params, cfg.potential, gs1, omega)
+    classification = classify_all(u0, cfg.params, cfg.potential, gs1, cfg.classify_omega)
     os.makedirs(cfg.out_dir, exist_ok=True)
     _write_json(os.path.join(cfg.out_dir, "classification.json"), classification.as_json_list())
     outputs = ["classification.json"]
-    if freq is not None:
-        _write_json(os.path.join(cfg.out_dir, "frequency.json"), freq)
+    if classification.frequency is not None:
+        _write_json(os.path.join(cfg.out_dir, "frequency.json"), classification.frequency.as_dict())
         outputs.append("frequency.json")
     return classification.entries, outputs
 

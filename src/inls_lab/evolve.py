@@ -252,9 +252,6 @@ def evolve(
         )
     stepper = StrangStepper(g, params, spec)
     u = u0.values.astype(complex, copy=True)
-    grad0_sq = gradient_norm_sq(u0)
-    trigger_sq = cfg.blowup_factor**2 * grad0_sq
-
     trace = EvolutionTrace()
 
     def sample(t: float, vals: np.ndarray) -> float:
@@ -265,20 +262,20 @@ def evolve(
         trace.times.append(t)
         trace.mass.append(rep.mass)
         trace.energy.append(rep.energy)
-        gsq = rep.grad_norm_V**2 - rep.potential_energy
-        trace.grad_norm.append(float(np.sqrt(max(gsq, 0.0))))
+        trace.grad_norm.append(float(np.sqrt(rep.grad_sq)))
         trace.virial.append(rep.virial)
         trace.k_n2.append((2 - params.b) * rep.virial)  # K^{n,2} = (2-b) P
         trace.variance.append(weighted_norm(f, 2 - params.b, 2.0) ** 2)
         trace.nehari.append(rep.nehari)
         trace.outer_amp.append(float(np.abs(vals[-1])))
-        return gsq
+        return rep.grad_sq
 
     def triggered(gsq: float) -> bool:
         return gsq >= trigger_sq and variance_concavity(trace) < 0
 
     t = 0.0
-    gsq = sample(t, u)
+    gsq = grad0_sq = sample(t, u)
+    trigger_sq = cfg.blowup_factor**2 * grad0_sq
     sampled = True
     dts = []
     while t < cfg.t_end - 1e-12:

@@ -27,6 +27,10 @@ Special slots: K^{1,0} is the Nehari functional and K^{n,2} = (2-b) P.
 L is stored with the first term squared; only that reading makes the
 two-sided bound 2S <= L (valid on K >= 0) an identity-tight estimate.
 
+evaluate_all is the one pass of quadratures over a field; every other
+scalar is a closed form of its report (at_frequency: the report at
+another omega; k_from_report: any K^{a,B}), bit-identical to a new pass.
+
 Scalings are realized on the fixed mesh by grid.resample, the cubic
 spline transfer (zero beyond r_max), rather than by rebuilding the
 grid, so that every functional of a scaled field is evaluated with the
@@ -48,7 +52,9 @@ __all__ = [
     "FunctionalError",
     "FunctionalReport",
     "TruncationWarning",
+    "at_frequency",
     "evaluate_all",
+    "k_from_report",
     "k_functional",
     "scale_alpha_beta",
     "scale_soliton",
@@ -67,7 +73,9 @@ class TruncationWarning(UserWarning):
 
 @dataclass(frozen=True)
 class FunctionalReport:
-    """All scalar diagnostics of one field at one parameter set."""
+    """All scalar diagnostics of one field at one parameter set: the
+    quadratures (mass, grad_sq, potential_energy, xgradV_term,
+    nonlinear_term) and their closed forms."""
 
     mass: float
     energy: float
@@ -79,20 +87,7 @@ class FunctionalReport:
     potential_energy: float
     nonlinear_term: float
     xgradV_term: float
-
-    def as_dict(self) -> dict:
-        return {
-            "mass": self.mass,
-            "energy": self.energy,
-            "virial": self.virial,
-            "action": self.action,
-            "nehari": self.nehari,
-            "L": self.L,
-            "grad_norm_V": self.grad_norm_V,
-            "potential_energy": self.potential_energy,
-            "nonlinear_term": self.nonlinear_term,
-            "xgradV_term": self.xgradV_term,
-        }
+    grad_sq: float
 
 
 def _check_compatible(u: RadialField, params: ProblemParams) -> None:
@@ -103,8 +98,39 @@ def _check_compatible(u: RadialField, params: ProblemParams) -> None:
         )
 
 
-def _raw_terms(u: RadialField, params: ProblemParams, spec: PotentialSpec):
-    """Quadratures shared by evaluate_all and k_functional."""
+def _closed_forms(
+    mass: float, grad_sq: float, pot: float, xgv: float, nl: float, params: ProblemParams
+) -> FunctionalReport:
+    b, p, w = params.b, params.p, params.omega
+    pc = params.p_c
+
+    grad_V_sq = grad_sq + pot
+    energy = 0.5 * grad_V_sq - nl / (p + 2)
+    action = energy + 0.5 * w * mass
+    nehari = grad_V_sq + w * mass - nl
+    virial = grad_sq - xgv / (2 - b) - pc * nl / ((2 - b) * (p + 2))
+    L = grad_V_sq + w * mass
+
+    return FunctionalReport(
+        mass=mass,
+        energy=energy,
+        virial=virial,
+        action=action,
+        nehari=nehari,
+        L=L,
+        grad_norm_V=float(np.sqrt(grad_V_sq)),
+        potential_energy=pot,
+        nonlinear_term=nl,
+        xgradV_term=xgv,
+        grad_sq=grad_sq,
+    )
+
+
+def evaluate_all(
+    u: RadialField, params: ProblemParams, spec: PotentialSpec
+) -> FunctionalReport:
+    """Evaluate every scalar functional of u in one pass of quadratures."""
+    _check_compatible(u, params)
     g = u.grid
     grad_sq = gradient_norm_sq(u)
     dens = g.measure_weights * np.abs(u.values) ** 2
@@ -129,36 +155,25 @@ def _raw_terms(u: RadialField, params: ProblemParams, spec: PotentialSpec):
     ):
         if not np.isfinite(val):
             raise FunctionalError(f"{name} evaluated to a non-finite value")
-    return mass, grad_sq, pot, xgv, nl
+    return _closed_forms(mass, grad_sq, pot, xgv, nl, params)
 
 
-def evaluate_all(
-    u: RadialField, params: ProblemParams, spec: PotentialSpec
-) -> FunctionalReport:
-    """Evaluate every scalar functional of u."""
-    _check_compatible(u, params)
-    mass, grad_sq, pot, xgv, nl = _raw_terms(u, params, spec)
-    b, p, w = params.b, params.p, params.omega
-    pc = params.p_c
+def at_frequency(rep: FunctionalReport, params: ProblemParams) -> FunctionalReport:
+    """The report of the same field at params, which may differ from the
+    evaluated parameters only in omega (action, nehari and L move)."""
+    return _closed_forms(
+        rep.mass, rep.grad_sq, rep.potential_energy, rep.xgradV_term, rep.nonlinear_term, params
+    )
 
-    grad_V_sq = grad_sq + pot
-    energy = 0.5 * grad_V_sq - nl / (p + 2)
-    action = energy + 0.5 * w * mass
-    nehari = grad_V_sq + w * mass - nl
-    virial = grad_sq - xgv / (2 - b) - pc * nl / ((2 - b) * (p + 2))
-    L = grad_V_sq + w * mass
 
-    return FunctionalReport(
-        mass=mass,
-        energy=energy,
-        virial=virial,
-        action=action,
-        nehari=nehari,
-        L=L,
-        grad_norm_V=float(np.sqrt(grad_V_sq)),
-        potential_energy=pot,
-        nonlinear_term=nl,
-        xgradV_term=xgv,
+def k_from_report(rep: FunctionalReport, alpha: float, beta: float, params: ProblemParams) -> float:
+    """Closed form of the scaling derivative K^{alpha,beta}_{omega,V} at params.omega."""
+    n, b, c, p, w = params.n, params.b, params.c, params.p, params.omega
+    return (
+        0.5 * (2 * alpha + (2 - b - n) * beta) * rep.grad_sq
+        + 0.5 * (2 * alpha - n * beta) * (rep.potential_energy + w * rep.mass)
+        - 0.5 * beta * rep.xgradV_term
+        - (alpha * (p + 2) - (n + c) * beta) / (p + 2) * rep.nonlinear_term
     )
 
 
@@ -169,16 +184,8 @@ def k_functional(
     params: ProblemParams,
     spec: PotentialSpec,
 ) -> float:
-    """Closed form of the scaling derivative K^{alpha,beta}_{omega,V}(u)."""
-    _check_compatible(u, params)
-    mass, grad_sq, pot, xgv, nl = _raw_terms(u, params, spec)
-    n, b, c, p, w = params.n, params.b, params.c, params.p, params.omega
-    return (
-        0.5 * (2 * alpha + (2 - b - n) * beta) * grad_sq
-        + 0.5 * (2 * alpha - n * beta) * (pot + w * mass)
-        - 0.5 * beta * xgv
-        - (alpha * (p + 2) - (n + c) * beta) / (p + 2) * nl
-    )
+    """The scaling derivative K^{alpha,beta}_{omega,V}(u)."""
+    return k_from_report(evaluate_all(u, params, spec), alpha, beta, params)
 
 
 def scale_alpha_beta(

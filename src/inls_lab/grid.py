@@ -230,11 +230,10 @@ class DiscreteOperator:
 
     sym_diag and sym_off are the diagonal and off-diagonal of M, so
     (A f) = (M f) / mu elementwise and self-adjointness in <.,.>_mu is
-    automatic.  potential holds V at the nodes (zeros when V = 0).
+    automatic.
     """
 
     grid: RadialGrid
-    potential: np.ndarray
     sym_diag: np.ndarray  # shape (N,)
     sym_off: np.ndarray  # shape (N-1,), equals -nu_{i+1/2}
 
@@ -254,7 +253,7 @@ def assemble_operator(grid: RadialGrid, potential: np.ndarray | None = None) -> 
     diag[-1] += grid.outer_face_weight
     diag += grid.measure_weights * V
     off = -grid.face_weights
-    return DiscreteOperator(grid=grid, potential=V, sym_diag=diag, sym_off=off)
+    return DiscreteOperator(grid=grid, sym_diag=diag, sym_off=off)
 
 
 def apply_operator(op: DiscreteOperator, f: RadialField) -> RadialField:

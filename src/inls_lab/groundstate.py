@@ -22,10 +22,11 @@ sup norm about 1e-5 at default resolution) is the primary evidence
 that either one found the ground state rather than a solver artifact.
 
 Threshold constants (sharp interpolation-inequality constant, the
-energy-mass product at the ground state, the ground-state action) are
-derived from the converged profile together with its Pohozaev
-identities; each one that admits two independent expressions is
-computed both ways and cross-checked before being reported.
+energy-mass product at the ground state, the ground-state action) and
+the Pohozaev defects are closed forms of the one
+functionals.evaluate_all report of the converged profile;
+derive_thresholds cross-checks each stored constant that admits a
+second, independent expression.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functionals import evaluate_all
+from .functionals import FunctionalReport, evaluate_all, threshold_peak
 from .grid import (
     RadialField,
     RadialGrid,
@@ -43,7 +44,6 @@ from .grid import (
     build_grid,
     gradient_norm_sq,
     solve_shifted,
-    weighted_norm,
 )
 from .params import Criticality, ProblemParams, derive_exponents, validate_gn_window
 from .potential import PotentialSpec
@@ -56,6 +56,7 @@ __all__ = [
     "NonConvergence",
     "derive_thresholds",
     "gn_ratio",
+    "is_frequency_one",
     "petviashvili_solve",
     "pohozaev_residuals",
     "shooting_solve",
@@ -123,13 +124,17 @@ def _admissible(params: ProblemParams) -> None:
         )
 
 
-def pohozaev_residuals(
-    profile: RadialField, params: ProblemParams
-) -> tuple[float, float]:
-    """Relative defects of the two Pohozaev identities at the profile.
+def is_frequency_one(omega: float) -> bool:
+    """Whether omega is the frequency the dichotomy thresholds are defined at."""
+    return abs(omega - 1.0) < 1e-14
 
-    res1 tests mass against the nonlinear term, res2 tests mass
-    against the gradient term:
+
+def pohozaev_residuals(rep: FunctionalReport, params: ProblemParams) -> tuple[float, float]:
+    """Relative defects of the two Pohozaev identities at a profile.
+
+    rep is the evaluate_all report of the profile (only its
+    potential-free quadratures enter).  res1 tests mass against the
+    nonlinear term, res2 tests mass against the gradient term:
 
         ||Q||_2^2 = [((2-b)(p+2) - p_c)/((2-b)(p+2) omega)] ||Q||^{p+2}_{c,p+2}
         ||Q||_2^2 = [((2-b)(p+2) - p_c)/(omega p_c)] ||grad Q||^2_{b,2}
@@ -137,31 +142,28 @@ def pohozaev_residuals(
     Exact solutions satisfy both exactly; the discrete profile carries
     the quadrature error, which decays at second order in the mesh.
     """
-    b, c, p, w = params.b, params.c, params.p, params.omega
+    b, p, w = params.b, params.p, params.omega
     pc = params.p_c
     A = (2 - b) * (p + 2)
-    m = weighted_norm(profile, 0.0, 2.0) ** 2
-    gr = gradient_norm_sq(profile)
-    nl = weighted_norm(profile, c, p + 2) ** (p + 2)
-    res1 = abs(m - (A - pc) / (A * w) * nl) / m
-    res2 = abs(m - (A - pc) / (w * pc) * gr) / m
+    m = rep.mass
+    res1 = abs(m - (A - pc) / (A * w) * rep.nonlinear_term) / m
+    res2 = abs(m - (A - pc) / (w * pc) * rep.grad_sq) / m
     return res1, res2
 
 
-def gn_ratio(u: RadialField, params: ProblemParams) -> float:
+def gn_ratio(rep: FunctionalReport, params: ProblemParams) -> float:
     """Weighted interpolation ratio whose supremum is the sharp constant.
 
         R(u) = ||u||^{p+2}_{c,p+2} / (||grad u||^{p_c/(2-b)}_{b,2} ||u||_2^{p+2-p_c/(2-b)})
 
-    R is invariant under both the amplitude and the soliton scalings,
-    and is maximized exactly at the ground state.
+    from the evaluate_all report of u.  R is invariant under both the
+    amplitude and the soliton scalings, and is maximized exactly at the
+    ground state.
     """
-    pc = params.p_c
-    s = pc / (2 - params.b)
-    nl = weighted_norm(u, params.c, params.p + 2) ** (params.p + 2)
-    gr = np.sqrt(gradient_norm_sq(u))
-    m = weighted_norm(u, 0.0, 2.0)
-    return float(nl / (gr**s * m ** (params.p + 2 - s)))
+    s = params.p_c / (2 - params.b)
+    gr = np.sqrt(rep.grad_sq)
+    m = rep.mass**0.5  # rounded as grid.weighted_norm rounds ||u||_2
+    return float(rep.nonlinear_term / (gr**s * m ** (params.p + 2 - s)))
 
 
 def petviashvili_solve(
@@ -242,70 +244,50 @@ def petviashvili_solve(
         raise NonConvergence("profile not monotone beyond its maximum")
 
     profile = RadialField(grid, Q)
-    poh = pohozaev_residuals(profile, params)
+    rep = evaluate_all(profile, params, PotentialSpec.zero())
+    poh = pohozaev_residuals(rep, params)
     if max(poh) >= 1e-4:
         raise NonConvergence(f"Pohozaev defects {poh} exceed 1e-4")
-
-    c_gn = gn_ratio(profile, params)
-    m_omega = evaluate_all(profile, params, PotentialSpec.zero()).action
-    if not m_omega > 0:
-        raise NonConvergence(f"ground-state action {m_omega} not positive")
-
-    exps = derive_exponents(params)
-    thresholds: dict[str, float | None] = {
-        "mass_threshold": None,
-        "em_sigma": None,
-        "grad_mass": None,
-    }
-    if abs(w - 1.0) < 1e-14 and exps.criticality in (
-        Criticality.MASS_CRITICAL,
-        Criticality.INTERCRITICAL,
-    ):
-        thresholds = _thresholds_from_profile(profile, params)
+    if not rep.action > 0:
+        raise NonConvergence(f"ground-state action {rep.action} not positive")
 
     return GroundState(
         profile=profile,
         omega=w,
         residual=residual,
         pohozaev_res=poh,
-        c_gn=c_gn,
-        m_omega=float(m_omega),
-        thresholds=thresholds,
+        c_gn=gn_ratio(rep, params),
+        m_omega=rep.action,
+        thresholds=_thresholds(rep, params),
     )
 
 
-def _thresholds_from_profile(
-    q1: RadialField, params: ProblemParams
-) -> dict[str, float | None]:
-    """Dichotomy constants from the frequency-1 profile, direct routes only."""
+def _thresholds(rep: FunctionalReport, params: ProblemParams) -> dict[str, float | None]:
+    """Dichotomy constants from the report of the profile, direct routes only;
+    None where the frequency or the criticality class leaves them undefined."""
+    out: dict[str, float | None] = dict.fromkeys(("mass_threshold", "em_sigma", "grad_mass"))
     exps = derive_exponents(params)
-    out: dict[str, float | None] = {
-        "mass_threshold": float(weighted_norm(q1, 0.0, 2.0)),
-        "em_sigma": None,
-        "grad_mass": None,
-    }
-    if exps.criticality is not Criticality.INTERCRITICAL:
-        return out
-    sigma = exps.sigma
-    assert sigma is not None
-    grad = np.sqrt(gradient_norm_sq(q1))
-    mass = out["mass_threshold"]
-    out["grad_mass"] = float(grad * mass**sigma)
-    rep = evaluate_all(q1, params, PotentialSpec.zero())
-    out["em_sigma"] = float(rep.energy * rep.mass**sigma)
+    crit, sigma = exps.criticality, exps.sigma
+    defined = crit in (Criticality.MASS_CRITICAL, Criticality.INTERCRITICAL)
+    if defined and is_frequency_one(params.omega):
+        out["mass_threshold"] = mass_norm = rep.mass**0.5  # as grid.weighted_norm rounds it
+        if crit is Criticality.INTERCRITICAL:
+            out["grad_mass"] = float(np.sqrt(rep.grad_sq) * mass_norm**sigma)
+            out["em_sigma"] = float(rep.energy * rep.mass**sigma)
     return out
 
 
 def derive_thresholds(gs1: GroundState, params: ProblemParams) -> dict[str, float | None]:
-    """Dichotomy constants from a frequency-1 ground state.
+    """Certified dichotomy constants of a frequency-1 ground state.
 
-    For intercritical exponents returns all of mass_threshold,
-    em_sigma, and grad_mass; for mass-critical exponents only the
-    mass threshold is defined.  Every constant with two independent
-    expressions is cross-checked to 1e-6 relative before being
-    reported: em_sigma directly as the energy-mass product and via
-    the closed form [(p_c - 2(2-b))/(2 p_c)] grad_mass^2, and the
-    sharp constant
+    Returns the thresholds stored on gs1: for intercritical exponents
+    all of mass_threshold, em_sigma, and grad_mass; for mass-critical
+    exponents only the mass threshold is defined, and a missing one
+    raises.  Every constant with two independent expressions is
+    cross-checked to 1e-6 relative before being reported: em_sigma
+    directly as the energy-mass product and via the closed form
+    functionals.threshold_peak = [(p_c - 2(2-b))/(2 p_c)] grad_mass^2,
+    and the sharp constant
 
         C_GN = ((2-b)(p+2)/p_c) grad_mass^{2 - p_c/(2-b)}
 
@@ -320,16 +302,20 @@ def derive_thresholds(gs1: GroundState, params: ProblemParams) -> dict[str, floa
         raise GroundStateError(
             f"thresholds undefined for {exps.criticality.value} exponents"
         )
-    if abs(gs1.omega - 1.0) > 1e-14:
+    if not is_frequency_one(gs1.omega):
         raise GroundStateError(f"thresholds require omega = 1, got {gs1.omega}")
-    out = _thresholds_from_profile(gs1.profile, params)
-    if exps.criticality is Criticality.INTERCRITICAL:
+    out = dict(gs1.thresholds)
+    intercritical = exps.criticality is Criticality.INTERCRITICAL
+    keys = ("mass_threshold", "em_sigma", "grad_mass") if intercritical else ("mass_threshold",)
+    missing = [k for k in keys if out.get(k) is None]
+    if missing:
+        raise GroundStateError(f"ground state lacks thresholds {missing}")
+    if intercritical:
         pc = params.p_c
         b = params.b
         grad_mass = out["grad_mass"]
         em_direct = out["em_sigma"]
-        assert grad_mass is not None and em_direct is not None
-        em_closed = (pc - 2 * (2 - b)) / (2 * pc) * grad_mass**2
+        em_closed = threshold_peak(params, grad_mass)
         if abs(em_direct - em_closed) > 1e-6 * abs(em_closed):
             raise GroundStateError(
                 f"energy-mass product disagrees between routes: "

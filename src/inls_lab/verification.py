@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .classify import classify_intercritical, optimal_frequency, classify_sets
+from .classify import classify_all, optimal_frequency
 from .evolve import (
     EvolutionConfig,
     EvolutionTrace,
@@ -33,8 +33,8 @@ from .evolve import (
     variance_concavity,
     virial_check,
 )
-from .functionals import evaluate_all, k_functional, scale_alpha_beta
-from .grid import RadialField, RadialGrid, build_grid, gradient_norm_sq, resample
+from .functionals import evaluate_all, k_from_report, scale_alpha_beta
+from .grid import RadialField, RadialGrid, build_grid, resample
 from .groundstate import gn_ratio, petviashvili_solve, shooting_solve
 from .params import ProblemParams
 from .potential import PotentialSpec, check_assumptions
@@ -157,7 +157,7 @@ def check_k_annihilation() -> list[CheckResult]:
         rep = evaluate_all(gs.profile, params, _ZERO)
         worst = 0.0
         for alpha, beta in ((1.0, 0.0), (float(params.n), 2.0), (2.0, 1.0), (3.0, 1.0)):
-            k = k_functional(gs.profile, alpha, beta, params, _ZERO)
+            k = k_from_report(rep, alpha, beta, params)
             worst = max(worst, abs(k) / rep.L)
         rows.append(
             CheckResult(f"k_annihilation_{tag}", worst < 1e-4, worst, 1e-4,
@@ -182,8 +182,9 @@ def check_k_derivative() -> list[CheckResult]:
         # Normalize so the nonlinear term sits at a fixed fraction of the
         # quadratic part; otherwise the h^2 truncation of the stencil can
         # dwarf a small K and break the relative comparison.
-        t = (0.2 * (gradient_norm_sq(u) + rep.mass) / rep.nonlinear_term) ** (1.0 / params.p)
+        t = (0.2 * (rep.grad_sq + rep.mass) / rep.nonlinear_term) ** (1.0 / params.p)
         u = RadialField(grid, t * vals)
+        rep = evaluate_all(u, params, spec)
         for alpha, beta in pairs:
 
             def s_at(lam: float) -> float:
@@ -194,7 +195,7 @@ def check_k_derivative() -> list[CheckResult]:
             # random data, so the plain second-order stencil stalls near
             # 1e-4 relative.
             fd = (8 * (s_at(h) - s_at(-h)) - (s_at(2 * h) - s_at(-2 * h))) / (12 * h)
-            k = k_functional(u, alpha, beta, params, spec)
+            k = k_from_report(rep, alpha, beta, params)
             worst = max(worst, abs(fd - k) / abs(k))
     return [
         CheckResult(
@@ -215,7 +216,7 @@ def _gn_pair(params: ProblemParams, N: int) -> tuple[float, float]:
     closed = (pc / ((2 - b) * (p + 2) - pc)) ** (1 - pc / (2 * (2 - b))) * (
         (2 - b) * (p + 2) / (pc * mass_norm**p)
     )
-    return gn_ratio(gs.profile, params), closed
+    return gs.c_gn, closed
 
 
 def check_gn_sharpness() -> list[CheckResult]:
@@ -240,14 +241,14 @@ def check_gn_sharpness() -> list[CheckResult]:
         )
         gs = _solve(params, 4096)
         q = gs.profile
-        r_q = gn_ratio(q, params)
+        r_q = gs.c_gn
         peak = np.max(np.abs(q.values))
         worst = -np.inf
         for _ in range(100):
             g = _bump_sum(rng, q.grid, complex_phase=False).real
             eps = 0.01 * peak / np.max(np.abs(g))
             u = RadialField(q.grid, q.values.real + eps * g)
-            worst = max(worst, gn_ratio(u, params) / r_q)
+            worst = max(worst, gn_ratio(evaluate_all(u, params, _ZERO), params) / r_q)
         rows.append(
             CheckResult(
                 f"gn_maximality_{tag}",
@@ -313,11 +314,11 @@ def check_standing_wave() -> list[CheckResult]:
     gs = _solve(params, 2048)
     q = gs.profile.values.real
     peak = float(np.max(q))
-    grad_sq = gradient_norm_sq(gs.profile)
+    rep0 = evaluate_all(gs.profile, params, _ZERO)
+    grad_sq, mass0 = rep0.grad_sq, rep0.mass
     dt = 1e-3
     stepper = StrangStepper(gs.profile.grid, params, _ZERO)
     u = gs.profile.values
-    mass0 = evaluate_all(gs.profile, params, _ZERO).mass
     dev = p_worst = mass_worst = 0.0
     for k in range(1000):
         u = stepper.step(u, dt)
@@ -372,7 +373,7 @@ def check_dichotomy() -> list[CheckResult]:
         (1.5, "BlowupCandidate", "BlowupTriggered"),
     ):
         u0 = _scaled(gs1, a)
-        entry = classify_intercritical(u0, F1, _ZERO, gs1)
+        entry = classify_all(u0, F1, _ZERO, gs1).entry("intercritical_threshold")
         tr = evolve(u0, cfg2, F1, _ZERO)
         growth = tr.grad_norm[-1] / tr.grad_norm[0]
         flow_ok = tr.events[-1][0] == want_event and _mass_drift(tr) < 1e-12
@@ -500,7 +501,7 @@ def check_nminus_flow() -> list[CheckResult]:
     ugrid = build_grid(NMINUS.n, NMINUS.b, r_max=30.0, N=2048, grading=1.0)
     u0 = RadialField(ugrid, 1.3 * np.clip(resample(gs.profile, ugrid.nodes).real, 0.0, None))
 
-    entry = classify_sets(u0, NMINUS, _ZERO, gs, 1.0)
+    entry = classify_all(u0, NMINUS, _ZERO, gs, 1.0).entry("action_set_membership")
     gap = {e.name: e for e in entry.evidence}["k_gap_bound"]
     rows = [
         CheckResult(

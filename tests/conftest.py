@@ -3,6 +3,8 @@ the acceptance suite, so tests and `inls-lab verify` share one cache."""
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 # Re-exported to the test modules, which import them from here.
@@ -30,3 +32,31 @@ def gs_f2():
 @pytest.fixture(scope="session")
 def gs_mc():
     return solve(MC, 4096)
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """Install counting wrappers around the named functions under every
+    binding in the loaded inls_lab modules; returns the live counts.
+
+    record, if given, receives (name, args) of every counted call."""
+
+    def install(*names, record=None):
+        calls = dict.fromkeys(names, 0)
+        modules = [m for k, m in sorted(sys.modules.items()) if k.split(".")[0] == "inls_lab"]
+        for mod in modules:
+            for name in names:
+                fn = getattr(mod, name, None)
+                if not callable(fn):
+                    continue
+
+                def wrapper(*args, _fn=fn, _name=name, **kwargs):
+                    calls[_name] += 1
+                    if record is not None:
+                        record(_name, args)
+                    return _fn(*args, **kwargs)
+
+                monkeypatch.setattr(mod, name, wrapper)
+        return calls
+
+    return install

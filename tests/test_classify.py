@@ -11,9 +11,6 @@ from inls_lab.classify import (
     ClassifyError,
     _compare,
     classify_all,
-    classify_intercritical,
-    classify_mass_critical,
-    classify_sets,
     optimal_frequency,
 )
 from inls_lab.grid import RadialField
@@ -32,6 +29,18 @@ def evidence_map(entry):
     return {e.name: e for e in entry.evidence}
 
 
+def mass_critical(u0, params, spec, gs1):
+    return classify_all(u0, params, spec, gs1).entry("mass_critical_threshold")
+
+
+def intercritical(u0, params, spec, gs1):
+    return classify_all(u0, params, spec, gs1).entry("intercritical_threshold")
+
+
+def sets(u0, params, spec, gs, omega):
+    return classify_all(u0, params, spec, gs, omega).entry("action_set_membership")
+
+
 def test_compare_three_way():
     assert _compare(1.0, 2.0) == "below"
     assert _compare(2.0, 1.0) == "above"
@@ -42,45 +51,45 @@ def test_compare_three_way():
 
 
 def test_mass_critical_dichotomy(gs_mc):
-    low = classify_mass_critical(multiple(gs_mc, 0.9), MC, ZERO, gs_mc)
+    low = mass_critical(multiple(gs_mc, 0.9), MC, ZERO, gs_mc)
     assert low.verdict == GLOBAL_CANDIDATE
     ev = evidence_map(low)
     assert ev["mass_norm_vs_threshold"].lhs < ev["mass_norm_vs_threshold"].rhs
     assert ev["energy_vs_zero"].lhs > 0
 
-    high = classify_mass_critical(multiple(gs_mc, 1.2), MC, ZERO, gs_mc)
+    high = mass_critical(multiple(gs_mc, 1.2), MC, ZERO, gs_mc)
     assert high.verdict == BLOWUP_CANDIDATE
     assert evidence_map(high)["energy_vs_zero"].lhs < 0
     assert any("negative energy" in n for n in high.notes)
 
-    at = classify_mass_critical(multiple(gs_mc, 1.0), MC, ZERO, gs_mc)
+    at = mass_critical(multiple(gs_mc, 1.0), MC, ZERO, gs_mc)
     assert at.verdict == UNDETERMINED
     assert at.near_boundary
 
 
 def test_mass_critical_gates_on_criticality(gs_f1):
-    entry = classify_mass_critical(multiple(gs_f1, 0.5), F1, ZERO, gs_f1)
+    entry = mass_critical(multiple(gs_f1, 0.5), F1, ZERO, gs_f1)
     assert entry.verdict == NOT_APPLICABLE
     assert entry.assumptions["criticality_mass_critical"] == "Fails"
     assert any("gating failed" in n for n in entry.notes)
 
 
 def test_intercritical_dichotomy(gs_f1):
-    low = classify_intercritical(multiple(gs_f1, 0.5), F1, ZERO, gs_f1)
+    low = intercritical(multiple(gs_f1, 0.5), F1, ZERO, gs_f1)
     assert low.verdict == GLOBAL_CANDIDATE
     ev = evidence_map(low)
     assert ev["em_product_vs_threshold"].lhs == pytest.approx(27.8986306415, rel=1e-9)
     assert ev["em_product_vs_threshold"].rhs == pytest.approx(178.551655229, rel=1e-9)
     assert ev["grad_product_vs_threshold"].lhs < ev["grad_product_vs_threshold"].rhs
 
-    high = classify_intercritical(multiple(gs_f1, 1.5), F1, ZERO, gs_f1)
+    high = intercritical(multiple(gs_f1, 1.5), F1, ZERO, gs_f1)
     assert high.verdict == BLOWUP_CANDIDATE
     ev = evidence_map(high)
     assert ev["em_product_vs_threshold"].lhs < ev["em_product_vs_threshold"].rhs
     assert ev["grad_product_vs_threshold"].lhs > ev["grad_product_vs_threshold"].rhs
     assert any("radial branch also applies (p < 4)" in n for n in high.notes)
 
-    at = classify_intercritical(multiple(gs_f1, 1.0), F1, ZERO, gs_f1)
+    at = intercritical(multiple(gs_f1, 1.0), F1, ZERO, gs_f1)
     assert at.verdict == UNDETERMINED
     assert at.near_boundary
 
@@ -88,8 +97,8 @@ def test_intercritical_dichotomy(gs_f1):
 def test_intercritical_is_phase_invariant(gs_f1):
     u = multiple(gs_f1, 0.5)
     rotated = RadialField(u.grid, np.exp(0.7j) * u.values)
-    a = classify_intercritical(u, F1, ZERO, gs_f1)
-    b = classify_intercritical(rotated, F1, ZERO, gs_f1)
+    a = intercritical(u, F1, ZERO, gs_f1)
+    b = intercritical(rotated, F1, ZERO, gs_f1)
     assert b.verdict == a.verdict
     ea, eb = evidence_map(a), evidence_map(b)
     for name in ea:
@@ -98,7 +107,7 @@ def test_intercritical_is_phase_invariant(gs_f1):
 
 def test_intercritical_gates_on_potential_assumptions(gs_f1):
     # Steep inverse power: (I) fails, so the route must stand down.
-    entry = classify_intercritical(
+    entry = intercritical(
         multiple(gs_f1, 0.5), F1, PotentialSpec.inverse_power(1.0, 3.0), gs_f1
     )
     assert entry.verdict == NOT_APPLICABLE
@@ -106,7 +115,7 @@ def test_intercritical_gates_on_potential_assumptions(gs_f1):
 
 
 def test_sets_membership_positive_k(gs_f1):
-    entry = classify_sets(multiple(gs_f1, 0.1), F1, ZERO, gs_f1, omega=1.0)
+    entry = sets(multiple(gs_f1, 0.1), F1, ZERO, gs_f1, omega=1.0)
     assert entry.verdict == GLOBAL_CANDIDATE
     assert any("nonnegative-K set" in n for n in entry.notes)
     ev = evidence_map(entry)
@@ -115,7 +124,7 @@ def test_sets_membership_positive_k(gs_f1):
 
 
 def test_sets_membership_negative_k_without_window(gs_f1):
-    entry = classify_sets(multiple(gs_f1, 1.5), F1, ZERO, gs_f1, omega=1.0)
+    entry = sets(multiple(gs_f1, 1.5), F1, ZERO, gs_f1, omega=1.0)
     # b = 0 leaves the blow-up window bound undefined, so membership in
     # the negative-K set alone stays Undetermined.
     assert entry.verdict == UNDETERMINED
@@ -127,14 +136,14 @@ def test_sets_membership_negative_k_without_window(gs_f1):
 
 
 def test_sets_ground_state_sits_on_boundary(gs_f1):
-    entry = classify_sets(multiple(gs_f1, 1.0), F1, ZERO, gs_f1, omega=1.0)
+    entry = sets(multiple(gs_f1, 1.0), F1, ZERO, gs_f1, omega=1.0)
     assert entry.verdict == NOT_APPLICABLE
     assert entry.near_boundary
     assert any("action not below" in n for n in entry.notes)
 
 
 def test_sets_rescales_min_action_for_other_frequencies(gs_f1):
-    entry = classify_sets(multiple(gs_f1, 0.1), F1, ZERO, gs_f1, omega=2.0)
+    entry = sets(multiple(gs_f1, 0.1), F1, ZERO, gs_f1, omega=2.0)
     assert any("rescaled from omega = 1" in n for n in entry.notes)
     ev = evidence_map(entry)
     # m_2 = 2^{1/2} m_1 for these exponents.
@@ -142,7 +151,7 @@ def test_sets_rescales_min_action_for_other_frequencies(gs_f1):
         np.sqrt(2.0) * gs_f1.m_omega, rel=1e-12
     )
     with pytest.raises(ClassifyError, match="positive"):
-        classify_sets(multiple(gs_f1, 0.1), F1, ZERO, gs_f1, omega=0.0)
+        sets(multiple(gs_f1, 0.1), F1, ZERO, gs_f1, omega=0.0)
 
 
 def test_optimal_frequency_frozen_values(gs_f1):
@@ -207,3 +216,35 @@ def test_classify_all_runs_every_route(gs_f1):
             "notes",
             "near_boundary",
         }
+
+
+def test_classify_all_integrates_the_datum_once(gs_f1, count_calls):
+    calls = count_calls("evaluate_all", "check_assumptions", "derive_exponents", "k_functional")
+    classify_all(multiple(gs_f1, 0.5), F1, ZERO, gs_f1)
+    assert calls == {
+        "evaluate_all": 1,
+        "check_assumptions": 1,
+        "derive_exponents": 1,
+        "k_functional": 0,
+    }
+
+
+def test_classify_all_carries_the_optimized_frequency(gs_f1, gs_mc):
+    u0 = multiple(gs_f1, 0.5)
+    bump = PotentialSpec.const_plus_gaussian(0.1)
+    for spec in (ZERO, bump):
+        cls = classify_all(u0, F1, spec, gs_f1)
+        assert cls.frequency.as_dict() == optimal_frequency(u0, F1, gs_f1, spec).as_dict()
+    # An explicit set-route frequency does not change the report.
+    assert classify_all(u0, F1, ZERO, gs_f1, 2.0).frequency == optimal_frequency(u0, F1, gs_f1)
+    assert classify_all(multiple(gs_mc, 0.5), MC, ZERO, gs_mc).frequency is None
+
+
+def test_set_route_runs_at_the_optimized_frequency(gs_f1):
+    u0 = multiple(gs_f1, 0.5)
+    cls = classify_all(u0, F1, ZERO, gs_f1)
+    entry = cls.entry("action_set_membership")
+    assert entry == sets(u0, F1, ZERO, gs_f1, cls.frequency.omega0)
+    assert f"omega = {cls.frequency.omega0:.12g}" in entry.notes
+    with pytest.raises(KeyError):
+        cls.entry("no_such_theorem")

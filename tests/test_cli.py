@@ -242,31 +242,23 @@ def test_evolve_from_file_roundtrip(tmp_path):
     assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "ff")]) == 0
 
 
-def test_classify_command(tmp_path, capsys, monkeypatch):
-    import inls_lab.classify
-    import inls_lab.cli
+def test_classify_command(tmp_path, capsys, count_calls):
+    fields = []
 
-    calls = {"petviashvili_solve": 0, "optimal_frequency": 0}
+    def record(name, args):
+        if name == "evaluate_all":
+            fields.append(args[0])
 
-    def counted(module, name):
-        fn = getattr(module, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    monkeypatch.setattr(inls_lab.cli, "petviashvili_solve", counted(inls_lab.cli, "petviashvili_solve"))
-    of = counted(inls_lab.classify, "optimal_frequency")
-    monkeypatch.setattr(inls_lab.cli, "optimal_frequency", of)
-    monkeypatch.setattr(inls_lab.classify, "optimal_frequency", of)
+    calls = count_calls("petviashvili_solve", "evaluate_all", record=record)
     cfg = write_config(tmp_path, BASE)
     out = tmp_path / "cls"
     assert main(["classify", "--config", cfg, "--out", str(out)]) == 0
     # At params.omega = 1 the reference state is the ground state the
-    # datum multiplies, and one frequency serves both outputs.
-    assert calls == {"petviashvili_solve": 1, "optimal_frequency": 1}
+    # datum multiplies; the solve integrates its profile once, and the
+    # classification integrates the datum once.
+    assert calls == {"petviashvili_solve": 1, "evaluate_all": 2}
+    profile, datum = fields
+    assert np.array_equal(datum.values, 0.5 * profile.values)
     stdout = capsys.readouterr().out
     assert "intercritical_threshold: GlobalCandidate" in stdout
     rows = json.loads((out / "classification.json").read_text())

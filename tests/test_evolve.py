@@ -158,6 +158,16 @@ def test_evolve_completes_and_conserves():
     assert all(len(s) == len(trace.times) for s in lists)
 
 
+def test_gradient_series_is_the_raw_quadrature():
+    # A large constant potential dominates ||grad u||^2_{b,V}; the recorded
+    # gradient must not be recovered from it by cancellation.
+    g = grid_for(3, 0.0, 512)
+    u0 = gaussian(g)
+    cfg = EvolutionConfig(dt0=1e-3, t_end=1e-3, sample_every=1)
+    trace = evolve(u0, cfg, F1, PotentialSpec.const_plus_gaussian(1e8))
+    assert trace.grad_norm[0] == np.sqrt(gradient_norm_sq(u0))
+
+
 def test_evolve_rejects_mismatched_grid():
     g = grid_for(3, -0.5, 256)
     with pytest.raises(EvolveError, match="grid built for"):

@@ -6,7 +6,9 @@ import pytest
 from inls_lab.functionals import (
     FunctionalError,
     TruncationWarning,
+    at_frequency,
     evaluate_all,
+    k_from_report,
     k_functional,
     scale_alpha_beta,
     scale_soliton,
@@ -52,6 +54,7 @@ def test_report_internal_identities():
     assert grad_V_sq - rep.potential_energy == pytest.approx(
         gradient_norm_sq(u), rel=1e-12
     )
+    assert rep.grad_sq == gradient_norm_sq(u)
     assert rep.nonlinear_term == pytest.approx(
         weighted_norm(u, F2.c, p + 2) ** (p + 2), rel=1e-12
     )
@@ -65,6 +68,16 @@ def test_k_special_cases_collapse_to_named_functionals():
     assert k_functional(u, F2.n, 2.0, F2, BUMP) == pytest.approx(
         (2 - F2.b) * rep.virial, rel=1e-12
     )
+
+
+@pytest.mark.parametrize("omega", [0.3, 1.0, 2.0, 16.0001251935])
+def test_closed_forms_equal_a_second_pass_at_another_frequency(omega):
+    u = sample_field(F2, seed=11)
+    pw = F2.with_omega(omega)
+    moved = at_frequency(evaluate_all(u, F2, BUMP), pw)
+    assert moved == evaluate_all(u, pw, BUMP)
+    for alpha, beta in ((1.0, 0.0), (float(F2.n), 2.0), (2.0, 1.0)):
+        assert k_from_report(moved, alpha, beta, pw) == k_functional(u, alpha, beta, pw, BUMP)
 
 
 def test_k_matches_scaling_derivative_of_action():

@@ -1,8 +1,11 @@
 """Ground-state solvers: convergence invariants, regressions, dual routes."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from inls_lab.functionals import evaluate_all
 from inls_lab.grid import RadialField, weighted_norm
 from inls_lab.groundstate import (
     BracketNotFound,
@@ -14,8 +17,13 @@ from inls_lab.groundstate import (
     shooting_solve,
 )
 from inls_lab.params import ProblemParams
+from inls_lab.potential import PotentialSpec
 
 from conftest import F1, F2, MC, NM, grid_for, solve
+
+
+def report(u, params=F1):
+    return evaluate_all(u, params, PotentialSpec.zero())
 
 
 def test_fixture_convergence_invariants(gs_f1, gs_f2):
@@ -69,21 +77,22 @@ def test_shooting_agrees_with_fixed_point():
 def test_perturbed_profile_fails_identities(gs_f1):
     g = gs_f1.profile.grid
     bad = RadialField(g, gs_f1.profile.values.real + 0.1 * np.exp(-g.nodes**2 / 2))
-    res = pohozaev_residuals(bad, F1)
+    res = pohozaev_residuals(report(bad), F1)
     assert min(res) > 1e-2
-    assert gn_ratio(bad, F1) < gs_f1.c_gn
+    assert gn_ratio(report(bad), F1) < gs_f1.c_gn
 
 
 def test_gn_ratio_scaling_invariances(gs_f1):
     from inls_lab.functionals import scale_soliton
 
     q = gs_f1.profile
-    base = gn_ratio(q, F1)
-    assert gn_ratio(RadialField(q.grid, 2.7 * q.values), F1) == pytest.approx(
+    base = gn_ratio(report(q), F1)
+    assert base == gs_f1.c_gn
+    assert gn_ratio(report(RadialField(q.grid, 2.7 * q.values)), F1) == pytest.approx(
         base, rel=1e-12
     )
     for lam in (0.5, 2.0):
-        assert gn_ratio(scale_soliton(q, lam, F1), F1) == pytest.approx(base, rel=1e-5)
+        assert gn_ratio(report(scale_soliton(q, lam, F1)), F1) == pytest.approx(base, rel=1e-5)
 
 
 def test_warm_start_reconverges():
@@ -98,6 +107,18 @@ def test_derive_thresholds_certified_grid():
     assert th["mass_threshold"] == pytest.approx(4.08888513887, rel=1e-9)
     assert th["em_sigma"] == pytest.approx(380.981521285, rel=1e-9)
     assert th["grad_mass"] == pytest.approx(51.6417373757, rel=1e-9)
+
+
+def test_derive_thresholds_returns_the_stored_constants():
+    gs = solve(F2, 8192)
+    assert derive_thresholds(gs, F2) == gs.thresholds
+
+
+def test_derive_thresholds_names_missing_constants():
+    gs = solve(F2, 8192)
+    stripped = replace(gs, thresholds={**gs.thresholds, "grad_mass": None})
+    with pytest.raises(GroundStateError, match="lacks thresholds \\['grad_mass'\\]"):
+        derive_thresholds(stripped, F2)
 
 
 def test_derive_thresholds_refuses_coarse_grid(gs_f1):
