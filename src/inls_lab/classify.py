@@ -31,7 +31,7 @@ import math
 from dataclasses import asdict, dataclass
 
 from .functionals import FunctionalReport, at_frequency, evaluate_all, k_from_report
-from .grid import RadialField, weighted_norm
+from .grid import RadialField
 from .groundstate import GroundState, is_frequency_one
 from .params import CriticalExponents, Criticality, ProblemParams, derive_exponents
 from .potential import HOLDS, FAILS, AssumptionReport, PotentialSpec, check_assumptions
@@ -178,7 +178,6 @@ def _require_frequency_one(gs1: GroundState, keys: tuple[str, ...]) -> None:
 
 
 def _mass_critical(
-    u0: RadialField,
     params: ProblemParams,
     exps: CriticalExponents,
     report: AssumptionReport,
@@ -203,7 +202,7 @@ def _mass_critical(
     }
 
     mass_norm = math.sqrt(rep.mass)
-    var_sq = float(weighted_norm(u0, 2.0 - params.b, 2.0)) ** 2
+    var_sq = rep.variance
     assumptions["finite_variance"] = _status(math.isfinite(var_sq))
     # The energy is a difference of same-order terms; its sign test is
     # banded against the magnitude of the cancelling parts.
@@ -518,7 +517,7 @@ def classify_all(
         raise ClassifyError(f"frequency must be positive, got {omega}")
     return Classification(
         (
-            _mass_critical(u0, params, exps, report, rep, gs1),
+            _mass_critical(params, exps, report, rep, gs1),
             _intercritical(params, exps, report, rep, gs1),
             _sets(params, exps, report, rep, gs1, omega),
         ),

@@ -26,17 +26,28 @@ when dt repeats: the first-same-as-last (FSAL) form of Strang
 splitting (Hairer-Lubich-Wanner, Geometric Numerical Integration,
 II.5).  The stepper keeps r^c |v|^p and that multiplier tied to the
 read-only array it returned, so the adaptive phase cap and the next
-leading phase reuse them; u is still formed after every step.
+leading phase reuse them; u is still formed after every step.  The
+half-phase multipliers are formed from cos and sin of the angle, which
+gives exp(i theta) to the last bit at about half the cost.
 
 Adaptive stepping follows the self-similar collapse scale,
-dt = dt0 min(1, ||grad u0||^2/||grad u||^2), with two safeguards: a
-hard floor dt_min that ends the run honestly (StepFloorHit), and a
-phase-resolution cap dt <= theta_max / max(r^c |u|^p).  The cap is
+dt = dt0 min(1, ||grad u0||^2/||grad u||^2), bounded by a
+phase-resolution cap dt <= PHASE_CAP / max(r^c |u|^p).  The cap is
 invisible on benign data but essential when c < 0: the nonlinear phase
 angle at the innermost node scales like r^c, and once a half-step
 rotates that node by an O(1) angle the split scheme pumps amplitude
 into the origin cell (a purely numerical kicked-rotor resonance) and
-corrupts every gradient-based diagnostic downstream.
+corrupts every gradient-based diagnostic downstream.  The bounded value
+is then rounded down onto the fixed ladder dt0 * 2^(-k/4), k >= 0, so
+dt keeps one value, and with it the LU factor and the FSAL multiplier,
+while the law moves by less than a rung: the rule by which stiff
+integrators keep their step and its factorization while the proposed
+step stays within about 20 % (RADAU5; Hairer-Wanner, Solving ODEs II,
+IV.8).  The ladder is stateless and every rung lies at or below the
+law, so the cap and the accuracy only get tighter.  A hard floor
+dt_min on the rounded value ends the run honestly (StepFloorHit).
+Between samples the law reads the gradient norm of the node values
+directly; a non-finite one stops the run with an EvolveError.
 
 Blow-up is reported as a candidate event, never a proof: the trigger
 requires gradient growth past blowup_factor together with a negative
@@ -47,13 +58,14 @@ isolated gradient spikes do not masquerade as collapse.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .functionals import evaluate_all
-from .grid import RadialField, RadialGrid, assemble_operator, gradient_norm_sq, weighted_norm
+from .grid import RadialField, RadialGrid, assemble_operator, nodal_gradient_norm_sq
 from .params import ProblemParams
 from .potential import PotentialSpec, eval_potential
 
@@ -71,6 +83,10 @@ __all__ = [
 # Largest nonlinear half-phase angle (radians) an adaptive step may
 # apply at any node; see the module docstring.
 PHASE_CAP = 1.0
+
+# Ratio of neighbouring rungs of the adaptive dt ladder dt0 * DT_RATIO**k:
+# four rungs per halving, so a rounded step is at most 16 % below the law.
+DT_RATIO = 2.0**-0.25
 
 
 class EvolveError(RuntimeError):
@@ -111,8 +127,9 @@ class EvolutionTrace:
     events holds (kind, time) pairs with kind in {"BlowupTriggered",
     "Completed", "StepFloorHit"}; a run stopped by the step floor
     samples its exit state, and BlowupTriggered follows StepFloorHit
-    when the trigger fires on that sample.  steps, factorizations and
-    the dt range (None before the first step) describe the march.
+    when the trigger fires on that sample.  steps, factorizations, the
+    dt range (None before the first step) and phase_capped, the number
+    of steps whose dt PHASE_CAP set, describe the march.
     """
 
     times: list[float] = field(default_factory=list)
@@ -130,6 +147,7 @@ class EvolutionTrace:
     factorizations: int = 0
     dt_min: float | None = None
     dt_max: float | None = None
+    phase_capped: int = 0
 
 
 class StrangStepper:
@@ -192,6 +210,16 @@ class StrangStepper:
             raise EvolveError(f"Cayley solve failed (zgttrs info {info})")
         return x
 
+    @staticmethod
+    def half_phase(theta: np.ndarray) -> np.ndarray:
+        """exp(i theta) for real angles, from cos and sin written into the
+        real and imaginary parts (np.exp of the imaginary array costs
+        about twice as much)."""
+        w = np.empty(theta.shape, dtype=complex)
+        np.cos(theta, out=w.real)
+        np.sin(theta, out=w.imag)
+        return w
+
     def step(self, u: np.ndarray, dt: float) -> np.ndarray:
         """One Strang step of the node values u; returns a new read-only array."""
         if dt == 0.0:
@@ -199,14 +227,30 @@ class StrangStepper:
         if u is self._last and dt == self._last_dt:
             w = self._last_w  # first same as last: |u| is the modulus the trailing phase saw
         else:
-            w = np.exp(1j * (dt / 2) * self.phase_rate(u))
+            w = self.half_phase((dt / 2) * self.phase_rate(u))
         v = self.cayley(u * w, dt)
         rate = self.rc * np.abs(v) ** self.p
-        w = np.exp(1j * (dt / 2) * rate)
+        w = self.half_phase((dt / 2) * rate)
         out = v * w
         out.flags.writeable = False
         self._last, self._last_rate, self._last_w, self._last_dt = out, rate, w, dt
         return out
+
+
+def _ladder_rung(dt: float, dt0: float) -> float:
+    """The largest rung dt0 * DT_RATIO**k (k = 0, 1, ...) not above dt;
+    0 when dt <= 0."""
+    if dt >= dt0:
+        return dt0
+    if not dt > 0:
+        return 0.0
+    k = math.ceil(math.log(dt / dt0) / math.log(DT_RATIO))
+    # the logarithms round: settle k on the rungs themselves
+    while dt0 * DT_RATIO**k > dt:
+        k += 1
+    while k > 0 and dt0 * DT_RATIO ** (k - 1) <= dt:
+        k -= 1
+    return dt0 * DT_RATIO**k
 
 
 def variance_concavity(trace: EvolutionTrace) -> float:
@@ -257,15 +301,14 @@ def evolve(
     def sample(t: float, vals: np.ndarray) -> float:
         if not np.all(np.isfinite(vals)):
             raise EvolveError(f"non-finite field at t = {t:.6g}")
-        f = RadialField(g, vals)
-        rep = evaluate_all(f, params, spec)
+        rep = evaluate_all(RadialField(g, vals), params, spec)
         trace.times.append(t)
         trace.mass.append(rep.mass)
         trace.energy.append(rep.energy)
         trace.grad_norm.append(float(np.sqrt(rep.grad_sq)))
         trace.virial.append(rep.virial)
         trace.k_n2.append((2 - params.b) * rep.virial)  # K^{n,2} = (2-b) P
-        trace.variance.append(weighted_norm(f, 2 - params.b, 2.0) ** 2)
+        trace.variance.append(rep.variance)
         trace.nehari.append(rep.nehari)
         trace.outer_amp.append(float(np.abs(vals[-1])))
         return rep.grad_sq
@@ -279,11 +322,13 @@ def evolve(
     sampled = True
     dts = []
     while t < cfg.t_end - 1e-12:
+        capped = False
         if cfg.adaptivity:
             dt = cfg.dt0 * float(min(1.0, grad0_sq / max(gsq, 1e-300)))
             phase_rate = float(np.max(stepper.phase_rate(u)))
-            if phase_rate > 0:
-                dt = min(dt, PHASE_CAP / phase_rate)
+            if phase_rate > 0 and PHASE_CAP / phase_rate < dt:
+                dt, capped = PHASE_CAP / phase_rate, True
+            dt = _ladder_rung(dt, cfg.dt0)
             if dt < cfg.dt_min:
                 trace.events.append(("StepFloorHit", t))
                 # the summary must describe the state the run ended in
@@ -292,11 +337,13 @@ def evolve(
                 break
         else:
             dt = cfg.dt0
-        dt = min(dt, cfg.t_end - t)
+        if cfg.t_end - t < dt:
+            dt, capped = cfg.t_end - t, False
 
         u = stepper.step(u, dt)
         t += dt
         dts.append(dt)
+        trace.phase_capped += capped
 
         sampled = len(dts) % cfg.sample_every == 0 or t >= cfg.t_end - 1e-12
         if sampled:
@@ -306,7 +353,9 @@ def evolve(
                 break
         elif cfg.adaptivity:
             # keep the adaptive law responsive between samples
-            gsq = gradient_norm_sq(RadialField(g, u))
+            gsq = nodal_gradient_norm_sq(g, u)
+            if not math.isfinite(gsq):
+                raise EvolveError(f"non-finite gradient norm at t = {t:.6g}")
     else:
         trace.events.append(("Completed", t))
 
@@ -368,6 +417,7 @@ def trace_to_csv(trace: EvolutionTrace, path) -> None:
                 "factorizations": trace.factorizations,
                 "dt_min": trace.dt_min,
                 "dt_max": trace.dt_max,
+                "phase_capped": trace.phase_capped,
             },
             fh,
             indent=2,

@@ -4,6 +4,7 @@ All conserved/monitored quantities of the flow are assembled here from
 grid quadratures:
 
     mass             M(u)      = ||u||_2^2
+    variance                     ||u||^2_{2-b,2}
     energy           E_{b,V}   = 1/2 ||grad u||^2_{b,2} + 1/2 int V|u|^2
                                  - 1/(p+2) ||u||^{p+2}_{c,p+2}
     action           S_{w,V}   = E + (w/2) M
@@ -74,7 +75,7 @@ class TruncationWarning(UserWarning):
 @dataclass(frozen=True)
 class FunctionalReport:
     """All scalar diagnostics of one field at one parameter set: the
-    quadratures (mass, grad_sq, potential_energy, xgradV_term,
+    quadratures (mass, variance, grad_sq, potential_energy, xgradV_term,
     nonlinear_term) and their closed forms."""
 
     mass: float
@@ -88,6 +89,7 @@ class FunctionalReport:
     nonlinear_term: float
     xgradV_term: float
     grad_sq: float
+    variance: float
 
 
 def _check_compatible(u: RadialField, params: ProblemParams) -> None:
@@ -99,7 +101,13 @@ def _check_compatible(u: RadialField, params: ProblemParams) -> None:
 
 
 def _closed_forms(
-    mass: float, grad_sq: float, pot: float, xgv: float, nl: float, params: ProblemParams
+    mass: float,
+    variance: float,
+    grad_sq: float,
+    pot: float,
+    xgv: float,
+    nl: float,
+    params: ProblemParams,
 ) -> FunctionalReport:
     b, p, w = params.b, params.p, params.omega
     pc = params.p_c
@@ -123,6 +131,7 @@ def _closed_forms(
         nonlinear_term=nl,
         xgradV_term=xgv,
         grad_sq=grad_sq,
+        variance=variance,
     )
 
 
@@ -142,6 +151,7 @@ def evaluate_all(
         pot = float(np.sum(dens * V))
         xgv = float(np.sum(dens * rVp))
     mass = float(np.sum(dens))
+    variance = float(np.sum(dens * g.nodes ** (2 - params.b)))
     try:
         nl = weighted_norm(u, params.c, params.p + 2) ** (params.p + 2)
     except ValueError as exc:
@@ -151,18 +161,25 @@ def evaluate_all(
         ("potential_energy", pot),
         ("xgradV_term", xgv),
         ("mass", mass),
+        ("variance", variance),
         ("nonlinear_term", nl),
     ):
         if not np.isfinite(val):
             raise FunctionalError(f"{name} evaluated to a non-finite value")
-    return _closed_forms(mass, grad_sq, pot, xgv, nl, params)
+    return _closed_forms(mass, variance, grad_sq, pot, xgv, nl, params)
 
 
 def at_frequency(rep: FunctionalReport, params: ProblemParams) -> FunctionalReport:
     """The report of the same field at params, which may differ from the
     evaluated parameters only in omega (action, nehari and L move)."""
     return _closed_forms(
-        rep.mass, rep.grad_sq, rep.potential_energy, rep.xgradV_term, rep.nonlinear_term, params
+        rep.mass,
+        rep.variance,
+        rep.grad_sq,
+        rep.potential_energy,
+        rep.xgradV_term,
+        rep.nonlinear_term,
+        params,
     )
 
 

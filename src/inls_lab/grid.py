@@ -66,6 +66,7 @@ __all__ = [
     "field_to_csv",
     "gradient_norm_sq",
     "inner_product",
+    "nodal_gradient_norm_sq",
     "resample",
     "solve_shifted",
     "weighted_norm",
@@ -203,10 +204,15 @@ def weighted_norm(f: RadialField, a: float, q: float) -> float:
 
 def gradient_norm_sq(f: RadialField) -> float:
     """Discrete ||grad f||^2_{b,2}: face-difference sum plus the Dirichlet edge term."""
-    g = f.grid
-    d = np.diff(f.values)
+    return nodal_gradient_norm_sq(f.grid, f.values)
+
+
+def nodal_gradient_norm_sq(g: RadialGrid, values: np.ndarray) -> float:
+    """gradient_norm_sq of node values on g, without building (and
+    validating) a RadialField: non-finite values give a non-finite result."""
+    d = np.diff(values)
     interior = float(np.sum(g.face_weights * np.abs(d) ** 2))
-    edge = g.outer_face_weight * abs(f.values[-1]) ** 2
+    edge = g.outer_face_weight * abs(values[-1]) ** 2
     return interior + edge
 
 

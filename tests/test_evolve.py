@@ -8,6 +8,8 @@ import pytest
 from scipy.linalg import solve_banded
 
 from inls_lab.evolve import (
+    DT_RATIO,
+    PHASE_CAP,
     EvolutionConfig,
     EvolutionTrace,
     EvolveError,
@@ -191,11 +193,80 @@ def test_supercritical_multiple_triggers_blowup():
     assert np.max(np.abs(m - m[0])) < 1e-12 * m[0]
 
 
+def test_collapse_steps_sit_on_the_dt_ladder(monkeypatch):
+    gs = solve(F1, 1024)
+    u0 = RadialField(gs.profile.grid, 1.5 * gs.profile.values)
+    cfg = EvolutionConfig(dt0=1e-3, t_end=2.0, sample_every=10, blowup_factor=10.0)
+    g, grad0_sq = u0.grid, gradient_norm_sq(u0)
+    dts, laws, caps = [], [], []
+    step = StrangStepper.step
+
+    def spy(self, u, dt):
+        # the unrounded law: the gradient scale, bounded by the phase cap
+        laws.append(cfg.dt0 * min(1.0, grad0_sq / gradient_norm_sq(RadialField(g, u))))
+        caps.append(PHASE_CAP / float(np.max(self.phase_rate(u))))
+        dts.append(dt)
+        return step(self, u, dt)
+
+    monkeypatch.setattr(StrangStepper, "step", spy)
+    trace = evolve(u0, cfg, F1, ZERO)
+    assert trace.events[-1][0] == "BlowupTriggered"  # no shortened last step
+    assert DT_RATIO == 2**-0.25
+    for dt, law, cap in zip(dts, laws, caps):
+        k = round(4 * np.log2(cfg.dt0 / dt))
+        assert dt == cfg.dt0 * DT_RATIO**k and dt <= min(law, cap)
+    assert len(set(dts)) < len(dts) / 3
+    # dt only moves down the ladder, so each rung is factored once.
+    assert trace.factorizations == len(set(dts))
+    assert trace.phase_capped == sum(cap < law for law, cap in zip(laws, caps))
+
+
+def test_benign_adaptive_run_keeps_dt0(tmp_path):
+    # The gradient of a dispersing Gaussian never exceeds its initial
+    # value, so the ladder stays on its top rung and the adaptive run
+    # writes the same trace as a fixed-dt run, byte for byte.
+    g = grid_for(3, 0.0, 512)
+    u0 = RadialField(g, 0.5 * gaussian(g).values)
+    text = {}
+    for adaptivity in (True, False):
+        cfg = EvolutionConfig(dt0=1e-3, t_end=0.1, sample_every=1, adaptivity=adaptivity)
+        trace = evolve(u0, cfg, F1, ZERO)
+        assert max(trace.grad_norm[1:]) < trace.grad_norm[0]
+        trace_to_csv(trace, tmp_path / f"{adaptivity}.csv")
+        text[adaptivity] = (tmp_path / f"{adaptivity}.csv").read_bytes()
+    assert text[True] == text[False]
+
+
+def test_unsampled_non_finite_gradient_names_the_time(monkeypatch):
+    step = StrangStepper.step
+
+    def poisoned(self, u, dt):
+        out = step(self, u, dt).copy()
+        out[7] = np.nan
+        return out
+
+    monkeypatch.setattr(StrangStepper, "step", poisoned)
+    g = grid_for(3, 0.0, 256)
+    cfg = EvolutionConfig(dt0=1e-3, t_end=0.1, sample_every=10)
+    with pytest.raises(EvolveError, match="non-finite gradient norm at t = 0.001"):
+        evolve(gaussian(g), cfg, F1, ZERO)
+
+
+def test_half_phase_equals_complex_exponential():
+    g = grid_for(3, -0.5, 512)
+    stepper = StrangStepper(g, F2, BUMP)
+    dt = 1e-3
+    u = stepper.step(gaussian(g).values, dt)
+    theta = (dt / 2) * stepper.phase_rate(u)
+    assert np.array_equal(stepper.half_phase(theta), np.exp(1j * theta))
+    assert np.array_equal(stepper.half_phase(-50 * theta), np.exp(-50j * theta))
+
+
 def test_adaptive_floor_stops_collapse():
     gs = solve(F1, 1024)
     u0 = RadialField(gs.profile.grid, 1.5 * gs.profile.values)
-    # Floor just under dt0: the first few percent of gradient growth
-    # already push the adaptive step below it.
+    # Floor just under dt0: the first rung below dt0 is dt0 * 2^(-1/4),
+    # so any gradient growth at all pushes the adaptive step below it.
     cfg = EvolutionConfig(
         dt0=1e-3, t_end=2.0, sample_every=5, blowup_factor=1e6, dt_min=9.9e-4
     )
@@ -282,3 +353,12 @@ def test_trace_csv_and_events_sidecar(tmp_path):
     assert sidecar["factorizations"] == trace.factorizations <= 2
     assert sidecar["dt_max"] == 1e-3
     assert 0 < sidecar["dt_min"] <= 1e-3
+    assert sidecar["phase_capped"] == trace.phase_capped == 0
+    # c < 0 on the graded mesh: the phase cap sets some of the adaptive steps.
+    g = grid_for(3, -0.5, 256)
+    cfg = EvolutionConfig(dt0=1e-3, t_end=0.005, sample_every=5)
+    trace = evolve(RadialField(g, 3.5 * gaussian(g).values), cfg, F2, ZERO)
+    trace_to_csv(trace, path)
+    sidecar = json.loads((tmp_path / "trace.events.json").read_text())
+    assert sidecar["phase_capped"] == trace.phase_capped
+    assert 0 < trace.phase_capped < trace.steps

@@ -51,6 +51,7 @@ def test_report_internal_identities():
     assert rep.L == pytest.approx(grad_V_sq + w * rep.mass, rel=1e-12)
     # Raw ingredients agree with direct quadrature.
     assert rep.mass == pytest.approx(weighted_norm(u, 0.0, 2) ** 2, rel=1e-12)
+    assert rep.variance == pytest.approx(weighted_norm(u, 2 - F2.b, 2) ** 2, rel=1e-12)
     assert grad_V_sq - rep.potential_energy == pytest.approx(
         gradient_norm_sq(u), rel=1e-12
     )
