@@ -188,8 +188,8 @@ def _mass_critical(
 
     Global candidate when the L2 norm of the datum is below the
     ground-state norm; blow-up candidate when the energy is negative
-    (the weighted variance of grid data is finite by construction, so
-    the finite-variance branch hypothesis always holds here).
+    (evaluate_all raises on a non-finite weighted variance, so the
+    finite-variance branch hypothesis always holds here).
     """
     assumptions = {
         "criticality_mass_critical": _status(
@@ -202,8 +202,6 @@ def _mass_critical(
     }
 
     mass_norm = math.sqrt(rep.mass)
-    var_sq = rep.variance
-    assumptions["finite_variance"] = _status(math.isfinite(var_sq))
     # The energy is a difference of same-order terms; its sign test is
     # banded against the magnitude of the cancelling parts.
     e_scale = 0.5 * rep.grad_norm_V**2 + rep.nonlinear_term / (params.p + 2)
@@ -212,7 +210,7 @@ def _mass_critical(
     mass_th = gs1.thresholds.get("mass_threshold")
     if mass_th is not None:
         evidence.insert(0, Evidence("mass_norm_vs_threshold", mass_norm, float(mass_th)))
-    notes = [f"weighted_variance_sq = {var_sq:.6e}"]
+    notes = [f"weighted_variance_sq = {rep.variance:.6e}"]
 
     gated = _gated_out("mass_critical_threshold", assumptions, evidence, notes)
     if gated is not None:

@@ -251,13 +251,13 @@ def build_run_config(pairs: dict[str, tuple[str, int]], out_override: str | None
     return cfg
 
 
-def load_run_config(path: str, out_override: str | None = None) -> RunConfig:
+def _read_config(path: str) -> dict[str, tuple[str, int]]:
     try:
         with open(path) as fh:
             text = fh.read()
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from None
-    return build_run_config(parse_config_text(text), out_override)
+    return parse_config_text(text)
 
 
 def _make_grid(cfg: RunConfig) -> RadialGrid:
@@ -406,6 +406,9 @@ def _run_sweep_point(args: tuple) -> tuple[int, str, str, str, float, float]:
 
 
 def cmd_sweep(cfg: RunConfig, pairs: dict[str, tuple[str, int]], jobs: int) -> int:
+    """Run every sweep point of cfg; pairs are the parsed config cfg was built from."""
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {jobs}")
     if cfg.sweep_key is None or not cfg.sweep_values:
         raise ConfigError("sweep requires sweep.key and sweep.values")
     if cfg.sweep_key not in pairs:
@@ -419,8 +422,10 @@ def cmd_sweep(cfg: RunConfig, pairs: dict[str, tuple[str, int]], jobs: int) -> i
         (i, pairs, cfg.sweep_key, v, os.path.join(cfg.out_dir, f"point_{i:03d}"))
         for i, v in enumerate(cfg.sweep_values)
     ]
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        # Under fork the pool starts all max_workers processes at once.
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_sweep_point, tasks))
     else:
         rows = [_run_sweep_point(t) for t in tasks]
@@ -463,7 +468,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to key = value config file")
         p.add_argument("--out", default=None, help="output directory (overrides output.dir)")
-        p.add_argument("--jobs", type=int, default=1, help="parallel workers (sweep only)")
+        if name == "sweep":
+            p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     sub.add_parser("verify")
     return parser
 
@@ -471,7 +477,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "verify":
         return cmd_verify()
-    cfg = load_run_config(args.config, args.out)
+    pairs = _read_config(args.config)  # the one parse; sweep points rebuild from it
+    cfg = build_run_config(pairs, args.out)
     if args.command == "groundstate":
         return cmd_groundstate(cfg)
     if args.command == "check-potential":
@@ -480,9 +487,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return cmd_classify(cfg)
     if args.command == "evolve":
         return cmd_evolve(cfg)
-    with open(args.config) as fh:
-        pairs = parse_config_text(fh.read())
-    return cmd_sweep(cfg, pairs, max(1, args.jobs))
+    return cmd_sweep(cfg, pairs, args.jobs)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -88,6 +88,10 @@ PHASE_CAP = 1.0
 # four rungs per halving, so a rounded step is at most 16 % below the law.
 DT_RATIO = 2.0**-0.25
 
+# Absolute scale below which virial_check measures its defect: standing
+# waves have both sides of the virial identity near zero.
+VIRIAL_FLOOR = 1.0
+
 
 class EvolveError(RuntimeError):
     """Evolution failures: invalid configuration or non-finite fields."""
@@ -367,11 +371,11 @@ def evolve(
     return trace
 
 
-def virial_check(trace: EvolutionTrace, params: ProblemParams, floor: float = 1.0) -> float:
+def virial_check(trace: EvolutionTrace, params: ProblemParams) -> float:
     """Max relative defect of d^2/dt^2 variance = 2(2-b)^2 P.
 
     Requires at least three equally spaced samples; the defect at each
-    interior sample is measured against max(|2(2-b)^2 P|, floor) so
+    interior sample is measured against max(|2(2-b)^2 P|, VIRIAL_FLOOR) so
     that standing waves (both sides near zero) are judged against an
     absolute scale rather than 0/0.
     """
@@ -386,7 +390,7 @@ def virial_check(trace: EvolutionTrace, params: ProblemParams, floor: float = 1.
     P = np.asarray(trace.virial)
     lhs = (I[2:] - 2 * I[1:-1] + I[:-2]) / h**2
     rhs = 2 * (2 - params.b) ** 2 * P[1:-1]
-    defect = np.abs(lhs - rhs) / np.maximum(np.abs(rhs), floor)
+    defect = np.abs(lhs - rhs) / np.maximum(np.abs(rhs), VIRIAL_FLOOR)
     return float(np.max(defect))
 
 

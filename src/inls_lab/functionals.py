@@ -56,7 +56,6 @@ __all__ = [
     "at_frequency",
     "evaluate_all",
     "k_from_report",
-    "k_functional",
     "scale_alpha_beta",
     "scale_soliton",
     "threshold_function",
@@ -192,17 +191,6 @@ def k_from_report(rep: FunctionalReport, alpha: float, beta: float, params: Prob
         - 0.5 * beta * rep.xgradV_term
         - (alpha * (p + 2) - (n + c) * beta) / (p + 2) * rep.nonlinear_term
     )
-
-
-def k_functional(
-    u: RadialField,
-    alpha: float,
-    beta: float,
-    params: ProblemParams,
-    spec: PotentialSpec,
-) -> float:
-    """The scaling derivative K^{alpha,beta}_{omega,V}(u)."""
-    return k_from_report(evaluate_all(u, params, spec), alpha, beta, params)
 
 
 def scale_alpha_beta(

@@ -65,7 +65,6 @@ __all__ = [
     "field_from_csv",
     "field_to_csv",
     "gradient_norm_sq",
-    "inner_product",
     "nodal_gradient_norm_sq",
     "resample",
     "solve_shifted",
@@ -179,13 +178,6 @@ class RadialField:
 
     def copy(self) -> "RadialField":
         return RadialField(self.grid, self.values.copy())
-
-
-def inner_product(f: RadialField, g: RadialField) -> complex:
-    """Weighted inner product <f,g>_mu = sum(mu f conj(g))."""
-    if f.grid != g.grid:
-        raise GridError("fields live on different grids")
-    return complex(np.sum(f.grid.measure_weights * f.values * np.conj(g.values)))
 
 
 def weighted_norm(f: RadialField, a: float, q: float) -> float:

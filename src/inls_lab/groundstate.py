@@ -62,6 +62,20 @@ __all__ = [
     "shooting_solve",
 ]
 
+# Petviashvili iteration: the residual below which it stops, which is
+# also the exit gate of every returned state; the successive relative
+# change that stops it early; the iteration budget.
+RESIDUAL_GATE = 1e-8
+CHANGE_TOL = 1e-12
+MAX_ITER = 10_000
+
+# Shooting oracle: the series start radius of every shot, the center
+# values of the geometric bracket scan, and the relative bracket width
+# that ends the bisection.
+SHOOT_R0 = 1e-6
+SCAN_LO, SCAN_HI = 1e-3, 1e3
+BISECT_TOL = 1e-13
+
 
 class GroundStateError(RuntimeError):
     """Base class for ground-state solver failures."""
@@ -166,22 +180,16 @@ def gn_ratio(rep: FunctionalReport, params: ProblemParams) -> float:
     return float(rep.nonlinear_term / (gr**s * m ** (params.p + 2 - s)))
 
 
-def petviashvili_solve(
-    params: ProblemParams,
-    grid: RadialGrid | None = None,
-    guess: RadialField | None = None,
-    max_iter: int = 10_000,
-    tol_residual: float = 1e-8,
-    tol_change: float = 1e-12,
-) -> GroundState:
+def petviashvili_solve(params: ProblemParams, grid: RadialGrid | None = None) -> GroundState:
     """Ground state by the stabilized fixed-point iteration.
 
-    Stops when the successive relative change drops below tol_change
-    or the fixed-point residual below tol_residual.  The returned
-    state satisfies: residual < 1e-8, both Pohozaev defects < 1e-4,
-    |M_k - 1| < 1e-10 at exit, strict positivity, and monotone decay
-    beyond the maximum; any violation raises NonConvergence rather
-    than returning a dressed-up failure.
+    Starts from the Gaussian exp(-r^2/2) and stops when the successive
+    relative change drops below CHANGE_TOL or the fixed-point residual
+    below RESIDUAL_GATE, within MAX_ITER iterations.  The returned
+    state satisfies: residual < RESIDUAL_GATE, both Pohozaev defects
+    < 1e-4, |M_k - 1| < 1e-10 at exit, strict positivity, and monotone
+    decay beyond the maximum; any violation raises NonConvergence
+    rather than returning a dressed-up failure.
     """
     _admissible(params)
     if grid is None:
@@ -198,16 +206,10 @@ def petviashvili_solve(
     rc = r**c
     op = assemble_operator(grid)
 
-    if guess is None:
-        Q = np.exp(-(r**2) / 2)
-    else:
-        if np.any(guess.values.imag != 0) or np.any(guess.values.real <= 0):
-            raise GroundStateError("guess must be real and positive")
-        Q = guess.values.real.copy()
-
+    Q = np.exp(-(r**2) / 2)
     gamma = (p + 1) / p
     stab_gap = np.inf
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         nl = rc * Q ** (p + 1)
         num = gradient_norm_sq(RadialField(grid, Q)) + w * np.sum(mu * Q**2)
         den = float(np.sum(mu * nl * Q))
@@ -225,16 +227,16 @@ def petviashvili_solve(
             np.sqrt(np.sum(mu * resid_vec**2) / np.sum(mu * Q**2))
         )
         stab_gap = abs(stab - 1.0)
-        if residual < tol_residual or change < tol_change:
+        if residual < RESIDUAL_GATE or change < CHANGE_TOL:
             break
     else:
         raise NonConvergence(
-            f"no fixed point after {max_iter} iterations "
+            f"no fixed point after {MAX_ITER} iterations "
             f"(last residual {residual:.3e})"
         )
 
-    if residual >= 1e-8:
-        raise NonConvergence(f"exit residual {residual:.3e} >= 1e-8")
+    if residual >= RESIDUAL_GATE:
+        raise NonConvergence(f"exit residual {residual:.3e} >= {RESIDUAL_GATE:g}")
     if stab_gap >= 1e-10:
         raise NonConvergence(f"stabilizing factor off by {stab_gap:.3e} at exit")
     if np.any(Q <= 0):
@@ -351,7 +353,7 @@ def _series_start(
     return val, slope
 
 
-def _shoot_once(params: ProblemParams, q0: float, r_end: float, r0: float):
+def _shoot_once(params: ProblemParams, q0: float, r_end: float):
     """One outward shot; returns ('cross'|'regrow'|'decay', solution)."""
     from scipy.integrate import solve_ivp  # only the oracle needs the integrator
 
@@ -374,10 +376,10 @@ def _shoot_once(params: ProblemParams, q0: float, r_end: float, r0: float):
     ev_regrow.terminal = True
     ev_regrow.direction = 1
 
-    y0 = _series_start(params, q0, r0)
+    y0 = _series_start(params, q0, SHOOT_R0)
     sol = solve_ivp(
         rhs,
-        (r0, r_end),
+        (SHOOT_R0, r_end),
         y0,
         method="DOP853",
         events=[ev_cross, ev_regrow],
@@ -392,20 +394,14 @@ def _shoot_once(params: ProblemParams, q0: float, r_end: float, r0: float):
     return "decay", sol
 
 
-def shooting_solve(
-    params: ProblemParams,
-    tolerance: float = 1e-13,
-    grid: RadialGrid | None = None,
-    r0: float = 1e-6,
-    q_lo: float = 1e-3,
-    q_hi: float = 1e3,
-) -> RadialField:
+def shooting_solve(params: ProblemParams, grid: RadialGrid | None = None) -> RadialField:
     """Ground state by bisection on the center value of outward shots.
 
     Center values above the critical one drive the profile through
-    zero; values below make it bottom out and regrow.  The bracket is
-    found by a geometric scan of [q_lo, q_hi] and bisected until its
-    relative width drops below tolerance.  The final shot is sampled
+    zero; values below make it bottom out and regrow.  Every shot
+    starts from the series at SHOOT_R0.  The bracket is found by a
+    geometric scan of [SCAN_LO, SCAN_HI] and bisected until its
+    relative width drops below BISECT_TOL.  The final shot is sampled
     onto the grid through the integrator's dense output, with the
     series filling r below the start radius and zero beyond the last
     integrated radius (where the profile has already decayed).
@@ -418,13 +414,13 @@ def shooting_solve(
     behaviors = {}
 
     def classify(q0: float) -> str:
-        beh, _ = _shoot_once(params, q0, r_end, r0)
+        beh, _ = _shoot_once(params, q0, r_end)
         behaviors[q0] = beh
         return beh
 
     lo = hi = None
     prev_q = prev_beh = None
-    for q in np.geomspace(q_lo, q_hi, 61):
+    for q in np.geomspace(SCAN_LO, SCAN_HI, 61):
         beh = classify(float(q))
         if prev_beh is not None and {prev_beh, beh} == {"regrow", "cross"}:
             lo, hi = prev_q, float(q)
@@ -432,7 +428,7 @@ def shooting_solve(
         prev_q, prev_beh = float(q), beh
     if lo is None:
         raise BracketNotFound(
-            f"no overshoot/undershoot transition for q0 in [{q_lo}, {q_hi}]"
+            f"no overshoot/undershoot transition for q0 in [{SCAN_LO}, {SCAN_HI}]"
         )
     if behaviors[lo] == "cross":
         lo, hi = hi, lo  # keep lo on the regrow side
@@ -444,14 +440,14 @@ def shooting_solve(
             hi = mid
         else:
             lo = mid  # regrow and clean decay both sit below the critical shot
-        if abs(hi - lo) < tolerance * mid:
+        if abs(hi - lo) < BISECT_TOL * mid:
             break
 
     q_star = 0.5 * (lo + hi)
-    _, sol = _shoot_once(params, q_star, r_end, r0)
+    _, sol = _shoot_once(params, q_star, r_end)
     vals = np.zeros(grid.N)
     r = grid.nodes
-    below = r < r0
+    below = r < SHOOT_R0
     vals[below] = [_series_start(params, q_star, float(ri))[0] for ri in r[below]]
     inside = (~below) & (r <= sol.t[-1])
     vals[inside] = sol.sol(r[inside])[0]

@@ -13,7 +13,7 @@ No finite differences: the assumption checker must not confuse
 truncation error with a genuine violation.
 
 The four standing assumptions on V are checked pointwise on a sample
-set (defaults: 2048 log-spaced radii on [1e-6, 1e6]):
+set, SAMPLE_RADII (2048 log-spaced radii on [1e-6, 1e6]):
 
     (I)    V >= 0  and  (2-b) V + r V' >= 0,
     (II)   r V'  in  L^{n/2}(|x|^{-nb/2} dx),
@@ -52,6 +52,10 @@ FAMILIES = ("zero", "inverse_power", "smooth_bump", "const_plus_gaussian")
 HOLDS = "Holds"
 FAILS = "Fails"
 BORDERLINE = "Borderline"
+
+# The radii the assumption checker samples; read-only.
+SAMPLE_RADII = np.geomspace(1e-6, 1e6, 2048)
+SAMPLE_RADII.flags.writeable = False
 
 # Exponents within this distance of the convergence boundary -1 (on the
 # convergent side) cannot be certified numerically.
@@ -198,15 +202,9 @@ def _tail_exponents(spec: PotentialSpec, params: ProblemParams) -> tuple[float, 
     return None
 
 
-def check_assumptions(
-    spec: PotentialSpec,
-    params: ProblemParams,
-    radii: np.ndarray | None = None,
-) -> AssumptionReport:
-    """Check assumptions (I)-(IV) for one potential and parameter set."""
-    if radii is None:
-        radii = np.geomspace(1e-6, 1e6, 2048)
-    radii = np.asarray(radii, dtype=float)
+def check_assumptions(spec: PotentialSpec, params: ProblemParams) -> AssumptionReport:
+    """Check assumptions (I)-(IV) for one potential and parameter set on SAMPLE_RADII."""
+    radii = SAMPLE_RADII
     n, b = params.n, params.b
 
     V, rVp, r2Vpp = eval_potential(spec, radii)

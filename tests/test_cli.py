@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from inls_lab import cli
 from inls_lab.cli import (
     ConfigError,
     build_run_config,
@@ -292,6 +293,51 @@ def test_sweep_parallel_matches_serial(tmp_path):
     for i in range(2):
         assert (s1 / f"point_{i:03d}" / "classification.json").exists()
         assert (s1 / f"point_{i:03d}" / "manifest.json").exists()
+
+
+def test_sweep_pool_never_outnumbers_its_points(tmp_path, monkeypatch):
+    # A fake pool records max_workers, so no worker process is started.
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(t) for t in tasks]
+
+    def fake_point(task):
+        idx, _, _, value, _ = task
+        return idx, value, "GlobalCandidate", "Completed", 0.3, 1.0
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(cli, "_run_sweep_point", fake_point)
+    cfg = write_config(tmp_path, BASE + "sweep.key = initial.alpha\nsweep.values = 0.5, 0.6, 0.7\n")
+    out = str(tmp_path / "s")
+    assert main(["sweep", "--config", cfg, "--out", out, "--jobs", "64"]) == 0
+    assert sizes == [3]
+    assert main(["sweep", "--config", cfg, "--out", out, "--jobs", "1"]) == 0
+    assert sizes == [3]  # one worker runs in process
+
+
+def test_sweep_rejects_jobs_below_one(tmp_path, capsys):
+    cfg = write_config(tmp_path, BASE + "sweep.key = initial.alpha\nsweep.values = 0.5\n")
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s"), "--jobs", "0"]) == 2
+    assert "--jobs must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["groundstate", "check-potential", "classify", "evolve"])
+def test_only_sweep_takes_jobs(tmp_path, command):
+    cfg = write_config(tmp_path, BASE)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--jobs", "2"])
+    assert exc.value.code == 2
 
 
 def test_classify_command_honours_classify_omega(tmp_path):

@@ -9,7 +9,6 @@ from inls_lab.functionals import (
     at_frequency,
     evaluate_all,
     k_from_report,
-    k_functional,
     scale_alpha_beta,
     scale_soliton,
     threshold_function,
@@ -65,8 +64,8 @@ def test_k_special_cases_collapse_to_named_functionals():
     u = sample_field(F2, seed=9)
     rep = evaluate_all(u, F2, BUMP)
     # (1,0) is the Nehari derivative, (n,2) is 2-b times the virial form.
-    assert k_functional(u, 1.0, 0.0, F2, BUMP) == pytest.approx(rep.nehari, rel=1e-12)
-    assert k_functional(u, F2.n, 2.0, F2, BUMP) == pytest.approx(
+    assert k_from_report(rep, 1.0, 0.0, F2) == pytest.approx(rep.nehari, rel=1e-12)
+    assert k_from_report(rep, F2.n, 2.0, F2) == pytest.approx(
         (2 - F2.b) * rep.virial, rel=1e-12
     )
 
@@ -78,7 +77,9 @@ def test_closed_forms_equal_a_second_pass_at_another_frequency(omega):
     moved = at_frequency(evaluate_all(u, F2, BUMP), pw)
     assert moved == evaluate_all(u, pw, BUMP)
     for alpha, beta in ((1.0, 0.0), (float(F2.n), 2.0), (2.0, 1.0)):
-        assert k_from_report(moved, alpha, beta, pw) == k_functional(u, alpha, beta, pw, BUMP)
+        assert k_from_report(moved, alpha, beta, pw) == k_from_report(
+            evaluate_all(u, pw, BUMP), alpha, beta, pw
+        )
 
 
 def test_k_matches_scaling_derivative_of_action():
@@ -91,7 +92,7 @@ def test_k_matches_scaling_derivative_of_action():
 
     h = 1e-3
     fd = (8 * (s_at(h) - s_at(-h)) - (s_at(2 * h) - s_at(-2 * h))) / (12 * h)
-    k = k_functional(u, alpha, beta, F1, ZERO)
+    k = k_from_report(evaluate_all(u, F1, ZERO), alpha, beta, F1)
     assert fd == pytest.approx(k, rel=1e-4, abs=1e-6 * (1 + abs(s_at(0.0))))
 
 
@@ -182,5 +183,3 @@ def test_functionals_reject_mismatched_grid():
     u = sample_field(F1)
     with pytest.raises(FunctionalError):
         evaluate_all(u, F2, ZERO)
-    with pytest.raises(FunctionalError):
-        k_functional(u, 1.0, 0.0, F2, ZERO)
