@@ -31,6 +31,7 @@ second, independent expression.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -353,8 +354,13 @@ def _series_start(
     return val, slope
 
 
-def _shoot_once(params: ProblemParams, q0: float, r_end: float):
-    """One outward shot; returns ('cross'|'regrow'|'decay', solution)."""
+def _shoot_once(params: ProblemParams, q0: float, r_end: float, *, dense: bool = False):
+    """One outward shot; returns ('cross'|'regrow'|'decay', solution).
+
+    The solution carries the dense-output interpolant only when dense
+    is set: classification reads t_events alone, and DOP853 spends
+    three extra right-hand-side evaluations per step on the interpolant.
+    """
     from scipy.integrate import solve_ivp  # only the oracle needs the integrator
 
     n, b, c, p, w = params.n, params.b, params.c, params.p, params.omega
@@ -385,7 +391,7 @@ def _shoot_once(params: ProblemParams, q0: float, r_end: float):
         events=[ev_cross, ev_regrow],
         rtol=1e-10,
         atol=1e-12,
-        dense_output=True,
+        dense_output=dense,
     )
     if sol.t_events[0].size:
         return "cross", sol
@@ -394,44 +400,63 @@ def _shoot_once(params: ProblemParams, q0: float, r_end: float):
     return "decay", sol
 
 
+def _scan_bracket(classify: Callable[[int], str], n: int) -> int:
+    """Index i of the scan pair (i, i + 1) that shoots regrow then cross.
+
+    classify maps a scan index in [0, n) to its shot class.  The ends
+    must shoot regrow (index 0) and cross (index n - 1); bisection on
+    cross / not cross then narrows them to an adjacent pair, which
+    must be regrow, cross.  When the class changes once along the
+    scan, that is the first regrow -> cross pair, found in about
+    log2(n) + 2 shots.
+    """
+    lo, hi = 0, n - 1
+    lo_beh, hi_beh = classify(lo), classify(hi)
+    if (lo_beh, hi_beh) != ("regrow", "cross"):
+        raise BracketNotFound(
+            f"no overshoot/undershoot transition for q0 in [{SCAN_LO}, {SCAN_HI}]: "
+            f"the scan ends shoot {lo_beh} and {hi_beh}, not regrow and cross"
+        )
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        beh = classify(mid)
+        if beh == "cross":
+            hi = mid
+        else:
+            lo, lo_beh = mid, beh
+    if lo_beh != "regrow":
+        raise BracketNotFound(
+            f"scan points {lo} and {hi} shoot {lo_beh} and cross, not regrow and cross"
+        )
+    return lo
+
+
 def shooting_solve(params: ProblemParams, grid: RadialGrid | None = None) -> RadialField:
     """Ground state by bisection on the center value of outward shots.
 
     Center values above the critical one drive the profile through
     zero; values below make it bottom out and regrow.  Every shot
-    starts from the series at SHOOT_R0.  The bracket is found by a
-    geometric scan of [SCAN_LO, SCAN_HI] and bisected until its
-    relative width drops below BISECT_TOL.  The final shot is sampled
-    onto the grid through the integrator's dense output, with the
-    series filling r below the start radius and zero beyond the last
-    integrated radius (where the profile has already decayed).
+    starts from the series at SHOOT_R0.  The bracket is the adjacent
+    pair of the 61-point geometric scan of [SCAN_LO, SCAN_HI] that
+    shoots regrow then cross, found by bisecting the scan index
+    (about 8 shots), and it is bisected until its relative width drops
+    below BISECT_TOL.  Classification shots skip the integrator's
+    dense output; only the final shot builds it, to sample the profile
+    onto the grid, with the series filling r below the start radius
+    and zero beyond the last integrated radius (where the profile has
+    already decayed).
     """
     _admissible(params)
     if grid is None:
         grid = build_grid(params.n, params.b)
     r_end = grid.r_max
 
-    behaviors = {}
-
     def classify(q0: float) -> str:
-        beh, _ = _shoot_once(params, q0, r_end)
-        behaviors[q0] = beh
-        return beh
+        return _shoot_once(params, q0, r_end)[0]
 
-    lo = hi = None
-    prev_q = prev_beh = None
-    for q in np.geomspace(SCAN_LO, SCAN_HI, 61):
-        beh = classify(float(q))
-        if prev_beh is not None and {prev_beh, beh} == {"regrow", "cross"}:
-            lo, hi = prev_q, float(q)
-            break
-        prev_q, prev_beh = float(q), beh
-    if lo is None:
-        raise BracketNotFound(
-            f"no overshoot/undershoot transition for q0 in [{SCAN_LO}, {SCAN_HI}]"
-        )
-    if behaviors[lo] == "cross":
-        lo, hi = hi, lo  # keep lo on the regrow side
+    scan = np.geomspace(SCAN_LO, SCAN_HI, 61)
+    i = _scan_bracket(lambda k: classify(float(scan[k])), scan.size)
+    lo, hi = float(scan[i]), float(scan[i + 1])
 
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -444,7 +469,7 @@ def shooting_solve(params: ProblemParams, grid: RadialGrid | None = None) -> Rad
             break
 
     q_star = 0.5 * (lo + hi)
-    _, sol = _shoot_once(params, q_star, r_end)
+    _, sol = _shoot_once(params, q_star, r_end, dense=True)
     vals = np.zeros(grid.N)
     r = grid.nodes
     below = r < SHOOT_R0

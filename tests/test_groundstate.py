@@ -156,12 +156,90 @@ def test_solver_rejects_mismatched_grid():
         petviashvili_solve(F1, grid=grid_for(3, -0.5, 256))
 
 
+def count_shots(monkeypatch):
+    """Wrap solve_ivp (imported per shot) and return the dense_output flag of every call."""
+    import scipy.integrate
+
+    dense = []
+    ivp = scipy.integrate.solve_ivp
+
+    def counting(*args, **kwargs):
+        dense.append(kwargs.get("dense_output", False))
+        return ivp(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", counting)
+    return dense
+
+
 def test_shooting_needs_a_bracket(monkeypatch):
     monkeypatch.setattr(groundstate, "SCAN_LO", 1e-3)
     monkeypatch.setattr(groundstate, "SCAN_HI", 2e-3)
     g = grid_for(3, 0.0, 512)
-    with pytest.raises(BracketNotFound):
+    shots = count_shots(monkeypatch)
+    with pytest.raises(BracketNotFound, match="ends shoot regrow and regrow"):
         shooting_solve(F1, grid=g)
+    assert len(shots) == 2
+
+
+def first_transition(classes):
+    """Linear walk: index of the first adjacent regrow -> cross pair."""
+    prev = None
+    for i, beh in enumerate(classes):
+        if (prev, beh) == ("regrow", "cross"):
+            return i - 1
+        prev = beh
+    return None
+
+
+def bracket_of(classes):
+    asked = []
+
+    def classify(k):
+        asked.append(k)
+        return classes[k]
+
+    return groundstate._scan_bracket(classify, len(classes)), asked
+
+
+def test_scan_bracket_matches_linear_walk():
+    for t in range(1, 61):
+        classes = ["regrow"] * t + ["cross"] * (61 - t)
+        i, asked = bracket_of(classes)
+        assert i == first_transition(classes) == t - 1
+        assert len(asked) <= 8
+
+
+@pytest.mark.parametrize(
+    "classes, named",
+    [
+        (["regrow"] * 61, "regrow and regrow"),
+        (["cross"] * 61, "cross and cross"),
+        (["regrow"] + ["decay"] * 59 + ["cross"], "shoot decay and cross"),
+    ],
+)
+def test_scan_bracket_refusals(classes, named):
+    with pytest.raises(BracketNotFound, match=named):
+        bracket_of(classes)
+
+
+def test_shooting_bracket_is_first_scan_transition(monkeypatch):
+    # F2 (c < 0) at N = 2048, the cheapest oracle fixture.
+    g = grid_for(3, -0.5, 2048)
+    found = []
+    scan_bracket = groundstate._scan_bracket
+
+    def recording(classify, n):
+        found.append(scan_bracket(classify, n))
+        return found[-1]
+
+    monkeypatch.setattr(groundstate, "_scan_bracket", recording)
+    shots = count_shots(monkeypatch)
+    shooting_solve(F2, grid=g)
+    assert len(shots) <= 52
+    assert shots.count(True) == 1 and shots[-1]
+    scan = np.geomspace(groundstate.SCAN_LO, groundstate.SCAN_HI, 61)
+    walk = (groundstate._shoot_once(F2, float(q), g.r_max)[0] for q in scan)
+    assert found == [first_transition(walk)]
 
 
 def test_ground_state_serialization(gs_f1):
