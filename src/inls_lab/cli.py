@@ -392,10 +392,8 @@ def cmd_evolve(cfg: RunConfig) -> int:
 
 
 def _run_sweep_point(args: tuple) -> tuple[int, str, str, str, float, float]:
-    """One sweep point: classify and evolve in its own directory."""
-    idx, pairs, key, value, point_dir = args
-    pairs = dict(pairs)
-    pairs[key] = (value, 0)
+    """One sweep point, from its parsed config: classify and evolve in its own directory."""
+    idx, pairs, value, point_dir = args
     cfg = build_run_config(pairs, out_override=point_dir)
     grid = _make_grid(cfg)
     gs1, u0 = _reference_and_initial(cfg, grid)
@@ -411,16 +409,20 @@ def cmd_sweep(cfg: RunConfig, pairs: dict[str, tuple[str, int]], jobs: int) -> i
         raise ConfigError(f"--jobs must be at least 1, got {jobs}")
     if cfg.sweep_key is None or not cfg.sweep_values:
         raise ConfigError("sweep requires sweep.key and sweep.values")
-    if cfg.sweep_key not in pairs:
-        # The axis may introduce a key the base config leaves at default.
-        known_prefixes = ("params.", "potential.", "grid.", "initial.", "evolve.", "classify.")
-        if not cfg.sweep_key.startswith(known_prefixes):
-            raise ConfigError(f"sweep.key {cfg.sweep_key!r} is not a config key")
+    line = pairs["sweep.key"][1]
+    if cfg.sweep_key == "output.dir" or cfg.sweep_key.startswith("sweep."):
+        raise ConfigError(f"line {line}: sweep.key {cfg.sweep_key!r} is not a sweep axis")
+    # The axis may introduce a key the base config leaves at default, so
+    # every point's config, its axis entry on the line of sweep.key, is
+    # built before any directory exists.
+    points = [{**pairs, cfg.sweep_key: (v, line)} for v in cfg.sweep_values]
+    for point in points:
+        build_run_config(point)
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     tasks = [
-        (i, pairs, cfg.sweep_key, v, os.path.join(cfg.out_dir, f"point_{i:03d}"))
-        for i, v in enumerate(cfg.sweep_values)
+        (i, point, v, os.path.join(cfg.out_dir, f"point_{i:03d}"))
+        for i, (point, v) in enumerate(zip(points, cfg.sweep_values))
     ]
     workers = min(jobs, len(tasks))
     if workers > 1:
@@ -450,9 +452,7 @@ def cmd_verify() -> int:
     results = run_all()
     failed = 0
     for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        print(f"{status} {r.name}: measured {r.measured:.6g} vs tolerance {r.tolerance:.6g}"
-              + (f" ({r.detail})" if r.detail else ""))
+        print(r.report_line())
         failed += 0 if r.passed else 1
     print(f"{len(results) - failed}/{len(results)} checks passed")
     return 0 if failed == 0 else 3

@@ -65,7 +65,7 @@ import numpy as np
 from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .functionals import evaluate_all
-from .grid import RadialField, RadialGrid, assemble_operator, nodal_gradient_norm_sq
+from .grid import RadialField, RadialGrid, assemble_operator, check_grid, gradient_norm_sq
 from .params import ProblemParams
 from .potential import PotentialSpec, eval_potential
 
@@ -293,11 +293,7 @@ def evolve(
     three samples support the second difference.
     """
     g = u0.grid
-    if g.n != params.n or g.b != params.b:
-        raise EvolveError(
-            f"grid built for (n={g.n}, b={g.b}) but params have "
-            f"(n={params.n}, b={params.b})"
-        )
+    check_grid(g, params)
     stepper = StrangStepper(g, params, spec)
     u = u0.values.astype(complex, copy=True)
     trace = EvolutionTrace()
@@ -357,7 +353,7 @@ def evolve(
                 break
         elif cfg.adaptivity:
             # keep the adaptive law responsive between samples
-            gsq = nodal_gradient_norm_sq(g, u)
+            gsq = gradient_norm_sq(g, u)
             if not math.isfinite(gsq):
                 raise EvolveError(f"non-finite gradient norm at t = {t:.6g}")
     else:

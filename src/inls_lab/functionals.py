@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import RadialField, gradient_norm_sq, resample, weighted_norm
+from .grid import RadialField, check_grid, gradient_norm_sq, resample, weighted_norm
 from .params import Criticality, ProblemParams, derive_exponents
 from .potential import PotentialSpec, eval_potential
 
@@ -91,14 +91,6 @@ class FunctionalReport:
     variance: float
 
 
-def _check_compatible(u: RadialField, params: ProblemParams) -> None:
-    if u.grid.n != params.n or u.grid.b != params.b:
-        raise FunctionalError(
-            f"grid carries (n={u.grid.n}, b={u.grid.b}) "
-            f"but params have (n={params.n}, b={params.b})"
-        )
-
-
 def _closed_forms(
     mass: float,
     variance: float,
@@ -138,9 +130,9 @@ def evaluate_all(
     u: RadialField, params: ProblemParams, spec: PotentialSpec
 ) -> FunctionalReport:
     """Evaluate every scalar functional of u in one pass of quadratures."""
-    _check_compatible(u, params)
     g = u.grid
-    grad_sq = gradient_norm_sq(u)
+    check_grid(g, params)
+    grad_sq = gradient_norm_sq(g, u.values)
     dens = g.measure_weights * np.abs(u.values) ** 2
     if spec.is_zero:
         pot = 0.0

@@ -54,6 +54,8 @@ from math import gamma, pi
 import numpy as np
 from scipy.linalg import solveh_banded
 
+from .params import ProblemParams
+
 __all__ = [
     "DiscreteOperator",
     "GridError",
@@ -62,10 +64,10 @@ __all__ = [
     "apply_operator",
     "assemble_operator",
     "build_grid",
+    "check_grid",
     "field_from_csv",
     "field_to_csv",
     "gradient_norm_sq",
-    "nodal_gradient_norm_sq",
     "resample",
     "solve_shifted",
     "weighted_norm",
@@ -194,18 +196,21 @@ def weighted_norm(f: RadialField, a: float, q: float) -> float:
     return out
 
 
-def gradient_norm_sq(f: RadialField) -> float:
-    """Discrete ||grad f||^2_{b,2}: face-difference sum plus the Dirichlet edge term."""
-    return nodal_gradient_norm_sq(f.grid, f.values)
+def check_grid(grid: RadialGrid, params: ProblemParams) -> None:
+    """Refuse a grid whose dimension n or weight exponent b is not that of params."""
+    if grid.n != params.n or grid.b != params.b:
+        raise GridError(
+            f"grid built for (n={grid.n}, b={grid.b}) but params have "
+            f"(n={params.n}, b={params.b})"
+        )
 
 
-def nodal_gradient_norm_sq(g: RadialGrid, values: np.ndarray) -> float:
-    """gradient_norm_sq of node values on g, without building (and
-    validating) a RadialField: non-finite values give a non-finite result."""
-    d = np.diff(values)
-    interior = float(np.sum(g.face_weights * np.abs(d) ** 2))
-    edge = g.outer_face_weight * abs(values[-1]) ** 2
-    return interior + edge
+def gradient_norm_sq(g: RadialGrid, values: np.ndarray) -> float:
+    """Discrete ||grad f||^2_{b,2} of the node values (real or complex) of f
+    on g: face-difference sum plus the Dirichlet edge term.  Values are
+    not validated; non-finite values give a non-finite result."""
+    interior = np.sum(g.face_weights * np.abs(np.diff(values)) ** 2)
+    return float(interior + g.outer_face_weight * abs(values[-1]) ** 2)
 
 
 def resample(f: RadialField, r) -> np.ndarray:
@@ -254,15 +259,13 @@ def assemble_operator(grid: RadialGrid, potential: np.ndarray | None = None) -> 
     return DiscreteOperator(grid=grid, sym_diag=diag, sym_off=off)
 
 
-def apply_operator(op: DiscreteOperator, f: RadialField) -> RadialField:
-    """Matrix-vector product A f on the operator's grid."""
-    if f.grid != op.grid:
-        raise GridError("field and operator grids differ")
-    v = f.values
-    y = op.sym_diag * v
-    y[:-1] += op.sym_off * v[1:]
-    y[1:] += op.sym_off * v[:-1]
-    return RadialField(op.grid, y / op.grid.measure_weights)
+def apply_operator(op: DiscreteOperator, values: np.ndarray) -> np.ndarray:
+    """A v for node values v (real or complex) on the operator's grid,
+    computed as (M v) * (1 / mu).  Values are not validated."""
+    y = op.sym_diag * values
+    y[:-1] += op.sym_off * values[1:]
+    y[1:] += op.sym_off * values[:-1]
+    return y * (1.0 / op.grid.measure_weights)
 
 
 def solve_shifted(op: DiscreteOperator, shift: float, rhs: np.ndarray) -> np.ndarray:

@@ -31,7 +31,7 @@ second, independent expression.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +43,7 @@ from .grid import (
     apply_operator,
     assemble_operator,
     build_grid,
+    check_grid,
     gradient_norm_sq,
     solve_shifted,
 )
@@ -71,8 +72,8 @@ CHANGE_TOL = 1e-12
 MAX_ITER = 10_000
 
 # Shooting oracle: the series start radius of every shot, the center
-# values of the geometric bracket scan, and the relative bracket width
-# that ends the bisection.
+# values that bracket the bisection, and the relative bracket width
+# that ends it.
 SHOOT_R0 = 1e-6
 SCAN_LO, SCAN_HI = 1e-3, 1e3
 BISECT_TOL = 1e-13
@@ -91,7 +92,7 @@ class IndefiniteOperator(GroundStateError):
 
 
 class BracketNotFound(GroundStateError):
-    """No overshoot/undershoot dichotomy in the scanned center values."""
+    """No overshoot/undershoot dichotomy between the bracket's center values."""
 
 
 @dataclass(frozen=True)
@@ -195,11 +196,7 @@ def petviashvili_solve(params: ProblemParams, grid: RadialGrid | None = None) ->
     _admissible(params)
     if grid is None:
         grid = build_grid(params.n, params.b)
-    if grid.n != params.n or grid.b != params.b:
-        raise GroundStateError(
-            f"grid built for (n={grid.n}, b={grid.b}) but params have "
-            f"(n={params.n}, b={params.b})"
-        )
+    check_grid(grid, params)
     w = params.omega
     p, c = params.p, params.c
     r = grid.nodes
@@ -208,11 +205,11 @@ def petviashvili_solve(params: ProblemParams, grid: RadialGrid | None = None) ->
     op = assemble_operator(grid)
 
     Q = np.exp(-(r**2) / 2)
+    nl = rc * Q ** (p + 1)
     gamma = (p + 1) / p
     stab_gap = np.inf
     for _ in range(MAX_ITER):
-        nl = rc * Q ** (p + 1)
-        num = gradient_norm_sq(RadialField(grid, Q)) + w * np.sum(mu * Q**2)
+        num = gradient_norm_sq(grid, Q) + w * np.sum(mu * Q**2)
         den = float(np.sum(mu * nl * Q))
         if num <= 0:
             raise IndefiniteOperator(f"<(A+omega)Q, Q> = {num} <= 0")
@@ -222,11 +219,13 @@ def petviashvili_solve(params: ProblemParams, grid: RadialGrid | None = None) ->
         Qn = stab**gamma * solve_shifted(op, w, nl)
         change = float(np.max(np.abs(Qn - Q)) / np.max(np.abs(Qn)))
         Q = Qn
-        field = RadialField(grid, Q)
-        resid_vec = apply_operator(op, field).values.real + w * Q - rc * Q ** (p + 1)
+        nl = rc * Q ** (p + 1)  # the residual's and the next iteration's
+        resid_vec = apply_operator(op, Q) + w * Q - nl
         residual = float(
             np.sqrt(np.sum(mu * resid_vec**2) / np.sum(mu * Q**2))
         )
+        if not math.isfinite(residual):
+            raise NonConvergence("iterate is no longer finite")
         stab_gap = abs(stab - 1.0)
         if residual < RESIDUAL_GATE or change < CHANGE_TOL:
             break
@@ -250,7 +249,7 @@ def petviashvili_solve(params: ProblemParams, grid: RadialGrid | None = None) ->
     rep = evaluate_all(profile, params, PotentialSpec.zero())
     poh = pohozaev_residuals(rep, params)
     if max(poh) >= 1e-4:
-        raise NonConvergence(f"Pohozaev defects {poh} exceed 1e-4")
+        raise NonConvergence(f"Pohozaev defects ({poh[0]:.3e}, {poh[1]:.3e}) exceed 1e-4")
     if not rep.action > 0:
         raise NonConvergence(f"ground-state action {rep.action} not positive")
 
@@ -400,75 +399,46 @@ def _shoot_once(params: ProblemParams, q0: float, r_end: float, *, dense: bool =
     return "decay", sol
 
 
-def _scan_bracket(classify: Callable[[int], str], n: int) -> int:
-    """Index i of the scan pair (i, i + 1) that shoots regrow then cross.
-
-    classify maps a scan index in [0, n) to its shot class.  The ends
-    must shoot regrow (index 0) and cross (index n - 1); bisection on
-    cross / not cross then narrows them to an adjacent pair, which
-    must be regrow, cross.  When the class changes once along the
-    scan, that is the first regrow -> cross pair, found in about
-    log2(n) + 2 shots.
-    """
-    lo, hi = 0, n - 1
-    lo_beh, hi_beh = classify(lo), classify(hi)
-    if (lo_beh, hi_beh) != ("regrow", "cross"):
-        raise BracketNotFound(
-            f"no overshoot/undershoot transition for q0 in [{SCAN_LO}, {SCAN_HI}]: "
-            f"the scan ends shoot {lo_beh} and {hi_beh}, not regrow and cross"
-        )
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        beh = classify(mid)
-        if beh == "cross":
-            hi = mid
-        else:
-            lo, lo_beh = mid, beh
-    if lo_beh != "regrow":
-        raise BracketNotFound(
-            f"scan points {lo} and {hi} shoot {lo_beh} and cross, not regrow and cross"
-        )
-    return lo
-
-
 def shooting_solve(params: ProblemParams, grid: RadialGrid | None = None) -> RadialField:
     """Ground state by bisection on the center value of outward shots.
 
     Center values above the critical one drive the profile through
     zero; values below make it bottom out and regrow.  Every shot
-    starts from the series at SHOOT_R0.  The bracket is the adjacent
-    pair of the 61-point geometric scan of [SCAN_LO, SCAN_HI] that
-    shoots regrow then cross, found by bisecting the scan index
-    (about 8 shots), and it is bisected until its relative width drops
-    below BISECT_TOL.  Classification shots skip the integrator's
-    dense output; only the final shot builds it, to sample the profile
-    onto the grid, with the series filling r below the start radius
-    and zero beyond the last integrated radius (where the profile has
-    already decayed).
+    starts from the series at SHOOT_R0.  The bracket [SCAN_LO, SCAN_HI]
+    must shoot regrow then cross; it is bisected at geometric midpoints
+    until its relative width drops below BISECT_TOL (about 47 shots);
+    a clean decay counts as below the critical value.  Classification
+    shots skip the integrator's dense output; only the final shot
+    builds it, to sample the profile onto the grid, with the series
+    filling r below the start radius and zero beyond the last
+    integrated radius (where the profile has already decayed).
     """
     _admissible(params)
     if grid is None:
         grid = build_grid(params.n, params.b)
+    check_grid(grid, params)
     r_end = grid.r_max
 
     def classify(q0: float) -> str:
         return _shoot_once(params, q0, r_end)[0]
 
-    scan = np.geomspace(SCAN_LO, SCAN_HI, 61)
-    i = _scan_bracket(lambda k: classify(float(scan[k])), scan.size)
-    lo, hi = float(scan[i]), float(scan[i + 1])
-
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        beh = classify(mid)
-        if beh == "cross":
+    lo, hi = SCAN_LO, SCAN_HI
+    ends = classify(lo), classify(hi)
+    if ends != ("regrow", "cross"):
+        raise BracketNotFound(
+            f"no overshoot/undershoot transition for q0 in [{SCAN_LO}, {SCAN_HI}]: "
+            f"the scan ends shoot {ends[0]} and {ends[1]}, not regrow and cross"
+        )
+    while True:
+        mid = math.sqrt(lo * hi)
+        if classify(mid) == "cross":
             hi = mid
         else:
-            lo = mid  # regrow and clean decay both sit below the critical shot
-        if abs(hi - lo) < BISECT_TOL * mid:
+            lo = mid
+        if hi - lo < BISECT_TOL * mid:
             break
 
-    q_star = 0.5 * (lo + hi)
+    q_star = math.sqrt(lo * hi)
     _, sol = _shoot_once(params, q_star, r_end, dense=True)
     vals = np.zeros(grid.N)
     r = grid.nodes

@@ -63,6 +63,13 @@ class CheckResult:
     tolerance: float
     detail: str = ""
 
+    def report_line(self) -> str:
+        """PASS/FAIL, the name, the measured value against the tolerance, the detail."""
+        status = "PASS" if self.passed else "FAIL"
+        line = f"{status} {self.name}: measured {self.measured:.6g}"
+        line += f" vs tolerance {self.tolerance:.6g}"
+        return line + (f" ({self.detail})" if self.detail else "")
+
 
 @lru_cache(maxsize=None)
 def _grid(n: int, b: float, N: int, grading: float = 2.0) -> RadialGrid:

@@ -9,13 +9,7 @@ from inls_lab import verification
 
 
 def report(results):
-    lines = []
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        line = f"{status} {r.name}: measured {r.measured:.6g} vs tolerance {r.tolerance:.6g}"
-        if r.detail:
-            line += f" ({r.detail})"
-        lines.append(line)
+    lines = [r.report_line() for r in results]
     print()
     for line in lines:
         print(line)

@@ -313,7 +313,7 @@ def test_sweep_pool_never_outnumbers_its_points(tmp_path, monkeypatch):
             return [fn(t) for t in tasks]
 
     def fake_point(task):
-        idx, _, _, value, _ = task
+        idx, _, value, _ = task
         return idx, value, "GlobalCandidate", "Completed", 0.3, 1.0
 
     monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", FakePool)
@@ -384,6 +384,25 @@ def test_sweep_requires_axis(tmp_path):
     assert main(["sweep", "--config", bogus, "--out", str(tmp_path / "s2")]) == 2
 
 
+@pytest.mark.parametrize(
+    "axis, message",
+    [
+        ("sweep.key = params.bogus\nsweep.values = 1\n", "line 9: unknown key 'params.bogus'"),
+        ("sweep.key = output.dir\nsweep.values = a, b\n", "line 9: sweep.key 'output.dir' is not"),
+        ("sweep.values = 1, 2\nsweep.key = sweep.values\n", "line 10: sweep.key 'sweep.values' is not"),
+        ("sweep.key = sweep.key\nsweep.values = 1\n", "line 9: sweep.key 'sweep.key' is not"),
+        ("sweep.key = initial.alpha\nsweep.values = 0.5, -1\n", "initial.alpha must be positive"),
+    ],
+    ids=["unknown_key", "output_dir", "sweep_values", "sweep_key", "bad_later_value"],
+)
+def test_sweep_axis_is_checked_before_any_output(tmp_path, capsys, axis, message):
+    cfg = write_config(tmp_path, BASE + axis)
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_command_exit_codes(monkeypatch, capsys):
     from inls_lab.verification import CheckResult
 
@@ -396,7 +415,9 @@ def test_verify_command_exit_codes(monkeypatch, capsys):
     assert main(["verify"]) == 3
     stdout = capsys.readouterr().out
     assert "1/2 checks passed" in stdout
-    assert "FAIL beta" in stdout
+    assert bad.report_line() == "FAIL beta: measured 0.002 vs tolerance 1e-06 (exceeded)"
+    assert bad.report_line() + "\n" in stdout
+    assert ok.report_line() == "PASS alpha: measured 1e-09 vs tolerance 1e-06"
 
 
 def test_headline_verdict_route_order():

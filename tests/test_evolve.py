@@ -19,7 +19,7 @@ from inls_lab.evolve import (
     variance_concavity,
     virial_check,
 )
-from inls_lab.grid import RadialField, gradient_norm_sq, weighted_norm
+from inls_lab.grid import GridError, RadialField, build_grid, gradient_norm_sq, weighted_norm
 from inls_lab.potential import PotentialSpec
 
 from conftest import F1, F2, grid_for, solve
@@ -110,6 +110,20 @@ def test_cached_cayley_matches_banded_reference_exactly():
     assert stepper.factorizations == 1
 
 
+def test_cayley_matches_dense_solve():
+    # The cached LAPACK factor of mu + i dt/2 M against a dense solve.
+    rng = np.random.default_rng(3)
+    g = build_grid(3, -0.5, r_max=10.0, N=40, grading=2.0)
+    stepper = StrangStepper(g, F2, BUMP)
+    dt = 0.3
+    z = 1j * dt / 2
+    M = np.diag(stepper.sym_diag) + np.diag(stepper.sym_off, -1) + np.diag(stepper.sym_off, 1)
+    mu = np.diag(stepper.mu)
+    v = rng.standard_normal(g.N) + 1j * rng.standard_normal(g.N)
+    x = stepper.cayley(v, dt)
+    assert x == pytest.approx(np.linalg.solve(mu + z * M, (mu - z * M) @ v), rel=1e-11)
+
+
 def test_stepper_refactors_only_when_dt_changes():
     g = grid_for(3, -0.5, 256)
     stepper = StrangStepper(g, F2, BUMP)
@@ -167,12 +181,12 @@ def test_gradient_series_is_the_raw_quadrature():
     u0 = gaussian(g)
     cfg = EvolutionConfig(dt0=1e-3, t_end=1e-3, sample_every=1)
     trace = evolve(u0, cfg, F1, PotentialSpec.const_plus_gaussian(1e8))
-    assert trace.grad_norm[0] == np.sqrt(gradient_norm_sq(u0))
+    assert trace.grad_norm[0] == np.sqrt(gradient_norm_sq(g, u0.values))
 
 
 def test_evolve_rejects_mismatched_grid():
     g = grid_for(3, -0.5, 256)
-    with pytest.raises(EvolveError, match="grid built for"):
+    with pytest.raises(GridError, match="grid built for"):
         evolve(gaussian(g), EvolutionConfig(t_end=0.01), F1, ZERO)
 
 
@@ -197,13 +211,14 @@ def test_collapse_steps_sit_on_the_dt_ladder(monkeypatch):
     gs = solve(F1, 1024)
     u0 = RadialField(gs.profile.grid, 1.5 * gs.profile.values)
     cfg = EvolutionConfig(dt0=1e-3, t_end=2.0, sample_every=10, blowup_factor=10.0)
-    g, grad0_sq = u0.grid, gradient_norm_sq(u0)
+    g = u0.grid
+    grad0_sq = gradient_norm_sq(g, u0.values)
     dts, laws, caps = [], [], []
     step = StrangStepper.step
 
     def spy(self, u, dt):
         # the unrounded law: the gradient scale, bounded by the phase cap
-        laws.append(cfg.dt0 * min(1.0, grad0_sq / gradient_norm_sq(RadialField(g, u))))
+        laws.append(cfg.dt0 * min(1.0, grad0_sq / gradient_norm_sq(g, u)))
         caps.append(PHASE_CAP / float(np.max(self.phase_rate(u))))
         dts.append(dt)
         return step(self, u, dt)
@@ -285,7 +300,8 @@ def test_step_floor_exit_state_is_sampled():
     t_exit = trace.events[0][1]
     assert trace.events[0][0] == "StepFloorHit"
     assert trace.times[-1] == t_exit
-    growth = np.sqrt(gradient_norm_sq(trace.final_state) / gradient_norm_sq(u0))
+    g = u0.grid
+    growth = np.sqrt(gradient_norm_sq(g, trace.final_state.values) / gradient_norm_sq(g, u0.values))
     assert trace.grad_norm[-1] / trace.grad_norm[0] == pytest.approx(growth, rel=1e-12)
     # The trigger is evaluated on that sample: growth past 100 with a
     # concave variance.

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from inls_lab.functionals import (
-    FunctionalError,
     TruncationWarning,
     at_frequency,
     evaluate_all,
@@ -14,7 +13,7 @@ from inls_lab.functionals import (
     threshold_function,
     threshold_peak,
 )
-from inls_lab.grid import RadialField, gradient_norm_sq, weighted_norm
+from inls_lab.grid import GridError, RadialField, gradient_norm_sq, weighted_norm
 from inls_lab.potential import PotentialSpec
 
 from conftest import F1, F2, MC, grid_for
@@ -52,9 +51,9 @@ def test_report_internal_identities():
     assert rep.mass == pytest.approx(weighted_norm(u, 0.0, 2) ** 2, rel=1e-12)
     assert rep.variance == pytest.approx(weighted_norm(u, 2 - F2.b, 2) ** 2, rel=1e-12)
     assert grad_V_sq - rep.potential_energy == pytest.approx(
-        gradient_norm_sq(u), rel=1e-12
+        gradient_norm_sq(u.grid, u.values), rel=1e-12
     )
-    assert rep.grad_sq == gradient_norm_sq(u)
+    assert rep.grad_sq == gradient_norm_sq(u.grid, u.values)
     assert rep.nonlinear_term == pytest.approx(
         weighted_norm(u, F2.c, p + 2) ** (p + 2), rel=1e-12
     )
@@ -181,5 +180,5 @@ def test_threshold_functions_need_intercritical_params():
 
 def test_functionals_reject_mismatched_grid():
     u = sample_field(F1)
-    with pytest.raises(FunctionalError):
+    with pytest.raises(GridError, match="grid built for"):
         evaluate_all(u, F2, ZERO)

@@ -19,9 +19,6 @@ from inls_lab.grid import (
     solve_shifted,
     weighted_norm,
 )
-from inls_lab.evolve import StrangStepper
-from inls_lab.params import ProblemParams
-from inls_lab.potential import PotentialSpec
 
 
 @pytest.mark.parametrize(
@@ -79,7 +76,7 @@ def test_gradient_quadrature_against_closed_form(n, b):
     # is the (a = 2 + b, q = 2) moment.
     g = build_grid(n, b, r_max=30.0, N=16384)
     f = RadialField(g, np.exp(-g.nodes**2 / 2))
-    assert gradient_norm_sq(f) == pytest.approx(quad_oracle(n, 2 + b, 2.0), rel=5e-7)
+    assert gradient_norm_sq(g, f.values) == pytest.approx(quad_oracle(n, 2 + b, 2.0), rel=5e-7)
 
 
 def test_quadrature_is_second_order():
@@ -107,15 +104,15 @@ def test_operator_is_self_adjoint_and_matches_energy():
     for n, b in [(3, 0.0), (3, -0.5), (4, -1.0)]:
         g = build_grid(n, b, r_max=20.0, N=512, grading=2.0)
         op = assemble_operator(g)
-        u = RadialField(g, rng.standard_normal(g.N))
-        v = RadialField(g, rng.standard_normal(g.N))
+        u = rng.standard_normal(g.N)
+        v = rng.standard_normal(g.N)
         mu = g.measure_weights
-        left = np.sum(mu * apply_operator(op, u).values * v.values).real
-        right = np.sum(mu * u.values * apply_operator(op, v).values).real
+        left = np.sum(mu * apply_operator(op, u) * v)
+        right = np.sum(mu * u * apply_operator(op, v))
         assert left == pytest.approx(right, rel=1e-12)
         # Summation by parts: <A_{b,0} u, u>_mu is exactly the Dirichlet energy.
-        quad = np.sum(mu * apply_operator(op, u).values * u.values).real
-        assert quad == pytest.approx(gradient_norm_sq(u), rel=1e-12)
+        quad = np.sum(mu * apply_operator(op, u) * u)
+        assert quad == pytest.approx(gradient_norm_sq(g, u), rel=1e-12)
 
 
 def test_operator_with_potential_adds_quadratic_form():
@@ -123,11 +120,9 @@ def test_operator_with_potential_adds_quadratic_form():
     V = 1.0 / (1.0 + g.nodes**2)
     op = assemble_operator(g, V)
     rng = np.random.default_rng(13)
-    u = RadialField(g, rng.standard_normal(g.N))
-    quad = np.sum(g.measure_weights * apply_operator(op, u).values * u.values).real
-    want = gradient_norm_sq(u) + float(
-        np.sum(g.measure_weights * V * np.abs(u.values) ** 2)
-    )
+    u = rng.standard_normal(g.N)
+    quad = np.sum(g.measure_weights * apply_operator(op, u) * u)
+    want = gradient_norm_sq(g, u) + float(np.sum(g.measure_weights * V * u**2))
     assert quad == pytest.approx(want, rel=1e-12)
 
 
@@ -136,24 +131,9 @@ def test_solve_shifted_recovers_manufactured_solution():
     x_true = np.exp(-g.nodes**2)
     for V, shift in [(None, 1.7), (1.0 / (1.0 + g.nodes**2), 0.3)]:
         op = assemble_operator(g, V)
-        rhs = apply_operator(op, RadialField(g, x_true)).values.real + shift * x_true
+        rhs = apply_operator(op, x_true) + shift * x_true
         x = solve_shifted(op, shift, rhs)
         assert np.max(np.abs(x - x_true)) < 1e-12 * np.max(np.abs(x_true))
-
-
-def test_solve_tridiagonal_matches_dense():
-    # The cached LAPACK factor of mu + i dt/2 M against a dense solve.
-    rng = np.random.default_rng(3)
-    g = build_grid(3, -0.5, r_max=10.0, N=40, grading=2.0)
-    params = ProblemParams(3, -0.5, -0.5, 2.0)
-    stepper = StrangStepper(g, params, PotentialSpec.smooth_bump(0.4, 2.0))
-    dt = 0.3
-    z = 1j * dt / 2
-    M = np.diag(stepper.sym_diag) + np.diag(stepper.sym_off, -1) + np.diag(stepper.sym_off, 1)
-    mu = np.diag(stepper.mu)
-    v = rng.standard_normal(g.N) + 1j * rng.standard_normal(g.N)
-    x = stepper.cayley(v, dt)
-    assert x == pytest.approx(np.linalg.solve(mu + z * M, (mu - z * M) @ v), rel=1e-11)
 
 
 def test_field_csv_roundtrip(tmp_path):

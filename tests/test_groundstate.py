@@ -1,5 +1,6 @@
 """Ground-state solvers: convergence invariants, regressions, dual routes."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -7,10 +8,11 @@ import pytest
 
 from inls_lab import groundstate
 from inls_lab.functionals import evaluate_all
-from inls_lab.grid import RadialField, weighted_norm
+from inls_lab.grid import GridError, RadialField, gradient_norm_sq, weighted_norm
 from inls_lab.groundstate import (
     BracketNotFound,
     GroundStateError,
+    NonConvergence,
     derive_thresholds,
     gn_ratio,
     petviashvili_solve,
@@ -152,33 +154,61 @@ def test_solver_rejects_unusable_exponents():
 
 
 def test_solver_rejects_mismatched_grid():
-    with pytest.raises(GroundStateError, match="grid built for"):
+    with pytest.raises(GridError, match="grid built for"):
         petviashvili_solve(F1, grid=grid_for(3, -0.5, 256))
 
 
-def count_shots(monkeypatch):
-    """Wrap solve_ivp (imported per shot) and return the dense_output flag of every call."""
-    import scipy.integrate
+def test_pohozaev_gate_reports_python_floats(gs_f1):
+    g = gs_f1.profile.grid
+    assert type(gradient_norm_sq(g, gs_f1.profile.values)) is float
+    assert type(report(gs_f1.profile).grad_sq) is float
+    assert all(type(res) is float for res in gs_f1.pohozaev_res)
+    # At N = 256 the defects of F1 sit near 1e-3, above the 1e-4 gate.
+    with pytest.raises(NonConvergence) as exc:
+        petviashvili_solve(F1, grid=grid_for(3, 0.0, 256))
+    assert re.fullmatch(r"Pohozaev defects \(\d\.\d{3}e-\d\d, \d\.\d{3}e-\d\d\) exceed 1e-4",
+                        str(exc.value))
 
-    dense = []
-    ivp = scipy.integrate.solve_ivp
 
-    def counting(*args, **kwargs):
-        dense.append(kwargs.get("dense_output", False))
-        return ivp(*args, **kwargs)
+def test_petviashvili_stops_on_a_non_finite_iterate(monkeypatch):
+    def poisoned(op, shift, rhs):
+        return np.full(rhs.shape, np.nan)
 
-    monkeypatch.setattr(scipy.integrate, "solve_ivp", counting)
-    return dense
+    monkeypatch.setattr(groundstate, "solve_shifted", poisoned)
+    with pytest.raises(NonConvergence, match="no longer finite"):
+        petviashvili_solve(F1, grid=grid_for(3, 0.0, 256))
+
+
+def record_shots(monkeypatch):
+    """Wrap _shoot_once and return the (center value, dense) pair of every shot."""
+    shots = []
+    shoot = groundstate._shoot_once
+
+    def recording(params, q0, r_end, *, dense=False):
+        shots.append((q0, dense))
+        return shoot(params, q0, r_end, dense=dense)
+
+    monkeypatch.setattr(groundstate, "_shoot_once", recording)
+    return shots
+
+
+def test_shooting_rejects_mismatched_grid(monkeypatch):
+    shots = record_shots(monkeypatch)
+    with pytest.raises(GridError, match="grid built for"):
+        shooting_solve(F2, grid=grid_for(3, 0.0, 256))
+    assert shots == []
 
 
 def test_shooting_needs_a_bracket(monkeypatch):
-    monkeypatch.setattr(groundstate, "SCAN_LO", 1e-3)
-    monkeypatch.setattr(groundstate, "SCAN_HI", 2e-3)
     g = grid_for(3, 0.0, 512)
-    shots = count_shots(monkeypatch)
-    with pytest.raises(BracketNotFound, match="ends shoot regrow and regrow"):
-        shooting_solve(F1, grid=g)
-    assert len(shots) == 2
+    shots = record_shots(monkeypatch)
+    for lo, hi, named in ((1e-3, 2e-3, "regrow and regrow"), (10.0, 20.0, "cross and cross")):
+        monkeypatch.setattr(groundstate, "SCAN_LO", lo)
+        monkeypatch.setattr(groundstate, "SCAN_HI", hi)
+        shots.clear()
+        with pytest.raises(BracketNotFound, match=f"ends shoot {named}"):
+            shooting_solve(F1, grid=g)
+        assert shots == [(lo, False), (hi, False)]
 
 
 def first_transition(classes):
@@ -191,55 +221,18 @@ def first_transition(classes):
     return None
 
 
-def bracket_of(classes):
-    asked = []
-
-    def classify(k):
-        asked.append(k)
-        return classes[k]
-
-    return groundstate._scan_bracket(classify, len(classes)), asked
-
-
-def test_scan_bracket_matches_linear_walk():
-    for t in range(1, 61):
-        classes = ["regrow"] * t + ["cross"] * (61 - t)
-        i, asked = bracket_of(classes)
-        assert i == first_transition(classes) == t - 1
-        assert len(asked) <= 8
-
-
-@pytest.mark.parametrize(
-    "classes, named",
-    [
-        (["regrow"] * 61, "regrow and regrow"),
-        (["cross"] * 61, "cross and cross"),
-        (["regrow"] + ["decay"] * 59 + ["cross"], "shoot decay and cross"),
-    ],
-)
-def test_scan_bracket_refusals(classes, named):
-    with pytest.raises(BracketNotFound, match=named):
-        bracket_of(classes)
-
-
 def test_shooting_bracket_is_first_scan_transition(monkeypatch):
-    # F2 (c < 0) at N = 2048, the cheapest oracle fixture.
+    # F2 (c < 0) at N = 2048, the cheapest oracle fixture.  The critical
+    # center value lies in the first regrow -> cross pair of the 61-point
+    # geometric scan of the bracket.
     g = grid_for(3, -0.5, 2048)
-    found = []
-    scan_bracket = groundstate._scan_bracket
-
-    def recording(classify, n):
-        found.append(scan_bracket(classify, n))
-        return found[-1]
-
-    monkeypatch.setattr(groundstate, "_scan_bracket", recording)
-    shots = count_shots(monkeypatch)
+    scan = np.geomspace(groundstate.SCAN_LO, groundstate.SCAN_HI, 61)
+    i = first_transition(groundstate._shoot_once(F2, float(q), g.r_max)[0] for q in scan)
+    shots = record_shots(monkeypatch)
     shooting_solve(F2, grid=g)
     assert len(shots) <= 52
-    assert shots.count(True) == 1 and shots[-1]
-    scan = np.geomspace(groundstate.SCAN_LO, groundstate.SCAN_HI, 61)
-    walk = (groundstate._shoot_once(F2, float(q), g.r_max)[0] for q in scan)
-    assert found == [first_transition(walk)]
+    assert [dense for _, dense in shots].count(True) == 1 and shots[-1][1]
+    assert scan[i] <= shots[-1][0] <= scan[i + 1]
 
 
 def test_ground_state_serialization(gs_f1):
