@@ -56,8 +56,17 @@ class _ConfigView:
             raise ConfigError(f"missing required key {key!r}")
         return default
 
-    def line(self, key: str) -> int:
-        return self.pairs[key][1]
+    def error(self, message: str, *keys: str) -> ConfigError:
+        """A ConfigError that names the lines of those keys the config sets."""
+        lines = sorted({self.pairs[k][1] for k in keys if k in self.pairs})
+        if not lines:
+            return ConfigError(message)
+        label = "line" if len(lines) == 1 else "lines"
+        return ConfigError(f"{label} {', '.join(map(str, lines))}: {message}")
+
+    def section(self, prefix: str) -> list[str]:
+        """The keys of one section (prefix ends in '.') that the config sets."""
+        return [k for k in self.pairs if k.startswith(prefix)]
 
     def get_str(self, key: str, default=_REQUIRED) -> str:
         return self._raw(key, default)
@@ -69,9 +78,7 @@ class _ConfigView:
         try:
             return float(v)
         except ValueError:
-            raise ConfigError(
-                f"line {self.line(key)}: key {key!r} expects a number, got {v!r}"
-            ) from None
+            raise self.error(f"key {key!r} expects a number, got {v!r}", key) from None
 
     def get_int(self, key: str, default=_REQUIRED) -> int:
         v = self._raw(key, default)
@@ -80,9 +87,7 @@ class _ConfigView:
         try:
             return int(v)
         except ValueError:
-            raise ConfigError(
-                f"line {self.line(key)}: key {key!r} expects an integer, got {v!r}"
-            ) from None
+            raise self.error(f"key {key!r} expects an integer, got {v!r}", key) from None
 
     def get_bool(self, key: str, default=_REQUIRED) -> bool:
         v = self._raw(key, default)
@@ -93,15 +98,12 @@ class _ConfigView:
             return True
         if low in ("false", "no", "0"):
             return False
-        raise ConfigError(
-            f"line {self.line(key)}: key {key!r} expects true/false, got {v!r}"
-        )
+        raise self.error(f"key {key!r} expects true/false, got {v!r}", key)
 
     def reject_unknown(self) -> None:
         unknown = sorted(set(self.pairs) - self.used)
         if unknown:
-            k = unknown[0]
-            raise ConfigError(f"line {self.line(k)}: unknown key {k!r}")
+            raise self.error(f"unknown key {unknown[0]!r}", unknown[0])
 
 
 def parse_config_text(text: str) -> dict[str, tuple[str, int]]:
@@ -164,7 +166,7 @@ def build_run_config(pairs: dict[str, tuple[str, int]], out_override: str | None
             omega=view.get_float("params.omega", 1.0),
         )
     except ValueError as e:
-        raise ConfigError(f"params: {e}") from None
+        raise view.error(f"params: {e}", *view.section("params.")) from None
 
     family = view.get_str("potential.family", "zero")
     try:
@@ -174,22 +176,25 @@ def build_run_config(pairs: dict[str, tuple[str, int]], out_override: str | None
             view.get_float("potential.s", 0.0 if family != "inverse_power" else 1.0),
         )
     except ValueError as e:
-        raise ConfigError(f"potential: {e}") from None
+        raise view.error(f"potential: {e}", *view.section("potential.")) from None
 
     kind = view.get_str("initial.kind", "ground_state_multiple")
     if kind not in _INITIAL_KINDS:
-        raise ConfigError(
-            f"initial.kind must be one of {_INITIAL_KINDS}, got {kind!r}"
+        raise view.error(
+            f"initial.kind must be one of {_INITIAL_KINDS}, got {kind!r}", "initial.kind"
         )
     alpha = view.get_float("initial.alpha", 1.0)
     if not alpha > 0:
-        raise ConfigError(f"initial.alpha must be positive, got {alpha}")
+        raise view.error(f"initial.alpha must be positive, got {alpha}", "initial.alpha")
+    width = view.get_float("initial.width", 1.0)
+    if not width > 0:
+        raise view.error(f"initial.width must be positive, got {width}", "initial.width")
     path = view.get_str("initial.path", None)
     if kind == "from_file":
         if path is None:
-            raise ConfigError("initial.kind = from_file requires initial.path")
+            raise view.error("initial.kind = from_file requires initial.path", "initial.kind")
         if not os.path.exists(path):
-            raise ConfigError(f"initial.path does not exist: {path}")
+            raise view.error(f"initial.path does not exist: {path}", "initial.path")
 
     try:
         evolution = EvolutionConfig(
@@ -201,7 +206,7 @@ def build_run_config(pairs: dict[str, tuple[str, int]], out_override: str | None
             adaptivity=view.get_bool("evolve.adaptivity", True),
         )
     except RuntimeError as e:
-        raise ConfigError(f"evolve: {e}") from None
+        raise view.error(f"evolve: {e}", *view.section("evolve.")) from None
 
     omega_raw = view.get_str("classify.omega", "optimal")
     classify_omega: float | None
@@ -211,11 +216,14 @@ def build_run_config(pairs: dict[str, tuple[str, int]], out_override: str | None
         try:
             classify_omega = float(omega_raw)
         except ValueError:
-            raise ConfigError(
-                f"classify.omega expects 'optimal' or a number, got {omega_raw!r}"
+            raise view.error(
+                f"classify.omega expects 'optimal' or a number, got {omega_raw!r}",
+                "classify.omega",
             ) from None
         if not classify_omega > 0:
-            raise ConfigError(f"classify.omega must be positive, got {classify_omega}")
+            raise view.error(
+                f"classify.omega must be positive, got {classify_omega}", "classify.omega"
+            )
 
     sweep_key = view.get_str("sweep.key", None)
     sweep_raw = view.get_str("sweep.values", None)
@@ -223,7 +231,7 @@ def build_run_config(pairs: dict[str, tuple[str, int]], out_override: str | None
     if sweep_raw is not None:
         sweep_values = tuple(s.strip() for s in sweep_raw.split(",") if s.strip())
         if not sweep_values:
-            raise ConfigError("sweep.values is empty")
+            raise view.error("sweep.values is empty", "sweep.values")
 
     out_dir = view.get_str("output.dir", "out")
     if out_override is not None:
@@ -238,7 +246,7 @@ def build_run_config(pairs: dict[str, tuple[str, int]], out_override: str | None
         initial_kind=kind,
         initial_alpha=alpha,
         initial_amplitude=view.get_float("initial.amplitude", 1.0),
-        initial_width=view.get_float("initial.width", 1.0),
+        initial_width=width,
         initial_path=path,
         evolution=evolution,
         classify_omega=classify_omega,

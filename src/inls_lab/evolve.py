@@ -65,7 +65,7 @@ import numpy as np
 from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .functionals import evaluate_all
-from .grid import RadialField, RadialGrid, assemble_operator, check_grid, gradient_norm_sq
+from .grid import RadialField, RadialGrid, check_grid, gradient_norm_sq
 from .params import ProblemParams
 from .potential import PotentialSpec, eval_potential
 
@@ -109,6 +109,10 @@ class EvolutionConfig:
     adaptivity: bool = True
 
     def __post_init__(self) -> None:
+        for name in ("dt0", "t_end", "blowup_factor", "dt_min"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise EvolveError(f"{name} must be finite, got {value}")
         if not self.dt0 > self.dt_min > 0:
             raise EvolveError(
                 f"need dt0 > dt_min > 0, got dt0={self.dt0}, dt_min={self.dt_min}"
@@ -158,18 +162,17 @@ class StrangStepper:
     """Strang steps nonlinear(dt/2) o Cayley(dt) o nonlinear(dt/2) on one grid.
 
     Built once per grid, problem and potential: it holds the symmetric
-    bands of M, mu, r^c and p.  It keeps the LAPACK factor of
-    mu + i dt/2 M for the last dt, and r^c |u|^p with the half-phase
-    multiplier of the last array it returned (see the module
-    docstring).  Returned arrays are read-only, so that cache cannot go
-    stale; any other input is evaluated afresh.
+    bands of M (the grid's M_{b,0} plus diag(mu V)), mu, r^c and p.  It
+    keeps the LAPACK factor of mu + i dt/2 M for the last dt, and
+    r^c |u|^p with the half-phase multiplier of the last array it
+    returned (see the module docstring).  Returned arrays are read-only,
+    so that cache cannot go stale; any other input is evaluated afresh.
     """
 
     def __init__(self, grid: RadialGrid, params: ProblemParams, spec: PotentialSpec):
-        op = assemble_operator(grid, eval_potential(spec, grid.nodes)[0])
-        self.sym_diag = op.sym_diag
-        self.sym_off = op.sym_off
         self.mu = grid.measure_weights
+        self.sym_diag = grid.stiffness_diag + self.mu * eval_potential(spec, grid.nodes)[0]
+        self.sym_off = -grid.face_weights
         self.rc = grid.nodes**params.c
         self.p = params.p
         self.factorizations = 0
@@ -324,7 +327,7 @@ def evolve(
     while t < cfg.t_end - 1e-12:
         capped = False
         if cfg.adaptivity:
-            dt = cfg.dt0 * float(min(1.0, grad0_sq / max(gsq, 1e-300)))
+            dt = cfg.dt0 * (grad0_sq / gsq) if gsq > grad0_sq else cfg.dt0
             phase_rate = float(np.max(stepper.phase_rate(u)))
             if phase_rate > 0 and PHASE_CAP / phase_rate < dt:
                 dt, capped = PHASE_CAP / phase_rate, True

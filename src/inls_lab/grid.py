@@ -1,4 +1,4 @@
-"""Radial mesh, weighted quadrature, and the discrete operator A_{b,V}.
+"""Radial mesh, cell measures, and the symmetric bands of the operator.
 
 Discretization conventions
 --------------------------
@@ -43,6 +43,11 @@ gradient seminorm
 
 This exact summation-by-parts identity is what makes the Cayley time
 step unitary and mass conservation exact in the evolution module.
+
+The grid stores M_{b,0}, the form at V = 0: its diagonal as
+stiffness_diag and its off-diagonal as -face_weights.  apply_operator
+and solve_shifted work with it directly; the time stepper adds
+diag(mu V) to the diagonal for its own potential.
 """
 
 from __future__ import annotations
@@ -57,12 +62,10 @@ from scipy.linalg import solveh_banded
 from .params import ProblemParams
 
 __all__ = [
-    "DiscreteOperator",
     "GridError",
     "RadialField",
     "RadialGrid",
     "apply_operator",
-    "assemble_operator",
     "build_grid",
     "check_grid",
     "field_from_csv",
@@ -70,7 +73,6 @@ __all__ = [
     "gradient_norm_sq",
     "resample",
     "solve_shifted",
-    "weighted_norm",
 ]
 
 
@@ -97,6 +99,7 @@ class RadialGrid:
     measure_weights: np.ndarray  # mu_i, shape (N,)
     face_weights: np.ndarray  # nu_{i+1/2} interior, shape (N-1,)
     outer_face_weight: float  # nu_{N+1/2} with ghost spacing r_max - r_N
+    stiffness_diag: np.ndarray  # diagonal of M_{b,0} = diag(mu) A_{b,0}, shape (N,)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RadialGrid):
@@ -142,6 +145,11 @@ def build_grid(
     nu = S * faces[1:-1] ** (n - 1 + b) / dr
     nu_out = S * faces[-1] ** (n - 1 + b) / (faces[-1] - nodes[-1])
 
+    diag = np.zeros(N)
+    diag[:-1] += nu
+    diag[1:] += nu
+    diag[-1] += nu_out
+
     total = float(np.sum(mu))
     exact = S * r_max**n / n
     if abs(total - exact) > 1e-12 * exact:
@@ -158,6 +166,7 @@ def build_grid(
         measure_weights=mu,
         face_weights=nu,
         outer_face_weight=float(nu_out),
+        stiffness_diag=diag,
     )
 
 
@@ -180,20 +189,6 @@ class RadialField:
 
     def copy(self) -> "RadialField":
         return RadialField(self.grid, self.values.copy())
-
-
-def weighted_norm(f: RadialField, a: float, q: float) -> float:
-    """Weighted Lebesgue norm (sum mu_i r_i^a |f_i|^q)^{1/q}."""
-    if q < 1:
-        raise ValueError(f"norm order q={q} must be >= 1")
-    if not a + f.grid.n > 0:
-        raise ValueError(f"weight exponent a={a} with n={f.grid.n}: not integrable at 0")
-    g = f.grid
-    total = float(np.sum(g.measure_weights * g.nodes**a * np.abs(f.values) ** q))
-    out = total ** (1.0 / q)
-    if not np.isfinite(out):
-        raise ValueError("weighted norm is not finite")
-    return out
 
 
 def check_grid(grid: RadialGrid, params: ProblemParams) -> None:
@@ -227,57 +222,25 @@ def resample(f: RadialField, r) -> np.ndarray:
     return re(r) + 1j * im(r)
 
 
-@dataclass(frozen=True)
-class DiscreteOperator:
-    """A_{b,V} stored through its symmetric form M = diag(mu) A.
-
-    sym_diag and sym_off are the diagonal and off-diagonal of M, so
-    (A f) = (M f) / mu elementwise and self-adjointness in <.,.>_mu is
-    automatic.
-    """
-
-    grid: RadialGrid
-    sym_diag: np.ndarray  # shape (N,)
-    sym_off: np.ndarray  # shape (N-1,), equals -nu_{i+1/2}
+def apply_operator(g: RadialGrid, values: np.ndarray) -> np.ndarray:
+    """A_{b,0} v for node values v (real or complex) on g, computed as
+    (M v) * (1 / mu).  Values are not validated."""
+    y = g.stiffness_diag * values
+    y[:-1] -= g.face_weights * values[1:]
+    y[1:] -= g.face_weights * values[:-1]
+    return y * (1.0 / g.measure_weights)
 
 
-def assemble_operator(grid: RadialGrid, potential: np.ndarray | None = None) -> DiscreteOperator:
-    """Assemble A_{b,V}; potential gives V at the nodes (None means V = 0)."""
-    N = grid.N
-    if potential is None:
-        V = np.zeros(N)
-    else:
-        V = np.asarray(potential, dtype=float)
-        if V.shape != (N,):
-            raise GridError("potential values do not match grid size")
-    diag = np.zeros(N)
-    diag[:-1] += grid.face_weights
-    diag[1:] += grid.face_weights
-    diag[-1] += grid.outer_face_weight
-    diag += grid.measure_weights * V
-    off = -grid.face_weights
-    return DiscreteOperator(grid=grid, sym_diag=diag, sym_off=off)
-
-
-def apply_operator(op: DiscreteOperator, values: np.ndarray) -> np.ndarray:
-    """A v for node values v (real or complex) on the operator's grid,
-    computed as (M v) * (1 / mu).  Values are not validated."""
-    y = op.sym_diag * values
-    y[:-1] += op.sym_off * values[1:]
-    y[1:] += op.sym_off * values[:-1]
-    return y * (1.0 / op.grid.measure_weights)
-
-
-def solve_shifted(op: DiscreteOperator, shift: float, rhs: np.ndarray) -> np.ndarray:
-    """Solve (A + shift) x = rhs for real rhs, shift > -min eigenvalue.
+def solve_shifted(g: RadialGrid, shift: float, rhs: np.ndarray) -> np.ndarray:
+    """Solve (A_{b,0} + shift) x = rhs on g for real rhs and shift > 0.
 
     Works on the symmetric form: (M + shift diag(mu)) x = mu * rhs is
-    symmetric positive definite for shift > 0 and V >= 0.
+    symmetric positive definite.
     """
-    mu = op.grid.measure_weights
-    ab = np.zeros((2, op.grid.N))
-    ab[0, 1:] = op.sym_off
-    ab[1, :] = op.sym_diag + shift * mu
+    mu = g.measure_weights
+    ab = np.zeros((2, g.N))
+    np.negative(g.face_weights, out=ab[0, 1:])
+    ab[1, :] = g.stiffness_diag + shift * mu
     return solveh_banded(ab, mu * np.asarray(rhs), lower=False)
 
 

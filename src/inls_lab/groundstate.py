@@ -41,7 +41,6 @@ from .grid import (
     RadialField,
     RadialGrid,
     apply_operator,
-    assemble_operator,
     build_grid,
     check_grid,
     gradient_norm_sq,
@@ -178,7 +177,7 @@ def gn_ratio(rep: FunctionalReport, params: ProblemParams) -> float:
     """
     s = params.p_c / (2 - params.b)
     gr = np.sqrt(rep.grad_sq)
-    m = rep.mass**0.5  # rounded as grid.weighted_norm rounds ||u||_2
+    m = rep.mass**0.5
     return float(rep.nonlinear_term / (gr**s * m ** (params.p + 2 - s)))
 
 
@@ -202,7 +201,6 @@ def petviashvili_solve(params: ProblemParams, grid: RadialGrid | None = None) ->
     r = grid.nodes
     mu = grid.measure_weights
     rc = r**c
-    op = assemble_operator(grid)
 
     Q = np.exp(-(r**2) / 2)
     nl = rc * Q ** (p + 1)
@@ -216,11 +214,11 @@ def petviashvili_solve(params: ProblemParams, grid: RadialGrid | None = None) ->
         if den <= 0:
             raise NonConvergence(f"nonlinear pairing {den} <= 0: sign change")
         stab = num / den
-        Qn = stab**gamma * solve_shifted(op, w, nl)
+        Qn = stab**gamma * solve_shifted(grid, w, nl)
         change = float(np.max(np.abs(Qn - Q)) / np.max(np.abs(Qn)))
         Q = Qn
         nl = rc * Q ** (p + 1)  # the residual's and the next iteration's
-        resid_vec = apply_operator(op, Q) + w * Q - nl
+        resid_vec = apply_operator(grid, Q) + w * Q - nl
         residual = float(
             np.sqrt(np.sum(mu * resid_vec**2) / np.sum(mu * Q**2))
         )
@@ -272,7 +270,7 @@ def _thresholds(rep: FunctionalReport, params: ProblemParams) -> dict[str, float
     crit, sigma = exps.criticality, exps.sigma
     defined = crit in (Criticality.MASS_CRITICAL, Criticality.INTERCRITICAL)
     if defined and is_frequency_one(params.omega):
-        out["mass_threshold"] = mass_norm = rep.mass**0.5  # as grid.weighted_norm rounds it
+        out["mass_threshold"] = mass_norm = rep.mass**0.5
         if crit is Criticality.INTERCRITICAL:
             out["grad_mass"] = float(np.sqrt(rep.grad_sq) * mass_norm**sigma)
             out["em_sigma"] = float(rep.energy * rep.mass**sigma)

@@ -249,5 +249,5 @@ def check_assumptions(spec: PotentialSpec, params: ProblemParams) -> AssumptionR
         else:
             v_II = Verdict(HOLDS, note=f"partial integral {partial:.6g}")
 
-    omega1 = -0.5 * float(np.min(comb))
+    omega1 = -0.5 * float(np.min(comb)) + 0.0  # + 0.0 turns -0.0 into 0.0
     return AssumptionReport(v_I, v_II, v_III, v_IV, omega1)

@@ -136,6 +136,38 @@ def test_build_run_config_rejects(extra, fragment):
         build_run_config(pairs_of(MINI + extra))
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ("initial.alpha = -1\n", "line 5: initial.alpha must be positive, got -1.0"),
+        ("initial.width = 0\n", "line 5: initial.width must be positive, got 0.0"),
+        ("initial.kind = bogus\n", "line 5: initial.kind must be one of"),
+        ("initial.kind = from_file\n", "line 5: initial.kind = from_file requires initial.path"),
+        ("initial.kind = from_file\ninitial.path = /no/such/file.csv\n",
+         "line 6: initial.path does not exist"),
+        ("classify.omega = -2\n", "line 5: classify.omega must be positive, got -2.0"),
+        ("classify.omega = abc\n", "line 5: classify.omega expects 'optimal' or a number"),
+        ("sweep.values = ,\n", "line 5: sweep.values is empty"),
+        # A section error names every key of the section the config sets.
+        ("params.omega = -1\n", "lines 1, 2, 3, 4, 5: params: frequency omega=-1.0 must be"),
+        ("potential.family = zero\npotential.a = -1\n", "lines 5, 6: potential: amplitude a=-1.0"),
+        ("evolve.t_end = 0.5\nevolve.dt0 = -1\n", "lines 5, 6: evolve: need dt0 > dt_min > 0"),
+        ("evolve.t_end = inf\n", "line 5: evolve: t_end must be finite, got inf"),
+        ("evolve.dt0 = inf\n", "line 5: evolve: dt0 must be finite, got inf"),
+    ],
+    ids=[
+        "alpha", "width", "kind", "from_file", "path", "classify_omega", "classify_omega_text",
+        "sweep_values", "params", "potential", "evolve", "t_end_inf", "dt0_inf",
+    ],
+)
+def test_config_errors_name_their_lines(tmp_path, capsys, extra, message):
+    cfg = write_config(tmp_path, MINI + extra)
+    out = tmp_path / "o"
+    assert main(["evolve", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+    assert not out.exists()
+
+
 def test_invalid_params_report_their_origin():
     with pytest.raises(ConfigError, match="params: "):
         build_run_config(pairs_of("params.n = 3\nparams.b = 0\nparams.c = 0\nparams.p = 0\n"))
@@ -391,7 +423,9 @@ def test_sweep_requires_axis(tmp_path):
         ("sweep.key = output.dir\nsweep.values = a, b\n", "line 9: sweep.key 'output.dir' is not"),
         ("sweep.values = 1, 2\nsweep.key = sweep.values\n", "line 10: sweep.key 'sweep.values' is not"),
         ("sweep.key = sweep.key\nsweep.values = 1\n", "line 9: sweep.key 'sweep.key' is not"),
-        ("sweep.key = initial.alpha\nsweep.values = 0.5, -1\n", "initial.alpha must be positive"),
+        # a sweep point's axis entry keeps the line of sweep.key
+        ("sweep.key = initial.alpha\nsweep.values = 0.5, -1\n",
+         "line 9: initial.alpha must be positive, got -1.0"),
     ],
     ids=["unknown_key", "output_dir", "sweep_values", "sweep_key", "bad_later_value"],
 )

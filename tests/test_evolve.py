@@ -19,8 +19,8 @@ from inls_lab.evolve import (
     variance_concavity,
     virial_check,
 )
-from inls_lab.grid import GridError, RadialField, build_grid, gradient_norm_sq, weighted_norm
-from inls_lab.potential import PotentialSpec
+from inls_lab.grid import GridError, RadialField, build_grid, gradient_norm_sq
+from inls_lab.potential import PotentialSpec, eval_potential
 
 from conftest import F1, F2, grid_for, solve
 
@@ -37,6 +37,10 @@ BUMP = PotentialSpec.smooth_bump(0.4, 2.0)
         dict(blowup_factor=1.0),
         dict(t_end=0.0),
         dict(sample_every=0),
+        dict(dt0=np.inf),
+        dict(t_end=np.inf),
+        dict(blowup_factor=np.inf),
+        dict(dt_min=np.inf),
     ],
 )
 def test_config_validation(kwargs):
@@ -64,13 +68,26 @@ def test_step_preserves_mass_exactly():
     # Cayley linear step and pointwise phase are both unitary in the
     # weighted norm, potential and singular weights included.
     g = grid_for(3, -0.5, 512)
-    u = gaussian(g)
-    m0 = weighted_norm(u, 0.0, 2.0)
+    mu = g.measure_weights
+    v = gaussian(g).values
+    m0 = np.sum(mu * abs(v) ** 2)
     stepper = StrangStepper(g, F2, BUMP)
-    v = u.values
     for _ in range(20):
         v = stepper.step(v, 1e-3)
-    assert weighted_norm(RadialField(g, v), 0.0, 2.0) == pytest.approx(m0, rel=1e-13)
+    assert np.sum(mu * abs(v) ** 2) == pytest.approx(m0, rel=1e-13)
+
+
+def test_stepper_bands_add_the_potential_quadratic_form():
+    # <M_V u, u> = ||grad u||^2_{b,2} + int V|u|^2 on the stepper's bands.
+    g = grid_for(3, -0.5, 256)
+    stepper = StrangStepper(g, F2, BUMP)
+    V = eval_potential(BUMP, g.nodes)[0]
+    u = np.random.default_rng(13).standard_normal(g.N)
+    Mu = stepper.sym_diag * u
+    Mu[:-1] += stepper.sym_off * u[1:]
+    Mu[1:] += stepper.sym_off * u[:-1]
+    want = gradient_norm_sq(g, u) + float(np.sum(g.measure_weights * V * u**2))
+    assert np.sum(Mu * u) == pytest.approx(want, rel=1e-12)
 
 
 def test_standing_wave_rotates_at_omega():
@@ -250,6 +267,16 @@ def test_benign_adaptive_run_keeps_dt0(tmp_path):
         trace_to_csv(trace, tmp_path / f"{adaptivity}.csv")
         text[adaptivity] = (tmp_path / f"{adaptivity}.csv").read_bytes()
     assert text[True] == text[False]
+
+
+def test_zero_gradient_data_keep_dt0():
+    # A gradient that is zero or underflows at t = 0 must not make dt zero.
+    g = grid_for(3, 0.0, 256)
+    for scale in (0.0, 1e-200):
+        u0 = RadialField(g, scale * gaussian(g).values)
+        trace = evolve(u0, EvolutionConfig(dt0=1e-3, t_end=0.01), F1, ZERO)
+        assert trace.events == [("Completed", pytest.approx(0.01, abs=1e-12))]
+        assert trace.steps == 10 and trace.dt_max == 1e-3
 
 
 def test_unsampled_non_finite_gradient_names_the_time(monkeypatch):

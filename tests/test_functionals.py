@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from inls_lab.functionals import (
+    FunctionalError,
     TruncationWarning,
     at_frequency,
     evaluate_all,
@@ -13,10 +14,10 @@ from inls_lab.functionals import (
     threshold_function,
     threshold_peak,
 )
-from inls_lab.grid import GridError, RadialField, gradient_norm_sq, weighted_norm
+from inls_lab.grid import GridError, RadialField, gradient_norm_sq
 from inls_lab.potential import PotentialSpec
 
-from conftest import F1, F2, MC, grid_for
+from conftest import F1, F2, MC, NM, grid_for
 
 BUMP = PotentialSpec.smooth_bump(0.4, 2.0)
 ZERO = PotentialSpec.zero()
@@ -48,15 +49,33 @@ def test_report_internal_identities():
     )
     assert rep.L == pytest.approx(grad_V_sq + w * rep.mass, rel=1e-12)
     # Raw ingredients agree with direct quadrature.
-    assert rep.mass == pytest.approx(weighted_norm(u, 0.0, 2) ** 2, rel=1e-12)
-    assert rep.variance == pytest.approx(weighted_norm(u, 2 - F2.b, 2) ** 2, rel=1e-12)
+    mu, r, dens = u.grid.measure_weights, u.grid.nodes, abs(u.values) ** 2
+    assert rep.mass == pytest.approx(np.sum(mu * dens), rel=1e-12)
+    assert rep.variance == pytest.approx(np.sum(mu * r ** (2 - F2.b) * dens), rel=1e-12)
     assert grad_V_sq - rep.potential_energy == pytest.approx(
         gradient_norm_sq(u.grid, u.values), rel=1e-12
     )
     assert rep.grad_sq == gradient_norm_sq(u.grid, u.values)
     assert rep.nonlinear_term == pytest.approx(
-        weighted_norm(u, F2.c, p + 2) ** (p + 2), rel=1e-12
+        np.sum(mu * r**F2.c * abs(u.values) ** (p + 2)), rel=1e-12
     )
+
+
+def test_nonlinear_term_is_the_midpoint_sum():
+    # ||u||^{p+2}_{c,p+2} is the midpoint sum itself, to the last bit.
+    for params in (F2, NM):
+        u = sample_field(params)
+        g = u.grid
+        want = np.sum(g.measure_weights * g.nodes**params.c * abs(u.values) ** (params.p + 2))
+        assert evaluate_all(u, params, BUMP).nonlinear_term == want
+
+
+def test_overflowing_nonlinear_term_is_refused():
+    # |u|^4 overflows while the mass and gradient stay finite.
+    g = grid_for(3, 0.0, 256)
+    u = RadialField(g, 1e100 * np.exp(-(g.nodes**2)))
+    with np.errstate(over="ignore"), pytest.raises(FunctionalError, match="nonlinear_term"):
+        evaluate_all(u, F1, ZERO)
 
 
 def test_k_special_cases_collapse_to_named_functionals():

@@ -10,14 +10,12 @@ from inls_lab.grid import (
     GridError,
     RadialField,
     apply_operator,
-    assemble_operator,
     build_grid,
     field_from_csv,
     field_to_csv,
     gradient_norm_sq,
     resample,
     solve_shifted,
-    weighted_norm,
 )
 
 
@@ -65,8 +63,8 @@ def quad_oracle(n, a, q):
 )
 def test_weighted_quadrature_against_closed_form(n, b, a, q):
     g = build_grid(n, b, r_max=30.0, N=16384)
-    f = RadialField(g, np.exp(-q * g.nodes**2 / 4))  # |f|^2 = e^{-q r^2 / 2}
-    got = weighted_norm(f, a, 2) ** 2
+    f = np.exp(-q * g.nodes**2 / 4)  # |f|^2 = e^{-q r^2 / 2}
+    got = np.sum(g.measure_weights * g.nodes**a * abs(f) ** 2)
     assert got == pytest.approx(quad_oracle(n, a, q), rel=5e-7)
 
 
@@ -84,55 +82,33 @@ def test_quadrature_is_second_order():
 
     def err(N):
         g = build_grid(3, 0.0, r_max=30.0, N=N)
-        f = RadialField(g, np.exp(-g.nodes**2 / 2))
-        return abs(weighted_norm(f, 0.0, 2) ** 2 - ref)
+        f = np.exp(-g.nodes**2 / 2)
+        return abs(np.sum(g.measure_weights * abs(f) ** 2) - ref)
 
     assert err(512) / err(1024) > 3.0
-
-
-def test_weighted_norm_rejects():
-    g = build_grid(3, 0.0, r_max=10.0, N=64)
-    f = RadialField(g, np.ones(64))
-    with pytest.raises(ValueError):
-        weighted_norm(f, 0.0, 0.5)
-    with pytest.raises(ValueError):
-        weighted_norm(f, -3.0, 2)  # a + n <= 0 is not integrable at the origin
 
 
 def test_operator_is_self_adjoint_and_matches_energy():
     rng = np.random.default_rng(7)
     for n, b in [(3, 0.0), (3, -0.5), (4, -1.0)]:
         g = build_grid(n, b, r_max=20.0, N=512, grading=2.0)
-        op = assemble_operator(g)
         u = rng.standard_normal(g.N)
         v = rng.standard_normal(g.N)
         mu = g.measure_weights
-        left = np.sum(mu * apply_operator(op, u) * v)
-        right = np.sum(mu * u * apply_operator(op, v))
+        left = np.sum(mu * apply_operator(g, u) * v)
+        right = np.sum(mu * u * apply_operator(g, v))
         assert left == pytest.approx(right, rel=1e-12)
         # Summation by parts: <A_{b,0} u, u>_mu is exactly the Dirichlet energy.
-        quad = np.sum(mu * apply_operator(op, u) * u)
+        quad = np.sum(mu * apply_operator(g, u) * u)
         assert quad == pytest.approx(gradient_norm_sq(g, u), rel=1e-12)
-
-
-def test_operator_with_potential_adds_quadratic_form():
-    g = build_grid(3, -0.5, r_max=20.0, N=256, grading=2.0)
-    V = 1.0 / (1.0 + g.nodes**2)
-    op = assemble_operator(g, V)
-    rng = np.random.default_rng(13)
-    u = rng.standard_normal(g.N)
-    quad = np.sum(g.measure_weights * apply_operator(op, u) * u)
-    want = gradient_norm_sq(g, u) + float(np.sum(g.measure_weights * V * u**2))
-    assert quad == pytest.approx(want, rel=1e-12)
 
 
 def test_solve_shifted_recovers_manufactured_solution():
     g = build_grid(3, -0.5, r_max=20.0, N=512, grading=2.0)
     x_true = np.exp(-g.nodes**2)
-    for V, shift in [(None, 1.7), (1.0 / (1.0 + g.nodes**2), 0.3)]:
-        op = assemble_operator(g, V)
-        rhs = apply_operator(op, x_true) + shift * x_true
-        x = solve_shifted(op, shift, rhs)
+    for shift in (1.7, 0.3):
+        rhs = apply_operator(g, x_true) + shift * x_true
+        x = solve_shifted(g, shift, rhs)
         assert np.max(np.abs(x - x_true)) < 1e-12 * np.max(np.abs(x_true))
 
 

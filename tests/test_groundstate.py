@@ -8,7 +8,7 @@ import pytest
 
 from inls_lab import groundstate
 from inls_lab.functionals import evaluate_all
-from inls_lab.grid import GridError, RadialField, gradient_norm_sq, weighted_norm
+from inls_lab.grid import GridError, RadialField, gradient_norm_sq
 from inls_lab.groundstate import (
     BracketNotFound,
     GroundStateError,
@@ -58,9 +58,9 @@ def test_mass_critical_thresholds_structure(gs_mc):
     th = gs_mc.thresholds
     assert th["em_sigma"] is None
     assert th["grad_mass"] is None
-    assert th["mass_threshold"] == pytest.approx(
-        weighted_norm(gs_mc.profile, 0.0, 2.0), rel=1e-14
-    )
+    q = gs_mc.profile
+    mass = np.sum(q.grid.measure_weights * abs(q.values) ** 2)
+    assert th["mass_threshold"] == pytest.approx(mass**0.5, rel=1e-14)
 
 
 def test_pohozaev_defect_refines_at_second_order(gs_f1):
@@ -171,7 +171,7 @@ def test_pohozaev_gate_reports_python_floats(gs_f1):
 
 
 def test_petviashvili_stops_on_a_non_finite_iterate(monkeypatch):
-    def poisoned(op, shift, rhs):
+    def poisoned(grid, shift, rhs):
         return np.full(rhs.shape, np.nan)
 
     monkeypatch.setattr(groundstate, "solve_shifted", poisoned)

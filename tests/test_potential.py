@@ -1,5 +1,7 @@
 """Potential families: closed forms and the standing-assumption checker."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,7 @@ def test_zero_potential_satisfies_everything():
     rep = check_assumptions(PotentialSpec.zero(), F2)
     assert all(v.holds for v in rep.verdicts().values())
     assert rep.omega1 == 0.0
+    assert math.copysign(1.0, rep.omega1) == 1.0  # +0.0, not -0.0
 
 
 def test_slow_bump_holds_pointwise_assumptions():
