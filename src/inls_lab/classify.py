@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from .functionals import FunctionalReport, at_frequency, evaluate_all, k_from_report
+from .functionals import FunctionalReport, evaluate_all
 from .grid import RadialField
 from .groundstate import GroundState, is_frequency_one
 from .params import CriticalExponents, Criticality, ProblemParams, derive_exponents
@@ -178,7 +178,6 @@ def _require_frequency_one(gs1: GroundState, keys: tuple[str, ...]) -> None:
 
 
 def _mass_critical(
-    params: ProblemParams,
     exps: CriticalExponents,
     report: AssumptionReport,
     rep: FunctionalReport,
@@ -191,6 +190,7 @@ def _mass_critical(
     (evaluate_all raises on a non-finite weighted variance, so the
     finite-variance branch hypothesis always holds here).
     """
+    params = rep.params
     assumptions = {
         "criticality_mass_critical": _status(
             exps.criticality is Criticality.MASS_CRITICAL
@@ -204,7 +204,7 @@ def _mass_critical(
     mass_norm = math.sqrt(rep.mass)
     # The energy is a difference of same-order terms; its sign test is
     # banded against the magnitude of the cancelling parts.
-    e_scale = 0.5 * rep.grad_norm_V**2 + rep.nonlinear_term / (params.p + 2)
+    e_scale = 0.5 * (rep.grad_sq + rep.potential_energy) + rep.nonlinear_term / (params.p + 2)
 
     evidence = [Evidence("energy_vs_zero", rep.energy, 0.0)]
     mass_th = gs1.thresholds.get("mass_threshold")
@@ -241,7 +241,6 @@ def _mass_critical(
 
 
 def _intercritical(
-    params: ProblemParams,
     exps: CriticalExponents,
     report: AssumptionReport,
     rep: FunctionalReport,
@@ -256,6 +255,7 @@ def _intercritical(
     data through the finite-variance hypothesis; the radial branch
     additionally needs p < 4 and is recorded alongside.
     """
+    params = rep.params
     assumptions = {
         "criticality_intercritical": _status(
             exps.criticality is Criticality.INTERCRITICAL
@@ -317,7 +317,6 @@ def _intercritical(
 
 
 def _sets(
-    params: ProblemParams,
     exps: CriticalExponents,
     report: AssumptionReport,
     rep: FunctionalReport,
@@ -335,6 +334,7 @@ def _sets(
     K^{n,2} <= -2(2-b)(m_omega - S) is reported as a consistency
     check.  The action, L and K^{n,2} at omega are closed forms of rep.
     """
+    params = rep.params
     n, b, c = params.n, params.b, params.c
     assumptions = {
         "criticality_intercritical": _status(
@@ -348,10 +348,9 @@ def _sets(
         "radial": HOLDS,
     }
 
-    pw = params.with_omega(omega)
-    rep_w = at_frequency(rep, pw)
+    rep_w = rep.at(omega)
     action = rep_w.action
-    k_n2 = k_from_report(rep_w, float(n), 2.0, pw)
+    k_n2 = rep_w.k(n, 2)
     m_omega = gs.m_omega * (omega / gs.omega) ** _kappa(params)
 
     evidence = [
@@ -421,11 +420,12 @@ def _sets(
 
 
 def _optimal_frequency(
-    rep: FunctionalReport, params: ProblemParams, exps: CriticalExponents, gs1: GroundState
+    rep: FunctionalReport, exps: CriticalExponents, gs1: GroundState
 ) -> FrequencyReport:
     """The optimized frequency from the report of the datum (intercritical exponents)."""
     _require_frequency_one(gs1, ("em_sigma",))
 
+    params = rep.params
     b, p = params.b, params.p
     pc = params.p_c
     m1 = gs1.m_omega
@@ -482,7 +482,7 @@ def optimal_frequency(
     exps = derive_exponents(params)
     if exps.criticality is not Criticality.INTERCRITICAL:
         raise ClassifyError("frequency optimization needs intercritical exponents")
-    return _optimal_frequency(evaluate_all(u0, params, spec), params, exps, gs1)
+    return _optimal_frequency(evaluate_all(u0, params, spec), exps, gs1)
 
 
 def classify_all(
@@ -507,7 +507,7 @@ def classify_all(
     rep = evaluate_all(u0, params, spec)
     frequency = None
     if exps.criticality is Criticality.INTERCRITICAL:
-        frequency = _optimal_frequency(rep, params, exps, gs1)
+        frequency = _optimal_frequency(rep, exps, gs1)
     if omega is None:
         omega = gs1.omega if frequency is None else frequency.omega0
     omega = float(omega)
@@ -515,9 +515,9 @@ def classify_all(
         raise ClassifyError(f"frequency must be positive, got {omega}")
     return Classification(
         (
-            _mass_critical(params, exps, report, rep, gs1),
-            _intercritical(params, exps, report, rep, gs1),
-            _sets(params, exps, report, rep, gs1, omega),
+            _mass_critical(exps, report, rep, gs1),
+            _intercritical(exps, report, rep, gs1),
+            _sets(exps, report, rep, gs1, omega),
         ),
         frequency,
     )

@@ -16,6 +16,7 @@ import argparse
 import concurrent.futures
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -79,6 +80,12 @@ class _ConfigView:
             return float(v)
         except ValueError:
             raise self.error(f"key {key!r} expects a number, got {v!r}", key) from None
+
+    def get_finite(self, key: str, default=_REQUIRED) -> float:
+        v = self.get_float(key, default)
+        if not math.isfinite(v):
+            raise self.error(f"{key} must be finite, got {v}", key)
+        return v
 
     def get_int(self, key: str, default=_REQUIRED) -> int:
         v = self._raw(key, default)
@@ -155,7 +162,7 @@ class RunConfig:
     sha: str
 
 
-def build_run_config(pairs: dict[str, tuple[str, int]], out_override: str | None = None) -> RunConfig:
+def build_run_config(pairs: dict[str, tuple[str, int]]) -> RunConfig:
     view = _ConfigView(pairs)
     try:
         params = ProblemParams(
@@ -183,10 +190,11 @@ def build_run_config(pairs: dict[str, tuple[str, int]], out_override: str | None
         raise view.error(
             f"initial.kind must be one of {_INITIAL_KINDS}, got {kind!r}", "initial.kind"
         )
-    alpha = view.get_float("initial.alpha", 1.0)
+    alpha = view.get_finite("initial.alpha", 1.0)
     if not alpha > 0:
         raise view.error(f"initial.alpha must be positive, got {alpha}", "initial.alpha")
-    width = view.get_float("initial.width", 1.0)
+    amplitude = view.get_finite("initial.amplitude", 1.0)
+    width = view.get_finite("initial.width", 1.0)
     if not width > 0:
         raise view.error(f"initial.width must be positive, got {width}", "initial.width")
     path = view.get_str("initial.path", None)
@@ -233,10 +241,6 @@ def build_run_config(pairs: dict[str, tuple[str, int]], out_override: str | None
         if not sweep_values:
             raise view.error("sweep.values is empty", "sweep.values")
 
-    out_dir = view.get_str("output.dir", "out")
-    if out_override is not None:
-        out_dir = out_override
-
     cfg = RunConfig(
         params=params,
         potential=potential,
@@ -245,14 +249,14 @@ def build_run_config(pairs: dict[str, tuple[str, int]], out_override: str | None
         grading=view.get_float("grid.gamma", 2.0),
         initial_kind=kind,
         initial_alpha=alpha,
-        initial_amplitude=view.get_float("initial.amplitude", 1.0),
+        initial_amplitude=amplitude,
         initial_width=width,
         initial_path=path,
         evolution=evolution,
         classify_omega=classify_omega,
         sweep_key=sweep_key,
         sweep_values=sweep_values,
-        out_dir=out_dir,
+        out_dir=view.get_str("output.dir", "out"),
         sha=config_hash(pairs),
     )
     view.reject_unknown()
@@ -400,9 +404,8 @@ def cmd_evolve(cfg: RunConfig) -> int:
 
 
 def _run_sweep_point(args: tuple) -> tuple[int, str, str, str, float, float]:
-    """One sweep point, from its parsed config: classify and evolve in its own directory."""
-    idx, pairs, value, point_dir = args
-    cfg = build_run_config(pairs, out_override=point_dir)
+    """One sweep point, from its built config: classify and evolve in its own directory."""
+    idx, cfg, value = args
     grid = _make_grid(cfg)
     gs1, u0 = _reference_and_initial(cfg, grid)
     entries, outputs = _classify_and_write(cfg, u0, gs1)
@@ -423,13 +426,11 @@ def cmd_sweep(cfg: RunConfig, pairs: dict[str, tuple[str, int]], jobs: int) -> i
     # The axis may introduce a key the base config leaves at default, so
     # every point's config, its axis entry on the line of sweep.key, is
     # built before any directory exists.
-    points = [{**pairs, cfg.sweep_key: (v, line)} for v in cfg.sweep_values]
-    for point in points:
-        build_run_config(point)
+    points = [build_run_config({**pairs, cfg.sweep_key: (v, line)}) for v in cfg.sweep_values]
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     tasks = [
-        (i, point, v, os.path.join(cfg.out_dir, f"point_{i:03d}"))
+        (i, replace(point, out_dir=os.path.join(cfg.out_dir, f"point_{i:03d}")), v)
         for i, (point, v) in enumerate(zip(points, cfg.sweep_values))
     ]
     workers = min(jobs, len(tasks))
@@ -485,8 +486,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "verify":
         return cmd_verify()
-    pairs = _read_config(args.config)  # the one parse; sweep points rebuild from it
-    cfg = build_run_config(pairs, args.out)
+    pairs = _read_config(args.config)  # the one parse; sweep points build from it
+    cfg = build_run_config(pairs)
+    if args.out is not None:
+        cfg = replace(cfg, out_dir=args.out)
     if args.command == "groundstate":
         return cmd_groundstate(cfg)
     if args.command == "check-potential":

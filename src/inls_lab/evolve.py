@@ -310,7 +310,7 @@ def evolve(
         trace.energy.append(rep.energy)
         trace.grad_norm.append(float(np.sqrt(rep.grad_sq)))
         trace.virial.append(rep.virial)
-        trace.k_n2.append((2 - params.b) * rep.virial)  # K^{n,2} = (2-b) P
+        trace.k_n2.append(rep.k(params.n, 2))
         trace.variance.append(rep.variance)
         trace.nehari.append(rep.nehari)
         trace.outer_amp.append(float(np.abs(vals[-1])))

@@ -25,12 +25,14 @@ whose closed form is
     - [(a(p+2)-(n+c)B)/(p+2)] ||u||^{p+2}_{c,p+2}.
 
 Special slots: K^{1,0} is the Nehari functional and K^{n,2} = (2-b) P.
-L is stored with the first term squared; only that reading makes the
+L is formed with the first term squared; only that reading makes the
 two-sided bound 2S <= L (valid on K >= 0) an identity-tight estimate.
 
-evaluate_all is the one pass of quadratures over a field; every other
-scalar is a closed form of its report (at_frequency: the report at
-another omega; k_from_report: any K^{a,B}), bit-identical to a new pass.
+evaluate_all is the one pass of quadratures over a field.  Its
+FunctionalReport holds the six quadratures and the parameters they were
+evaluated at; every other scalar is a property of the report, K^{a,B}
+is its one method k (nehari and virial read it), and rep.at(w) is the
+report at another omega, equal to a new pass at that omega.
 
 Scalings are realized on the fixed mesh by grid.resample, the cubic
 spline transfer (zero beyond r_max), rather than by rebuilding the
@@ -40,8 +42,9 @@ same quadrature as the original.
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -53,9 +56,7 @@ __all__ = [
     "FunctionalError",
     "FunctionalReport",
     "TruncationWarning",
-    "at_frequency",
     "evaluate_all",
-    "k_from_report",
     "scale_alpha_beta",
     "scale_soliton",
     "threshold_function",
@@ -73,57 +74,57 @@ class TruncationWarning(UserWarning):
 
 @dataclass(frozen=True)
 class FunctionalReport:
-    """All scalar diagnostics of one field at one parameter set: the
-    quadratures (mass, variance, grad_sq, potential_energy, xgradV_term,
-    nonlinear_term) and their closed forms."""
+    """The six quadratures of one field and the parameters they were
+    evaluated at; every other scalar diagnostic is a closed form of them."""
 
     mass: float
-    energy: float
-    virial: float
-    action: float
-    nehari: float
-    L: float
-    grad_norm_V: float
-    potential_energy: float
-    nonlinear_term: float
-    xgradV_term: float
-    grad_sq: float
     variance: float
+    grad_sq: float
+    potential_energy: float
+    xgradV_term: float
+    nonlinear_term: float
+    params: ProblemParams
 
+    @property
+    def energy(self) -> float:
+        grad_V_sq = self.grad_sq + self.potential_energy
+        return 0.5 * grad_V_sq - self.nonlinear_term / (self.params.p + 2)
 
-def _closed_forms(
-    mass: float,
-    variance: float,
-    grad_sq: float,
-    pot: float,
-    xgv: float,
-    nl: float,
-    params: ProblemParams,
-) -> FunctionalReport:
-    b, p, w = params.b, params.p, params.omega
-    pc = params.p_c
+    @property
+    def action(self) -> float:
+        return self.energy + 0.5 * self.params.omega * self.mass
 
-    grad_V_sq = grad_sq + pot
-    energy = 0.5 * grad_V_sq - nl / (p + 2)
-    action = energy + 0.5 * w * mass
-    nehari = grad_V_sq + w * mass - nl
-    virial = grad_sq - xgv / (2 - b) - pc * nl / ((2 - b) * (p + 2))
-    L = grad_V_sq + w * mass
+    @property
+    def L(self) -> float:
+        return self.grad_sq + self.potential_energy + self.params.omega * self.mass
 
-    return FunctionalReport(
-        mass=mass,
-        energy=energy,
-        virial=virial,
-        action=action,
-        nehari=nehari,
-        L=L,
-        grad_norm_V=float(np.sqrt(grad_V_sq)),
-        potential_energy=pot,
-        nonlinear_term=nl,
-        xgradV_term=xgv,
-        grad_sq=grad_sq,
-        variance=variance,
-    )
+    @property
+    def grad_norm_V(self) -> float:
+        return math.sqrt(self.grad_sq + self.potential_energy)
+
+    @property
+    def nehari(self) -> float:
+        return self.k(1, 0)
+
+    @property
+    def virial(self) -> float:
+        return self.k(self.params.n, 2) / (2 - self.params.b)
+
+    def k(self, alpha: float, beta: float) -> float:
+        """Closed form of the scaling derivative K^{alpha,beta}_{omega,V}."""
+        n, b, c, p, w = (
+            self.params.n, self.params.b, self.params.c, self.params.p, self.params.omega
+        )
+        return (
+            0.5 * (2 * alpha + (2 - b - n) * beta) * self.grad_sq
+            + 0.5 * (2 * alpha - n * beta) * (self.potential_energy + w * self.mass)
+            - 0.5 * beta * self.xgradV_term
+            - (alpha * (p + 2) - (n + c) * beta) / (p + 2) * self.nonlinear_term
+        )
+
+    def at(self, omega: float) -> FunctionalReport:
+        """The report of the same field at frequency omega."""
+        return replace(self, params=self.params.with_omega(omega))
 
 
 def evaluate_all(
@@ -154,32 +155,7 @@ def evaluate_all(
     ):
         if not np.isfinite(val):
             raise FunctionalError(f"{name} evaluated to a non-finite value")
-    return _closed_forms(mass, variance, grad_sq, pot, xgv, nl, params)
-
-
-def at_frequency(rep: FunctionalReport, params: ProblemParams) -> FunctionalReport:
-    """The report of the same field at params, which may differ from the
-    evaluated parameters only in omega (action, nehari and L move)."""
-    return _closed_forms(
-        rep.mass,
-        rep.variance,
-        rep.grad_sq,
-        rep.potential_energy,
-        rep.xgradV_term,
-        rep.nonlinear_term,
-        params,
-    )
-
-
-def k_from_report(rep: FunctionalReport, alpha: float, beta: float, params: ProblemParams) -> float:
-    """Closed form of the scaling derivative K^{alpha,beta}_{omega,V} at params.omega."""
-    n, b, c, p, w = params.n, params.b, params.c, params.p, params.omega
-    return (
-        0.5 * (2 * alpha + (2 - b - n) * beta) * rep.grad_sq
-        + 0.5 * (2 * alpha - n * beta) * (rep.potential_energy + w * rep.mass)
-        - 0.5 * beta * rep.xgradV_term
-        - (alpha * (p + 2) - (n + c) * beta) / (p + 2) * rep.nonlinear_term
-    )
+    return FunctionalReport(mass, variance, grad_sq, pot, xgv, nl, params)
 
 
 def scale_alpha_beta(
@@ -221,8 +197,6 @@ def scale_soliton(u: RadialField, lam: float, params: ProblemParams) -> RadialFi
     """The scaling-symmetry slice lam^{(2-b+c)/p} u(lam r)."""
     if lam <= 0:
         raise ValueError(f"soliton scaling requires lam > 0, got {lam}")
-    if lam == 1.0:
-        return u.copy()
     alpha = (2 - params.b + params.c) / params.p
     return scale_alpha_beta(u, alpha, 1.0, np.log(lam))
 

@@ -24,9 +24,10 @@ that either one found the ground state rather than a solver artifact.
 Threshold constants (sharp interpolation-inequality constant, the
 energy-mass product at the ground state, the ground-state action) and
 the Pohozaev defects are closed forms of the one
-functionals.evaluate_all report of the converged profile;
-derive_thresholds cross-checks each stored constant that admits a
-second, independent expression.
+functionals.evaluate_all report of the converged profile, which
+carries the parameters it was evaluated at; derive_thresholds
+cross-checks each stored constant that admits a second, independent
+expression.
 """
 
 from __future__ import annotations
@@ -144,7 +145,7 @@ def is_frequency_one(omega: float) -> bool:
     return abs(omega - 1.0) < 1e-14
 
 
-def pohozaev_residuals(rep: FunctionalReport, params: ProblemParams) -> tuple[float, float]:
+def pohozaev_residuals(rep: FunctionalReport) -> tuple[float, float]:
     """Relative defects of the two Pohozaev identities at a profile.
 
     rep is the evaluate_all report of the profile (only its
@@ -157,8 +158,8 @@ def pohozaev_residuals(rep: FunctionalReport, params: ProblemParams) -> tuple[fl
     Exact solutions satisfy both exactly; the discrete profile carries
     the quadrature error, which decays at second order in the mesh.
     """
-    b, p, w = params.b, params.p, params.omega
-    pc = params.p_c
+    b, p, w = rep.params.b, rep.params.p, rep.params.omega
+    pc = rep.params.p_c
     A = (2 - b) * (p + 2)
     m = rep.mass
     res1 = abs(m - (A - pc) / (A * w) * rep.nonlinear_term) / m
@@ -166,7 +167,7 @@ def pohozaev_residuals(rep: FunctionalReport, params: ProblemParams) -> tuple[fl
     return res1, res2
 
 
-def gn_ratio(rep: FunctionalReport, params: ProblemParams) -> float:
+def gn_ratio(rep: FunctionalReport) -> float:
     """Weighted interpolation ratio whose supremum is the sharp constant.
 
         R(u) = ||u||^{p+2}_{c,p+2} / (||grad u||^{p_c/(2-b)}_{b,2} ||u||_2^{p+2-p_c/(2-b)})
@@ -175,10 +176,10 @@ def gn_ratio(rep: FunctionalReport, params: ProblemParams) -> float:
     amplitude and the soliton scalings, and is maximized exactly at the
     ground state.
     """
-    s = params.p_c / (2 - params.b)
+    s = rep.params.p_c / (2 - rep.params.b)
     gr = np.sqrt(rep.grad_sq)
     m = rep.mass**0.5
-    return float(rep.nonlinear_term / (gr**s * m ** (params.p + 2 - s)))
+    return float(rep.nonlinear_term / (gr**s * m ** (rep.params.p + 2 - s)))
 
 
 def petviashvili_solve(params: ProblemParams, grid: RadialGrid | None = None) -> GroundState:
@@ -245,7 +246,7 @@ def petviashvili_solve(params: ProblemParams, grid: RadialGrid | None = None) ->
 
     profile = RadialField(grid, Q)
     rep = evaluate_all(profile, params, PotentialSpec.zero())
-    poh = pohozaev_residuals(rep, params)
+    poh = pohozaev_residuals(rep)
     if max(poh) >= 1e-4:
         raise NonConvergence(f"Pohozaev defects ({poh[0]:.3e}, {poh[1]:.3e}) exceed 1e-4")
     if not rep.action > 0:
@@ -256,20 +257,20 @@ def petviashvili_solve(params: ProblemParams, grid: RadialGrid | None = None) ->
         omega=w,
         residual=residual,
         pohozaev_res=poh,
-        c_gn=gn_ratio(rep, params),
+        c_gn=gn_ratio(rep),
         m_omega=rep.action,
-        thresholds=_thresholds(rep, params),
+        thresholds=_thresholds(rep),
     )
 
 
-def _thresholds(rep: FunctionalReport, params: ProblemParams) -> dict[str, float | None]:
+def _thresholds(rep: FunctionalReport) -> dict[str, float | None]:
     """Dichotomy constants from the report of the profile, direct routes only;
     None where the frequency or the criticality class leaves them undefined."""
     out: dict[str, float | None] = dict.fromkeys(("mass_threshold", "em_sigma", "grad_mass"))
-    exps = derive_exponents(params)
+    exps = derive_exponents(rep.params)
     crit, sigma = exps.criticality, exps.sigma
     defined = crit in (Criticality.MASS_CRITICAL, Criticality.INTERCRITICAL)
-    if defined and is_frequency_one(params.omega):
+    if defined and is_frequency_one(rep.params.omega):
         out["mass_threshold"] = mass_norm = rep.mass**0.5
         if crit is Criticality.INTERCRITICAL:
             out["grad_mass"] = float(np.sqrt(rep.grad_sq) * mass_norm**sigma)

@@ -33,7 +33,7 @@ from .evolve import (
     variance_concavity,
     virial_check,
 )
-from .functionals import evaluate_all, k_from_report, scale_alpha_beta
+from .functionals import evaluate_all, scale_alpha_beta
 from .grid import RadialField, RadialGrid, build_grid, resample
 from .groundstate import gn_ratio, petviashvili_solve, shooting_solve
 from .params import ProblemParams
@@ -164,8 +164,7 @@ def check_k_annihilation() -> list[CheckResult]:
         rep = evaluate_all(gs.profile, params, _ZERO)
         worst = 0.0
         for alpha, beta in ((1.0, 0.0), (float(params.n), 2.0), (2.0, 1.0), (3.0, 1.0)):
-            k = k_from_report(rep, alpha, beta, params)
-            worst = max(worst, abs(k) / rep.L)
+            worst = max(worst, abs(rep.k(alpha, beta)) / rep.L)
         rows.append(
             CheckResult(f"k_annihilation_{tag}", worst < 1e-4, worst, 1e-4,
                         "max |K|/L over the four index pairs")
@@ -202,7 +201,7 @@ def check_k_derivative() -> list[CheckResult]:
             # random data, so the plain second-order stencil stalls near
             # 1e-4 relative.
             fd = (8 * (s_at(h) - s_at(-h)) - (s_at(2 * h) - s_at(-2 * h))) / (12 * h)
-            k = k_from_report(rep, alpha, beta, params)
+            k = rep.k(alpha, beta)
             worst = max(worst, abs(fd - k) / abs(k))
     return [
         CheckResult(
@@ -255,7 +254,7 @@ def check_gn_sharpness() -> list[CheckResult]:
             g = _bump_sum(rng, q.grid, complex_phase=False).real
             eps = 0.01 * peak / np.max(np.abs(g))
             u = RadialField(q.grid, q.values.real + eps * g)
-            worst = max(worst, gn_ratio(evaluate_all(u, params, _ZERO), params) / r_q)
+            worst = max(worst, gn_ratio(evaluate_all(u, params, _ZERO)) / r_q)
         rows.append(
             CheckResult(
                 f"gn_maximality_{tag}",

@@ -154,10 +154,16 @@ def test_build_run_config_rejects(extra, fragment):
         ("evolve.t_end = 0.5\nevolve.dt0 = -1\n", "lines 5, 6: evolve: need dt0 > dt_min > 0"),
         ("evolve.t_end = inf\n", "line 5: evolve: t_end must be finite, got inf"),
         ("evolve.dt0 = inf\n", "line 5: evolve: dt0 must be finite, got inf"),
+        ("initial.alpha = inf\n", "line 5: initial.alpha must be finite, got inf"),
+        ("initial.amplitude = inf\n", "line 5: initial.amplitude must be finite, got inf"),
+        ("initial.amplitude = nan\n", "line 5: initial.amplitude must be finite, got nan"),
+        ("initial.kind = gaussian\ninitial.width = inf\n",
+         "line 6: initial.width must be finite, got inf"),
     ],
     ids=[
         "alpha", "width", "kind", "from_file", "path", "classify_omega", "classify_omega_text",
         "sweep_values", "params", "potential", "evolve", "t_end_inf", "dt0_inf",
+        "alpha_inf", "amplitude_inf", "amplitude_nan", "width_inf",
     ],
 )
 def test_config_errors_name_their_lines(tmp_path, capsys, extra, message):
@@ -180,13 +186,15 @@ def test_classify_omega_forms():
     assert build_run_config(pairs_of(BASE + "classify.omega = 2.5\n")).classify_omega == 2.5
 
 
-def test_out_override_keeps_output_dir_consumed():
+def test_out_override_keeps_output_dir_consumed(tmp_path, monkeypatch):
     # output.dir must count as used even when --out replaces it, or the
     # unknown-key sieve rejects valid configs.
-    cfg = build_run_config(pairs_of(BASE + "output.dir = from_config\n"), out_override="cli_dir")
-    assert cfg.out_dir == "cli_dir"
-    cfg = build_run_config(pairs_of(BASE + "output.dir = from_config\n"))
-    assert cfg.out_dir == "from_config"
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, BASE + "output.dir = from_config\n")
+    assert main(["check-potential", "--config", cfg, "--out", "cli_dir"]) == 0
+    assert (tmp_path / "cli_dir" / "assumptions.json").exists()
+    assert not (tmp_path / "from_config").exists()
+    assert build_run_config(pairs_of(BASE + "output.dir = from_config\n")).out_dir == "from_config"
 
 
 def test_main_exit_codes(tmp_path, capsys):
@@ -345,7 +353,7 @@ def test_sweep_pool_never_outnumbers_its_points(tmp_path, monkeypatch):
             return [fn(t) for t in tasks]
 
     def fake_point(task):
-        idx, _, value, _ = task
+        idx, _, value = task
         return idx, value, "GlobalCandidate", "Completed", 0.3, 1.0
 
     monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", FakePool)

@@ -1,14 +1,14 @@
 """Scalar functionals: internal identities, scalings, threshold algebra."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from inls_lab.functionals import (
     FunctionalError,
     TruncationWarning,
-    at_frequency,
     evaluate_all,
-    k_from_report,
     scale_alpha_beta,
     scale_soliton,
     threshold_function,
@@ -81,23 +81,35 @@ def test_overflowing_nonlinear_term_is_refused():
 def test_k_special_cases_collapse_to_named_functionals():
     u = sample_field(F2, seed=9)
     rep = evaluate_all(u, F2, BUMP)
-    # (1,0) is the Nehari derivative, (n,2) is 2-b times the virial form.
-    assert k_from_report(rep, 1.0, 0.0, F2) == pytest.approx(rep.nehari, rel=1e-12)
-    assert k_from_report(rep, F2.n, 2.0, F2) == pytest.approx(
-        (2 - F2.b) * rep.virial, rel=1e-12
-    )
+    # (1,0) is the Nehari derivative, (n,2) is 2-b times the virial form;
+    # each pair shares one closed form, so they agree to the last bit.
+    assert rep.nehari == rep.k(1, 0)
+    assert rep.virial == rep.k(F2.n, 2) / (2 - F2.b)
+    assert rep.k(F2.n, 2) == rep.k(float(F2.n), 2.0)
 
 
 @pytest.mark.parametrize("omega", [0.3, 1.0, 2.0, 16.0001251935])
 def test_closed_forms_equal_a_second_pass_at_another_frequency(omega):
     u = sample_field(F2, seed=11)
-    pw = F2.with_omega(omega)
-    moved = at_frequency(evaluate_all(u, F2, BUMP), pw)
-    assert moved == evaluate_all(u, pw, BUMP)
+    moved = evaluate_all(u, F2, BUMP).at(omega)
+    again = evaluate_all(u, F2.with_omega(omega), BUMP)
+    assert moved == again
     for alpha, beta in ((1.0, 0.0), (float(F2.n), 2.0), (2.0, 1.0)):
-        assert k_from_report(moved, alpha, beta, pw) == k_from_report(
-            evaluate_all(u, pw, BUMP), alpha, beta, pw
-        )
+        assert moved.k(alpha, beta) == again.k(alpha, beta)
+    for name in ("energy", "action", "L", "nehari", "virial"):
+        assert getattr(moved, name) == getattr(again, name)
+
+
+def test_report_at_another_frequency_keeps_all_but_omega():
+    rep = evaluate_all(sample_field(F2, seed=11), F2, BUMP)
+    moved = rep.at(2.5)
+    for f in dataclasses.fields(rep):
+        if f.name != "params":
+            assert getattr(moved, f.name) == getattr(rep, f.name)
+    assert moved.params == dataclasses.replace(F2, omega=2.5)
+    # Only omega enters the frequency-dependent forms.
+    assert moved.energy == rep.energy
+    assert moved.action == pytest.approx(rep.action + 0.5 * (2.5 - F2.omega) * rep.mass, rel=1e-14)
 
 
 def test_k_matches_scaling_derivative_of_action():
@@ -110,7 +122,7 @@ def test_k_matches_scaling_derivative_of_action():
 
     h = 1e-3
     fd = (8 * (s_at(h) - s_at(-h)) - (s_at(2 * h) - s_at(-2 * h))) / (12 * h)
-    k = k_from_report(evaluate_all(u, F1, ZERO), alpha, beta, F1)
+    k = evaluate_all(u, F1, ZERO).k(alpha, beta)
     assert fd == pytest.approx(k, rel=1e-4, abs=1e-6 * (1 + abs(s_at(0.0))))
 
 

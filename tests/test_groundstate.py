@@ -80,22 +80,22 @@ def test_shooting_agrees_with_fixed_point():
 def test_perturbed_profile_fails_identities(gs_f1):
     g = gs_f1.profile.grid
     bad = RadialField(g, gs_f1.profile.values.real + 0.1 * np.exp(-g.nodes**2 / 2))
-    res = pohozaev_residuals(report(bad), F1)
+    res = pohozaev_residuals(report(bad))
     assert min(res) > 1e-2
-    assert gn_ratio(report(bad), F1) < gs_f1.c_gn
+    assert gn_ratio(report(bad)) < gs_f1.c_gn
 
 
 def test_gn_ratio_scaling_invariances(gs_f1):
     from inls_lab.functionals import scale_soliton
 
     q = gs_f1.profile
-    base = gn_ratio(report(q), F1)
+    base = gn_ratio(report(q))
     assert base == gs_f1.c_gn
-    assert gn_ratio(report(RadialField(q.grid, 2.7 * q.values)), F1) == pytest.approx(
+    assert gn_ratio(report(RadialField(q.grid, 2.7 * q.values))) == pytest.approx(
         base, rel=1e-12
     )
     for lam in (0.5, 2.0):
-        assert gn_ratio(report(scale_soliton(q, lam, F1)), F1) == pytest.approx(base, rel=1e-5)
+        assert gn_ratio(report(scale_soliton(q, lam, F1))) == pytest.approx(base, rel=1e-5)
 
 
 def test_derive_thresholds_certified_grid():

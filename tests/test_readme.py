@@ -1,0 +1,18 @@
+"""The README's Python examples run as written against the package."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_python_blocks_run_in_order(capsys):
+    # One namespace: the resample snippet reuses gs and params from the
+    # library example, as a reader following the README would.
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.DOTALL)
+    assert len(blocks) >= 2
+    namespace: dict = {}
+    for i, block in enumerate(blocks):
+        exec(compile(block, f"README.md python block {i}", "exec"), namespace)
+    assert "action_set_membership" in capsys.readouterr().out
+    assert namespace["u0"].grid is namespace["uni"]
