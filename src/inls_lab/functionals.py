@@ -143,7 +143,7 @@ def evaluate_all(
         pot = float(np.sum(dens * V))
         xgv = float(np.sum(dens * rVp))
     mass = float(np.sum(dens))
-    variance = float(np.sum(dens * g.nodes ** (2 - params.b)))
+    variance = float(np.sum(dens * g.variance_weight))
     nl = float(np.sum(g.measure_weights * g.nodes**params.c * np.abs(u.values) ** (params.p + 2)))
     for name, val in (
         ("gradient", grad_sq),

@@ -47,7 +47,9 @@ step unitary and mass conservation exact in the evolution module.
 The grid stores M_{b,0}, the form at V = 0: its diagonal as
 stiffness_diag and its off-diagonal as -face_weights.  apply_operator
 and solve_shifted work with it directly; the time stepper adds
-diag(mu V) to the diagonal for its own potential.
+diag(mu V) to the diagonal for its own potential.  It also stores
+r^(2-b) at the nodes, the weight of the variance, a grid constant
+because check_grid ties the parameters' b to the grid's.
 """
 
 from __future__ import annotations
@@ -100,6 +102,7 @@ class RadialGrid:
     face_weights: np.ndarray  # nu_{i+1/2} interior, shape (N-1,)
     outer_face_weight: float  # nu_{N+1/2} with ghost spacing r_max - r_N
     stiffness_diag: np.ndarray  # diagonal of M_{b,0} = diag(mu) A_{b,0}, shape (N,)
+    variance_weight: np.ndarray  # r_i^(2-b), the weight of the variance, shape (N,)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RadialGrid):
@@ -167,6 +170,7 @@ def build_grid(
         face_weights=nu,
         outer_face_weight=float(nu_out),
         stiffness_diag=diag,
+        variance_weight=nodes ** (2 - b),
     )
 
 

@@ -145,13 +145,17 @@ def check_oracle_equivalence() -> list[CheckResult]:
     rows = []
     for tag, params in STATIONARY_FIXTURES:
         gs = _solve(params, 4096)
+        t0 = time.perf_counter()
         shot = shooting_solve(params, grid=gs.profile.grid)
+        elapsed = time.perf_counter() - t0
         rel = float(
             np.max(np.abs(gs.profile.values.real - shot.values.real))
             / np.max(gs.profile.values.real)
         )
         rows.append(
-            CheckResult(f"oracle_agreement_{tag}", rel < 1e-3, rel, 1e-3)
+            CheckResult(
+                f"oracle_agreement_{tag}", rel < 1e-3, rel, 1e-3, f"oracle {elapsed:.2f}s"
+            )
         )
     return rows
 

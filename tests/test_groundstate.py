@@ -179,14 +179,18 @@ def test_petviashvili_stops_on_a_non_finite_iterate(monkeypatch):
         petviashvili_solve(F1, grid=grid_for(3, 0.0, 256))
 
 
-def record_shots(monkeypatch):
-    """Wrap _shoot_once and return the (center value, dense) pair of every shot."""
+def record_shots(monkeypatch, classes=None):
+    """Wrap _shoot_once and return the (center value, dense) pair of every
+    shot; each shot's class is appended to classes, when given."""
     shots = []
     shoot = groundstate._shoot_once
 
     def recording(params, q0, r_end, *, dense=False):
         shots.append((q0, dense))
-        return shoot(params, q0, r_end, dense=dense)
+        kind, sol = shoot(params, q0, r_end, dense=dense)
+        if classes is not None:
+            classes.append(kind)
+        return kind, sol
 
     monkeypatch.setattr(groundstate, "_shoot_once", recording)
     return shots
@@ -230,9 +234,67 @@ def test_shooting_bracket_is_first_scan_transition(monkeypatch):
     i = first_transition(groundstate._shoot_once(F2, float(q), g.r_max)[0] for q in scan)
     shots = record_shots(monkeypatch)
     shooting_solve(F2, grid=g)
-    assert len(shots) <= 52
+    assert len(shots) <= 30
     assert [dense for _, dense in shots].count(True) == 1 and shots[-1][1]
     assert scan[i] <= shots[-1][0] <= scan[i + 1]
+
+
+def assert_tightest_bracket(shots, classes):
+    """The final, dense shot sits at the geometric midpoint of the closest
+    regrow/cross pair of all the shots before it, and that pair meets the
+    stop rule."""
+    searched = list(zip((q for q, _ in shots[:-1]), classes[:-1]))
+    lo = max(q for q, kind in searched if kind != "cross")
+    hi = min(q for q, kind in searched if kind == "cross")
+    assert lo < hi
+    assert hi - lo < groundstate.BISECT_TOL * np.sqrt(lo * hi)
+    assert shots[-1] == (np.sqrt(lo * hi), True)
+
+
+def test_shooting_returns_the_tightest_bracket(monkeypatch):
+    classes = []
+    shots = record_shots(monkeypatch, classes)
+    shooting_solve(F2, grid=grid_for(3, -0.5, 2048))
+    assert_tightest_bracket(shots, classes)
+
+
+def test_shooting_bisects_what_brentq_leaves_open(monkeypatch):
+    import scipy.optimize
+
+    brentq = scipy.optimize.brentq
+    s_lo, s_hi = np.log(groundstate.SCAN_LO), np.log(groundstate.SCAN_HI)
+
+    def stops_early(f, a, b, **kwargs):
+        if (a, b) == (s_lo, s_hi):  # the oracle's search, not an event location
+            kwargs["xtol"] = 1e-3
+        return brentq(f, a, b, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "brentq", stops_early)
+    classes = []
+    shots = record_shots(monkeypatch, classes)
+    shooting_solve(F2, grid=grid_for(3, -0.5, 2048))
+    assert_tightest_bracket(shots, classes)
+
+
+def bisect_center_value(params, r_end):
+    """Reference: geometric bisection of [SCAN_LO, SCAN_HI] on cross / not cross."""
+    lo, hi = groundstate.SCAN_LO, groundstate.SCAN_HI
+    while True:
+        mid = np.sqrt(lo * hi)
+        if groundstate._shoot_once(params, mid, r_end)[0] == "cross":
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo < groundstate.BISECT_TOL * mid:
+            return np.sqrt(lo * hi)
+
+
+def test_shooting_matches_plain_bisection(monkeypatch):
+    g = grid_for(3, -0.5, 2048)
+    reference = bisect_center_value(F2, g.r_max)
+    shots = record_shots(monkeypatch)
+    shooting_solve(F2, grid=g)
+    assert shots[-1][0] == pytest.approx(reference, rel=2 * groundstate.BISECT_TOL, abs=0)
 
 
 def test_ground_state_serialization(gs_f1):
