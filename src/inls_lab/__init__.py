@@ -3,8 +3,9 @@
 Modules: params (exponent algebra), potential (assumption checks),
 grid (graded finite-volume mesh and discrete operator), functionals
 (conserved and variational scalars), groundstate (two independent
-stationary solvers), evolve (unitary split-step flow), classify
-(theorem-based verdicts on initial data), cli (batch front end).
+stationary solvers), evolve (mass-exact relaxation Cayley flow),
+classify (theorem-based verdicts on initial data), cli (batch front
+end).
 """
 
 __version__ = "0.1.0"

@@ -4,50 +4,35 @@ The flow
 
     i u_t + div(r^b grad u) - V u = -r^c |u|^p u
 
-splits into an exactly solvable nonlinear phase (the modulus is
-invariant under it, so u <- u exp(i (dt/2) r^c |u|^p) integrates the
-nonlinear part with no error) and a linear part advanced by the Cayley
-transform
+is advanced by the relaxation Cayley scheme of Besse (SIAM J. Numer.
+Anal. 42 (2004) 934-952).  The nonlinearity enters as a potential phi
+staggered half a step from u and extrapolated linearly in time,
 
-    (1 + i (dt/2) A) u+ = (1 - i (dt/2) A) u,
+    phi^{n+1/2} = (1 + rho) |u^n|^p - rho phi^{n-1/2},
+    rho = dt_n / dt_{n-1},   phi^{-1/2} = |u^0|^p,
 
-which is exactly unitary in the mu-weighted inner product because A is
-discretely self-adjoint.  The Strang composition
-nonlinear-linear-nonlinear is therefore mass-exact to solver roundoff
-and second-order accurate in time for the energy.
+and u is advanced by the Cayley transform of the linear operator that
+potential makes,
 
-StrangStepper holds the operator for a whole run and caches what
-repeats.  The LAPACK LU factor (zgttrf) of mu + i (dt/2) M and the
-right-hand-side bands are kept for the last dt, so a step at an
-unchanged dt costs one band multiply and one zgttrs solve.  Because
-the phase leaves |u| unchanged, a step's trailing half-phase
-multiplier exp(i (dt/2) r^c |v|^p) is also the next step's leading one
-when dt repeats: the first-same-as-last (FSAL) form of Strang
-splitting (Hairer-Lubich-Wanner, Geometric Numerical Integration,
-II.5).  The stepper keeps r^c |v|^p and that multiplier tied to the
-read-only array it returned, so the adaptive phase cap and the next
-leading phase reuse them; u is still formed after every step.  The
-half-phase multipliers are formed from cos and sin of the angle, which
-gives exp(i theta) to the last bit at about half the cost.
+    (1 + i (dt/2) H) u^{n+1} = (1 - i (dt/2) H) u^n,
+    H = A - diag(r^c phi^{n+1/2}).
+
+H is discretely self-adjoint in the mu-weighted inner product, so each
+step is exactly unitary there: mass is conserved to solver roundoff,
+and the scheme is second-order accurate and time reversible.  No node
+is rotated on its own, so singular weights (c < 0) need no phase bound
+and no special mesh.  Multiplied by mu the system is tridiagonal,
+(mu + i (dt/2) (M - diag(mu r^c phi))) u^{n+1} = (mu - ...) u^n, with M
+the grid's M_{b,0} plus diag(mu V); its diagonal changes with phi on
+every step, so each step is one LAPACK zgtsv solve with nothing to
+cache.  Writing y = u^{n+1} + u^n turns the right-hand side into
+2 mu u^n, so no band multiply is needed.
 
 Adaptive stepping follows the self-similar collapse scale,
-dt = dt0 min(1, ||grad u0||^2/||grad u||^2), bounded by a
-phase-resolution cap dt <= PHASE_CAP / max(r^c |u|^p).  The cap is
-invisible on benign data but essential when c < 0: the nonlinear phase
-angle at the innermost node scales like r^c, and once a half-step
-rotates that node by an O(1) angle the split scheme pumps amplitude
-into the origin cell (a purely numerical kicked-rotor resonance) and
-corrupts every gradient-based diagnostic downstream.  The bounded value
-is then rounded down onto the fixed ladder dt0 * 2^(-k/4), k >= 0, so
-dt keeps one value, and with it the LU factor and the FSAL multiplier,
-while the law moves by less than a rung: the rule by which stiff
-integrators keep their step and its factorization while the proposed
-step stays within about 20 % (RADAU5; Hairer-Wanner, Solving ODEs II,
-IV.8).  The ladder is stateless and every rung lies at or below the
-law, so the cap and the accuracy only get tighter.  A hard floor
-dt_min on the rounded value ends the run honestly (StepFloorHit).
-Between samples the law reads the gradient norm of the node values
-directly; a non-finite one stops the run with an EvolveError.
+dt = dt0 min(1, ||grad u0||^2/||grad u||^2).  A hard floor dt_min on it
+ends the run honestly (StepFloorHit).  Between samples the law reads
+the gradient norm of the node values directly; a non-finite one stops
+the run with an EvolveError.
 
 Blow-up is reported as a candidate event, never a proof: the trigger
 requires gradient growth past blowup_factor together with a negative
@@ -62,7 +47,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import zgttrf, zgttrs
+from scipy.linalg.lapack import zgtsv
 
 from .functionals import evaluate_all
 from .grid import RadialField, RadialGrid, check_grid, gradient_norm_sq
@@ -73,20 +58,15 @@ __all__ = [
     "EvolutionConfig",
     "EvolutionTrace",
     "EvolveError",
-    "StrangStepper",
+    "RelaxationStepper",
     "evolve",
     "trace_to_csv",
     "variance_concavity",
     "virial_check",
 ]
 
-# Largest nonlinear half-phase angle (radians) an adaptive step may
-# apply at any node; see the module docstring.
-PHASE_CAP = 1.0
-
-# Ratio of neighbouring rungs of the adaptive dt ladder dt0 * DT_RATIO**k:
-# four rungs per halving, so a rounded step is at most 16 % below the law.
-DT_RATIO = 2.0**-0.25
+# Neighbours of node 0 that inner_amp compares it with.
+INNER_NEIGHBOURS = 4
 
 # Absolute scale below which virial_check measures its defect: standing
 # waves have both sides of the virial identity near zero.
@@ -131,13 +111,14 @@ class EvolutionTrace:
 
     variance is the weighted square norm ||u||^2_{2-b,2} whose second
     time derivative the virial identity controls.  outer_amp records
-    |u| at the outermost cell as a boundary-contamination witness.
-    events holds (kind, time) pairs with kind in {"BlowupTriggered",
-    "Completed", "StepFloorHit"}; a run stopped by the step floor
-    samples its exit state, and BlowupTriggered follows StepFloorHit
-    when the trigger fires on that sample.  steps, factorizations, the
-    dt range (None before the first step) and phase_capped, the number
-    of steps whose dt PHASE_CAP set, describe the march.
+    |u| at the outermost cell as a boundary-contamination witness, and
+    inner_amp |u| at node 0 over the largest |u| of its next
+    INNER_NEIGHBOURS nodes as an origin-spike witness (near 1 on a
+    smooth field).  events holds (kind, time) pairs with kind in
+    {"BlowupTriggered", "Completed", "StepFloorHit"}; a run stopped by
+    the step floor samples its exit state, and BlowupTriggered follows
+    StepFloorHit when the trigger fires on that sample.  steps and the
+    dt range (None before the first step) describe the march.
     """
 
     times: list[float] = field(default_factory=list)
@@ -149,115 +130,54 @@ class EvolutionTrace:
     variance: list[float] = field(default_factory=list)
     nehari: list[float] = field(default_factory=list)
     outer_amp: list[float] = field(default_factory=list)
+    inner_amp: list[float] = field(default_factory=list)
     events: list[tuple[str, float]] = field(default_factory=list)
     final_state: RadialField | None = None
     steps: int = 0
-    factorizations: int = 0
     dt_min: float | None = None
     dt_max: float | None = None
-    phase_capped: int = 0
 
 
-class StrangStepper:
-    """Strang steps nonlinear(dt/2) o Cayley(dt) o nonlinear(dt/2) on one grid.
+class RelaxationStepper:
+    """Relaxation Cayley steps of one march on one grid (module docstring).
 
-    Built once per grid, problem and potential: it holds the symmetric
-    bands of M (the grid's M_{b,0} plus diag(mu V)), mu, r^c and p.  It
-    keeps the LAPACK factor of mu + i dt/2 M for the last dt, and
-    r^c |u|^p with the half-phase multiplier of the last array it
-    returned (see the module docstring).  Returned arrays are read-only,
-    so that cache cannot go stale; any other input is evaluated afresh.
+    Holds the symmetric bands of M (the grid's M_{b,0} plus diag(mu V)),
+    mu, 2 mu, mu r^c and p, and the relaxation state: the potential
+    phi^{n-1/2} and the last dt.  The first step starts the state at
+    phi^{-1/2} = |u^0|^p, so a new march needs a new stepper.
     """
 
     def __init__(self, grid: RadialGrid, params: ProblemParams, spec: PotentialSpec):
         self.mu = grid.measure_weights
         self.sym_diag = grid.stiffness_diag + self.mu * eval_potential(spec, grid.nodes)[0]
         self.sym_off = -grid.face_weights
-        self.rc = grid.nodes**params.c
+        self.two_mu = 2 * self.mu
+        self.mu_rc = self.mu * grid.nodes**params.c
         self.p = params.p
-        self.factorizations = 0
+        self.phi: np.ndarray | None = None
         self._dt: float | None = None
-        self._factor: tuple | None = None
-        self._z_off: np.ndarray | None = None
-        self._rhs_diag: np.ndarray | None = None
-        self._last: np.ndarray | None = None
-        self._last_rate: np.ndarray | None = None
-        self._last_w: np.ndarray | None = None
-        self._last_dt: float | None = None
-
-    def phase_rate(self, u: np.ndarray) -> np.ndarray:
-        """r^c |u|^p, the nonlinear phase angle per unit time at each node."""
-        if u is self._last:
-            return self._last_rate
-        return self.rc * np.abs(u) ** self.p
-
-    def cayley(self, v: np.ndarray, dt: float) -> np.ndarray:
-        """One unitary linear step (1 + i dt/2 A) v+ = (1 - i dt/2 A) v.
-
-        Solved in the symmetric form (mu + i dt/2 M) v+ = (mu - i dt/2 M) v
-        so both sides share the tridiagonal bands of M; the left side is
-        factored only when dt changes.
-        """
-        if dt != self._dt:
-            z = 1j * (dt / 2)
-            z_off = z * self.sym_off
-            *factor, info = zgttrf(z_off, self.mu + z * self.sym_diag, z_off)
-            if info != 0:
-                raise EvolveError(f"Cayley factorization failed (zgttrf info {info})")
-            self._dt = dt
-            self._factor = tuple(factor)
-            self._z_off = z_off
-            self._rhs_diag = self.mu - z * self.sym_diag
-            self.factorizations += 1
-        rhs = self._rhs_diag * v
-        rhs[:-1] -= self._z_off * v[1:]
-        rhs[1:] -= self._z_off * v[:-1]
-        x, info = zgttrs(*self._factor, rhs, overwrite_b=1)
-        if info != 0:
-            raise EvolveError(f"Cayley solve failed (zgttrs info {info})")
-        return x
-
-    @staticmethod
-    def half_phase(theta: np.ndarray) -> np.ndarray:
-        """exp(i theta) for real angles, from cos and sin written into the
-        real and imaginary parts (np.exp of the imaginary array costs
-        about twice as much)."""
-        w = np.empty(theta.shape, dtype=complex)
-        np.cos(theta, out=w.real)
-        np.sin(theta, out=w.imag)
-        return w
 
     def step(self, u: np.ndarray, dt: float) -> np.ndarray:
-        """One Strang step of the node values u; returns a new read-only array."""
+        """One step of the node values u^n; returns a new array u^{n+1}."""
         if dt == 0.0:
             raise EvolveError("dt must be nonzero")
-        if u is self._last and dt == self._last_dt:
-            w = self._last_w  # first same as last: |u| is the modulus the trailing phase saw
-        else:
-            w = self.half_phase((dt / 2) * self.phase_rate(u))
-        v = self.cayley(u * w, dt)
-        rate = self.rc * np.abs(v) ** self.p
-        w = self.half_phase((dt / 2) * rate)
-        out = v * w
-        out.flags.writeable = False
-        self._last, self._last_rate, self._last_w, self._last_dt = out, rate, w, dt
-        return out
-
-
-def _ladder_rung(dt: float, dt0: float) -> float:
-    """The largest rung dt0 * DT_RATIO**k (k = 0, 1, ...) not above dt;
-    0 when dt <= 0."""
-    if dt >= dt0:
-        return dt0
-    if not dt > 0:
-        return 0.0
-    k = math.ceil(math.log(dt / dt0) / math.log(DT_RATIO))
-    # the logarithms round: settle k on the rungs themselves
-    while dt0 * DT_RATIO**k > dt:
-        k += 1
-    while k > 0 and dt0 * DT_RATIO ** (k - 1) <= dt:
-        k -= 1
-    return dt0 * DT_RATIO**k
+        phi = np.abs(u) ** self.p
+        if self.phi is not None:
+            rho = dt / self._dt
+            phi *= 1 + rho
+            phi -= rho * self.phi
+        self.phi, self._dt = phi, dt
+        d = np.empty(u.shape, dtype=complex)
+        d.real = self.mu
+        d.imag = self.sym_diag - self.mu_rc * phi
+        d.imag *= dt / 2
+        off = (0.5j * dt) * self.sym_off
+        # zgtsv overwrites all four arrays, and each is this step's own
+        *_, y, info = zgtsv(off, d, off.copy(), self.two_mu * u, 1, 1, 1, 1)
+        if info != 0:
+            raise EvolveError(f"Cayley solve failed (zgtsv info {info})")
+        y -= u
+        return y
 
 
 def variance_concavity(trace: EvolutionTrace) -> float:
@@ -283,7 +203,7 @@ def evolve(
     params: ProblemParams,
     spec: PotentialSpec,
 ) -> EvolutionTrace:
-    """Run the splitting scheme from u0 and record diagnostics.
+    """Run the relaxation scheme from u0 and record diagnostics.
 
     Stops at t_end (Completed), at the blow-up trigger
     (BlowupTriggered), or when the adaptive step hits the floor
@@ -297,7 +217,7 @@ def evolve(
     """
     g = u0.grid
     check_grid(g, params)
-    stepper = StrangStepper(g, params, spec)
+    stepper = RelaxationStepper(g, params, spec)
     u = u0.values.astype(complex, copy=True)
     trace = EvolutionTrace()
 
@@ -314,6 +234,8 @@ def evolve(
         trace.variance.append(rep.variance)
         trace.nehari.append(rep.nehari)
         trace.outer_amp.append(float(np.abs(vals[-1])))
+        amp = np.abs(vals[: INNER_NEIGHBOURS + 1])
+        trace.inner_amp.append(float(amp[0] / max(amp[1:].max(), np.finfo(float).tiny)))
         return rep.grad_sq
 
     def triggered(gsq: float) -> bool:
@@ -325,13 +247,8 @@ def evolve(
     sampled = True
     dts = []
     while t < cfg.t_end - 1e-12:
-        capped = False
         if cfg.adaptivity:
             dt = cfg.dt0 * (grad0_sq / gsq) if gsq > grad0_sq else cfg.dt0
-            phase_rate = float(np.max(stepper.phase_rate(u)))
-            if phase_rate > 0 and PHASE_CAP / phase_rate < dt:
-                dt, capped = PHASE_CAP / phase_rate, True
-            dt = _ladder_rung(dt, cfg.dt0)
             if dt < cfg.dt_min:
                 trace.events.append(("StepFloorHit", t))
                 # the summary must describe the state the run ended in
@@ -341,12 +258,11 @@ def evolve(
         else:
             dt = cfg.dt0
         if cfg.t_end - t < dt:
-            dt, capped = cfg.t_end - t, False
+            dt = cfg.t_end - t
 
         u = stepper.step(u, dt)
         t += dt
         dts.append(dt)
-        trace.phase_capped += capped
 
         sampled = len(dts) % cfg.sample_every == 0 or t >= cfg.t_end - 1e-12
         if sampled:
@@ -363,7 +279,6 @@ def evolve(
         trace.events.append(("Completed", t))
 
     trace.steps = len(dts)
-    trace.factorizations = stepper.factorizations
     if dts:
         trace.dt_min, trace.dt_max = min(dts), max(dts)
     trace.final_state = RadialField(g, u)
@@ -398,7 +313,7 @@ def trace_to_csv(trace: EvolutionTrace, path) -> None:
     events and the march counters."""
     path = str(path)
     with open(path, "w") as fh:
-        fh.write("t,mass,energy,grad_norm,P,K_n2,variance,nehari,outer_amp\n")
+        fh.write("t,mass,energy,grad_norm,P,K_n2,variance,nehari,outer_amp,inner_amp\n")
         for row in zip(
             trace.times,
             trace.mass,
@@ -409,6 +324,7 @@ def trace_to_csv(trace: EvolutionTrace, path) -> None:
             trace.variance,
             trace.nehari,
             trace.outer_amp,
+            trace.inner_amp,
         ):
             fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
     sidecar = path[:-4] + ".events.json" if path.endswith(".csv") else path + ".events.json"
@@ -417,10 +333,8 @@ def trace_to_csv(trace: EvolutionTrace, path) -> None:
             {
                 "events": [{"kind": k, "t": t} for k, t in trace.events],
                 "steps": trace.steps,
-                "factorizations": trace.factorizations,
                 "dt_min": trace.dt_min,
                 "dt_max": trace.dt_max,
-                "phase_capped": trace.phase_capped,
             },
             fh,
             indent=2,

@@ -7,13 +7,7 @@ number, the bound it must meet, and a short diagnostic detail.
 
 The fixtures are frozen here: three intercritical parameter sets for
 the stationary identities, a mass-critical and a subcritical set for
-the flow checks, and the negative-K collapse fixture.  The collapse
-fixture is solved on the default graded mesh but marched on a uniform
-mesh: with a singular nonlinearity weight (c < 0) the graded mesh
-places its first node at r ~ 1e-5 where the nonlinear phase rotation
-outruns the dispersive coupling and a spurious origin spike poisons
-the gradient; the uniform mesh keeps the first node at r ~ 1e-2 where
-the splitting stays accurate through the trigger.
+the flow checks, and the negative-K collapse fixture.
 """
 
 from __future__ import annotations
@@ -28,13 +22,13 @@ from .classify import classify_all, optimal_frequency
 from .evolve import (
     EvolutionConfig,
     EvolutionTrace,
-    StrangStepper,
+    RelaxationStepper,
     evolve,
     variance_concavity,
     virial_check,
 )
 from .functionals import evaluate_all, scale_alpha_beta
-from .grid import RadialField, RadialGrid, build_grid, resample
+from .grid import RadialField, RadialGrid, build_grid
 from .groundstate import gn_ratio, petviashvili_solve, shooting_solve
 from .params import ProblemParams
 from .potential import PotentialSpec, check_assumptions
@@ -272,13 +266,7 @@ def check_gn_sharpness() -> list[CheckResult]:
 
 
 def check_conservation() -> list[CheckResult]:
-    """Mass is scheme-exact; energy drifts at second order in dt.
-
-    Runs on the unweighted fixture: with a singular nonlinearity
-    weight the graded mesh's innermost node takes an O(1) kick phase
-    per step, which pollutes the drift-order measurement without
-    touching mass exactness.
-    """
+    """Mass is scheme-exact; energy drifts at second order in dt."""
     params = F1
     grid = _grid(params.n, params.b, 2048)
     u0 = _gaussian(grid)
@@ -327,7 +315,7 @@ def check_standing_wave() -> list[CheckResult]:
     rep0 = evaluate_all(gs.profile, params, _ZERO)
     grad_sq, mass0 = rep0.grad_sq, rep0.mass
     dt = 1e-3
-    stepper = StrangStepper(gs.profile.grid, params, _ZERO)
+    stepper = RelaxationStepper(gs.profile.grid, params, _ZERO)
     u = gs.profile.values
     dev = p_worst = mass_worst = 0.0
     for k in range(1000):
@@ -501,15 +489,9 @@ def check_assumption_checker() -> list[CheckResult]:
 
 
 def check_nminus_flow() -> list[CheckResult]:
-    """The negative-K set is preserved along the flow until the trigger.
-
-    The datum is built from the graded-mesh ground state resampled on
-    a uniform mesh (see the module docstring for why the march uses a
-    uniform mesh).
-    """
+    """The negative-K set is preserved along the flow until the trigger."""
     gs = _solve(NMINUS, 4096)
-    ugrid = build_grid(NMINUS.n, NMINUS.b, r_max=30.0, N=2048, grading=1.0)
-    u0 = RadialField(ugrid, 1.3 * np.clip(resample(gs.profile, ugrid.nodes).real, 0.0, None))
+    u0 = _scaled(gs, 1.3)
 
     entry = classify_all(u0, NMINUS, _ZERO, gs, 1.0).entry("action_set_membership")
     gap = {e.name: e for e in entry.evidence}["k_gap_bound"]

@@ -5,15 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from scipy.linalg import solve_banded
-
 from inls_lab.evolve import (
-    DT_RATIO,
-    PHASE_CAP,
     EvolutionConfig,
     EvolutionTrace,
     EvolveError,
-    StrangStepper,
+    RelaxationStepper,
     evolve,
     trace_to_csv,
     variance_concavity,
@@ -55,7 +51,7 @@ def gaussian(grid, width=1.5):
 def test_step_is_time_reversible():
     g = grid_for(3, -0.5, 512)
     u0 = gaussian(g)
-    stepper = StrangStepper(g, F2, BUMP)
+    stepper = RelaxationStepper(g, F2, BUMP)
     dt = 1e-3
     u1 = stepper.step(u0.values, dt)
     u2 = stepper.step(u1, -dt)
@@ -65,13 +61,13 @@ def test_step_is_time_reversible():
 
 
 def test_step_preserves_mass_exactly():
-    # Cayley linear step and pointwise phase are both unitary in the
-    # weighted norm, potential and singular weights included.
+    # Each relaxed Cayley step is unitary in the weighted norm, potential
+    # and singular weights included.
     g = grid_for(3, -0.5, 512)
     mu = g.measure_weights
     v = gaussian(g).values
     m0 = np.sum(mu * abs(v) ** 2)
-    stepper = StrangStepper(g, F2, BUMP)
+    stepper = RelaxationStepper(g, F2, BUMP)
     for _ in range(20):
         v = stepper.step(v, 1e-3)
     assert np.sum(mu * abs(v) ** 2) == pytest.approx(m0, rel=1e-13)
@@ -80,7 +76,7 @@ def test_step_preserves_mass_exactly():
 def test_stepper_bands_add_the_potential_quadratic_form():
     # <M_V u, u> = ||grad u||^2_{b,2} + int V|u|^2 on the stepper's bands.
     g = grid_for(3, -0.5, 256)
-    stepper = StrangStepper(g, F2, BUMP)
+    stepper = RelaxationStepper(g, F2, BUMP)
     V = eval_potential(BUMP, g.nodes)[0]
     u = np.random.default_rng(13).standard_normal(g.N)
     Mu = stepper.sym_diag * u
@@ -93,7 +89,7 @@ def test_stepper_bands_add_the_potential_quadratic_form():
 def test_standing_wave_rotates_at_omega():
     gs = solve(F1, 1024)
     q = gs.profile.values
-    stepper = StrangStepper(gs.profile.grid, F1, ZERO)
+    stepper = RelaxationStepper(gs.profile.grid, F1, ZERO)
     u = q
     dt, nsteps = 1e-3, 200
     for _ in range(nsteps):
@@ -104,67 +100,27 @@ def test_standing_wave_rotates_at_omega():
     assert np.max(np.abs(np.abs(u) - np.abs(q))) < 1e-3 * peak
 
 
-def _random_field(g, seed):
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal(g.N) + 1j * rng.standard_normal(g.N)
-
-
-def test_cached_cayley_matches_banded_reference_exactly():
-    g = grid_for(3, -0.5, 512)
-    stepper = StrangStepper(g, F2, BUMP)
-    dt = 1e-3
-    z = 1j * (dt / 2)
-    ab = np.zeros((3, g.N), dtype=complex)
-    ab[0, 1:] = z * stepper.sym_off
-    ab[1, :] = stepper.mu + z * stepper.sym_diag
-    ab[2, :-1] = z * stepper.sym_off
-    for seed in (0, 1):  # the first call factors, the second reuses the factor
-        v = _random_field(g, seed)
-        rhs = (stepper.mu - z * stepper.sym_diag) * v
-        rhs[:-1] -= z * stepper.sym_off * v[1:]
-        rhs[1:] -= z * stepper.sym_off * v[:-1]
-        assert np.array_equal(stepper.cayley(v, dt), solve_banded((1, 1), ab, rhs))
-    assert stepper.factorizations == 1
-
-
 def test_cayley_matches_dense_solve():
-    # The cached LAPACK factor of mu + i dt/2 M against a dense solve.
+    # Two steps against dense solves of the relaxed system
+    # (mu + i dt/2 H) u+ = (mu - i dt/2 H) u, H = M - diag(mu r^c phi),
+    # the second at a new dt so the extrapolation weight rho is not 1.
     rng = np.random.default_rng(3)
     g = build_grid(3, -0.5, r_max=10.0, N=40, grading=2.0)
-    stepper = StrangStepper(g, F2, BUMP)
-    dt = 0.3
-    z = 1j * dt / 2
+    assert F2.c < 0
+    stepper = RelaxationStepper(g, F2, BUMP)
     M = np.diag(stepper.sym_diag) + np.diag(stepper.sym_off, -1) + np.diag(stepper.sym_off, 1)
     mu = np.diag(stepper.mu)
-    v = rng.standard_normal(g.N) + 1j * rng.standard_normal(g.N)
-    x = stepper.cayley(v, dt)
-    assert x == pytest.approx(np.linalg.solve(mu + z * M, (mu - z * M) @ v), rel=1e-11)
-
-
-def test_stepper_refactors_only_when_dt_changes():
-    g = grid_for(3, -0.5, 256)
-    stepper = StrangStepper(g, F2, BUMP)
-    u = gaussian(g).values
-    counts = []
-    for dt in (1e-3, 1e-3, 5e-4, 5e-4, 5e-4, 1e-3):
+    rc = g.nodes**F2.c
+    u = rng.standard_normal(g.N) + 1j * rng.standard_normal(g.N)
+    phi = np.abs(u) ** F2.p  # phi^{-1/2} = |u^0|^p
+    for dt_prev, dt in ((0.3, 0.3), (0.3, 0.1)):
+        rho = dt / dt_prev
+        phi = (1 + rho) * np.abs(u) ** F2.p - rho * phi
+        H = M - np.diag(g.measure_weights * rc * phi)
+        z = 1j * dt / 2
+        want = np.linalg.solve(mu + z * H, (mu - z * H) @ u)
         u = stepper.step(u, dt)
-        counts.append(stepper.factorizations)
-    assert counts == [1, 1, 2, 2, 2, 3]
-
-
-def test_stepper_cache_is_tied_to_its_own_output():
-    g = grid_for(3, -0.5, 256)
-    dt = 1e-3
-    stepper = StrangStepper(g, F2, BUMP)
-    u1 = stepper.step(gaussian(g).values, dt)
-    with pytest.raises(ValueError):
-        u1[0] = 0.0  # returned arrays are read-only, so the cache cannot go stale
-    other = _random_field(g, 2)
-    assert np.array_equal(stepper.step(other, dt), StrangStepper(g, F2, BUMP).step(other, dt))
-    # A copy of a returned array is another input: evaluated afresh.
-    assert np.array_equal(
-        stepper.step(u1.copy(), dt), StrangStepper(g, F2, BUMP).step(u1.copy(), dt)
-    )
+        assert u == pytest.approx(want, rel=1e-11)
 
 
 def test_evolve_completes_and_conserves():
@@ -187,6 +143,7 @@ def test_evolve_completes_and_conserves():
         trace.variance,
         trace.nehari,
         trace.outer_amp,
+        trace.inner_amp,
     )
     assert all(len(s) == len(trace.times) for s in lists)
 
@@ -224,38 +181,9 @@ def test_supercritical_multiple_triggers_blowup():
     assert np.max(np.abs(m - m[0])) < 1e-12 * m[0]
 
 
-def test_collapse_steps_sit_on_the_dt_ladder(monkeypatch):
-    gs = solve(F1, 1024)
-    u0 = RadialField(gs.profile.grid, 1.5 * gs.profile.values)
-    cfg = EvolutionConfig(dt0=1e-3, t_end=2.0, sample_every=10, blowup_factor=10.0)
-    g = u0.grid
-    grad0_sq = gradient_norm_sq(g, u0.values)
-    dts, laws, caps = [], [], []
-    step = StrangStepper.step
-
-    def spy(self, u, dt):
-        # the unrounded law: the gradient scale, bounded by the phase cap
-        laws.append(cfg.dt0 * min(1.0, grad0_sq / gradient_norm_sq(g, u)))
-        caps.append(PHASE_CAP / float(np.max(self.phase_rate(u))))
-        dts.append(dt)
-        return step(self, u, dt)
-
-    monkeypatch.setattr(StrangStepper, "step", spy)
-    trace = evolve(u0, cfg, F1, ZERO)
-    assert trace.events[-1][0] == "BlowupTriggered"  # no shortened last step
-    assert DT_RATIO == 2**-0.25
-    for dt, law, cap in zip(dts, laws, caps):
-        k = round(4 * np.log2(cfg.dt0 / dt))
-        assert dt == cfg.dt0 * DT_RATIO**k and dt <= min(law, cap)
-    assert len(set(dts)) < len(dts) / 3
-    # dt only moves down the ladder, so each rung is factored once.
-    assert trace.factorizations == len(set(dts))
-    assert trace.phase_capped == sum(cap < law for law, cap in zip(laws, caps))
-
-
 def test_benign_adaptive_run_keeps_dt0(tmp_path):
     # The gradient of a dispersing Gaussian never exceeds its initial
-    # value, so the ladder stays on its top rung and the adaptive run
+    # value, so the adaptive step stays at dt0 and the adaptive run
     # writes the same trace as a fixed-dt run, byte for byte.
     g = grid_for(3, 0.0, 512)
     u0 = RadialField(g, 0.5 * gaussian(g).values)
@@ -280,35 +208,25 @@ def test_zero_gradient_data_keep_dt0():
 
 
 def test_unsampled_non_finite_gradient_names_the_time(monkeypatch):
-    step = StrangStepper.step
+    step = RelaxationStepper.step
 
     def poisoned(self, u, dt):
         out = step(self, u, dt).copy()
         out[7] = np.nan
         return out
 
-    monkeypatch.setattr(StrangStepper, "step", poisoned)
+    monkeypatch.setattr(RelaxationStepper, "step", poisoned)
     g = grid_for(3, 0.0, 256)
     cfg = EvolutionConfig(dt0=1e-3, t_end=0.1, sample_every=10)
     with pytest.raises(EvolveError, match="non-finite gradient norm at t = 0.001"):
         evolve(gaussian(g), cfg, F1, ZERO)
 
 
-def test_half_phase_equals_complex_exponential():
-    g = grid_for(3, -0.5, 512)
-    stepper = StrangStepper(g, F2, BUMP)
-    dt = 1e-3
-    u = stepper.step(gaussian(g).values, dt)
-    theta = (dt / 2) * stepper.phase_rate(u)
-    assert np.array_equal(stepper.half_phase(theta), np.exp(1j * theta))
-    assert np.array_equal(stepper.half_phase(-50 * theta), np.exp(-50j * theta))
-
-
 def test_adaptive_floor_stops_collapse():
     gs = solve(F1, 1024)
     u0 = RadialField(gs.profile.grid, 1.5 * gs.profile.values)
-    # Floor just under dt0: the first rung below dt0 is dt0 * 2^(-1/4),
-    # so any gradient growth at all pushes the adaptive step below it.
+    # Floor just under dt0: gradient growth past 1 % pushes the adaptive
+    # step below it.
     cfg = EvolutionConfig(
         dt0=1e-3, t_end=2.0, sample_every=5, blowup_factor=1e6, dt_min=9.9e-4
     )
@@ -383,25 +301,33 @@ def test_trace_csv_and_events_sidecar(tmp_path):
     path = tmp_path / "trace.csv"
     trace_to_csv(trace, path)
     lines = path.read_text().splitlines()
-    assert lines[0] == "t,mass,energy,grad_norm,P,K_n2,variance,nehari,outer_amp"
+    assert lines[0] == "t,mass,energy,grad_norm,P,K_n2,variance,nehari,outer_amp,inner_amp"
     assert len(lines) == 1 + len(trace.times)
     first = [float(x) for x in lines[1].split(",")]
     assert first[0] == trace.times[0]
     assert first[1] == trace.mass[0]
     assert first[8] == trace.outer_amp[0]
+    assert first[9] == trace.inner_amp[0]
     sidecar = json.loads((tmp_path / "trace.events.json").read_text())
     assert sidecar["events"] == [{"kind": "Completed", "t": trace.events[0][1]}]
-    # Fixed dt: one factorization, plus one for a shortened last step.
     assert sidecar["steps"] == trace.steps == 50
-    assert sidecar["factorizations"] == trace.factorizations <= 2
     assert sidecar["dt_max"] == 1e-3
     assert 0 < sidecar["dt_min"] <= 1e-3
-    assert sidecar["phase_capped"] == trace.phase_capped == 0
-    # c < 0 on the graded mesh: the phase cap sets some of the adaptive steps.
+    assert set(sidecar) == {"events", "steps", "dt_min", "dt_max"}
+
+
+def test_c_negative_graded_march_stays_accurate(tmp_path):
+    # An F2 Gaussian of amplitude 4 on the graded mesh puts its first
+    # node at r ~ 1e-4, where r^c |u|^p is largest.  The march must end
+    # in few steps with the energy conserved and no spike at the origin.
     g = grid_for(3, -0.5, 256)
-    cfg = EvolutionConfig(dt0=1e-3, t_end=0.005, sample_every=5)
-    trace = evolve(RadialField(g, 3.5 * gaussian(g).values), cfg, F2, ZERO)
-    trace_to_csv(trace, path)
-    sidecar = json.loads((tmp_path / "trace.events.json").read_text())
-    assert sidecar["phase_capped"] == trace.phase_capped
-    assert 0 < trace.phase_capped < trace.steps
+    cfg = EvolutionConfig(dt0=1e-3, t_end=0.02)
+    trace = evolve(RadialField(g, 4.0 * gaussian(g).values), cfg, F2, ZERO)
+    assert trace.events == [("Completed", pytest.approx(0.02, abs=1e-12))]
+    assert trace.steps <= 100
+    e = np.asarray(trace.energy)
+    assert np.max(np.abs(e - e[0])) < 1e-3 * abs(e[0])
+    assert max(trace.inner_amp) < 1.01
+    trace_to_csv(trace, tmp_path / "trace.csv")
+    rows = (tmp_path / "trace.csv").read_text().splitlines()
+    assert [float(r.split(",")[-1]) for r in rows[1:]] == trace.inner_amp
