@@ -15,9 +15,10 @@ sub-action sets split by the sign of the scaling derivative K^{n,2}
 at a chosen frequency; the frequency-optimized choice omega0 makes
 the set route equivalent to the intercritical energy-mass gate.
 
-classify_all is the one entry point: it derives the exponents, checks
-the assumptions and integrates the datum once, every route reads that
-one FunctionalReport, and it holds the one set-route frequency rule.
+classify_all is the one entry point: it checks the reference ground
+state, derives the exponents, checks the assumptions and integrates the
+datum once, and holds the one set-route frequency rule.  Every route
+reads that one FunctionalReport and hands its decide step to _entry.
 
 Strict inequalities are decided with a relative dead band of 1e-6.
 Values inside the band yield Undetermined with a near-boundary flag:
@@ -28,11 +29,12 @@ not evidence for either side.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
 
 from .functionals import FunctionalReport, evaluate_all
 from .grid import RadialField
-from .groundstate import GroundState, is_frequency_one
+from .groundstate import GroundState
 from .params import CriticalExponents, Criticality, ProblemParams, derive_exponents
 from .potential import HOLDS, FAILS, AssumptionReport, PotentialSpec, check_assumptions
 
@@ -148,33 +150,23 @@ def _status(flag: bool) -> str:
     return HOLDS if flag else FAILS
 
 
-def _gated_out(
-    theorem: str, assumptions: dict[str, str], evidence: list[Evidence], notes: list[str]
-) -> ClassificationEntry | None:
-    """The NotApplicable entry when a gating hypothesis does not hold, else None."""
+def _entry(
+    theorem: str,
+    assumptions: dict[str, str],
+    evidence: list[Evidence],
+    notes: list[str],
+    decide: Callable[[], tuple[str, bool]],
+) -> ClassificationEntry:
+    """A route's entry: NotApplicable when a gating hypothesis does not
+    hold, else the (verdict, near_boundary) of decide(), which may append
+    to evidence and notes before they are frozen into the entry."""
     failed = [k for k, v in assumptions.items() if v != HOLDS]
-    if not failed:
-        return None
-    notes.append("gating failed: " + ", ".join(failed))
-    return ClassificationEntry(
-        theorem, assumptions, NOT_APPLICABLE, tuple(evidence), tuple(notes)
-    )
-
-
-def _kappa(params: ProblemParams) -> float:
-    """Exponent of the minimal-action frequency scaling m_w = w^kappa m_1."""
-    b, p = params.b, params.p
-    return ((2 - b) * (p + 2) - params.p_c) / ((2 - b) * p)
-
-
-def _require_frequency_one(gs1: GroundState, keys: tuple[str, ...]) -> None:
-    if not is_frequency_one(gs1.omega):
-        raise ClassifyError(
-            f"threshold route needs the frequency-1 ground state, got omega={gs1.omega}"
-        )
-    missing = [k for k in keys if gs1.thresholds.get(k) is None]
-    if missing:
-        raise ClassifyError(f"ground state lacks thresholds {missing}")
+    if failed:
+        notes.append("gating failed: " + ", ".join(failed))
+        verdict, near = NOT_APPLICABLE, False
+    else:
+        verdict, near = decide()
+    return ClassificationEntry(theorem, assumptions, verdict, tuple(evidence), tuple(notes), near)
 
 
 def _mass_critical(
@@ -207,37 +199,25 @@ def _mass_critical(
     e_scale = 0.5 * (rep.grad_sq + rep.potential_energy) + rep.nonlinear_term / (params.p + 2)
 
     evidence = [Evidence("energy_vs_zero", rep.energy, 0.0)]
-    mass_th = gs1.thresholds.get("mass_threshold")
+    mass_th = gs1.thresholds.get("mass_threshold")  # None below the mass-critical line
     if mass_th is not None:
-        evidence.insert(0, Evidence("mass_norm_vs_threshold", mass_norm, float(mass_th)))
+        evidence.insert(0, Evidence("mass_norm_vs_threshold", mass_norm, mass_th))
     notes = [f"weighted_variance_sq = {rep.variance:.6e}"]
 
-    gated = _gated_out("mass_critical_threshold", assumptions, evidence, notes)
-    if gated is not None:
-        return gated
-    _require_frequency_one(gs1, ("mass_threshold",))
-
-    mass_cmp = _compare(mass_norm, float(mass_th))
-    energy_cmp = _compare(rep.energy, 0.0, scale=e_scale)
-    near = False
-    if energy_cmp == "below":
-        verdict = BLOWUP_CANDIDATE
-        notes.append("negative energy with grid-finite weighted variance")
-    elif mass_cmp == "below":
-        verdict = GLOBAL_CANDIDATE
-    else:
-        verdict = UNDETERMINED
+    def decide() -> tuple[str, bool]:
+        mass_cmp = _compare(mass_norm, mass_th)
+        energy_cmp = _compare(rep.energy, 0.0, scale=e_scale)
+        if energy_cmp == "below":
+            notes.append("negative energy with grid-finite weighted variance")
+            return BLOWUP_CANDIDATE, False
+        if mass_cmp == "below":
+            return GLOBAL_CANDIDATE, False
         near = "band" in (mass_cmp, energy_cmp)
         if near:
             notes.append("near_boundary: comparison inside the dead band")
-    return ClassificationEntry(
-        "mass_critical_threshold",
-        assumptions,
-        verdict,
-        tuple(evidence),
-        tuple(notes),
-        near_boundary=near,
-    )
+        return UNDETERMINED, near
+
+    return _entry("mass_critical_threshold", assumptions, evidence, notes, decide)
 
 
 def _intercritical(
@@ -256,10 +236,9 @@ def _intercritical(
     additionally needs p < 4 and is recorded alongside.
     """
     params = rep.params
+    intercritical = exps.criticality is Criticality.INTERCRITICAL
     assumptions = {
-        "criticality_intercritical": _status(
-            exps.criticality is Criticality.INTERCRITICAL
-        ),
+        "criticality_intercritical": _status(intercritical),
         "dispersion_nonpositive": _status(params.b <= 0),
         "assumption_I": report.holds_I.status,
         "assumption_II": report.holds_II.status,
@@ -268,52 +247,34 @@ def _intercritical(
 
     evidence: list[Evidence] = []
     notes: list[str] = []
-    sigma = exps.sigma
-    em_th = gs1.thresholds.get("em_sigma")
-    grad_th = gs1.thresholds.get("grad_mass")
-    em_prod = grad_prod = None
-    if sigma is not None:
+    if intercritical:  # the products and their thresholds are defined
+        sigma = exps.sigma
         em_prod = rep.energy * rep.mass**sigma
         grad_prod = rep.grad_norm_V * math.sqrt(rep.mass) ** sigma
-        if em_th is not None:
-            evidence.append(Evidence("em_product_vs_threshold", em_prod, float(em_th)))
-        if grad_th is not None:
-            evidence.append(
-                Evidence("grad_product_vs_threshold", grad_prod, float(grad_th))
-            )
+        evidence = [
+            Evidence("em_product_vs_threshold", em_prod, gs1.thresholds["em_sigma"]),
+            Evidence("grad_product_vs_threshold", grad_prod, gs1.thresholds["grad_mass"]),
+        ]
 
-    gated = _gated_out("intercritical_threshold", assumptions, evidence, notes)
-    if gated is not None:
-        return gated
-    _require_frequency_one(gs1, ("em_sigma", "grad_mass"))
-
-    em_cmp = _compare(em_prod, float(em_th))
-    grad_cmp = _compare(grad_prod, float(grad_th))
-    near = False
-    if em_cmp == "below" and grad_cmp == "below":
-        verdict = GLOBAL_CANDIDATE
-    elif em_cmp == "below" and grad_cmp == "above":
-        verdict = BLOWUP_CANDIDATE
-        notes.append("blow-up branch: grid data have finite weighted variance")
-        if params.p < 4:
-            notes.append("radial branch also applies (p < 4)")
-        else:
-            notes.append("radial branch unavailable (p >= 4)")
-    else:
-        verdict = UNDETERMINED
+    def decide() -> tuple[str, bool]:
+        em_cmp, grad_cmp = (_compare(e.lhs, e.rhs) for e in evidence)
+        if em_cmp == "below" and grad_cmp == "below":
+            return GLOBAL_CANDIDATE, False
+        if em_cmp == "below" and grad_cmp == "above":
+            notes.append("blow-up branch: grid data have finite weighted variance")
+            if params.p < 4:
+                notes.append("radial branch also applies (p < 4)")
+            else:
+                notes.append("radial branch unavailable (p >= 4)")
+            return BLOWUP_CANDIDATE, False
         near = "band" in (em_cmp, grad_cmp)
         if near:
             notes.append("near_boundary: comparison inside the dead band")
         elif em_cmp == "above":
             notes.append("energy-mass product above threshold: no branch applies")
-    return ClassificationEntry(
-        "intercritical_threshold",
-        assumptions,
-        verdict,
-        tuple(evidence),
-        tuple(notes),
-        near_boundary=near,
-    )
+        return UNDETERMINED, near
+
+    return _entry("intercritical_threshold", assumptions, evidence, notes, decide)
 
 
 def _sets(
@@ -332,7 +293,8 @@ def _sets(
     blow-up argument closes), else Undetermined with a note.  When the
     datum sits in the negative-K set the gap bound
     K^{n,2} <= -2(2-b)(m_omega - S) is reported as a consistency
-    check.  The action, L and K^{n,2} at omega are closed forms of rep.
+    check.  The action, L and K^{n,2} at omega are closed forms of rep,
+    m_omega the power law GroundState.min_action.
     """
     params = rep.params
     n, b, c = params.n, params.b, params.c
@@ -351,10 +313,10 @@ def _sets(
     rep_w = rep.at(omega)
     action = rep_w.action
     k_n2 = rep_w.k(n, 2)
-    m_omega = gs.m_omega * (omega / gs.omega) ** _kappa(params)
+    m_omega = gs.min_action(omega)
 
     evidence = [
-        Evidence("action_vs_min_action", action, float(m_omega)),
+        Evidence("action_vs_min_action", action, m_omega),
         Evidence("k_n2_vs_zero", k_n2, 0.0),
     ]
     notes = [f"omega = {omega:.12g}"]
@@ -363,88 +325,76 @@ def _sets(
             f"min action rescaled from omega = {gs.omega:.12g} by the frequency power law"
         )
 
-    gated = _gated_out("action_set_membership", assumptions, evidence, notes)
-    if gated is not None:
-        return gated
+    def decide() -> tuple[str, bool]:
+        s_cmp = _compare(action, m_omega)
+        if s_cmp != "below":
+            near = s_cmp == "band"
+            notes.append("action not below the minimal action: outside both sets")
+            if near:
+                notes.append("near_boundary: action inside the dead band")
+            return NOT_APPLICABLE, near
 
-    def entry(verdict: str, near: bool = False) -> ClassificationEntry:
-        return ClassificationEntry(
-            "action_set_membership", assumptions, verdict, tuple(evidence), tuple(notes), near
-        )
+        # Sign of K^{n,2} decides the set; it is a cancellation residue, so
+        # the band is taken relative to the positive-definite part L.
+        k_cmp = _compare(k_n2, 0.0, scale=rep_w.L)
+        if k_cmp == "band":
+            notes.append("near_boundary: K^{n,2} inside the dead band")
+            return UNDETERMINED, True
+        if k_cmp == "above":
+            notes.append("membership: nonnegative-K set")
+            return GLOBAL_CANDIDATE, False
 
-    s_cmp = _compare(action, float(m_omega))
-    if s_cmp != "below":
-        near = s_cmp == "band"
-        notes.append("action not below the minimal action: outside both sets")
-        if near:
-            notes.append("near_boundary: action inside the dead band")
-        return entry(NOT_APPLICABLE, near)
+        # Negative-K set.  Report the gap bound, then test the blow-up window.
+        notes.append("membership: negative-K set")
+        gap_rhs = -2.0 * (2 - b) * (m_omega - action)
+        evidence.append(Evidence("k_gap_bound", k_n2, gap_rhs))
+        slack = 1e-9 * max(abs(k_n2), abs(gap_rhs))
+        if k_n2 <= gap_rhs + slack:
+            notes.append("gap bound satisfied")
+        else:
+            notes.append("gap bound violated: check resolution of the minimal action")
 
-    # Sign of K^{n,2} decides the set; it is a cancellation residue, so
-    # the band is taken relative to the positive-definite part L.
-    k_cmp = _compare(k_n2, 0.0, scale=rep_w.L)
-    if k_cmp == "band":
-        notes.append("near_boundary: K^{n,2} inside the dead band")
-        return entry(UNDETERMINED, near=True)
-    if k_cmp == "above":
-        notes.append("membership: nonnegative-K set")
-        return entry(GLOBAL_CANDIDATE)
-
-    # Negative-K set.  Report the gap bound, then test the blow-up window.
-    notes.append("membership: negative-K set")
-    gap_rhs = -2.0 * (2 - b) * (float(m_omega) - action)
-    evidence.append(Evidence("k_gap_bound", k_n2, gap_rhs))
-    slack = 1e-9 * max(abs(k_n2), abs(gap_rhs))
-    if k_n2 <= gap_rhs + slack:
-        notes.append("gap bound satisfied")
-    else:
-        notes.append("gap bound violated: check resolution of the minimal action")
-
-    if b == 0.0:
-        notes.append(
-            "blow-up window bound 2c(2-b)/b undefined at b = 0; branch not applicable"
-        )
-        verdict = UNDETERMINED
-    else:
+        if b == 0.0:
+            notes.append(
+                "blow-up window bound 2c(2-b)/b undefined at b = 0; branch not applicable"
+            )
+            return UNDETERMINED, False
         window_ok = c <= b < 0
         if b < 0:
             bound = 2.0 * c * (2 - b) / b
             evidence.append(Evidence("pc_vs_blowup_window", params.p_c, bound))
             window_ok = window_ok and params.p_c <= bound
         if window_ok:
-            verdict = BLOWUP_CANDIDATE
-        else:
-            verdict = UNDETERMINED
-            notes.append("inside the negative-K set but outside the blow-up window")
-    return entry(verdict)
+            return BLOWUP_CANDIDATE, False
+        notes.append("inside the negative-K set but outside the blow-up window")
+        return UNDETERMINED, False
+
+    return _entry("action_set_membership", assumptions, evidence, notes, decide)
 
 
 def _optimal_frequency(
     rep: FunctionalReport, exps: CriticalExponents, gs1: GroundState
 ) -> FrequencyReport:
     """The optimized frequency from the report of the datum (intercritical exponents)."""
-    _require_frequency_one(gs1, ("em_sigma",))
-
     params = rep.params
     b, p = params.b, params.p
     pc = params.p_c
-    m1 = gs1.m_omega
     mass = rep.mass
     if not mass > 0:
         raise ClassifyError("frequency optimization needs a nonzero datum")
 
-    kappa = _kappa(params)
-    base = (2 - b) * p / (2 * (2 - b) * (p + 2) - 2 * pc) * (mass / m1)
+    base = (2 - b) * p / (2 * (2 - b) * (p + 2) - 2 * pc) * (mass / gs1.m_omega)
     expo = (2 - b) * p / (2 * (2 - b) - pc)
     omega0 = float(base**expo)
-    f0 = float(omega0**kappa * m1 - (rep.energy + 0.5 * omega0 * mass))
+    m0 = gs1.min_action(omega0)
+    f0 = float(m0 - (rep.energy + 0.5 * omega0 * mass))
 
     sigma = exps.sigma
     assert sigma is not None
     em_prod = float(rep.energy * mass**sigma)
-    em_th = float(gs1.thresholds["em_sigma"])
+    em_th = gs1.thresholds["em_sigma"]
 
-    f_cmp = _compare(f0, 0.0, scale=omega0**kappa * m1)
+    f_cmp = _compare(f0, 0.0, scale=m0)
     em_cmp = _compare(em_prod, em_th)
     near = "band" in (f_cmp, em_cmp)
     if not near and (f_cmp == "above") != (em_cmp == "below"):
@@ -476,8 +426,11 @@ def optimal_frequency(
     and f(omega0) > 0 holds exactly when the energy-mass product of u0
     is below its ground-state value.  The two directions are asserted
     to agree outside a relative band of 1e-6 around equality; band
-    cases are flagged instead of asserted.
+    cases are flagged instead of asserted.  gs1 must be the frequency-1
+    ground state of the equation of params, else ClassifyError.
     """
+    if not gs1.is_reference_for(params):
+        raise ClassifyError(f"needs the frequency-1 ground state of {params}, got {gs1.params}")
     spec = PotentialSpec.zero() if spec is None else spec
     exps = derive_exponents(params)
     if exps.criticality is not Criticality.INTERCRITICAL:
@@ -494,14 +447,18 @@ def classify_all(
 ) -> Classification:
     """Run every route on one datum.
 
-    Entries come in route order: mass_critical_threshold,
-    intercritical_threshold, action_set_membership.  The set route
-    runs at frequency omega; when omega is None, at the optimized
-    frequency if the exponents are intercritical, else at the
-    frequency of the supplied ground state, where its own gating
-    reports NotApplicable.  Classification.frequency is the
-    optimal_frequency report whenever the exponents are intercritical.
+    gs1 must be the frequency-1 ground state of the equation of params
+    (GroundState.is_reference_for), else ClassifyError; every threshold
+    and minimal action is read from it.  Entries come in route order:
+    mass_critical_threshold, intercritical_threshold,
+    action_set_membership.  The set route runs at frequency omega; when
+    omega is None, at the optimized frequency if the exponents are
+    intercritical, else at frequency 1, where its own gating reports
+    NotApplicable.  Classification.frequency is the optimal_frequency
+    report whenever the exponents are intercritical.
     """
+    if not gs1.is_reference_for(params):
+        raise ClassifyError(f"needs the frequency-1 ground state of {params}, got {gs1.params}")
     exps = derive_exponents(params)
     report = check_assumptions(spec, params)
     rep = evaluate_all(u0, params, spec)

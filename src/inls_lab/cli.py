@@ -232,6 +232,10 @@ def build_run_config(pairs: dict[str, tuple[str, int]]) -> RunConfig:
             raise view.error(
                 f"classify.omega must be positive, got {classify_omega}", "classify.omega"
             )
+        if not math.isfinite(classify_omega):
+            raise view.error(
+                f"classify.omega must be finite, got {classify_omega}", "classify.omega"
+            )
 
     sweep_key = view.get_str("sweep.key", None)
     sweep_raw = view.get_str("sweep.values", None)
@@ -244,9 +248,9 @@ def build_run_config(pairs: dict[str, tuple[str, int]]) -> RunConfig:
     cfg = RunConfig(
         params=params,
         potential=potential,
-        r_max=view.get_float("grid.r_max", 30.0),
+        r_max=view.get_finite("grid.r_max", 30.0),
         num_cells=view.get_int("grid.N", 4096),
-        grading=view.get_float("grid.gamma", 2.0),
+        grading=view.get_finite("grid.gamma", 2.0),
         initial_kind=kind,
         initial_alpha=alpha,
         initial_amplitude=amplitude,

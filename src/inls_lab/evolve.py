@@ -29,10 +29,11 @@ cache.  Writing y = u^{n+1} + u^n turns the right-hand side into
 2 mu u^n, so no band multiply is needed.
 
 Adaptive stepping follows the self-similar collapse scale,
-dt = dt0 min(1, ||grad u0||^2/||grad u||^2).  A hard floor dt_min on it
-ends the run honestly (StepFloorHit).  Between samples the law reads
-the gradient norm of the node values directly; a non-finite one stops
-the run with an EvolveError.
+dt = dt0 min(1, ||grad u0||^2/||grad u||^2), and a hard floor dt_min
+on it ends the run honestly (StepFloorHit).  Between samples the law
+reads the gradient norm of the node values directly; a non-finite one
+stops the run with an EvolveError.  A run never ends on a sliver: with
+one to two steps left before t_end, it takes two even ones.
 
 Blow-up is reported as a candidate event, never a proof: the trigger
 requires gradient growth past blowup_factor together with a negative
@@ -64,6 +65,9 @@ __all__ = [
     "variance_concavity",
     "virial_check",
 ]
+
+# A run that has reached t_end to within this has ended.
+END_TOL = 1e-12
 
 # Neighbours of node 0 that inner_amp compares it with.
 INNER_NEIGHBOURS = 4
@@ -246,7 +250,7 @@ def evolve(
     trigger_sq = cfg.blowup_factor**2 * grad0_sq
     sampled = True
     dts = []
-    while t < cfg.t_end - 1e-12:
+    while t < cfg.t_end - END_TOL:
         if cfg.adaptivity:
             dt = cfg.dt0 * (grad0_sq / gsq) if gsq > grad0_sq else cfg.dt0
             if dt < cfg.dt_min:
@@ -257,14 +261,18 @@ def evolve(
                 break
         else:
             dt = cfg.dt0
-        if cfg.t_end - t < dt:
-            dt = cfg.t_end - t
+        # END_TOL keeps the rounding of t from splitting a run that dt divides
+        rest = cfg.t_end - t
+        if rest < dt:
+            dt = rest
+        elif dt + END_TOL < rest < 2 * dt - END_TOL:
+            dt = rest / 2
 
         u = stepper.step(u, dt)
         t += dt
         dts.append(dt)
 
-        sampled = len(dts) % cfg.sample_every == 0 or t >= cfg.t_end - 1e-12
+        sampled = len(dts) % cfg.sample_every == 0 or t >= cfg.t_end - END_TOL
         if sampled:
             gsq = sample(t, u)
             if triggered(gsq):

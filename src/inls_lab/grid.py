@@ -59,7 +59,7 @@ from dataclasses import dataclass
 from math import gamma, pi
 
 import numpy as np
-from scipy.linalg import solveh_banded
+from scipy.linalg.lapack import dptsv
 
 from .params import ProblemParams
 
@@ -239,13 +239,14 @@ def solve_shifted(g: RadialGrid, shift: float, rhs: np.ndarray) -> np.ndarray:
     """Solve (A_{b,0} + shift) x = rhs on g for real rhs and shift > 0.
 
     Works on the symmetric form: (M + shift diag(mu)) x = mu * rhs is
-    symmetric positive definite.
+    symmetric positive definite tridiagonal, one LAPACK dptsv call.
     """
     mu = g.measure_weights
-    ab = np.zeros((2, g.N))
-    np.negative(g.face_weights, out=ab[0, 1:])
-    ab[1, :] = g.stiffness_diag + shift * mu
-    return solveh_banded(ab, mu * np.asarray(rhs), lower=False)
+    # dptsv overwrites all three arrays, and each is this call's own
+    *_, x, info = dptsv(g.stiffness_diag + shift * mu, -g.face_weights, mu * rhs, 1, 1, 1)
+    if info != 0:
+        raise GridError(f"shifted solve failed (dptsv info {info})")
+    return x
 
 
 def field_to_csv(f: RadialField, path) -> None:

@@ -100,7 +100,8 @@ class BracketNotFound(GroundStateError):
 class GroundState:
     """Converged profile with its consistency metrics and thresholds.
 
-    residual is the relative fixed-point residual
+    params is the equation and frequency the profile solves.  residual
+    is the relative fixed-point residual
     ||(A+omega)Q - r^c Q^{p+1}||_mu / ||Q||_mu; pohozaev_res is the
     pair of relative defects in the two Pohozaev identities.  c_gn is
     the sharp constant of the weighted interpolation inequality,
@@ -111,12 +112,29 @@ class GroundState:
     """
 
     profile: RadialField
-    omega: float
+    params: ProblemParams
     residual: float
     pohozaev_res: tuple[float, float]
     c_gn: float
     m_omega: float
     thresholds: dict[str, float | None]
+
+    @property
+    def omega(self) -> float:
+        return self.params.omega
+
+    def min_action(self, omega: float) -> float:
+        """Zero-potential minimal action at frequency omega, by the soliton
+        scaling law m_w = (w/omega)^kappa m_omega with
+        kappa = ((2-b)(p+2) - p_c)/((2-b)p)."""
+        b, p = self.params.b, self.params.p
+        kappa = ((2 - b) * (p + 2) - self.params.p_c) / ((2 - b) * p)
+        return self.m_omega * (omega / self.omega) ** kappa
+
+    def is_reference_for(self, params: ProblemParams) -> bool:
+        """Whether this is the frequency-1 ground state of the equation of
+        params (same n, b, c, p): the state every threshold is read from."""
+        return is_frequency_one(self.omega) and self.params == params.with_omega(self.omega)
 
     def as_dict(self) -> dict:
         out = {
@@ -255,7 +273,7 @@ def petviashvili_solve(params: ProblemParams, grid: RadialGrid | None = None) ->
 
     return GroundState(
         profile=profile,
-        omega=w,
+        params=params,
         residual=residual,
         pohozaev_res=poh,
         c_gn=gn_ratio(rep),
@@ -280,10 +298,12 @@ def _thresholds(rep: FunctionalReport) -> dict[str, float | None]:
 
 
 def derive_thresholds(gs1: GroundState, params: ProblemParams) -> dict[str, float | None]:
-    """Certified dichotomy constants of a frequency-1 ground state.
+    """Certified dichotomy constants of the equation of params.
 
-    Returns the thresholds stored on gs1: for intercritical exponents
-    all of mass_threshold, em_sigma, and grad_mass; for mass-critical
+    gs1 must be the reference of params (GroundState.is_reference_for:
+    frequency 1, same n, b, c, p), else GroundStateError.  Returns the
+    thresholds stored on gs1: for intercritical exponents all of
+    mass_threshold, em_sigma, and grad_mass; for mass-critical
     exponents only the mass threshold is defined, and a missing one
     raises.  Every constant with two independent expressions is
     cross-checked to 1e-6 relative before being reported: em_sigma
@@ -304,8 +324,11 @@ def derive_thresholds(gs1: GroundState, params: ProblemParams) -> dict[str, floa
         raise GroundStateError(
             f"thresholds undefined for {exps.criticality.value} exponents"
         )
-    if not is_frequency_one(gs1.omega):
-        raise GroundStateError(f"thresholds require omega = 1, got {gs1.omega}")
+    if not gs1.is_reference_for(params):
+        raise GroundStateError(
+            f"thresholds require omega = 1 and the (n, b, c, p) of {params}; "
+            f"got the ground state of {gs1.params}"
+        )
     out = dict(gs1.thresholds)
     intercritical = exps.criticality is Criticality.INTERCRITICAL
     keys = ("mass_threshold", "em_sigma", "grad_mass") if intercritical else ("mass_threshold",)

@@ -23,6 +23,7 @@ report precisely which hypothesis a parameter set breaks.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 __all__ = [
@@ -60,7 +61,7 @@ class ProblemParams:
 
     Constraints enforced at construction:
 
-    * n integer >= 3,
+    * n integer >= 3, and b, c, p, omega finite,
     * 2 - n < b < 2,
     * c >= b - 2,
     * p > 0 and 0 < p_c <= (2-b)(p+2),
@@ -76,6 +77,9 @@ class ProblemParams:
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n < 3:
             raise ParameterError(f"dimension n must be an integer >= 3, got {self.n}")
+        for name in ("b", "c", "p", "omega"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name}={getattr(self, name)} must be finite")
         if not (2 - self.n < self.b < 2):
             raise ParameterError(
                 f"dispersion exponent b={self.b} outside (2-n, 2) = ({2 - self.n}, 2)"

@@ -33,6 +33,7 @@ positivity; it is <= 0 whenever (I) holds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,7 +68,7 @@ class PotentialSpec:
     """One member of the closed potential family.
 
     a is the overall amplitude (a >= 0 keeps V >= 0); s is the decay
-    exponent where the family has one.
+    exponent where the family has one.  Both must be finite.
     """
 
     family: str
@@ -77,6 +78,9 @@ class PotentialSpec:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown potential family {self.family!r}")
+        for name in ("a", "s"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name}={getattr(self, name)} must be finite")
         if self.a < 0:
             raise ValueError(f"amplitude a={self.a} must be nonnegative")
         if self.family == "inverse_power" and not self.s > 0:

@@ -394,12 +394,10 @@ def check_frequency_scaling() -> list[CheckResult]:
     """Action scaling in omega, stationarity of f, gate equivalence."""
     rows = []
     gs1 = _solve(F1, 4096)
-    b, p, pc = F1.b, F1.p, F1.p_c
-    kappa = ((2 - b) * (p + 2) - pc) / ((2 - b) * p)
     worst = 0.0
     for w in (0.5, 2.0):
         gsw = _solve(F1.with_omega(w), 4096)
-        want = w**kappa * gs1.m_omega
+        want = gs1.min_action(w)
         worst = max(worst, abs(gsw.m_omega - want) / want)
     rows.append(
         CheckResult("action_frequency_scaling", worst < 1e-3, worst, 1e-3,
@@ -411,7 +409,7 @@ def check_frequency_scaling() -> list[CheckResult]:
     rep = evaluate_all(u0, F1, _ZERO)
 
     def f(w: float) -> float:
-        return w**kappa * gs1.m_omega - (rep.energy + 0.5 * w * rep.mass)
+        return gs1.min_action(w) - (rep.energy + 0.5 * w * rep.mass)
 
     h = 1e-4 * fr.omega0
     fd = abs(f(fr.omega0 + h) - f(fr.omega0 - h)) / (2 * h)

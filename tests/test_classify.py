@@ -14,6 +14,7 @@ from inls_lab.classify import (
     optimal_frequency,
 )
 from inls_lab.grid import RadialField
+from inls_lab.params import ProblemParams
 from inls_lab.potential import PotentialSpec
 
 from conftest import F1, MC, solve
@@ -191,6 +192,17 @@ def test_optimal_frequency_requires_frequency_one(gs_f1):
     gs2 = solve(F1.with_omega(2.0), 2048)
     with pytest.raises(ClassifyError, match="frequency-1"):
         optimal_frequency(multiple(gs_f1, 0.5), F1.with_omega(2.0), gs2)
+
+
+def test_routes_refuse_the_ground_state_of_another_equation(gs_f1):
+    # Same n and b, other p: its thresholds and minimal action belong to
+    # another equation, so the verdicts would be read against them.
+    gs_other = solve(ProblemParams(3, 0.0, 0.0, 1.5), 4096)
+    u0 = multiple(gs_f1, 0.5)
+    with pytest.raises(ClassifyError, match="frequency-1 ground state of"):
+        classify_all(u0, F1, ZERO, gs_other)
+    with pytest.raises(ClassifyError, match="frequency-1 ground state of"):
+        optimal_frequency(u0, F1, gs_other)
 
 
 def test_classify_all_runs_every_route(gs_f1):

@@ -159,11 +159,20 @@ def test_build_run_config_rejects(extra, fragment):
         ("initial.amplitude = nan\n", "line 5: initial.amplitude must be finite, got nan"),
         ("initial.kind = gaussian\ninitial.width = inf\n",
          "line 6: initial.width must be finite, got inf"),
+        ("potential.family = smooth_bump\npotential.a = nan\n",
+         "lines 5, 6: potential: a=nan must be finite"),
+        ("potential.family = smooth_bump\npotential.s = inf\n",
+         "lines 5, 6: potential: s=inf must be finite"),
+        ("params.omega = inf\n", "lines 1, 2, 3, 4, 5: params: omega=inf must be finite"),
+        ("classify.omega = inf\n", "line 5: classify.omega must be finite, got inf"),
+        ("grid.r_max = inf\n", "line 5: grid.r_max must be finite, got inf"),
+        ("grid.gamma = inf\n", "line 5: grid.gamma must be finite, got inf"),
     ],
     ids=[
         "alpha", "width", "kind", "from_file", "path", "classify_omega", "classify_omega_text",
         "sweep_values", "params", "potential", "evolve", "t_end_inf", "dt0_inf",
-        "alpha_inf", "amplitude_inf", "amplitude_nan", "width_inf",
+        "alpha_inf", "amplitude_inf", "amplitude_nan", "width_inf", "potential_a_nan",
+        "potential_s_inf", "omega_inf", "classify_omega_inf", "r_max_inf", "gamma_inf",
     ],
 )
 def test_config_errors_name_their_lines(tmp_path, capsys, extra, message):

@@ -197,6 +197,17 @@ def test_benign_adaptive_run_keeps_dt0(tmp_path):
     assert text[True] == text[False]
 
 
+def test_run_ends_without_a_sliver_step():
+    # The gradient law holds dt a hair below dt0 here, so a last step of
+    # what is left of t_end would be 2.6e-7 long.
+    g = grid_for(3, 0.0, 2048)
+    cfg = EvolutionConfig(dt0=1e-3, t_end=0.5)
+    trace = evolve(gaussian(g, width=1.0), cfg, F1, PotentialSpec.smooth_bump(0.5, 2.0))
+    assert trace.events == [("Completed", pytest.approx(0.5, abs=1e-12))]
+    assert trace.dt_min >= cfg.dt0 / 2
+    assert np.min(np.diff(trace.times)) >= cfg.dt0 / 2
+
+
 def test_zero_gradient_data_keep_dt0():
     # A gradient that is zero or underflows at t = 0 must not make dt zero.
     g = grid_for(3, 0.0, 256)

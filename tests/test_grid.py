@@ -112,6 +112,12 @@ def test_solve_shifted_recovers_manufactured_solution():
         assert np.max(np.abs(x - x_true)) < 1e-12 * np.max(np.abs(x_true))
 
 
+def test_solve_shifted_refuses_an_indefinite_system():
+    g = build_grid(3, 0.0, r_max=20.0, N=64, grading=2.0)
+    with pytest.raises(GridError, match="dptsv info"):
+        solve_shifted(g, -1e6, np.ones(g.N))
+
+
 def test_field_csv_roundtrip(tmp_path):
     g = build_grid(3, -0.5, r_max=15.0, N=128, grading=2.0)
     f = RadialField(g, np.exp(-g.nodes**2 / 3) * (1 + 0.25j))

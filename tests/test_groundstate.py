@@ -131,6 +131,13 @@ def test_derive_thresholds_requires_frequency_one():
         derive_thresholds(gs2, F1.with_omega(2.0))
 
 
+def test_derive_thresholds_requires_the_reference_of_params():
+    # The F2 ground state is not the reference of the equation with p = 1.8.
+    other = ProblemParams(F2.n, F2.b, F2.c, 1.8)
+    with pytest.raises(GroundStateError, match="require omega = 1 and the \\(n, b, c, p\\)"):
+        derive_thresholds(solve(F2, 8192), other)
+
+
 def test_derive_thresholds_requires_critical_window():
     sub = ProblemParams(3, 0.0, 0.0, 1.0)
     gs = solve(sub, 2048)

@@ -71,6 +71,13 @@ def test_invalid_parameters_raise(kwargs):
         ProblemParams(**kwargs)
 
 
+@pytest.mark.parametrize("field", ["p", "omega"])
+def test_non_finite_parameters_raise(field):
+    kwargs = dict(n=3, b=0.0, c=0.0, p=2.0, omega=1.0)
+    with pytest.raises(ParameterError, match=f"{field}=inf must be finite"):
+        ProblemParams(**{**kwargs, field: math.inf})
+
+
 def test_n_must_be_integer():
     with pytest.raises(ParameterError):
         ProblemParams(3.0, 0.0, 0.0, 2.0)

@@ -26,6 +26,10 @@ def test_spec_constructor_gates():
         PotentialSpec.smooth_bump(-1.0, 2.0)
     with pytest.raises(ValueError):
         PotentialSpec.inverse_power(1.0, 0.0)
+    with pytest.raises(ValueError, match="a=nan must be finite"):
+        PotentialSpec.smooth_bump(math.nan, 2.0)
+    with pytest.raises(ValueError, match="s=inf must be finite"):
+        PotentialSpec.smooth_bump(0.5, math.inf)
     assert PotentialSpec.zero().is_zero
     assert PotentialSpec.smooth_bump(0.0, 2.0).is_zero
     assert not PotentialSpec.const_plus_gaussian(0.5).is_zero
