@@ -27,7 +27,15 @@ import scipy
 from . import __version__
 from .classify import NOT_APPLICABLE, ClassificationEntry, classify_all
 from .evolve import EvolutionConfig, evolve, trace_to_csv
-from .grid import RadialField, RadialGrid, build_grid, field_from_csv, field_to_csv
+from .grid import (
+    GridError,
+    RadialField,
+    RadialGrid,
+    build_grid,
+    check_grid_settings,
+    field_from_csv,
+    field_to_csv,
+)
 from .groundstate import GroundState, petviashvili_solve
 from .params import ProblemParams
 from .potential import PotentialSpec, check_assumptions
@@ -245,12 +253,20 @@ def build_run_config(pairs: dict[str, tuple[str, int]]) -> RunConfig:
         if not sweep_values:
             raise view.error("sweep.values is empty", "sweep.values")
 
+    r_max = view.get_finite("grid.r_max", 30.0)
+    num_cells = view.get_int("grid.N", 4096)
+    grading = view.get_finite("grid.gamma", 2.0)
+    try:
+        check_grid_settings(params.n, params.b, r_max, num_cells, grading)
+    except GridError as e:
+        raise view.error(f"grid: {e}", *view.section("grid.")) from None
+
     cfg = RunConfig(
         params=params,
         potential=potential,
-        r_max=view.get_finite("grid.r_max", 30.0),
-        num_cells=view.get_int("grid.N", 4096),
-        grading=view.get_finite("grid.gamma", 2.0),
+        r_max=r_max,
+        num_cells=num_cells,
+        grading=grading,
         initial_kind=kind,
         initial_alpha=alpha,
         initial_amplitude=amplitude,

@@ -70,6 +70,7 @@ __all__ = [
     "apply_operator",
     "build_grid",
     "check_grid",
+    "check_grid_settings",
     "field_from_csv",
     "field_to_csv",
     "gradient_norm_sq",
@@ -119,14 +120,8 @@ class RadialGrid:
         return hash((self.n, self.b, self.r_max, self.N, self.grading))
 
 
-def build_grid(
-    n: int,
-    b: float,
-    r_max: float = 30.0,
-    N: int = 4096,
-    grading: float = 2.0,
-) -> RadialGrid:
-    """Construct the graded mesh and all quadrature/flux weights."""
+def check_grid_settings(n: int, b: float, r_max: float, N: int, grading: float) -> None:
+    """Refuse mesh settings build_grid cannot use, with GridError."""
     if N < 16:
         raise GridError(f"N={N} too small (need >= 16)")
     if not r_max > 0:
@@ -135,6 +130,17 @@ def build_grid(
         raise GridError(f"grading={grading} must be >= 1")
     if not n - 1 + b > 0:
         raise GridError(f"n-1+b = {n - 1 + b} <= 0: inner flux weight would not vanish")
+
+
+def build_grid(
+    n: int,
+    b: float,
+    r_max: float = 30.0,
+    N: int = 4096,
+    grading: float = 2.0,
+) -> RadialGrid:
+    """Construct the graded mesh and all quadrature/flux weights."""
+    check_grid_settings(n, b, r_max, N, grading)
 
     i = np.arange(N + 1, dtype=float)
     faces = r_max * (i / N) ** grading

@@ -79,7 +79,7 @@ def test_intercritical_dichotomy(gs_f1):
     low = intercritical(multiple(gs_f1, 0.5), F1, ZERO, gs_f1)
     assert low.verdict == GLOBAL_CANDIDATE
     ev = evidence_map(low)
-    assert ev["em_product_vs_threshold"].lhs == pytest.approx(27.8986306415, rel=1e-9)
+    assert ev["em_product_vs_threshold"].lhs == pytest.approx(27.8986305911, rel=1e-9)
     assert ev["em_product_vs_threshold"].rhs == pytest.approx(178.551655229, rel=1e-9)
     assert ev["grad_product_vs_threshold"].lhs < ev["grad_product_vs_threshold"].rhs
 
@@ -157,9 +157,9 @@ def test_sets_rescales_min_action_for_other_frequencies(gs_f1):
 
 def test_optimal_frequency_frozen_values(gs_f1):
     rep = optimal_frequency(multiple(gs_f1, 0.5), F1, gs_f1)
-    assert rep.omega0 == pytest.approx(16.0001251935, rel=1e-9)
-    assert rep.f_omega0 == pytest.approx(31.8891253396, rel=1e-9)
-    assert rep.em_product == pytest.approx(27.8986306415, rel=1e-9)
+    assert rep.omega0 == pytest.approx(16.0001252898, rel=1e-9)
+    assert rep.f_omega0 == pytest.approx(31.8891254463, rel=1e-9)
+    assert rep.em_product == pytest.approx(27.8986305911, rel=1e-9)
     assert not rep.near_boundary
     assert rep.f_omega0 > 0 and rep.em_product < rep.em_threshold
     d = rep.as_dict()

@@ -167,12 +167,16 @@ def test_build_run_config_rejects(extra, fragment):
         ("classify.omega = inf\n", "line 5: classify.omega must be finite, got inf"),
         ("grid.r_max = inf\n", "line 5: grid.r_max must be finite, got inf"),
         ("grid.gamma = inf\n", "line 5: grid.gamma must be finite, got inf"),
+        ("grid.r_max = -1\n", "line 5: grid: r_max=-1.0 must be positive"),
+        ("grid.gamma = 0.5\n", "line 5: grid: grading=0.5 must be >= 1"),
+        ("grid.N = 8\n", "line 5: grid: N=8 too small (need >= 16)"),
     ],
     ids=[
         "alpha", "width", "kind", "from_file", "path", "classify_omega", "classify_omega_text",
         "sweep_values", "params", "potential", "evolve", "t_end_inf", "dt0_inf",
         "alpha_inf", "amplitude_inf", "amplitude_nan", "width_inf", "potential_a_nan",
         "potential_s_inf", "omega_inf", "classify_omega_inf", "r_max_inf", "gamma_inf",
+        "r_max_negative", "gamma_below_one", "N_too_small",
     ],
 )
 def test_config_errors_name_their_lines(tmp_path, capsys, extra, message):
