@@ -80,6 +80,9 @@ RESIDUAL_GATE = 1e-8
 MAX_ITER = 10_000
 NEWTON_SWITCH = 1e-3
 NEWTON_STEPS = 3
+# The fewest cells of the nested mesh the maps run on; a grid with fewer
+# than 4 * NESTED_MIN_N cells runs its maps on itself.
+NESTED_MIN_N = 1024
 
 # Shooting oracle: the series start radius of every shot, the center
 # values that bracket the search, and the relative bracket width that
@@ -118,6 +121,10 @@ class GroundState:
     the exit gate (RESIDUAL_GATE); strong_residual is the L2 strong-form
     residual ||(A+omega)Q - r^c Q^{p+1}||_mu / ||Q||_mu, reported only.
     iterations counts the Petviashvili maps, the final one included.
+    history holds the successive relative change (sup norm) of each map
+    on the start mesh, then the relative size of each Newton correction
+    on the grid, so the linear rate of the maps and the quadratic one of
+    Newton can be read from the output.
     pohozaev_res is the pair of relative defects in the two Pohozaev
     identities.  c_gn is
     the sharp constant of the weighted interpolation inequality,
@@ -132,6 +139,7 @@ class GroundState:
     residual: float
     strong_residual: float
     iterations: int
+    history: tuple[float, ...]
     pohozaev_res: tuple[float, float]
     c_gn: float
     m_omega: float
@@ -160,6 +168,7 @@ class GroundState:
             "residual": self.residual,
             "strong_residual": self.strong_residual,
             "iterations": self.iterations,
+            "history": list(self.history),
             "pohozaev_res_mass_nonlinear": self.pohozaev_res[0],
             "pohozaev_res_mass_gradient": self.pohozaev_res[1],
             "c_gn": self.c_gn,
@@ -227,16 +236,23 @@ def petviashvili_solve(params: ProblemParams, grid: RadialGrid | None = None) ->
     Starts from the Gaussian exp(-r^2/2) and runs the Petviashvili map
     until the successive relative change drops below NEWTON_SWITCH
     (within MAX_ITER maps; the map converges only linearly, about 0.74
-    per map).  NEWTON_STEPS Newton steps on the symmetric form
+    per map, at a rate that does not depend on N).  The maps run on the
+    nested mesh of N // 4 cells with the grid's radius and grading, whose
+    faces are every 4th face of the grid when 4 divides N; below
+    NESTED_MIN_N cells they run on the grid itself.  np.interp takes the
+    coarse iterate to the grid's nodes as a start inside Newton's
+    quadratic basin (nested iteration: Brandt, Math. Comp. 31 (1977)).
+    NEWTON_STEPS Newton steps on the symmetric form
 
         F(Q) = M Q + mu (omega Q - r^c Q^{p+1})
 
-    then take Q to the fixed point; the Jacobian
+    then take Q to the fixed point on the grid; the Jacobian
     M + diag(mu (omega - (p+1) r^c Q^p)) is symmetric tridiagonal and
     indefinite (Morse index 1), so each step is one LAPACK dgtsv solve.
-    One final map keeps Q positive by construction and measures the
-    stabilizing factor M_k at the polished profile.  The returned state
-    satisfies: residual < RESIDUAL_GATE, both Pohozaev defects < 1e-4,
+    One final map on the grid keeps Q positive by construction and
+    measures the stabilizing factor M_k at the polished profile.  Every
+    gate is taken on the grid: the returned state satisfies
+    residual < RESIDUAL_GATE, both Pohozaev defects < 1e-4,
     |M_k - 1| < 1e-10 at exit, strict positivity, and monotone decay
     beyond the maximum; any violation raises NonConvergence rather than
     returning a dressed-up failure.
@@ -247,29 +263,49 @@ def petviashvili_solve(params: ProblemParams, grid: RadialGrid | None = None) ->
     check_grid(grid, params)
     w = params.omega
     p, c = params.p, params.c
-    r = grid.nodes
     mu = grid.measure_weights
-    rc = r**c
+    rc = grid.nodes**c
     gamma = (p + 1) / p
 
-    def energy_sq(v: np.ndarray) -> float:
-        """<(A+omega) v, v>_mu, the squared (A+omega) energy norm."""
-        return gradient_norm_sq(grid, v) + w * float(np.sum(mu * v**2))
+    def energy_sq(mesh: RadialGrid, v: np.ndarray) -> float:
+        """<(A+omega) v, v>_mu on mesh, the squared (A+omega) energy norm."""
+        return gradient_norm_sq(mesh, v) + w * float(np.sum(mesh.measure_weights * v**2))
 
-    def stabilized_map(Q: np.ndarray, nl: np.ndarray) -> tuple[np.ndarray, float]:
-        """The next Petviashvili iterate and the stabilizing factor M_k of Q."""
-        num = energy_sq(Q)
-        den = float(np.sum(mu * nl * Q))
-        if num <= 0:
-            raise IndefiniteOperator(f"<(A+omega)Q, Q> = {num} <= 0")
-        if den <= 0:
-            raise NonConvergence(f"nonlinear pairing {den} <= 0: sign change")
-        stab = num / den
-        return stab**gamma * solve_shifted(grid, w, nl), stab
+    def relative_change(new: np.ndarray, old: np.ndarray) -> float:
+        change = float(np.max(np.abs(new - old)) / np.max(np.abs(new)))
+        if not math.isfinite(change):
+            raise NonConvergence("iterate is no longer finite")
+        return change
 
-    def newton_step(Q: np.ndarray, nl: np.ndarray) -> np.ndarray:
+    def iterate(
+        mesh: RadialGrid, mesh_rc: np.ndarray, Q: np.ndarray, switch: float
+    ) -> tuple[np.ndarray, float, list[float]]:
+        """Petviashvili maps of Q on mesh (mesh_rc = r^c at its nodes) until
+        the successive relative change drops below switch: the last
+        iterate, the stabilizing factor M_k of the one before it, and the
+        change of every map."""
+        changes: list[float] = []
+        while len(changes) < MAX_ITER:
+            nl = mesh_rc * Q ** (p + 1)
+            num = energy_sq(mesh, Q)
+            den = float(np.sum(mesh.measure_weights * nl * Q))
+            if num <= 0:
+                raise IndefiniteOperator(f"<(A+omega)Q, Q> = {num} <= 0")
+            if den <= 0:
+                raise NonConvergence(f"nonlinear pairing {den} <= 0: sign change")
+            stab = num / den
+            Qn = stab**gamma * solve_shifted(mesh, w, nl)
+            changes.append(relative_change(Qn, Q))
+            Q = Qn
+            if changes[-1] < switch:
+                return Q, stab, changes
+        raise NonConvergence(
+            f"no fixed point after {MAX_ITER} maps (last change {changes[-1]:.3e})"
+        )
+
+    def newton_step(Q: np.ndarray) -> np.ndarray:
         """Q minus the Newton correction J^{-1} F(Q) of the symmetric form."""
-        F = mu * (apply_operator(grid, Q) + w * Q - nl)
+        F = mu * (apply_operator(grid, Q) + w * Q - rc * Q ** (p + 1))
         jac = grid.stiffness_diag + mu * (w - (p + 1) * rc * Q**p)
         # dgtsv overwrites all four arrays, and each is this step's own
         *_, delta, info = dgtsv(-grid.face_weights, jac, -grid.face_weights, F, 1, 1, 1, 1)
@@ -277,31 +313,32 @@ def petviashvili_solve(params: ProblemParams, grid: RadialGrid | None = None) ->
             raise NonConvergence(f"Newton solve failed (dgtsv info {info})")
         return Q - delta
 
-    Q = np.exp(-(r**2) / 2)
-    nl = rc * Q ** (p + 1)
-    for maps in range(1, MAX_ITER + 1):
-        Qn, _ = stabilized_map(Q, nl)
-        change = float(np.max(np.abs(Qn - Q)) / np.max(np.abs(Qn)))
-        if not math.isfinite(change):
-            raise NonConvergence("iterate is no longer finite")
-        Q = Qn
-        nl = rc * Q ** (p + 1)
-        if change < NEWTON_SWITCH:
-            break
-    else:
-        raise NonConvergence(
-            f"no fixed point after {MAX_ITER} maps (last change {change:.3e})"
-        )
+    def newton_start() -> tuple[np.ndarray, list[float]]:
+        """The maps from exp(-r^2/2) on the start mesh, at the grid's nodes,
+        and their changes; the start mesh is freed on return."""
+        start = grid
+        if grid.N // 4 >= NESTED_MIN_N:
+            start = build_grid(grid.n, grid.b, grid.r_max, grid.N // 4, grid.grading)
+        Q, _, changes = iterate(start, start.nodes**c, np.exp(-(start.nodes**2) / 2), NEWTON_SWITCH)
+        if start is not grid:
+            # A Newton start, not a field transfer: every gate is taken on
+            # the grid.  np.interp keeps scipy.interpolate out of the process.
+            Q = np.interp(grid.nodes, start.nodes, Q)
+        return Q, changes
+
+    Q, history = newton_start()
+    maps = len(history)
 
     for _ in range(NEWTON_STEPS):
-        Q = newton_step(Q, nl)
-        nl = rc * Q ** (p + 1)
+        Qn = newton_step(Q)
+        history.append(relative_change(Qn, Q))
+        Q = Qn
 
-    Q, stab = stabilized_map(Q, nl)
+    Q, stab, _ = iterate(grid, rc, Q, math.inf)
     stab_gap = abs(stab - 1.0)
     nl = rc * Q ** (p + 1)
     defect = Q - solve_shifted(grid, w, nl)
-    residual = math.sqrt(energy_sq(defect) / energy_sq(Q))
+    residual = math.sqrt(energy_sq(grid, defect) / energy_sq(grid, Q))
     if not math.isfinite(residual):
         raise NonConvergence("iterate is no longer finite")
     strong = apply_operator(grid, Q) + w * Q - nl
@@ -331,6 +368,7 @@ def petviashvili_solve(params: ProblemParams, grid: RadialGrid | None = None) ->
         residual=residual,
         strong_residual=strong_residual,
         iterations=maps + 1,
+        history=tuple(history),
         pohozaev_res=poh,
         c_gn=gn_ratio(rep),
         m_omega=rep.action,

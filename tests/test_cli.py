@@ -258,6 +258,7 @@ def test_groundstate_command_outputs_and_determinism(tmp_path, capsys):
     summary = json.loads((out1 / "groundstate.json").read_text())
     assert summary["m_omega"] == pytest.approx(ref.m_omega, rel=1e-12)
     assert summary["omega"] == 1.0
+    assert summary["history"] == list(ref.history)
 
     for name in ("profile.csv", "groundstate.json", "manifest.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()

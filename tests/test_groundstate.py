@@ -1,6 +1,9 @@
 """Ground-state solvers: convergence invariants, regressions, dual routes."""
 
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -208,10 +211,57 @@ def plain_petviashvili(params, g, maps):
 
 
 def test_polished_profile_is_the_fixed_point_of_the_map():
-    g = grid_for(3, 0.0, 2048)
-    reference = plain_petviashvili(F1, g, 400)
-    q = solve(F1, 2048).profile.values.real
-    assert np.max(np.abs(q - reference)) < 1e-11 * np.max(reference)
+    # At N = 16384 the maps run on the nested 4096-cell mesh and Newton
+    # starts from their interpolant; the plain map on the grid must still
+    # land on the same Q.
+    for N in (2048, 16384):
+        g = grid_for(3, 0.0, N)
+        reference = plain_petviashvili(F1, g, 400)
+        q = solve(F1, N).profile.values.real
+        assert np.max(np.abs(q - reference)) < 1e-11 * np.max(reference), N
+
+
+@pytest.mark.parametrize("N, start", [(2048, 2048), (4096, 1024), (16384, 4096)])
+def test_maps_run_on_the_nested_quarter_mesh(count_calls, N, start):
+    meshes = []
+    count_calls("solve_shifted", record=lambda name, args: meshes.append(args[0].N))
+    gs = petviashvili_solve(F1, grid=grid_for(3, 0.0, N))
+    maps = gs.iterations - 1
+    # the start maps, then the final map and the residual's solve on the grid
+    assert meshes == [start] * maps + [N, N]
+    assert len(gs.history) == maps + groundstate.NEWTON_STEPS
+
+
+def test_newton_converges_quadratically_from_the_coarse_start():
+    gs = solve(F1, 16384)
+    maps = gs.iterations - 1
+    assert gs.history[maps - 1] < groundstate.NEWTON_SWITCH <= gs.history[maps - 2]
+    first, second, _ = gs.history[maps:]
+    assert second < 100 * first**2
+
+
+def test_a_grid_4_does_not_divide_certifies():
+    gs = solve(F1, 4100)
+    assert gs.residual < 1e-10
+    assert max(gs.pohozaev_res) < 1e-4
+    assert gs.iterations == solve(F1, 4096).iterations
+
+
+def test_a_solve_leaves_scipy_interpolate_unloaded():
+    # scipy.interpolate costs about half a second to import, paid by every
+    # CLI process that loads it; the nested start transfers with np.interp.
+    code = (
+        "import sys, inls_lab\n"
+        "from inls_lab.verification import F1, _solve\n"
+        "_solve(F1, 16384)\n"
+        "print('scipy.interpolate' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
+        timeout=120,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_newton_polish_certifies_in_few_maps(gs_f1):
@@ -375,6 +425,7 @@ def test_ground_state_serialization(gs_f1):
         "residual",
         "strong_residual",
         "iterations",
+        "history",
         "pohozaev_res_mass_nonlinear",
         "pohozaev_res_mass_gradient",
         "c_gn",
@@ -386,3 +437,4 @@ def test_ground_state_serialization(gs_f1):
     assert d["omega"] == 1.0
     assert d["m_omega"] == gs_f1.m_omega
     assert d["iterations"] == gs_f1.iterations
+    assert d["history"] == list(gs_f1.history)
