@@ -48,10 +48,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import zgtsv
 
 from .functionals import evaluate_all
-from .grid import RadialField, RadialGrid, check_grid, gradient_norm_sq
+from .grid import RadialField, RadialGrid, check_grid, gradient_norm_sq, zgtsv
 from .params import ProblemParams
 from .potential import PotentialSpec, eval_potential
 

@@ -50,16 +50,28 @@ and solve_shifted work with it directly; the time stepper adds
 diag(mu V) to the diagonal for its own potential.  It also stores
 r^(2-b) at the nodes, the weight of the variance, a grid constant
 because check_grid ties the parameters' b to the grid's.
+
+The package calls three LAPACK routines: dptsv here, dgtsv in the
+Newton polish and zgtsv in the Cayley step.  All three are bound from
+scipy's compiled wrapper module scipy.linalg._flapack, loaded by path:
+importing scipy.linalg would run its package __init__, which costs
+about half of every CLI command's time.  A later import of
+scipy.linalg.lapack exposes these same function objects.
 """
 
 from __future__ import annotations
 
 import csv
+import importlib.util
+import os
+import sys
+import sysconfig
 from dataclasses import dataclass
 from math import gamma, pi
+from types import ModuleType
 
 import numpy as np
-from scipy.linalg.lapack import dptsv
+import scipy
 
 from .params import ProblemParams
 
@@ -81,6 +93,29 @@ __all__ = [
 
 class GridError(ValueError):
     """Mesh construction or field/grid consistency failure."""
+
+
+def load_flapack(scipy_dir: str) -> ModuleType:
+    """scipy.linalg._flapack from the scipy package at scipy_dir.
+
+    The module must load under its real name, which its PyInit_ symbol
+    carries, and is entered in sys.modules under it, so that a later
+    import of scipy.linalg finds this module instead of loading a
+    second one.  A missing file raises ImportError naming the path.
+    """
+    name = "scipy.linalg._flapack"
+    path = os.path.join(scipy_dir, "linalg", "_flapack" + sysconfig.get_config_var("EXT_SUFFIX"))
+    if not os.path.isfile(path):
+        raise ImportError(f"LAPACK wrappers not found: {path}", name=name, path=path)
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = load_flapack(os.path.dirname(scipy.__file__))
+dptsv, dgtsv, zgtsv = _flapack.dptsv, _flapack.dgtsv, _flapack.zgtsv
 
 
 def sphere_area(n: int) -> float:

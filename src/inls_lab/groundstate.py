@@ -44,7 +44,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .functionals import FunctionalReport, evaluate_all, threshold_peak
 from .grid import (
@@ -53,6 +52,7 @@ from .grid import (
     apply_operator,
     build_grid,
     check_grid,
+    dgtsv,
     gradient_norm_sq,
     solve_shifted,
 )

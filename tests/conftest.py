@@ -18,6 +18,20 @@ from inls_lab.verification import (  # noqa: F401
     _solve as solve,
 )
 
+# A certified ground-state solve and a short march, for the tests that
+# run them in a fresh interpreter to see which modules they load.
+SOLVE_AND_MARCH = """
+from inls_lab import (
+    EvolutionConfig, PotentialSpec, ProblemParams, RadialField,
+    build_grid, evolve, petviashvili_solve,
+)
+params = ProblemParams(n=3, b=0.0, c=0.0, p=2.0)
+grid = build_grid(3, 0.0, r_max=30.0, N=4096, grading=2.0)
+gs = petviashvili_solve(params, grid=grid)
+u0 = RadialField(grid, 0.5 * gs.profile.values)
+evolve(u0, EvolutionConfig(dt0=1e-3, t_end=0.02), params, PotentialSpec.zero())
+"""
+
 
 @pytest.fixture(scope="session")
 def gs_f1():

@@ -22,7 +22,7 @@ from inls_lab.classify import NOT_APPLICABLE, ClassificationEntry, classify_all
 from inls_lab.grid import RadialField, build_grid, field_from_csv
 from inls_lab.potential import PotentialSpec
 
-from conftest import F1, solve
+from conftest import F1, SOLVE_AND_MARCH, solve
 
 MINI = """\
 params.n = 3
@@ -421,11 +421,13 @@ def test_sweep_point_matches_separate_commands(tmp_path):
 
 def test_cli_import_leaves_scipy_solvers_unloaded():
     # Only the shooting oracle and the mesh transfer need these, and
-    # every CLI command pays for what the package imports up front.
+    # every CLI command pays for what the package imports up front.  The
+    # LAPACK wrappers come without scipy.linalg, on every solve path too.
     code = (
-        "import sys, inls_lab.cli; "
-        "print([m for m in ('scipy.integrate', 'scipy.interpolate', 'scipy.optimize') "
-        "if m in sys.modules])"
+        "import sys, inls_lab.cli\n"
+        + SOLVE_AND_MARCH
+        + "print([m for m in ('scipy.linalg', 'scipy.integrate', 'scipy.interpolate', "
+        "'scipy.optimize') if m in sys.modules])"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"

@@ -1,6 +1,10 @@
 """Radial mesh construction, quadrature accuracy, and operator identities."""
 
 import math
+import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -14,9 +18,12 @@ from inls_lab.grid import (
     field_from_csv,
     field_to_csv,
     gradient_norm_sq,
+    load_flapack,
     resample,
     solve_shifted,
 )
+
+from conftest import SOLVE_AND_MARCH
 
 
 @pytest.mark.parametrize(
@@ -116,6 +123,27 @@ def test_solve_shifted_refuses_an_indefinite_system():
     g = build_grid(3, 0.0, r_max=20.0, N=64, grading=2.0)
     with pytest.raises(GridError, match="dptsv info"):
         solve_shifted(g, -1e6, np.ones(g.N))
+
+
+@pytest.mark.parametrize("first", ["", "import scipy.linalg.lapack\n"], ids=["inls_lab", "scipy"])
+def test_lapack_wrappers_are_scipys_own(first):
+    # One wrapper module, whichever of inls_lab and scipy.linalg loads it.
+    code = (
+        first
+        + SOLVE_AND_MARCH
+        + "import importlib, scipy.linalg.lapack as lapack\n"
+        "grid, gs, ev = (importlib.import_module('inls_lab.' + m) "
+        "for m in ('grid', 'groundstate', 'evolve'))\n"
+        "print(grid.dptsv is lapack.dptsv, gs.dgtsv is lapack.dgtsv, ev.zgtsv is lapack.zgtsv)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "True True True"
+
+
+def test_load_flapack_names_a_missing_wrapper_module(tmp_path):
+    path = os.path.join(str(tmp_path), "linalg", "_flapack")
+    with pytest.raises(ImportError, match=re.escape(f"LAPACK wrappers not found: {path}")):
+        load_flapack(str(tmp_path))
 
 
 def test_field_csv_roundtrip(tmp_path):
