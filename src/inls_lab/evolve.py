@@ -35,6 +35,14 @@ reads the gradient norm of the node values directly; a non-finite one
 stops the run with an EvolveError.  A run never ends on a sliver: with
 one to two steps left before t_end, it takes two even ones.
 
+A sample is the report of evaluate_all's own body
+(functionals.Quadrature) on the node values, with weights the stepper
+forms once per march, so it equals evaluate_all of the same field to
+the last bit.  Its finiteness is read from the six quadratures: a
+non-finite node makes the mass non-finite, and only then is the field
+scanned, to tell a non-finite field (EvolveError) from an overflowing
+quadrature (FunctionalError).
+
 Blow-up is reported as a candidate event, never a proof: the trigger
 requires gradient growth past blowup_factor together with a negative
 second difference of the variance over the trailing samples, so that
@@ -49,10 +57,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .functionals import evaluate_all
-from .grid import RadialField, RadialGrid, check_grid, gradient_norm_sq, zgtsv
+from .functionals import FunctionalError, quadrature
+from .grid import RadialField, RadialGrid, gradient_norm_sq, zgtsv
 from .params import ProblemParams
-from .potential import PotentialSpec, eval_potential
+from .potential import PotentialSpec
 
 __all__ = [
     "EvolutionConfig",
@@ -60,6 +68,7 @@ __all__ = [
     "EvolveError",
     "RelaxationStepper",
     "evolve",
+    "relative_drift",
     "trace_to_csv",
     "variance_concavity",
     "virial_check",
@@ -74,6 +83,9 @@ INNER_NEIGHBOURS = 4
 # Absolute scale below which virial_check measures its defect: standing
 # waves have both sides of the virial identity near zero.
 VIRIAL_FLOOR = 1.0
+
+# Floor of inner_amp's denominator, so that zero neighbours never give 0/0.
+TINY = np.finfo(float).tiny
 
 
 class EvolveError(RuntimeError):
@@ -144,39 +156,61 @@ class EvolutionTrace:
 class RelaxationStepper:
     """Relaxation Cayley steps of one march on one grid (module docstring).
 
-    Holds the symmetric bands of M (the grid's M_{b,0} plus diag(mu V)),
-    mu, 2 mu, mu r^c and p, and the relaxation state: the potential
-    phi^{n-1/2} and the last dt.  The first step starts the state at
-    phi^{-1/2} = |u^0|^p, so a new march needs a new stepper.
+    Holds the march's Quadrature (functionals), whose mu r^c weighs the
+    nonlinear potential and whose V enters the band; the symmetric bands
+    of M (the grid's M_{b,0} plus diag(mu V)), mu, 2 mu and p; and the
+    relaxation state: the potential phi^{n-1/2} and the last dt.  The
+    first step starts the state at phi^{-1/2} = |u^0|^p, so a new march
+    needs a new stepper.
     """
 
     def __init__(self, grid: RadialGrid, params: ProblemParams, spec: PotentialSpec):
+        self.quadrature = quadrature(grid, params, spec)
         self.mu = grid.measure_weights
-        self.sym_diag = grid.stiffness_diag + self.mu * eval_potential(spec, grid.nodes)[0]
+        V = self.quadrature.V
+        self.sym_diag = grid.stiffness_diag if V is None else grid.stiffness_diag + self.mu * V
         self.sym_off = -grid.face_weights
         self.two_mu = 2 * self.mu
-        self.mu_rc = self.mu * grid.nodes**params.c
+        self.mu_rc = self.quadrature.mu_rc
         self.p = params.p
         self.phi: np.ndarray | None = None
         self._dt: float | None = None
+        # Work arrays: the next phi, the complex diagonal written through
+        # float views of its real and imaginary parts, and the off-diagonal
+        # (i dt/2) sym_off of the last distinct dt.
+        self._phi_next = np.empty(grid.N)
+        self._diag = np.empty(grid.N, dtype=complex)
+        self._diag_re = self._diag.view(float)[0::2]
+        self._diag_im = self._diag.view(float)[1::2]
+        self._off: np.ndarray | None = None
+        self._off_dt: float | None = None
 
     def step(self, u: np.ndarray, dt: float) -> np.ndarray:
         """One step of the node values u^n; returns a new array u^{n+1}."""
         if dt == 0.0:
             raise EvolveError("dt must be nonzero")
-        phi = np.abs(u) ** self.p
-        if self.phi is not None:
+        phi = np.abs(u, out=self._phi_next)
+        phi **= self.p
+        prev = self.phi
+        if prev is None:
+            prev = np.empty_like(phi)
+        else:
             rho = dt / self._dt
             phi *= 1 + rho
-            phi -= rho * self.phi
-        self.phi, self._dt = phi, dt
-        d = np.empty(u.shape, dtype=complex)
-        d.real = self.mu
-        d.imag = self.sym_diag - self.mu_rc * phi
-        d.imag *= dt / 2
-        off = (0.5j * dt) * self.sym_off
-        # zgtsv overwrites all four arrays, and each is this step's own
-        *_, y, info = zgtsv(off, d, off.copy(), self.two_mu * u, 1, 1, 1, 1)
+            prev *= rho
+            phi -= prev
+        self.phi, self._phi_next, self._dt = phi, prev, dt
+        self._diag_re[:] = self.mu
+        im = np.multiply(self.mu_rc, phi, out=self._diag_im)
+        np.subtract(self.sym_diag, im, out=im)
+        im *= dt / 2
+        if dt != self._off_dt:
+            self._off, self._off_dt = (0.5j * dt) * self.sym_off, dt
+        # zgtsv overwrites all four arrays: the diagonal is rewritten on
+        # every step, and the bands and right-hand side are this step's own
+        *_, y, info = zgtsv(
+            self._off.copy(), self._diag, self._off.copy(), self.two_mu * u, 1, 1, 1, 1
+        )
         if info != 0:
             raise EvolveError(f"Cayley solve failed (zgtsv info {info})")
         y -= u
@@ -219,26 +253,31 @@ def evolve(
     three samples support the second difference.
     """
     g = u0.grid
-    check_grid(g, params)
     stepper = RelaxationStepper(g, params, spec)
+    quad = stepper.quadrature
     u = u0.values.astype(complex, copy=True)
     trace = EvolutionTrace()
 
     def sample(t: float, vals: np.ndarray) -> float:
-        if not np.all(np.isfinite(vals)):
-            raise EvolveError(f"non-finite field at t = {t:.6g}")
-        rep = evaluate_all(RadialField(g, vals), params, spec)
+        try:
+            rep = quad.report(vals)
+        except FunctionalError:
+            # a non-finite node makes the mass non-finite, so only then is
+            # the field scanned, to tell it from an overflowing quadrature
+            if not np.all(np.isfinite(vals)):
+                raise EvolveError(f"non-finite field at t = {t:.6g}") from None
+            raise
         trace.times.append(t)
         trace.mass.append(rep.mass)
         trace.energy.append(rep.energy)
-        trace.grad_norm.append(float(np.sqrt(rep.grad_sq)))
+        trace.grad_norm.append(math.sqrt(rep.grad_sq))
         trace.virial.append(rep.virial)
         trace.k_n2.append(rep.k(params.n, 2))
         trace.variance.append(rep.variance)
         trace.nehari.append(rep.nehari)
-        trace.outer_amp.append(float(np.abs(vals[-1])))
+        trace.outer_amp.append(float(abs(vals[-1])))
         amp = np.abs(vals[: INNER_NEIGHBOURS + 1])
-        trace.inner_amp.append(float(amp[0] / max(amp[1:].max(), np.finfo(float).tiny)))
+        trace.inner_amp.append(float(amp[0] / max(amp[1:].max(), TINY)))
         return rep.grad_sq
 
     def triggered(gsq: float) -> bool:
@@ -315,9 +354,18 @@ def virial_check(trace: EvolutionTrace, params: ProblemParams) -> float:
     return float(np.max(defect))
 
 
+def relative_drift(series: list[float]) -> float | None:
+    """Largest |x - x_0| / |x_0| over a sampled series; None when the
+    series is empty or starts at 0, where no relative drift is defined."""
+    if not series or series[0] == 0:
+        return None
+    x = np.asarray(series)
+    return float(np.max(np.abs(x - x[0])) / abs(x[0]))
+
+
 def trace_to_csv(trace: EvolutionTrace, path) -> None:
     """Write the sampled series as CSV plus a JSON sidecar with the
-    events and the march counters."""
+    events, the march counters and the relative mass and energy drifts."""
     path = str(path)
     with open(path, "w") as fh:
         fh.write("t,mass,energy,grad_norm,P,K_n2,variance,nehari,outer_amp,inner_amp\n")
@@ -342,6 +390,8 @@ def trace_to_csv(trace: EvolutionTrace, path) -> None:
                 "steps": trace.steps,
                 "dt_min": trace.dt_min,
                 "dt_max": trace.dt_max,
+                "mass_drift": relative_drift(trace.mass),
+                "energy_drift": relative_drift(trace.energy),
             },
             fh,
             indent=2,

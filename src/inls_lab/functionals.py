@@ -28,11 +28,16 @@ Special slots: K^{1,0} is the Nehari functional and K^{n,2} = (2-b) P.
 L is formed with the first term squared; only that reading makes the
 two-sided bound 2S <= L (valid on K >= 0) an identity-tight estimate.
 
-evaluate_all is the one pass of quadratures over a field.  Its
-FunctionalReport holds the six quadratures and the parameters they were
-evaluated at; every other scalar is a property of the report, K^{a,B}
-is its one method k (nehari and virial read it), and rep.at(w) is the
-report at another omega, equal to a new pass at that omega.
+Quadrature.report is the one body of quadratures over a field.  A
+Quadrature holds the node weights that depend only on (grid, params,
+spec): mu r^c and, for a nonzero potential, V and rV'.  evaluate_all
+forms them for its field and reports it; a march (evolve) forms them
+once and reports every sample with the same body, on the raw node
+values.  The FunctionalReport holds the six quadratures and the
+parameters they were evaluated at; every other scalar is a property of
+the report, K^{a,B} is its one method k (nehari and virial read it),
+and rep.at(w) is the report at another omega, equal to a new pass at
+that omega.
 
 Scalings are realized on the fixed mesh by grid.resample, the cubic
 spline transfer (zero beyond r_max), rather than by rebuilding the
@@ -48,15 +53,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import RadialField, check_grid, gradient_norm_sq, resample
+from .grid import RadialField, RadialGrid, check_grid, gradient_norm_sq, resample
 from .params import Criticality, ProblemParams, derive_exponents
 from .potential import PotentialSpec, eval_potential
 
 __all__ = [
     "FunctionalError",
     "FunctionalReport",
+    "Quadrature",
     "TruncationWarning",
     "evaluate_all",
+    "quadrature",
     "scale_alpha_beta",
     "scale_soliton",
     "threshold_function",
@@ -127,35 +134,68 @@ class FunctionalReport:
         return replace(self, params=self.params.with_omega(omega))
 
 
+@dataclass(frozen=True, eq=False)
+class Quadrature:
+    """The quadratures of evaluate_all for one (grid, params, spec).
+
+    Holds the node weights that depend on nothing else: mu r^c of the
+    nonlinear term, and V and rV' of the potential terms (None for the
+    zero potential); the grid holds mu and the variance weight r^(2-b).
+    report is the one body of quadratures, so a march forms a
+    Quadrature once and reports every sample with it.
+    """
+
+    grid: RadialGrid
+    params: ProblemParams
+    mu_rc: np.ndarray
+    V: np.ndarray | None
+    rVp: np.ndarray | None
+
+    def report(self, values: np.ndarray) -> FunctionalReport:
+        """The six quadratures of the node values.  Values are not
+        validated: a non-finite one makes the mass non-finite, and every
+        non-finite quadrature raises FunctionalError naming the first."""
+        g = self.grid
+        grad_sq = gradient_norm_sq(g, values)
+        a = np.abs(values)
+        dens = g.measure_weights * (a * a)
+        if self.V is None:
+            pot = 0.0
+            xgv = 0.0
+        else:
+            pot = float((dens * self.V).sum())
+            xgv = float((dens * self.rVp).sum())
+        mass = float(dens.sum())
+        variance = float((dens * g.variance_weight).sum())
+        nl = float((self.mu_rc * a ** (self.params.p + 2)).sum())
+        for name, val in (
+            ("gradient", grad_sq),
+            ("potential_energy", pot),
+            ("xgradV_term", xgv),
+            ("mass", mass),
+            ("variance", variance),
+            ("nonlinear_term", nl),
+        ):
+            if not math.isfinite(val):
+                raise FunctionalError(f"{name} evaluated to a non-finite value")
+        return FunctionalReport(mass, variance, grad_sq, pot, xgv, nl, self.params)
+
+
+def quadrature(g: RadialGrid, params: ProblemParams, spec: PotentialSpec) -> Quadrature:
+    """The Quadrature of (g, params, spec); refuses a grid not built for params."""
+    check_grid(g, params)
+    if spec.is_zero:
+        V = rVp = None
+    else:
+        V, rVp, _ = eval_potential(spec, g.nodes)
+    return Quadrature(g, params, g.measure_weights * g.nodes**params.c, V, rVp)
+
+
 def evaluate_all(
     u: RadialField, params: ProblemParams, spec: PotentialSpec
 ) -> FunctionalReport:
     """Evaluate every scalar functional of u in one pass of quadratures."""
-    g = u.grid
-    check_grid(g, params)
-    grad_sq = gradient_norm_sq(g, u.values)
-    dens = g.measure_weights * np.abs(u.values) ** 2
-    if spec.is_zero:
-        pot = 0.0
-        xgv = 0.0
-    else:
-        V, rVp, _ = eval_potential(spec, g.nodes)
-        pot = float(np.sum(dens * V))
-        xgv = float(np.sum(dens * rVp))
-    mass = float(np.sum(dens))
-    variance = float(np.sum(dens * g.variance_weight))
-    nl = float(np.sum(g.measure_weights * g.nodes**params.c * np.abs(u.values) ** (params.p + 2)))
-    for name, val in (
-        ("gradient", grad_sq),
-        ("potential_energy", pot),
-        ("xgradV_term", xgv),
-        ("mass", mass),
-        ("variance", variance),
-        ("nonlinear_term", nl),
-    ):
-        if not np.isfinite(val):
-            raise FunctionalError(f"{name} evaluated to a non-finite value")
-    return FunctionalReport(mass, variance, grad_sq, pot, xgv, nl, params)
+    return quadrature(u.grid, params, spec).report(u.values)
 
 
 def scale_alpha_beta(

@@ -249,8 +249,13 @@ def gradient_norm_sq(g: RadialGrid, values: np.ndarray) -> float:
     """Discrete ||grad f||^2_{b,2} of the node values (real or complex) of f
     on g: face-difference sum plus the Dirichlet edge term.  Values are
     not validated; non-finite values give a non-finite result."""
-    interior = np.sum(g.face_weights * np.abs(np.diff(values)) ** 2)
-    return float(interior + g.outer_face_weight * abs(values[-1]) ** 2)
+    d = values[1:] - values[:-1]
+    if d.dtype.kind == "c":
+        sq = d.real * d.real
+        sq += d.imag * d.imag
+    else:
+        sq = d * d
+    return float(np.dot(g.face_weights, sq) + g.outer_face_weight * abs(values[-1]) ** 2)
 
 
 def resample(f: RadialField, r) -> np.ndarray:

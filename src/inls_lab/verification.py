@@ -21,9 +21,9 @@ import numpy as np
 from .classify import classify_all, optimal_frequency
 from .evolve import (
     EvolutionConfig,
-    EvolutionTrace,
     RelaxationStepper,
     evolve,
+    relative_drift,
     variance_concavity,
     virial_check,
 )
@@ -81,11 +81,6 @@ def _scaled(gs, a: float) -> RadialField:
 
 def _gaussian(grid: RadialGrid, amplitude: float = 1.0, width: float = 1.0) -> RadialField:
     return RadialField(grid, amplitude * np.exp(-((grid.nodes / width) ** 2)))
-
-
-def _mass_drift(trace: EvolutionTrace) -> float:
-    m = np.asarray(trace.mass)
-    return float(np.max(np.abs(m - m[0])) / m[0])
 
 
 def _bump_sum(rng: np.random.Generator, grid: RadialGrid, complex_phase: bool) -> np.ndarray:
@@ -279,9 +274,8 @@ def check_conservation() -> list[CheckResult]:
     for dt in (1e-3, 5e-4):
         cfg = EvolutionConfig(dt0=dt, t_end=1.0, sample_every=10, adaptivity=False)
         tr = evolve(u0, cfg, params, _ZERO)
-        e = np.asarray(tr.energy)
-        drifts[dt] = float(np.max(np.abs(e - e[0])) / abs(e[0]))
-        mass_worst = max(mass_worst, _mass_drift(tr))
+        drifts[dt] = relative_drift(tr.energy)
+        mass_worst = max(mass_worst, relative_drift(tr.mass))
     ratio = drifts[1e-3] / drifts[5e-4]
     return [
         CheckResult("mass_conservation", mass_worst < 1e-12, mass_worst, 1e-12,
@@ -306,7 +300,7 @@ def check_virial_identity() -> list[CheckResult]:
         tr = evolve(u0, cfg, params, _ZERO)
         defect = virial_check(tr, params)
         rows.append(CheckResult(f"virial_defect_{tag}", defect < tol, defect, tol,
-                                f"mass drift {_mass_drift(tr):.2e}"))
+                                f"mass drift {relative_drift(tr.mass):.2e}"))
     return rows
 
 
@@ -348,11 +342,11 @@ def check_dichotomy() -> list[CheckResult]:
     rows.append(
         CheckResult(
             "mass_critical_global",
-            tr.events[-1][0] == "Completed" and growth < 2.0 and _mass_drift(tr) < 1e-12,
+            tr.events[-1][0] == "Completed" and growth < 2.0 and relative_drift(tr.mass) < 1e-12,
             growth,
             2.0,
             f"event {tr.events[-1][0]}, gradient growth over t in [0,5], "
-            f"mass drift {_mass_drift(tr):.2e}",
+            f"mass drift {relative_drift(tr.mass):.2e}",
         )
     )
     tr = evolve(_scaled(gsM, 1.2), cfg, MASS_CRITICAL, _ZERO)
@@ -378,7 +372,7 @@ def check_dichotomy() -> list[CheckResult]:
         entry = classify_all(u0, F1, _ZERO, gs1).entry("intercritical_threshold")
         tr = evolve(u0, cfg2, F1, _ZERO)
         growth = tr.grad_norm[-1] / tr.grad_norm[0]
-        flow_ok = tr.events[-1][0] == want_event and _mass_drift(tr) < 1e-12
+        flow_ok = tr.events[-1][0] == want_event and relative_drift(tr.mass) < 1e-12
         if want_event == "Completed":
             flow_ok = flow_ok and growth < 2.0
         rows.append(
@@ -388,7 +382,7 @@ def check_dichotomy() -> list[CheckResult]:
                 growth,
                 2.0,
                 f"verdict {entry.verdict}, event {tr.events[-1][0]}, "
-                f"mass drift {_mass_drift(tr):.2e}",
+                f"mass drift {relative_drift(tr.mass):.2e}",
             )
         )
     return rows
@@ -514,12 +508,12 @@ def check_nminus_flow() -> list[CheckResult]:
     rows.append(
         CheckResult(
             "nminus_flow_invariance",
-            triggered and bool((k < 0).all()) and _mass_drift(tr) < 1e-12,
+            triggered and bool((k < 0).all()) and relative_drift(tr.mass) < 1e-12,
             float(k.max()),
             0.0,
             f"event {tr.events[-1][0]} at t = {tr.events[-1][1]:.4f}, "
             f"{len(k)} samples, max K^{{n,2}} (must stay < 0), "
-            f"mass drift {_mass_drift(tr):.2e}",
+            f"mass drift {relative_drift(tr.mass):.2e}",
         )
     )
     return rows

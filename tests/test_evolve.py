@@ -1,6 +1,7 @@
 """Time stepping: structure preservation, events, trace machinery."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -11,14 +12,16 @@ from inls_lab.evolve import (
     EvolveError,
     RelaxationStepper,
     evolve,
+    relative_drift,
     trace_to_csv,
     variance_concavity,
     virial_check,
 )
-from inls_lab.grid import GridError, RadialField, build_grid, gradient_norm_sq
+from inls_lab.functionals import FunctionalError, evaluate_all
+from inls_lab.grid import GridError, RadialField, build_grid, gradient_norm_sq, zgtsv
 from inls_lab.potential import PotentialSpec, eval_potential
 
-from conftest import F1, F2, grid_for, solve
+from conftest import F1, F2, NM, grid_for, solve
 
 ZERO = PotentialSpec.zero()
 BUMP = PotentialSpec.smooth_bump(0.4, 2.0)
@@ -123,6 +126,34 @@ def test_cayley_matches_dense_solve():
         assert u == pytest.approx(want, rel=1e-11)
 
 
+def test_step_is_the_besse_step_to_the_last_bit():
+    # A direct transcription of the relaxation step, over dt changes of
+    # both signs, so that the extrapolation weight rho takes negative
+    # values and values other than 1.
+    g = grid_for(3, -0.5, 512)
+    assert F2.c < 0
+    mu = g.measure_weights
+    sym_diag = g.stiffness_diag + mu * eval_potential(BUMP, g.nodes)[0]
+    sym_off = -g.face_weights
+    mu_rc = mu * g.nodes**F2.c
+    stepper = RelaxationStepper(g, F2, BUMP)
+    u = v = gaussian(g).values
+    phi_prev = dt_prev = None
+    for dt in (1e-3, 1e-3, 7e-4, 1.3e-3, -1e-3, -5e-4, -5e-4, 2e-3):
+        phi = np.abs(v) ** F2.p
+        if phi_prev is not None:
+            rho = dt / dt_prev
+            phi = (1 + rho) * phi - rho * phi_prev
+        phi_prev, dt_prev = phi, dt
+        diag = mu + 1j * ((sym_diag - mu_rc * phi) * (dt / 2))
+        off = (0.5j * dt) * sym_off
+        y = zgtsv(off, diag, off.copy(), (2 * mu) * v)[3]
+        v = y - v
+        u = stepper.step(u, dt)
+        assert np.array_equal(stepper.phi, phi)
+        assert np.array_equal(u, v)
+
+
 def test_evolve_completes_and_conserves():
     g = grid_for(3, 0.0, 512)
     cfg = EvolutionConfig(dt0=1e-3, t_end=0.2, sample_every=10, adaptivity=False)
@@ -156,6 +187,36 @@ def test_gradient_series_is_the_raw_quadrature():
     cfg = EvolutionConfig(dt0=1e-3, t_end=1e-3, sample_every=1)
     trace = evolve(u0, cfg, F1, PotentialSpec.const_plus_gaussian(1e8))
     assert trace.grad_norm[0] == np.sqrt(gradient_norm_sq(g, u0.values))
+
+
+@pytest.mark.parametrize("params, spec", [(F1, BUMP), (NM, ZERO), (NM, BUMP)])
+def test_march_samples_are_evaluate_all_reports(params, spec):
+    # A march reports its samples through evaluate_all's own body: the
+    # first and the last sample equal evaluate_all of that field, bit for bit.
+    g = grid_for(params.n, params.b, 512)
+    u0 = gaussian(g)
+    trace = evolve(u0, EvolutionConfig(dt0=1e-3, t_end=0.02, sample_every=3), params, spec)
+    for i, u in ((0, u0), (-1, trace.final_state)):
+        rep = evaluate_all(u, params, spec)
+        assert trace.mass[i] == rep.mass
+        assert trace.energy[i] == rep.energy
+        assert trace.grad_norm[i] == math.sqrt(rep.grad_sq)
+        assert trace.virial[i] == rep.virial
+        assert trace.k_n2[i] == rep.k(params.n, 2)
+        assert trace.variance[i] == rep.variance
+        assert trace.nehari[i] == rep.nehari
+
+
+def test_march_evaluates_the_potential_once(count_calls):
+    g = grid_for(3, 0.0, 256)
+    calls = count_calls("eval_potential")
+    seen = []
+    for every in (1, 10):
+        cfg = EvolutionConfig(dt0=1e-3, t_end=0.02, sample_every=every, adaptivity=False)
+        before = calls["eval_potential"]
+        trace = evolve(gaussian(g), cfg, F1, BUMP)
+        seen.append((len(trace.times), calls["eval_potential"] - before))
+    assert seen == [(21, 1), (3, 1)]
 
 
 def test_evolve_rejects_mismatched_grid():
@@ -231,6 +292,34 @@ def test_unsampled_non_finite_gradient_names_the_time(monkeypatch):
     cfg = EvolutionConfig(dt0=1e-3, t_end=0.1, sample_every=10)
     with pytest.raises(EvolveError, match="non-finite gradient norm at t = 0.001"):
         evolve(gaussian(g), cfg, F1, ZERO)
+
+
+def test_sampled_non_finite_field_names_the_time(monkeypatch):
+    # A NaN planted by the step just before a sample reaches the sample
+    # itself, which must name it as a non-finite field at that time.
+    step = RelaxationStepper.step
+    steps = []
+
+    def poisoned(self, u, dt):
+        out = step(self, u, dt)
+        steps.append(dt)
+        if len(steps) == 10:
+            out[7] = np.nan
+        return out
+
+    monkeypatch.setattr(RelaxationStepper, "step", poisoned)
+    g = grid_for(3, 0.0, 256)
+    cfg = EvolutionConfig(dt0=1e-3, t_end=0.1, sample_every=10)
+    with pytest.raises(EvolveError, match=r"non-finite field at t = 0\.01$"):
+        evolve(gaussian(g), cfg, F1, ZERO)
+
+
+def test_march_refuses_an_overflowing_nonlinear_term():
+    # The field is finite, so the refusal is the quadrature's own.
+    g = grid_for(3, 0.0, 256)
+    u0 = RadialField(g, 1e100 * np.exp(-(g.nodes**2)))
+    with np.errstate(over="ignore"), pytest.raises(FunctionalError, match="nonlinear_term"):
+        evolve(u0, EvolutionConfig(t_end=0.01), F1, ZERO)
 
 
 def test_adaptive_floor_stops_collapse():
@@ -324,7 +413,16 @@ def test_trace_csv_and_events_sidecar(tmp_path):
     assert sidecar["steps"] == trace.steps == 50
     assert sidecar["dt_max"] == 1e-3
     assert 0 < sidecar["dt_min"] <= 1e-3
-    assert set(sidecar) == {"events", "steps", "dt_min", "dt_max"}
+    m, e = np.asarray(trace.mass), np.asarray(trace.energy)
+    assert sidecar["mass_drift"] == np.max(np.abs(m - m[0])) / m[0] < 1e-12
+    assert sidecar["energy_drift"] == np.max(np.abs(e - e[0])) / abs(e[0]) < 1e-6
+    assert set(sidecar) == {"events", "steps", "dt_min", "dt_max", "mass_drift", "energy_drift"}
+
+
+def test_relative_drift_needs_a_nonzero_start():
+    assert relative_drift([]) is None
+    assert relative_drift([0.0, 0.0]) is None
+    assert relative_drift([-2.0, -2.5, -1.0]) == 0.5
 
 
 def test_c_negative_graded_march_stays_accurate(tmp_path):

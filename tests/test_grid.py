@@ -110,6 +110,19 @@ def test_operator_is_self_adjoint_and_matches_energy():
         assert quad == pytest.approx(gradient_norm_sq(g, u), rel=1e-12)
 
 
+@pytest.mark.parametrize("is_complex", [False, True])
+def test_gradient_norm_is_the_face_difference_sum(is_complex):
+    # sum(nu |u_{i+1} - u_i|^2) + nu_out |u_N|^2, summed exactly face by face.
+    g = build_grid(3, -0.5, r_max=20.0, N=512, grading=2.0)
+    rng = np.random.default_rng(11)
+    u = rng.standard_normal(g.N)
+    if is_complex:
+        u = u + 1j * rng.standard_normal(g.N)
+    terms = [float(w) * abs(complex(b - a)) ** 2 for w, a, b in zip(g.face_weights, u, u[1:])]
+    want = math.fsum(terms + [g.outer_face_weight * abs(complex(u[-1])) ** 2])
+    assert gradient_norm_sq(g, u) == pytest.approx(want, rel=1e-13)
+
+
 def test_solve_shifted_recovers_manufactured_solution():
     g = build_grid(3, -0.5, r_max=20.0, N=512, grading=2.0)
     x_true = np.exp(-g.nodes**2)
