@@ -177,18 +177,19 @@ class RelaxationStepper:
         self._dt: float | None = None
         # Work arrays: the next phi, the complex diagonal written through
         # float views of its real and imaginary parts, and the off-diagonal
-        # (i dt/2) sym_off of the last distinct dt.
+        # (i dt/2) sym_off of the last dt.
         self._phi_next = np.empty(grid.N)
         self._diag = np.empty(grid.N, dtype=complex)
         self._diag_re = self._diag.view(float)[0::2]
         self._diag_im = self._diag.view(float)[1::2]
         self._off: np.ndarray | None = None
-        self._off_dt: float | None = None
 
     def step(self, u: np.ndarray, dt: float) -> np.ndarray:
         """One step of the node values u^n; returns a new array u^{n+1}."""
         if dt == 0.0:
             raise EvolveError("dt must be nonzero")
+        if dt != self._dt:
+            self._off = (0.5j * dt) * self.sym_off
         phi = np.abs(u, out=self._phi_next)
         phi **= self.p
         prev = self.phi
@@ -204,8 +205,6 @@ class RelaxationStepper:
         im = np.multiply(self.mu_rc, phi, out=self._diag_im)
         np.subtract(self.sym_diag, im, out=im)
         im *= dt / 2
-        if dt != self._off_dt:
-            self._off, self._off_dt = (0.5j * dt) * self.sym_off, dt
         # zgtsv overwrites all four arrays: the diagonal is rewritten on
         # every step, and the bands and right-hand side are this step's own
         *_, y, info = zgtsv(
