@@ -216,21 +216,26 @@ class RelaxationStepper:
         return y
 
 
+def _second_difference(ts: np.ndarray, Is: np.ndarray) -> np.ndarray:
+    """Three-point second differences of Is over the (nonuniform) times
+    ts, one per interior sample."""
+    h1 = ts[1:-1] - ts[:-2]
+    h2 = ts[2:] - ts[1:-1]
+    return 2 * (h1 * Is[2:] - (h1 + h2) * Is[1:-1] + h2 * Is[:-2]) / (
+        h1 * h2 * (h1 + h2)
+    )
+
+
 def variance_concavity(trace: EvolutionTrace) -> float:
-    """Largest nonuniform second difference of the variance over the
-    trailing ten samples: negative means concave.  Fewer than three
-    samples give +inf, so concavity is never claimed without evidence.
+    """Largest second difference of the variance over the trailing ten
+    samples: negative means concave.  Fewer than three samples give
+    +inf, so concavity is never claimed without evidence.
     """
     ts = np.array(trace.times[-10:])
     Is = np.array(trace.variance[-10:])
     if ts.size < 3:
         return float("inf")
-    h1 = ts[1:-1] - ts[:-2]
-    h2 = ts[2:] - ts[1:-1]
-    d2 = 2 * (h1 * Is[2:] - (h1 + h2) * Is[1:-1] + h2 * Is[:-2]) / (
-        h1 * h2 * (h1 + h2)
-    )
-    return float(np.max(d2))
+    return float(np.max(_second_difference(ts, Is)))
 
 
 def evolve(
@@ -345,9 +350,8 @@ def virial_check(trace: EvolutionTrace, params: ProblemParams) -> float:
     h = dts[0]
     if np.max(np.abs(dts - h)) > 1e-9 * h:
         raise EvolveError("virial check needs equally spaced samples")
-    I = np.asarray(trace.variance)
     P = np.asarray(trace.virial)
-    lhs = (I[2:] - 2 * I[1:-1] + I[:-2]) / h**2
+    lhs = _second_difference(ts, np.asarray(trace.variance))
     rhs = 2 * (2 - params.b) ** 2 * P[1:-1]
     defect = np.abs(lhs - rhs) / np.maximum(np.abs(rhs), VIRIAL_FLOOR)
     return float(np.max(defect))

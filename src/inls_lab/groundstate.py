@@ -230,7 +230,7 @@ def gn_ratio(rep: FunctionalReport) -> float:
     return float(rep.nonlinear_term / (gr**s * m ** (rep.params.p + 2 - s)))
 
 
-def petviashvili_solve(params: ProblemParams, grid: RadialGrid | None = None) -> GroundState:
+def petviashvili_solve(params: ProblemParams, grid: RadialGrid) -> GroundState:
     """Ground state by the stabilized fixed-point map, polished by Newton.
 
     Starts from the Gaussian exp(-r^2/2) and runs the Petviashvili map
@@ -258,8 +258,6 @@ def petviashvili_solve(params: ProblemParams, grid: RadialGrid | None = None) ->
     returning a dressed-up failure.
     """
     _admissible(params)
-    if grid is None:
-        grid = build_grid(params.n, params.b)
     check_grid(grid, params)
     w = params.omega
     p, c = params.p, params.c
@@ -520,7 +518,7 @@ def _shoot_once(params: ProblemParams, q0: float, r_end: float, *, dense: bool =
     return "decay", sol
 
 
-def shooting_solve(params: ProblemParams, grid: RadialGrid | None = None) -> RadialField:
+def shooting_solve(params: ProblemParams, grid: RadialGrid) -> RadialField:
     """Ground state by Brent's method on the center value of outward shots.
 
     Center values above the critical one drive the profile through
@@ -550,8 +548,6 @@ def shooting_solve(params: ProblemParams, grid: RadialGrid | None = None) -> Rad
     from scipy.optimize import brentq  # loaded with scipy.integrate
 
     _admissible(params)
-    if grid is None:
-        grid = build_grid(params.n, params.b)
     check_grid(grid, params)
     r_end = grid.r_max
     e = (2 - params.b) / 2

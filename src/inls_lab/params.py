@@ -175,8 +175,6 @@ def validate_gn_window(params: ProblemParams) -> bool:
     b, c, p = params.b, params.c, params.p
     pc = params.p_c
     upper = (2 - b) * (p + 2)
-    if params.b - 2 <= c <= 0:
-        return -2 * c < pc < upper
     if c > 0:
         return (2 - b) * p / 2 < pc < upper
-    return False
+    return -2 * c < pc < upper  # b - 2 <= c <= 0, as ProblemParams holds c >= b - 2

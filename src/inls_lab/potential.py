@@ -29,6 +29,12 @@ the integrand |rV'|^{n/2} r^{-nb/2} r^{n-1} at r -> 0 and r -> oo.
 The report also carries omega_1 = -(1/2) inf [(2-b)V + rV'], the
 frequency shift below which the quadratic part of the action can lose
 positivity; it is <= 0 whenever (I) holds.
+
+As encoded here, (II)-(IV) together admit only constant V: (IV) is
+(r^{3-b} V')' <= 0, so with (III) a V' < 0 at r0 gives
+|rV'| >= kappa r^{-(2-b)} beyond r0, where the (II) integrand is at
+least kappa^{n/2}/r and diverges; the smooth_bump tests of
+tests/test_potential.py are instances.  The inequalities are kept as stated.
 """
 
 from __future__ import annotations

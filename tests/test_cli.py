@@ -478,6 +478,23 @@ def test_verify_command_exit_codes(monkeypatch, capsys):
     assert ok.report_line() == "PASS alpha: measured 1e-09 vs tolerance 1e-06"
 
 
+def test_run_all_turns_a_crashed_criterion_into_one_failed_row(monkeypatch):
+    from inls_lab import verification
+    from inls_lab.verification import CheckResult
+
+    ok = CheckResult("alpha", True, 1e-9, 1e-6)
+
+    def crash():
+        raise ValueError("no ground state")
+
+    monkeypatch.setattr(verification, "CRITERIA", (("broken", crash), ("fine", lambda: [ok])))
+    bad, after = verification.run_all()
+    assert (bad.name, bad.passed, bad.tolerance) == ("broken", False, 0.0)
+    assert np.isnan(bad.measured)
+    assert bad.detail == "ValueError: no ground state"
+    assert after is ok
+
+
 def test_headline_verdict_route_order():
     def entry(verdict):
         return ClassificationEntry("t", {}, verdict, ())

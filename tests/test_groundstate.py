@@ -158,9 +158,9 @@ def test_frequency_power_law_of_action():
 
 def test_solver_rejects_unusable_exponents():
     with pytest.raises(GroundStateError, match="energy-critical"):
-        petviashvili_solve(ProblemParams(3, 0.0, 0.0, 4.0))
+        petviashvili_solve(ProblemParams(3, 0.0, 0.0, 4.0), grid=grid_for(3, 0.0, 256))
     with pytest.raises(GroundStateError, match="window"):
-        petviashvili_solve(ProblemParams(3, 0.0, 2.0, 1.5))
+        petviashvili_solve(ProblemParams(3, 0.0, 2.0, 1.5), grid=grid_for(3, 0.0, 256))
 
 
 def test_solver_rejects_mismatched_grid():

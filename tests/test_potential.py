@@ -149,6 +149,26 @@ def test_convexity_combination_fails_for_const_plus_gaussian():
     assert rep.omega1 < 0.0
 
 
+@pytest.mark.parametrize("params", [F1, F2], ids=["F1", "F2"])
+def test_fast_bump_holds_integrability_and_fails_convexity(params):
+    # s > 2-b gives (II), the other half of the exclusion above.  (IV) then
+    # fails: a s r^2 (1+r^2)^{-(s+4)/2} ((s-2+b) r^2 - (4-b)) <= 0 is the
+    # inequality, violated from r^2 = (4-b)/(s-2+b) on.
+    s = 4.0
+    rep = check_assumptions(PotentialSpec.smooth_bump(1.0, s), params)
+    assert rep.holds_II.status == HOLDS
+    assert rep.holds_III.status == HOLDS
+    assert rep.holds_IV.status == FAILS
+    assert rep.holds_IV.witness ** 2 > (4 - params.b) / (s - 2 + params.b)
+
+
+def test_constant_bump_satisfies_everything():
+    # s = 0 makes the bump the constant a: rV' = r^2 V'' = 0.
+    rep = check_assumptions(PotentialSpec.smooth_bump(0.7, 0.0), F2)
+    assert all(v.holds for v in rep.verdicts().values())
+    assert rep.omega1 < 0.0
+
+
 def test_report_serialization_shape():
     rep = check_assumptions(PotentialSpec.const_plus_gaussian(1.0), F2)
     d = rep.as_dict()
