@@ -175,21 +175,17 @@ class RelaxationStepper:
         self.p = params.p
         self.phi: np.ndarray | None = None
         self._dt: float | None = None
-        # Work arrays: the next phi, the complex diagonal written through
-        # float views of its real and imaginary parts, and the off-diagonal
-        # (i dt/2) sym_off of the last dt.
+        # Work arrays: the next phi and the complex diagonal written through
+        # float views of its real and imaginary parts.
         self._phi_next = np.empty(grid.N)
         self._diag = np.empty(grid.N, dtype=complex)
         self._diag_re = self._diag.view(float)[0::2]
         self._diag_im = self._diag.view(float)[1::2]
-        self._off: np.ndarray | None = None
 
     def step(self, u: np.ndarray, dt: float) -> np.ndarray:
         """One step of the node values u^n; returns a new array u^{n+1}."""
         if dt == 0.0:
             raise EvolveError("dt must be nonzero")
-        if dt != self._dt:
-            self._off = (0.5j * dt) * self.sym_off
         phi = np.abs(u, out=self._phi_next)
         phi **= self.p
         prev = self.phi
@@ -207,9 +203,8 @@ class RelaxationStepper:
         im *= dt / 2
         # zgtsv overwrites all four arrays: the diagonal is rewritten on
         # every step, and the bands and right-hand side are this step's own
-        *_, y, info = zgtsv(
-            self._off.copy(), self._diag, self._off.copy(), self.two_mu * u, 1, 1, 1, 1
-        )
+        off = (0.5j * dt) * self.sym_off
+        *_, y, info = zgtsv(off, self._diag, off.copy(), self.two_mu * u, 1, 1, 1, 1)
         if info != 0:
             raise EvolveError(f"Cayley solve failed (zgtsv info {info})")
         y -= u

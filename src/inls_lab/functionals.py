@@ -1,4 +1,4 @@
-"""Scalar functionals, scaling transforms, and the threshold function.
+"""Scalar functionals and the threshold function.
 
 All conserved/monitored quantities of the flow are assembled here from
 grid quadratures:
@@ -38,22 +38,16 @@ parameters they were evaluated at; every other scalar is a property of
 the report, K^{a,B} is its one method k (nehari and virial read it),
 and rep.at(w) is the report at another omega, equal to a new pass at
 that omega.
-
-Scalings are realized on the fixed mesh by grid.resample, the cubic
-spline transfer (zero beyond r_max), rather than by rebuilding the
-grid, so that every functional of a scaled field is evaluated with the
-same quadrature as the original.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import RadialField, RadialGrid, check_grid, gradient_norm_sq, resample
+from .grid import RadialField, RadialGrid, check_grid, gradient_norm_sq
 from .params import Criticality, ProblemParams, derive_exponents
 from .potential import PotentialSpec, eval_potential
 
@@ -61,11 +55,8 @@ __all__ = [
     "FunctionalError",
     "FunctionalReport",
     "Quadrature",
-    "TruncationWarning",
     "evaluate_all",
     "quadrature",
-    "scale_alpha_beta",
-    "scale_soliton",
     "threshold_function",
     "threshold_peak",
 ]
@@ -73,10 +64,6 @@ __all__ = [
 
 class FunctionalError(ValueError):
     """A functional evaluated to a non-finite value."""
-
-
-class TruncationWarning(UserWarning):
-    """A scaling pushed non-negligible field mass outside the mesh."""
 
 
 @dataclass(frozen=True)
@@ -196,49 +183,6 @@ def evaluate_all(
 ) -> FunctionalReport:
     """Evaluate every scalar functional of u in one pass of quadratures."""
     return quadrature(u.grid, params, spec).report(u.values)
-
-
-def scale_alpha_beta(
-    u: RadialField, alpha: float, beta: float, lam: float
-) -> RadialField:
-    """The scaled field e^{alpha lam} u(e^{beta lam} r) on the same mesh.
-
-    Values are obtained by cubic interpolation of u and set to zero
-    where e^{beta lam} r leaves [0, r_max].  When the scaling shrinks
-    the domain (beta*lam < 0), the part of u beyond e^{beta lam} r_max
-    cannot be represented; a TruncationWarning fires if that lost tail
-    carries more than 1e-10 of M(u).
-    """
-    if lam == 0.0:
-        return u.copy()
-    g = u.grid
-    stretch = np.exp(beta * lam)
-    r_src = stretch * g.nodes
-    inside = r_src <= g.r_max
-    vals = np.zeros(g.N, dtype=complex)
-    if np.any(inside):
-        vals[inside] = np.exp(alpha * lam) * resample(u, r_src[inside])
-    if beta * lam < 0:
-        lost_nodes = g.nodes > stretch * g.r_max
-        if np.any(lost_nodes):
-            mu = g.measure_weights
-            lost = float(np.sum(mu[lost_nodes] * np.abs(u.values[lost_nodes]) ** 2))
-            total = float(np.sum(mu * np.abs(u.values) ** 2))
-            if lost > 1e-10 * total:
-                warnings.warn(
-                    f"scaling truncated tail mass {lost:.3e} (> 1e-10 of M = {total:.3e})",
-                    TruncationWarning,
-                    stacklevel=2,
-                )
-    return RadialField(g, vals)
-
-
-def scale_soliton(u: RadialField, lam: float, params: ProblemParams) -> RadialField:
-    """The scaling-symmetry slice lam^{(2-b+c)/p} u(lam r)."""
-    if lam <= 0:
-        raise ValueError(f"soliton scaling requires lam > 0, got {lam}")
-    alpha = (2 - params.b + params.c) / params.p
-    return scale_alpha_beta(u, alpha, 1.0, np.log(lam))
 
 
 def threshold_function(x: float, params: ProblemParams, alpha: float) -> float:

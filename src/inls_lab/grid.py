@@ -86,7 +86,6 @@ __all__ = [
     "field_from_csv",
     "field_to_csv",
     "gradient_norm_sq",
-    "resample",
     "solve_shifted",
 ]
 
@@ -232,9 +231,6 @@ class RadialField:
         if not np.all(np.isfinite(values)):
             raise GridError("field contains non-finite values")
 
-    def copy(self) -> "RadialField":
-        return RadialField(self.grid, self.values.copy())
-
 
 def check_grid(grid: RadialGrid, params: ProblemParams) -> None:
     """Refuse a grid whose dimension n or weight exponent b is not that of params."""
@@ -256,20 +252,6 @@ def gradient_norm_sq(g: RadialGrid, values: np.ndarray) -> float:
     else:
         sq = d * d
     return float(np.dot(g.face_weights, sq) + g.outer_face_weight * abs(values[-1]) ** 2)
-
-
-def resample(f: RadialField, r) -> np.ndarray:
-    """Cubic-spline values of f at radii r; extrapolates past the ends.
-
-    The one transfer of a field between meshes.  scipy.interpolate is
-    imported here so that importing the package does not load it.
-    """
-    from scipy.interpolate import CubicSpline
-
-    nodes = f.grid.nodes
-    re = CubicSpline(nodes, f.values.real, extrapolate=True)
-    im = CubicSpline(nodes, f.values.imag, extrapolate=True)
-    return re(r) + 1j * im(r)
 
 
 def apply_operator(g: RadialGrid, values: np.ndarray) -> np.ndarray:

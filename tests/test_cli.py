@@ -420,7 +420,7 @@ def test_sweep_point_matches_separate_commands(tmp_path):
 
 
 def test_cli_import_leaves_scipy_solvers_unloaded():
-    # Only the shooting oracle and the mesh transfer need these, and
+    # Only the shooting oracle needs these, and
     # every CLI command pays for what the package imports up front.  The
     # LAPACK wrappers come without scipy.linalg, on every solve path too.
     code = (

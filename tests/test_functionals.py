@@ -1,4 +1,5 @@
-"""Scalar functionals: internal identities, scalings, threshold algebra."""
+"""Scalar functionals: internal identities, the scaling derivative K on
+exact arcs, threshold algebra."""
 
 import dataclasses
 
@@ -7,10 +8,7 @@ import pytest
 
 from inls_lab.functionals import (
     FunctionalError,
-    TruncationWarning,
     evaluate_all,
-    scale_alpha_beta,
-    scale_soliton,
     threshold_function,
     threshold_peak,
 )
@@ -23,16 +21,21 @@ BUMP = PotentialSpec.smooth_bump(0.4, 2.0)
 ZERO = PotentialSpec.zero()
 
 
-def sample_field(params, N=2048, seed=5):
-    g = grid_for(params.n, params.b, N)
+def sample_profile(seed=5):
+    """Three seeded complex Gaussian bumps as a closed-form function of r."""
     rng = np.random.default_rng(seed)
-    vals = np.zeros(g.N, dtype=complex)
+    bumps = []
     for _ in range(3):
         amp = rng.uniform(0.3, 1.0) * np.exp(1j * rng.uniform(0, 2 * np.pi))
         ctr = rng.uniform(0.0, 5.0)
         wid = rng.uniform(1.0, 2.5)
-        vals += amp * np.exp(-((g.nodes - ctr) ** 2) / wid**2)
-    return RadialField(g, vals)
+        bumps.append((amp, ctr, wid))
+    return lambda r: sum(amp * np.exp(-((r - ctr) ** 2) / wid**2) for amp, ctr, wid in bumps)
+
+
+def sample_field(params, N=2048, seed=5):
+    g = grid_for(params.n, params.b, N)
+    return RadialField(g, sample_profile(seed)(g.nodes))
 
 
 def test_report_internal_identities():
@@ -113,71 +116,20 @@ def test_report_at_another_frequency_keeps_all_but_omega():
 
 
 def test_k_matches_scaling_derivative_of_action():
-    # Fourth-order difference of lam -> S(e^{alpha lam} u(e^{beta lam} r)).
-    u = sample_field(F1, seed=3)
+    # Fourth-order difference of lam -> S(e^{alpha lam} u(e^{beta lam} r)),
+    # with the arc evaluated in closed form at the nodes.
+    u = sample_profile(seed=3)
+    g = grid_for(F1.n, F1.b, 2048)
     alpha, beta = 2.0, 1.0
 
     def s_at(lam):
-        return evaluate_all(scale_alpha_beta(u, alpha, beta, lam), F1, ZERO).action
+        arc = RadialField(g, np.exp(alpha * lam) * u(np.exp(beta * lam) * g.nodes))
+        return evaluate_all(arc, F1, ZERO).action
 
     h = 1e-3
     fd = (8 * (s_at(h) - s_at(-h)) - (s_at(2 * h) - s_at(-2 * h))) / (12 * h)
-    k = evaluate_all(u, F1, ZERO).k(alpha, beta)
+    k = evaluate_all(RadialField(g, u(g.nodes)), F1, ZERO).k(alpha, beta)
     assert fd == pytest.approx(k, rel=1e-4, abs=1e-6 * (1 + abs(s_at(0.0))))
-
-
-def test_scale_alpha_beta_identity_and_amplitude():
-    u = sample_field(F1, seed=1)
-    same = scale_alpha_beta(u, 2.0, 1.0, 0.0)
-    assert same is not u
-    assert np.array_equal(same.values, u.values)
-    # beta = 0 never moves nodes, so the scaling is a pure prefactor.
-    amp = scale_alpha_beta(u, 0.7, 0.0, 0.5)
-    assert amp.values == pytest.approx(np.exp(0.35) * u.values, rel=1e-9)
-
-
-def test_scale_alpha_beta_mass_law():
-    g = grid_for(3, 0.0, 4096)
-    u = RadialField(g, np.exp(-g.nodes**2 / 2))
-    m0 = evaluate_all(u, F1, ZERO).mass
-    alpha, beta, lam = 1.5, 1.0, 0.1
-    scaled = scale_alpha_beta(u, alpha, beta, lam)
-    want = np.exp((2 * alpha - F1.n * beta) * lam) * m0
-    assert evaluate_all(scaled, F1, ZERO).mass == pytest.approx(want, rel=1e-6)
-
-
-def test_scale_alpha_beta_zeroes_outside_mesh():
-    g = grid_for(3, 0.0, 1024)
-    u = RadialField(g, np.exp(-g.nodes / 2))
-    grown = scale_alpha_beta(u, 0.0, 1.0, 0.5)
-    # Source radius e^{0.5} r exceeds r_max on the outer nodes.
-    outside = np.exp(0.5) * g.nodes > g.r_max
-    assert np.any(outside)
-    assert np.all(grown.values[outside] == 0)
-
-
-def test_scale_alpha_beta_warns_on_truncated_tail():
-    g = grid_for(3, 0.0, 1024)
-    u = RadialField(g, np.exp(-(g.nodes**2) / 64.0))
-    with pytest.warns(TruncationWarning):
-        scale_alpha_beta(u, 0.0, 1.0, -0.5)
-
-
-def test_scale_soliton_mass_law():
-    g = grid_for(3, -0.5, 4096)
-    u = RadialField(g, np.exp(-g.nodes**2 / 2))
-    m0 = evaluate_all(u, F2, ZERO).mass
-    for lam in (0.5, 2.0):
-        scaled = scale_soliton(u, lam, F2)
-        ex = 2 * (2 - F2.b + F2.c) / F2.p - F2.n
-        assert evaluate_all(scaled, F2, ZERO).mass == pytest.approx(
-            lam**ex * m0, rel=1e-6
-        )
-    assert np.array_equal(scale_soliton(u, 1.0, F2).values, u.values)
-    with pytest.raises(ValueError):
-        scale_soliton(u, 0.0, F2)
-    with pytest.raises(ValueError):
-        scale_soliton(u, -2.0, F2)
 
 
 def test_ground_state_action_is_nehari_fraction(gs_f1):

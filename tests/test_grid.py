@@ -19,7 +19,6 @@ from inls_lab.grid import (
     field_to_csv,
     gradient_norm_sq,
     load_flapack,
-    resample,
     solve_shifted,
 )
 
@@ -192,15 +191,3 @@ def test_grid_equality_and_hash():
     c = build_grid(3, -0.5, r_max=10.0, N=128, grading=2.0)
     assert a == b and hash(a) == hash(b)
     assert a != c
-
-
-def test_resample_graded_to_uniform():
-    graded = build_grid(3, -0.5, r_max=30.0, N=1024, grading=2.0)
-    uniform = build_grid(3, -0.5, r_max=30.0, N=512, grading=1.0)
-
-    def profile(r):
-        return (1 + 0.5j) * np.exp(-(r**2)) * np.cos(r)
-
-    f = RadialField(graded, profile(graded.nodes))
-    assert np.max(np.abs(resample(f, uniform.nodes) - profile(uniform.nodes))) < 1e-8
-    assert np.max(np.abs(resample(f, graded.nodes) - f.values)) < 1e-12

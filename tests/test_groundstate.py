@@ -89,16 +89,21 @@ def test_perturbed_profile_fails_identities(gs_f1):
 
 
 def test_gn_ratio_scaling_invariances(gs_f1):
-    from inls_lab.functionals import scale_soliton
-
     q = gs_f1.profile
     base = gn_ratio(report(q))
     assert base == gs_f1.c_gn
     assert gn_ratio(report(RadialField(q.grid, 2.7 * q.values))) == pytest.approx(
         base, rel=1e-12
     )
+
+    # The soliton slice lam^{(2-b+c)/p} g(lam r) of g(r) = exp(-r^2/2), in closed form.
+    def slice_ratio(lam):
+        alpha = (2 - F1.b + F1.c) / F1.p
+        g = lam**alpha * np.exp(-((lam * q.grid.nodes) ** 2) / 2)
+        return gn_ratio(report(RadialField(q.grid, g)))
+
     for lam in (0.5, 2.0):
-        assert gn_ratio(report(scale_soliton(q, lam, F1))) == pytest.approx(base, rel=1e-5)
+        assert slice_ratio(lam) == pytest.approx(slice_ratio(1.0), rel=1e-5)
 
 
 def test_derive_thresholds_certified_grid():
@@ -249,11 +254,13 @@ def test_a_grid_4_does_not_divide_certifies():
 
 def test_a_solve_leaves_scipy_interpolate_unloaded():
     # scipy.interpolate costs about half a second to import, paid by every
-    # CLI process that loads it; the nested start transfers with np.interp.
+    # CLI process that loads it; the nested start transfers with np.interp,
+    # and the k-derivative check evaluates its scaling arcs in closed form.
     code = (
         "import sys, inls_lab\n"
-        "from inls_lab.verification import F1, _solve\n"
+        "from inls_lab.verification import F1, _solve, check_k_derivative\n"
         "_solve(F1, 16384)\n"
+        "check_k_derivative()\n"
         "print('scipy.interpolate' in sys.modules)\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
