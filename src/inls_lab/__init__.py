@@ -10,7 +10,7 @@ end).
 
 __version__ = "0.1.0"
 
-from .params import Criticality, CriticalExponents, ProblemParams, derive_exponents
+from .params import Criticality, ProblemParams
 from .potential import AssumptionReport, PotentialSpec, check_assumptions
 from .grid import RadialField, RadialGrid, build_grid
 from .groundstate import GroundState, petviashvili_solve, shooting_solve
@@ -19,9 +19,7 @@ from .classify import Classification, ClassificationEntry, classify_all
 
 __all__ = [
     "Criticality",
-    "CriticalExponents",
     "ProblemParams",
-    "derive_exponents",
     "AssumptionReport",
     "PotentialSpec",
     "check_assumptions",

@@ -16,9 +16,8 @@ at a chosen frequency; the frequency-optimized choice omega0 makes
 the set route equivalent to the intercritical energy-mass gate.
 
 classify_all is the one entry point: it checks the reference ground
-state, derives the exponents, checks the assumptions and integrates the
-datum once, and holds the one set-route frequency rule.  Every route
-reads that one FunctionalReport and hands its decide step to _entry.
+state, checks the assumptions and integrates the datum once, and
+holds the one set-route frequency rule.  Every route reads that one FunctionalReport and hands its decide step to _entry.
 
 Strict inequalities are decided with a relative dead band of 1e-6.
 Values inside the band yield Undetermined with a near-boundary flag:
@@ -35,7 +34,7 @@ from dataclasses import asdict, dataclass
 from .functionals import FunctionalReport, evaluate_all
 from .grid import RadialField
 from .groundstate import GroundState
-from .params import CriticalExponents, Criticality, ProblemParams, derive_exponents
+from .params import Criticality, ProblemParams
 from .potential import HOLDS, FAILS, AssumptionReport, PotentialSpec, check_assumptions
 
 # Relative half-width of the band around a threshold inside which a
@@ -170,7 +169,6 @@ def _entry(
 
 
 def _mass_critical(
-    exps: CriticalExponents,
     report: AssumptionReport,
     rep: FunctionalReport,
     gs1: GroundState,
@@ -184,9 +182,7 @@ def _mass_critical(
     """
     params = rep.params
     assumptions = {
-        "criticality_mass_critical": _status(
-            exps.criticality is Criticality.MASS_CRITICAL
-        ),
+        "criticality_mass_critical": _status(params.criticality is Criticality.MASS_CRITICAL),
         "dispersion_nonpositive": _status(params.b <= 0),
         "assumption_I": report.holds_I.status,
         "radial": HOLDS,
@@ -221,7 +217,6 @@ def _mass_critical(
 
 
 def _intercritical(
-    exps: CriticalExponents,
     report: AssumptionReport,
     rep: FunctionalReport,
     gs1: GroundState,
@@ -236,7 +231,7 @@ def _intercritical(
     additionally needs p < 4 and is recorded alongside.
     """
     params = rep.params
-    intercritical = exps.criticality is Criticality.INTERCRITICAL
+    intercritical = params.criticality is Criticality.INTERCRITICAL
     assumptions = {
         "criticality_intercritical": _status(intercritical),
         "dispersion_nonpositive": _status(params.b <= 0),
@@ -248,7 +243,7 @@ def _intercritical(
     evidence: list[Evidence] = []
     notes: list[str] = []
     if intercritical:  # the products and their thresholds are defined
-        sigma = exps.sigma
+        sigma = params.sigma
         em_prod = rep.energy * rep.mass**sigma
         grad_prod = rep.grad_norm_V * math.sqrt(rep.mass) ** sigma
         evidence = [
@@ -278,7 +273,6 @@ def _intercritical(
 
 
 def _sets(
-    exps: CriticalExponents,
     report: AssumptionReport,
     rep: FunctionalReport,
     gs: GroundState,
@@ -299,9 +293,7 @@ def _sets(
     params = rep.params
     n, b, c = params.n, params.b, params.c
     assumptions = {
-        "criticality_intercritical": _status(
-            exps.criticality is Criticality.INTERCRITICAL
-        ),
+        "criticality_intercritical": _status(params.criticality is Criticality.INTERCRITICAL),
         "weight_range": _status(b - 2 < c <= 0),
         "assumption_I": report.holds_I.status,
         "assumption_II": report.holds_II.status,
@@ -372,9 +364,7 @@ def _sets(
     return _entry("action_set_membership", assumptions, evidence, notes, decide)
 
 
-def _optimal_frequency(
-    rep: FunctionalReport, exps: CriticalExponents, gs1: GroundState
-) -> FrequencyReport:
+def _optimal_frequency(rep: FunctionalReport, gs1: GroundState) -> FrequencyReport:
     """The optimized frequency from the report of the datum (intercritical exponents)."""
     params = rep.params
     b, p = params.b, params.p
@@ -389,9 +379,7 @@ def _optimal_frequency(
     m0 = gs1.min_action(omega0)
     f0 = float(m0 - (rep.energy + 0.5 * omega0 * mass))
 
-    sigma = exps.sigma
-    assert sigma is not None
-    em_prod = float(rep.energy * mass**sigma)
+    em_prod = float(rep.energy * mass**params.sigma)
     em_th = gs1.thresholds["em_sigma"]
 
     f_cmp = _compare(f0, 0.0, scale=m0)
@@ -432,10 +420,9 @@ def optimal_frequency(
     if not gs1.is_reference_for(params):
         raise ClassifyError(f"needs the frequency-1 ground state of {params}, got {gs1.params}")
     spec = PotentialSpec.zero() if spec is None else spec
-    exps = derive_exponents(params)
-    if exps.criticality is not Criticality.INTERCRITICAL:
+    if params.criticality is not Criticality.INTERCRITICAL:
         raise ClassifyError("frequency optimization needs intercritical exponents")
-    return _optimal_frequency(evaluate_all(u0, params, spec), exps, gs1)
+    return _optimal_frequency(evaluate_all(u0, params, spec), gs1)
 
 
 def classify_all(
@@ -459,12 +446,11 @@ def classify_all(
     """
     if not gs1.is_reference_for(params):
         raise ClassifyError(f"needs the frequency-1 ground state of {params}, got {gs1.params}")
-    exps = derive_exponents(params)
     report = check_assumptions(spec, params)
     rep = evaluate_all(u0, params, spec)
     frequency = None
-    if exps.criticality is Criticality.INTERCRITICAL:
-        frequency = _optimal_frequency(rep, exps, gs1)
+    if params.criticality is Criticality.INTERCRITICAL:
+        frequency = _optimal_frequency(rep, gs1)
     if omega is None:
         omega = gs1.omega if frequency is None else frequency.omega0
     omega = float(omega)
@@ -472,9 +458,9 @@ def classify_all(
         raise ClassifyError(f"frequency must be positive, got {omega}")
     return Classification(
         (
-            _mass_critical(exps, report, rep, gs1),
-            _intercritical(exps, report, rep, gs1),
-            _sets(exps, report, rep, gs1, omega),
+            _mass_critical(report, rep, gs1),
+            _intercritical(report, rep, gs1),
+            _sets(report, rep, gs1, omega),
         ),
         frequency,
     )

@@ -48,7 +48,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .grid import RadialField, RadialGrid, check_grid, gradient_norm_sq
-from .params import Criticality, ProblemParams, derive_exponents
+from .params import Criticality, ProblemParams
 from .potential import PotentialSpec, eval_potential
 
 __all__ = [
@@ -192,7 +192,7 @@ def threshold_function(x: float, params: ProblemParams, alpha: float) -> float:
     separates the global and blow-up regimes; alpha is the ground-state
     gradient-mass product the thresholds are phrased in.
     """
-    crit = derive_exponents(params).criticality
+    crit = params.criticality
     if crit is not Criticality.INTERCRITICAL:
         raise ValueError(f"threshold function needs intercritical params, got {crit}")
     if not alpha > 0:
@@ -204,7 +204,7 @@ def threshold_function(x: float, params: ProblemParams, alpha: float) -> float:
 
 def threshold_peak(params: ProblemParams, alpha: float) -> float:
     """Peak value f(alpha) = ((p_c - 2(2-b))/(2 p_c)) alpha^2."""
-    crit = derive_exponents(params).criticality
+    crit = params.criticality
     if crit is not Criticality.INTERCRITICAL:
         raise ValueError(f"threshold function needs intercritical params, got {crit}")
     b, pc = params.b, params.p_c

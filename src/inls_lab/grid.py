@@ -122,7 +122,7 @@ def sphere_area(n: int) -> float:
     return 2 * pi ** (n / 2) / gamma(n / 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RadialGrid:
     """Graded radial finite-volume mesh with weights for dimension n, exponent b."""
 
@@ -138,20 +138,6 @@ class RadialGrid:
     outer_face_weight: float  # nu_{N+1/2} with ghost spacing r_max - r_N
     stiffness_diag: np.ndarray  # diagonal of M_{b,0} = diag(mu) A_{b,0}, shape (N,)
     variance_weight: np.ndarray  # r_i^(2-b), the weight of the variance, shape (N,)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RadialGrid):
-            return NotImplemented
-        return (
-            self.n == other.n
-            and self.b == other.b
-            and self.r_max == other.r_max
-            and self.N == other.N
-            and self.grading == other.grading
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.b, self.r_max, self.N, self.grading))
 
 
 def check_grid_settings(n: int, b: float, r_max: float, N: int, grading: float) -> None:

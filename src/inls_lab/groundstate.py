@@ -56,7 +56,7 @@ from .grid import (
     gradient_norm_sq,
     solve_shifted,
 )
-from .params import Criticality, ProblemParams, derive_exponents, validate_gn_window
+from .params import Criticality, ProblemParams, validate_gn_window
 from .potential import PotentialSpec
 
 __all__ = [
@@ -80,9 +80,6 @@ RESIDUAL_GATE = 1e-8
 MAX_ITER = 10_000
 NEWTON_SWITCH = 1e-3
 NEWTON_STEPS = 3
-# The fewest cells of the nested mesh the maps run on; a grid with fewer
-# than 4 * NESTED_MIN_N cells runs its maps on itself.
-NESTED_MIN_N = 1024
 
 # Shooting oracle: the series start radius of every shot, the center
 # values that bracket the search, and the relative bracket width that
@@ -179,8 +176,7 @@ class GroundState:
 
 
 def _admissible(params: ProblemParams) -> None:
-    exps = derive_exponents(params)
-    if exps.criticality is Criticality.ENERGY_CRITICAL:
+    if params.criticality is Criticality.ENERGY_CRITICAL:
         raise GroundStateError("energy-critical exponents: no ground state here")
     if not validate_gn_window(params):
         raise GroundStateError(
@@ -237,11 +233,10 @@ def petviashvili_solve(params: ProblemParams, grid: RadialGrid) -> GroundState:
     until the successive relative change drops below NEWTON_SWITCH
     (within MAX_ITER maps; the map converges only linearly, about 0.74
     per map, at a rate that does not depend on N).  The maps run on the
-    nested mesh of N // 4 cells with the grid's radius and grading, whose
-    faces are every 4th face of the grid when 4 divides N; below
-    NESTED_MIN_N cells they run on the grid itself.  np.interp takes the
-    coarse iterate to the grid's nodes as a start inside Newton's
-    quadratic basin (nested iteration: Brandt, Math. Comp. 31 (1977)).
+    nested mesh of max(N // 4, 16) cells with the grid's radius and
+    grading, whose faces are every 4th face of the grid when 4 divides N
+    and N >= 64.  np.interp takes the coarse iterate to the grid's nodes
+    as a start inside Newton's quadratic basin (nested iteration: Brandt, Math. Comp. 31 (1977)).
     NEWTON_STEPS Newton steps on the symmetric form
 
         F(Q) = M Q + mu (omega Q - r^c Q^{p+1})
@@ -314,15 +309,11 @@ def petviashvili_solve(params: ProblemParams, grid: RadialGrid) -> GroundState:
     def newton_start() -> tuple[np.ndarray, list[float]]:
         """The maps from exp(-r^2/2) on the start mesh, at the grid's nodes,
         and their changes; the start mesh is freed on return."""
-        start = grid
-        if grid.N // 4 >= NESTED_MIN_N:
-            start = build_grid(grid.n, grid.b, grid.r_max, grid.N // 4, grid.grading)
+        start = build_grid(grid.n, grid.b, grid.r_max, max(grid.N // 4, 16), grid.grading)
         Q, _, changes = iterate(start, start.nodes**c, np.exp(-(start.nodes**2) / 2), NEWTON_SWITCH)
-        if start is not grid:
-            # A Newton start, not a field transfer: every gate is taken on
-            # the grid.  np.interp keeps scipy.interpolate out of the process.
-            Q = np.interp(grid.nodes, start.nodes, Q)
-        return Q, changes
+        # A Newton start, not a field transfer: every gate is taken on the
+        # grid.  np.interp keeps scipy.interpolate out of the process.
+        return np.interp(grid.nodes, start.nodes, Q), changes
 
     Q, history = newton_start()
     maps = len(history)
@@ -378,8 +369,7 @@ def _thresholds(rep: FunctionalReport) -> dict[str, float | None]:
     """Dichotomy constants from the report of the profile, direct routes only;
     None where the frequency or the criticality class leaves them undefined."""
     out: dict[str, float | None] = dict.fromkeys(("mass_threshold", "em_sigma", "grad_mass"))
-    exps = derive_exponents(rep.params)
-    crit, sigma = exps.criticality, exps.sigma
+    crit, sigma = rep.params.criticality, rep.params.sigma
     defined = crit in (Criticality.MASS_CRITICAL, Criticality.INTERCRITICAL)
     if defined and is_frequency_one(rep.params.omega):
         out["mass_threshold"] = mass_norm = rep.mass**0.5
@@ -411,18 +401,16 @@ def derive_thresholds(gs1: GroundState, params: ProblemParams) -> dict[str, floa
     (about N = 16384 at the default radius) for the defect to sit
     below 1e-6.
     """
-    exps = derive_exponents(params)
-    if exps.criticality not in (Criticality.MASS_CRITICAL, Criticality.INTERCRITICAL):
-        raise GroundStateError(
-            f"thresholds undefined for {exps.criticality.value} exponents"
-        )
+    crit = params.criticality
+    if crit not in (Criticality.MASS_CRITICAL, Criticality.INTERCRITICAL):
+        raise GroundStateError(f"thresholds undefined for {crit.value} exponents")
     if not gs1.is_reference_for(params):
         raise GroundStateError(
             f"thresholds require omega = 1 and the (n, b, c, p) of {params}; "
             f"got the ground state of {gs1.params}"
         )
     out = dict(gs1.thresholds)
-    intercritical = exps.criticality is Criticality.INTERCRITICAL
+    intercritical = crit is Criticality.INTERCRITICAL
     keys = ("mass_threshold", "em_sigma", "grad_mass") if intercritical else ("mass_threshold",)
     missing = [k for k in keys if out.get(k) is None]
     if missing:

@@ -28,10 +28,8 @@ from dataclasses import dataclass
 
 __all__ = [
     "Criticality",
-    "CriticalExponents",
     "ParameterError",
     "ProblemParams",
-    "derive_exponents",
     "validate_gn_window",
 ]
 
@@ -107,61 +105,50 @@ class ProblemParams:
         """Scaling exponent n*p - 2c."""
         return self.n * self.p - 2 * self.c
 
+    @property
+    def s_c(self) -> float:
+        """Scaling index n/2 - (2-b+c)/p of the homogeneous Sobolev norm."""
+        return self.n / 2 - (2 - self.b + self.c) / self.p
+
+    @property
+    def criticality(self) -> Criticality:
+        """Where p_c sits against the mass line 2(2-b) and the energy line
+        (2-b)(p+2); within _TIE_RTOL of a line counts as on it."""
+        pc = self.p_c
+        mass_line = 2 * (2 - self.b)
+        energy_line = (2 - self.b) * (self.p + 2)
+        tol = _TIE_RTOL * (1 + abs(energy_line))
+        if abs(pc - mass_line) <= tol:
+            return Criticality.MASS_CRITICAL
+        if abs(pc - energy_line) <= tol:
+            return Criticality.ENERGY_CRITICAL
+        if pc < mass_line:
+            return Criticality.MASS_SUBCRITICAL
+        return Criticality.INTERCRITICAL
+
+    @property
+    def sigma(self) -> float | None:
+        """Threshold exponent (2-b-2s_c)/(2s_c); None outside the
+        intercritical and energy-critical classes, where s_c <= 0.
+
+        It is evaluated by both closed forms, (2-b-2s_c)/(2s_c) and
+        ((2-b)(p+2)-p_c)/(p_c-4+2b); they must agree to 1e-12 relative
+        or ParameterError is raised (that would indicate broken float
+        algebra, not a bad parameter set).
+        """
+        if self.criticality not in (Criticality.INTERCRITICAL, Criticality.ENERGY_CRITICAL):
+            return None
+        b, pc, s_c = self.b, self.p_c, self.s_c
+        sigma_a = (2 - b - 2 * s_c) / (2 * s_c)
+        sigma_b = ((2 - b) * (self.p + 2) - pc) / (pc - 4 + 2 * b)
+        scale = max(abs(sigma_a), abs(sigma_b), 1.0)
+        if abs(sigma_a - sigma_b) > 1e-12 * scale:
+            raise ParameterError(f"sigma routes disagree: {sigma_a} vs {sigma_b} for {self}")
+        return sigma_a
+
     def with_omega(self, omega: float) -> "ProblemParams":
         """Same equation at a different frequency."""
         return ProblemParams(self.n, self.b, self.c, self.p, omega)
-
-
-@dataclass(frozen=True)
-class CriticalExponents:
-    """Derived exponents of a parameter set.
-
-    sigma is None outside the window p_c > 4 - 2b where the threshold
-    exponent is defined (s_c <= 0 makes it meaningless).
-    """
-
-    p_c: float
-    s_c: float
-    sigma: float | None
-    criticality: Criticality
-
-
-def derive_exponents(params: ProblemParams) -> CriticalExponents:
-    """Compute p_c, s_c, sigma, and the criticality label.
-
-    sigma is evaluated by both closed forms, (2-b-2s_c)/(2s_c) and
-    ((2-b)(p+2)-p_c)/(p_c-4+2b); they must agree to 1e-12 relative or
-    the function refuses (that would indicate broken float algebra, not
-    a bad parameter set).
-    """
-    n, b, c, p = params.n, params.b, params.c, params.p
-    pc = params.p_c
-    s_c = n / 2 - (2 - b + c) / p
-    mass_line = 2 * (2 - b)
-    energy_line = (2 - b) * (p + 2)
-    tol = _TIE_RTOL * (1 + abs(energy_line))
-
-    if abs(pc - mass_line) <= tol:
-        label = Criticality.MASS_CRITICAL
-    elif abs(pc - energy_line) <= tol:
-        label = Criticality.ENERGY_CRITICAL
-    elif pc < mass_line:
-        label = Criticality.MASS_SUBCRITICAL
-    else:
-        label = Criticality.INTERCRITICAL
-
-    sigma: float | None = None
-    if label in (Criticality.INTERCRITICAL, Criticality.ENERGY_CRITICAL):
-        sigma_a = (2 - b - 2 * s_c) / (2 * s_c)
-        sigma_b = (energy_line - pc) / (pc - 4 + 2 * b)
-        scale = max(abs(sigma_a), abs(sigma_b), 1.0)
-        if abs(sigma_a - sigma_b) > 1e-12 * scale:
-            raise ParameterError(
-                f"sigma routes disagree: {sigma_a} vs {sigma_b} for {params}"
-            )
-        sigma = sigma_a
-
-    return CriticalExponents(p_c=pc, s_c=s_c, sigma=sigma, criticality=label)
 
 
 def validate_gn_window(params: ProblemParams) -> bool:

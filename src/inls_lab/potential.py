@@ -117,7 +117,7 @@ def eval_potential(spec: PotentialSpec, r):
     """Closed-form (V, rV', r^2 V'') at radius r (scalar or array, r > 0)."""
     r = np.asarray(r, dtype=float)
     a, s = spec.a, spec.s
-    if spec.family == "zero":
+    if spec.is_zero:
         z = np.zeros_like(r)
         return z, z.copy(), z.copy()
     if spec.family == "inverse_power":
@@ -213,11 +213,22 @@ def _tail_exponents(spec: PotentialSpec, params: ProblemParams) -> tuple[float, 
 
 
 def check_assumptions(spec: PotentialSpec, params: ProblemParams) -> AssumptionReport:
-    """Check assumptions (I)-(IV) for one potential and parameter set on SAMPLE_RADII."""
+    """Check assumptions (I)-(IV) for one potential and parameter set on SAMPLE_RADII.
+
+    A potential whose V, rV' or r^2 V'' is not finite at some sample
+    radius (inverse_power with s above about 51 overflows at r = 1e-6)
+    raises ValueError naming the first such radius: no verdict can be
+    read from an overflowed sample.
+    """
     radii = SAMPLE_RADII
     n, b = params.n, params.b
 
-    V, rVp, r2Vpp = eval_potential(spec, radii)
+    with np.errstate(over="ignore", invalid="ignore"):
+        V, rVp, r2Vpp = eval_potential(spec, radii)
+    finite = np.isfinite(V) & np.isfinite(rVp) & np.isfinite(r2Vpp)
+    if not finite.all():
+        r_bad = float(radii[np.argmin(finite)])
+        raise ValueError(f"{spec}: V, rV' or r^2 V'' is not finite at r = {r_bad:.6g}")
     tol = 1e-12 * (1.0 + np.abs(V))
 
     # (I): V >= 0 and (2-b)V + rV' >= 0
@@ -230,12 +241,15 @@ def check_assumptions(spec: PotentialSpec, params: ProblemParams) -> AssumptionR
     # (IV): r^2 V'' <= -(3-b) rV'
     v_IV = _pointwise_verdict(-(3 - b) * rVp - r2Vpp, tol, radii)
 
-    # (II): quadrature over the sample range plus analytic tails
-    integrand = np.abs(rVp) ** (n / 2) * radii ** (-n * b / 2) * radii ** (n - 1)
-    partial = float(np.trapezoid(integrand, radii))
+    # (II): analytic tails, with the quadrature over the sample range
+    # reported on the Holds branches (the integrand can overflow elsewhere)
+    def holds_II() -> Verdict:
+        integrand = np.abs(rVp) ** (n / 2) * radii ** (-n * b / 2) * radii ** (n - 1)
+        return Verdict(HOLDS, note=f"partial integral {np.trapezoid(integrand, radii):.6g}")
+
     tails = _tail_exponents(spec, params)
     if tails is None:
-        v_II = Verdict(HOLDS, note=f"partial integral {partial:.6g}")
+        v_II = holds_II()
     else:
         k0, kinf = tails
         # r^k integrates near 0 iff k > -1, near oo iff k < -1
@@ -257,7 +271,7 @@ def check_assumptions(spec: PotentialSpec, params: ProblemParams) -> AssumptionR
                 note=f"exponents ({k0:g}, {kinf:g}) within rounding of the boundary -1",
             )
         else:
-            v_II = Verdict(HOLDS, note=f"partial integral {partial:.6g}")
+            v_II = holds_II()
 
     omega1 = -0.5 * float(np.min(comb)) + 0.0  # + 0.0 turns -0.0 into 0.0
     return AssumptionReport(v_I, v_II, v_III, v_IV, omega1)

@@ -231,9 +231,9 @@ def test_classify_all_runs_every_route(gs_f1):
 
 
 def test_classify_all_integrates_the_datum_once(gs_f1, count_calls):
-    calls = count_calls("evaluate_all", "check_assumptions", "derive_exponents")
+    calls = count_calls("evaluate_all", "check_assumptions")
     classify_all(multiple(gs_f1, 0.5), F1, ZERO, gs_f1)
-    assert calls == {"evaluate_all": 1, "check_assumptions": 1, "derive_exponents": 1}
+    assert calls == {"evaluate_all": 1, "check_assumptions": 1}
 
 
 def test_classify_all_carries_the_optimized_frequency(gs_f1, gs_mc):

@@ -242,6 +242,17 @@ def test_check_potential_command(tmp_path, capsys):
     assert manifest["grid"]["N"] == 4096
 
 
+def test_check_potential_refuses_an_overflowing_potential(tmp_path, capsys):
+    text = (
+        "params.n = 3\nparams.b = -0.5\nparams.c = -0.5\nparams.p = 2\n"
+        "potential.family = inverse_power\npotential.a = 1\npotential.s = 60\n"
+    )
+    out = tmp_path / "pot"
+    assert main(["check-potential", "--config", write_config(tmp_path, text), "--out", str(out)]) == 1
+    assert "not finite at r = 1e-06" in capsys.readouterr().err
+    assert not (out / "assumptions.json").exists()
+
+
 def test_groundstate_command_outputs_and_determinism(tmp_path, capsys):
     text = BASE.replace("grid.N = 1024", "grid.N = 2048")
     cfg = write_config(tmp_path, text)

@@ -183,11 +183,3 @@ def test_radial_field_validation():
         RadialField(g, np.ones(65))
     with pytest.raises(GridError):
         RadialField(g, np.full(64, np.nan))
-
-
-def test_grid_equality_and_hash():
-    a = build_grid(3, -0.5, r_max=10.0, N=64, grading=2.0)
-    b = build_grid(3, -0.5, r_max=10.0, N=64, grading=2.0)
-    c = build_grid(3, -0.5, r_max=10.0, N=128, grading=2.0)
-    assert a == b and hash(a) == hash(b)
-    assert a != c

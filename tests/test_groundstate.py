@@ -226,7 +226,7 @@ def test_polished_profile_is_the_fixed_point_of_the_map():
         assert np.max(np.abs(q - reference)) < 1e-11 * np.max(reference), N
 
 
-@pytest.mark.parametrize("N, start", [(2048, 2048), (4096, 1024), (16384, 4096)])
+@pytest.mark.parametrize("N, start", [(2048, 512), (4096, 1024), (16384, 4096)])
 def test_maps_run_on_the_nested_quarter_mesh(count_calls, N, start):
     meshes = []
     count_calls("solve_shifted", record=lambda name, args: meshes.append(args[0].N))

@@ -1,0 +1,17 @@
+"""The package's public names."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import inls_lab
+
+MODULES = ["inls_lab"] + [f"inls_lab.{m.name}" for m in pkgutil.iter_modules(inls_lab.__path__)]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_listed_name_resolves(name):
+    module = importlib.import_module(name)
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert missing == []

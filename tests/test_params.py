@@ -1,4 +1,4 @@
-"""Parameter validation and derived-exponent algebra."""
+"""Parameter validation and the exponent algebra of ProblemParams."""
 
 import math
 
@@ -10,7 +10,6 @@ from inls_lab.params import (
     Criticality,
     ParameterError,
     ProblemParams,
-    derive_exponents,
     validate_gn_window,
 )
 
@@ -18,36 +17,33 @@ from conftest import F1, MC, NM
 
 
 def test_intercritical_fixture_exponents():
-    d = derive_exponents(F1)
-    assert d.p_c == pytest.approx(6.0, rel=1e-15)
-    assert d.s_c == pytest.approx(0.5, rel=1e-15)
-    assert d.criticality is Criticality.INTERCRITICAL
-    assert d.sigma == pytest.approx(1.0, rel=1e-12)
+    assert F1.p_c == pytest.approx(6.0, rel=1e-15)
+    assert F1.s_c == pytest.approx(0.5, rel=1e-15)
+    assert F1.criticality is Criticality.INTERCRITICAL
+    assert F1.sigma == pytest.approx(1.0, rel=1e-12)
 
 
 def test_mass_critical_fixture_exponents():
-    d = derive_exponents(MC)
-    assert d.p_c == pytest.approx(4.0, rel=1e-15)
-    assert d.s_c == pytest.approx(0.0, abs=1e-15)
-    assert d.criticality is Criticality.MASS_CRITICAL
-    assert d.sigma is None
+    assert MC.p_c == pytest.approx(4.0, rel=1e-15)
+    assert MC.s_c == pytest.approx(0.0, abs=1e-15)
+    assert MC.criticality is Criticality.MASS_CRITICAL
+    assert MC.sigma is None
 
 
 def test_negative_exponent_fixture():
-    d = derive_exponents(NM)
-    assert d.p_c == pytest.approx(3 * 1.5 + 1.2, rel=1e-15)
-    assert d.criticality is Criticality.INTERCRITICAL
+    assert NM.p_c == pytest.approx(3 * 1.5 + 1.2, rel=1e-15)
+    assert NM.criticality is Criticality.INTERCRITICAL
 
 
 def test_mass_subcritical():
-    d = derive_exponents(ProblemParams(3, 0.0, 0.0, 1.0))
+    d = ProblemParams(3, 0.0, 0.0, 1.0)
     assert d.p_c == pytest.approx(3.0)
     assert d.criticality is Criticality.MASS_SUBCRITICAL
     assert d.sigma is None
 
 
 def test_energy_critical():
-    d = derive_exponents(ProblemParams(3, 0.0, 0.0, 4.0))
+    d = ProblemParams(3, 0.0, 0.0, 4.0)
     assert d.criticality is Criticality.ENERGY_CRITICAL
     assert d.s_c == pytest.approx(1.0, rel=1e-12)
 
@@ -124,13 +120,12 @@ def admissible_params(draw):
 @settings(max_examples=60, deadline=None)
 @given(admissible_params())
 def test_exponent_identities(params):
-    d = derive_exponents(params)
-    assert d.p_c == pytest.approx(params.n * params.p - 2 * params.c, rel=1e-12)
+    assert params.p_c == pytest.approx(params.n * params.p - 2 * params.c, rel=1e-12)
     # The two closed forms of the scaling index must agree.
-    s_c = params.n / 2 - (2 - params.b + params.c) / params.p
-    assert d.s_c == pytest.approx(s_c, rel=1e-9, abs=1e-12)
-    if d.criticality is Criticality.INTERCRITICAL:
-        assert d.sigma is not None and d.sigma > 0
-    elif d.criticality in (Criticality.MASS_CRITICAL, Criticality.MASS_SUBCRITICAL):
-        assert d.sigma is None
-    assert math.isfinite(d.p_c)
+    s_c = (params.p_c - 2 * (2 - params.b)) / (2 * params.p)
+    assert params.s_c == pytest.approx(s_c, rel=1e-9, abs=1e-12)
+    if params.criticality is Criticality.INTERCRITICAL:
+        assert params.sigma is not None and params.sigma > 0
+    elif params.criticality in (Criticality.MASS_CRITICAL, Criticality.MASS_SUBCRITICAL):
+        assert params.sigma is None
+    assert math.isfinite(params.p_c)

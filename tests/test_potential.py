@@ -1,6 +1,7 @@
 """Potential families: closed forms and the standing-assumption checker."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -111,6 +112,30 @@ def test_integrability_fails_at_origin():
     assert rep.holds_II.status == FAILS
     assert "diverges at zero" in rep.holds_II.note
     assert rep.holds_II.witness == pytest.approx(1e-6)
+
+
+def test_integrability_fails_at_origin_without_overflow_warnings():
+    # At n = 6 the (II) integrand |rV'|^3 r^5 overflows at r = 1e-6; the
+    # verdict comes from the exponents, so no quadrature is taken.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = check_assumptions(PotentialSpec.inverse_power(1.0, 20.0), ProblemParams(6, 0.0, 0.0, 1.0))
+    assert rep.holds_II.status == FAILS
+    assert "diverges at zero" in rep.holds_II.note
+
+
+def test_overflowing_potential_is_refused():
+    # r^-60 overflows at the innermost samples; verdicts read off those
+    # samples would be NaN comparisons.
+    spec = PotentialSpec.inverse_power(1.0, 60.0)
+    with pytest.raises(ValueError, match=r"inverse_power.*not finite at r = 1e-06"):
+        check_assumptions(spec, F2)
+
+
+def test_zero_amplitude_is_the_zero_potential():
+    rep = check_assumptions(PotentialSpec.inverse_power(0.0, 60.0), F2)
+    assert all(v.holds for v in rep.verdicts().values())
+    assert rep.omega1 == 0.0
 
 
 def test_integrability_borderline_band():
