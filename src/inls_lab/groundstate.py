@@ -8,11 +8,12 @@ and every threshold constant in the global/blow-up dichotomy is a
 functional of it.  Two independent routes compute Q:
 
 * ``petviashvili_solve`` iterates the stabilized fixed-point map
-  Q -> M_k^gamma (A + omega)^{-1} [r^c Q^{p+1}] on the graded grid,
-  where M_k is the quadratic-form quotient that equals 1 exactly at a
-  solution and gamma = (p+1)/p damps the scaling instability of the
-  plain map, then polishes the iterate with a few Newton steps on the
-  symmetric tridiagonal form of the profile equation.  It certifies
+  Q -> M_k^gamma (A + omega)^{-1} [r^c Q^{p+1}] on the coarsest mesh of
+  a ladder of graded meshes below the grid, where M_k is the
+  quadratic-form quotient that equals 1 exactly at a solution and
+  gamma = (p+1)/p damps the scaling instability of the plain map, then
+  converges Newton on the symmetric tridiagonal form of the profile
+  equation on each mesh of the ladder in turn, up to the grid.  It certifies
   the result on the fixed-point residual in the (A + omega) energy
   norm, the norm in which the map's convergence is analysed
   (Pelinovsky-Stepanyants, SIAM J. Numer. Anal. 42 (2004); Lakoba-Yang,
@@ -75,11 +76,13 @@ __all__ = [
 
 # Petviashvili solve: the exit gate on the fixed-point residual of every
 # returned state; the budget of stabilized maps; the successive relative
-# change at which the maps hand over to Newton; the Newton steps taken.
+# change at which the maps hand over to Newton; the relative correction
+# that ends Newton on each mesh, and the steps it may take there.
 RESIDUAL_GATE = 1e-8
 MAX_ITER = 10_000
-NEWTON_SWITCH = 1e-3
-NEWTON_STEPS = 3
+NEWTON_SWITCH = 1e-2
+NEWTON_TOL = 1e-8
+NEWTON_CAP = 8
 
 # Shooting oracle: the series start radius of every shot, the center
 # values that bracket the search, and the relative bracket width that
@@ -118,10 +121,12 @@ class GroundState:
     the exit gate (RESIDUAL_GATE); strong_residual is the L2 strong-form
     residual ||(A+omega)Q - r^c Q^{p+1}||_mu / ||Q||_mu, reported only.
     iterations counts the Petviashvili maps, the final one included.
-    history holds the successive relative change (sup norm) of each map
-    on the start mesh, then the relative size of each Newton correction
-    on the grid, so the linear rate of the maps and the quadratic one of
-    Newton can be read from the output.
+    levels is the ladder the solve climbed, coarsest mesh first: the
+    cells of each mesh and the Newton steps taken on it.  history holds
+    the successive relative change (sup norm) of each map on the
+    coarsest mesh, then the relative size of each Newton correction,
+    mesh by mesh in the order of levels, so the linear rate of the maps
+    and the quadratic one of Newton can be read from the output.
     pohozaev_res is the pair of relative defects in the two Pohozaev
     identities.  c_gn is
     the sharp constant of the weighted interpolation inequality,
@@ -137,6 +142,7 @@ class GroundState:
     strong_residual: float
     iterations: int
     history: tuple[float, ...]
+    levels: tuple[tuple[int, int], ...]
     pohozaev_res: tuple[float, float]
     c_gn: float
     m_omega: float
@@ -166,6 +172,7 @@ class GroundState:
             "strong_residual": self.strong_residual,
             "iterations": self.iterations,
             "history": list(self.history),
+            "levels": [{"cells": cells, "newton_steps": steps} for cells, steps in self.levels],
             "pohozaev_res_mass_nonlinear": self.pohozaev_res[0],
             "pohozaev_res_mass_gradient": self.pohozaev_res[1],
             "c_gn": self.c_gn,
@@ -227,30 +234,41 @@ def gn_ratio(rep: FunctionalReport) -> float:
 
 
 def petviashvili_solve(params: ProblemParams, grid: RadialGrid) -> GroundState:
-    """Ground state by the stabilized fixed-point map, polished by Newton.
+    """Ground state by the stabilized fixed-point map, polished by Newton
+    up a ladder of meshes.
 
-    Starts from the Gaussian exp(-r^2/2) and runs the Petviashvili map
-    until the successive relative change drops below NEWTON_SWITCH
-    (within MAX_ITER maps; the map converges only linearly, about 0.74
-    per map, at a rate that does not depend on N).  The maps run on the
-    nested mesh of max(N // 4, 16) cells with the grid's radius and
-    grading, whose faces are every 4th face of the grid when 4 divides N
-    and N >= 64.  np.interp takes the coarse iterate to the grid's nodes
-    as a start inside Newton's quadratic basin (nested iteration: Brandt, Math. Comp. 31 (1977)).
-    NEWTON_STEPS Newton steps on the symmetric form
+    The ladder is the meshes of N // 4, N // 16, ... cells with the
+    grid's radius and grading, down to the last one of at least 1024
+    cells, or the one mesh of max(N // 4, 16) cells when N < 4096; a
+    mesh's faces are every 4th face of the next finer one when 4
+    divides that one's size.  Starting from the Gaussian exp(-r^2/2),
+    the Petviashvili map runs on the coarsest mesh only, until the
+    successive relative change drops below NEWTON_SWITCH (within
+    MAX_ITER maps; the map converges only linearly, about 0.74 per map,
+    at a rate that does not depend on N).  Newton steps on the
+    symmetric form
 
-        F(Q) = M Q + mu (omega Q - r^c Q^{p+1})
+        F(Q) = M Q + mu (omega - r^c Q^p) Q,
 
-    then take Q to the fixed point on the grid; the Jacobian
-    M + diag(mu (omega - (p+1) r^c Q^p)) is symmetric tridiagonal and
-    indefinite (Morse index 1), so each step is one LAPACK dgtsv solve.
-    One final map on the grid keeps Q positive by construction and
-    measures the stabilizing factor M_k at the polished profile.  Every
-    gate is taken on the grid: the returned state satisfies
-    residual < RESIDUAL_GATE, both Pohozaev defects < 1e-4,
-    |M_k - 1| < 1e-10 at exit, strict positivity, and monotone decay
-    beyond the maximum; any violation raises NonConvergence rather than
-    returning a dressed-up failure.
+    with M Q formed from the face fluxes, then take Q to the discrete
+    fixed point of each mesh in turn, until the relative correction
+    drops below NEWTON_TOL, and np.interp carries the converged Q up one
+    mesh as the next start (nested iteration: Brandt, Math. Comp. 31
+    (1977)).  The Jacobian M + diag(mu (omega - (p+1) r^c Q^p)) is
+    symmetric tridiagonal and indefinite (Morse index 1), so each step
+    is one LAPACK dgtsv solve; a mesh whose Newton does not converge
+    within NEWTON_CAP steps, or whose iterate turns non-finite, raises
+    NonConvergence naming it.  On the five fixtures at omega in
+    {0.5, 1, 2} and N from 2048 to 65536 this is 3-12 maps and 3-4
+    Newton steps on the coarsest mesh, then 2-3 Newton steps on each
+    finer one, and |M_k - 1| at exit stays below 5e-15 up to
+    N = 262144.  One final map on the grid keeps Q positive by
+    construction and measures the stabilizing factor M_k at the
+    polished profile.  Every gate is taken on the grid: the returned
+    state satisfies residual < RESIDUAL_GATE, both Pohozaev defects
+    < 1e-4, |M_k - 1| < 1e-10 at exit, strict positivity, and monotone
+    decay beyond the maximum; any violation raises NonConvergence
+    rather than returning a dressed-up failure.
     """
     _admissible(params)
     check_grid(grid, params)
@@ -262,12 +280,12 @@ def petviashvili_solve(params: ProblemParams, grid: RadialGrid) -> GroundState:
 
     def energy_sq(mesh: RadialGrid, v: np.ndarray) -> float:
         """<(A+omega) v, v>_mu on mesh, the squared (A+omega) energy norm."""
-        return gradient_norm_sq(mesh, v) + w * float(np.sum(mesh.measure_weights * v**2))
+        return gradient_norm_sq(mesh, v) + w * float((mesh.measure_weights * v**2).sum())
 
-    def relative_change(new: np.ndarray, old: np.ndarray) -> float:
-        change = float(np.max(np.abs(new - old)) / np.max(np.abs(new)))
+    def relative_change(new: np.ndarray, old: np.ndarray, mesh: RadialGrid) -> float:
+        change = float(abs(new - old).max() / abs(new).max())
         if not math.isfinite(change):
-            raise NonConvergence("iterate is no longer finite")
+            raise NonConvergence(f"iterate is no longer finite on the {mesh.N}-cell mesh")
         return change
 
     def iterate(
@@ -281,14 +299,14 @@ def petviashvili_solve(params: ProblemParams, grid: RadialGrid) -> GroundState:
         while len(changes) < MAX_ITER:
             nl = mesh_rc * Q ** (p + 1)
             num = energy_sq(mesh, Q)
-            den = float(np.sum(mesh.measure_weights * nl * Q))
+            den = float((mesh.measure_weights * nl * Q).sum())
             if num <= 0:
                 raise IndefiniteOperator(f"<(A+omega)Q, Q> = {num} <= 0")
             if den <= 0:
                 raise NonConvergence(f"nonlinear pairing {den} <= 0: sign change")
             stab = num / den
             Qn = stab**gamma * solve_shifted(mesh, w, nl)
-            changes.append(relative_change(Qn, Q))
+            changes.append(relative_change(Qn, Q, mesh))
             Q = Qn
             if changes[-1] < switch:
                 return Q, stab, changes
@@ -296,38 +314,73 @@ def petviashvili_solve(params: ProblemParams, grid: RadialGrid) -> GroundState:
             f"no fixed point after {MAX_ITER} maps (last change {changes[-1]:.3e})"
         )
 
-    def newton_step(Q: np.ndarray) -> np.ndarray:
-        """Q minus the Newton correction J^{-1} F(Q) of the symmetric form."""
-        F = mu * (apply_operator(grid, Q) + w * Q - rc * Q ** (p + 1))
-        jac = grid.stiffness_diag + mu * (w - (p + 1) * rc * Q**p)
-        # dgtsv overwrites all four arrays, and each is this step's own
-        *_, delta, info = dgtsv(-grid.face_weights, jac, -grid.face_weights, F, 1, 1, 1, 1)
-        if info != 0:
-            raise NonConvergence(f"Newton solve failed (dgtsv info {info})")
-        return Q - delta
+    def newton(
+        mesh: RadialGrid, mesh_rc: np.ndarray, Q: np.ndarray
+    ) -> tuple[np.ndarray, list[float]]:
+        """Newton steps on mesh from Q until the relative correction drops
+        below NEWTON_TOL: the last iterate and every step's correction."""
+        m, nu = mesh.measure_weights, mesh.face_weights
+        corrections: list[float] = []
+        while len(corrections) < NEWTON_CAP:
+            Qp = mesh_rc * Q**p
+            # M Q from the face fluxes nu (Q_i - Q_{i+1}) and the Dirichlet
+            # edge term.  Formed as diag Q minus the neighbour terms, it
+            # cancels near the origin to about h^2 of their size, and that
+            # rounding held the Newton fixed point about 1e-10 off the
+            # map's at N = 131072; the fluxes do not cancel.
+            flux = nu * (Q[:-1] - Q[1:])
+            F = m * (w - Qp) * Q
+            F[:-1] += flux
+            F[1:] -= flux
+            F[-1] += mesh.outer_face_weight * Q[-1]
+            jac = mesh.stiffness_diag + m * (w - (p + 1) * Qp)
+            # dgtsv overwrites all four arrays, and each is this step's own
+            *_, delta, info = dgtsv(-nu, jac, -nu, F, 1, 1, 1, 1)
+            if info != 0:
+                raise NonConvergence(
+                    f"Newton solve failed (dgtsv info {info}) on the {mesh.N}-cell mesh"
+                )
+            Qn = Q - delta
+            corrections.append(relative_change(Qn, Q, mesh))
+            Q = Qn
+            if corrections[-1] < NEWTON_TOL:
+                return Q, corrections
+        raise NonConvergence(
+            f"Newton on the {mesh.N}-cell mesh: correction {corrections[-1]:.3e} "
+            f"after {NEWTON_CAP} steps"
+        )
 
-    def newton_start() -> tuple[np.ndarray, list[float]]:
-        """The maps from exp(-r^2/2) on the start mesh, at the grid's nodes,
-        and their changes; the start mesh is freed on return."""
-        start = build_grid(grid.n, grid.b, grid.r_max, max(grid.N // 4, 16), grid.grading)
-        Q, _, changes = iterate(start, start.nodes**c, np.exp(-(start.nodes**2) / 2), NEWTON_SWITCH)
-        # A Newton start, not a field transfer: every gate is taken on the
-        # grid.  np.interp keeps scipy.interpolate out of the process.
-        return np.interp(grid.nodes, start.nodes, Q), changes
+    rungs = [max(grid.N // 4, 16)]
+    while rungs[-1] // 4 >= 1024:
+        rungs.append(rungs[-1] // 4)
+    mesh = build_grid(grid.n, grid.b, grid.r_max, rungs.pop(), grid.grading)
+    mesh_rc = mesh.nodes**c
+    # A power of an iterate that went negative or overflowed is NaN or
+    # inf, not a warning: relative_change and the residual's finiteness
+    # check raise NonConvergence on it.
+    with np.errstate(all="ignore"):
+        Q, _, history = iterate(mesh, mesh_rc, np.exp(-(mesh.nodes**2) / 2), NEWTON_SWITCH)
+        maps = len(history)
+        levels: list[tuple[int, int]] = []
+        while True:
+            Q, corrections = newton(mesh, mesh_rc, Q)
+            history += corrections
+            levels.append((mesh.N, len(corrections)))
+            if mesh is grid:
+                break
+            fine = grid
+            if rungs:
+                fine = build_grid(grid.n, grid.b, grid.r_max, rungs.pop(), grid.grading)
+            # A Newton start, not a field transfer: every gate is taken on
+            # the grid.  np.interp keeps scipy.interpolate out of the process.
+            Q = np.interp(fine.nodes, mesh.nodes, Q)
+            mesh, mesh_rc = fine, (rc if fine is grid else fine.nodes**c)
 
-    Q, history = newton_start()
-    maps = len(history)
-
-    for _ in range(NEWTON_STEPS):
-        Qn = newton_step(Q)
-        history.append(relative_change(Qn, Q))
-        Q = Qn
-
-    Q, stab, _ = iterate(grid, rc, Q, math.inf)
+        Q, stab, _ = iterate(grid, rc, Q, math.inf)
+        nl = rc * Q ** (p + 1)
+        defect = Q - solve_shifted(grid, w, nl)
+        residual = math.sqrt(energy_sq(grid, defect) / energy_sq(grid, Q))
     stab_gap = abs(stab - 1.0)
-    nl = rc * Q ** (p + 1)
-    defect = Q - solve_shifted(grid, w, nl)
-    residual = math.sqrt(energy_sq(grid, defect) / energy_sq(grid, Q))
     if not math.isfinite(residual):
         raise NonConvergence("iterate is no longer finite")
     strong = apply_operator(grid, Q) + w * Q - nl
@@ -358,6 +411,7 @@ def petviashvili_solve(params: ProblemParams, grid: RadialGrid) -> GroundState:
         strong_residual=strong_residual,
         iterations=maps + 1,
         history=tuple(history),
+        levels=tuple(levels),
         pohozaev_res=poh,
         c_gn=gn_ratio(rep),
         m_omega=rep.action,

@@ -12,8 +12,7 @@ The flow is mass-critical when s_c = 0, energy-critical when
 p_c = (2-b)(p+2), and intercritical in between.  In the intercritical
 window the mass/energy threshold quantities carry the exponent
 sigma = (2-b-2s_c)/(2s_c), which has the equivalent closed form
-((2-b)(p+2) - p_c)/(p_c - 4 + 2b); both are computed here and must
-agree to rounding.
+((2-b)(p+2) - p_c)/(p_c - 2(2-b)), the one computed here.
 
 Everything in this module is exact arithmetic on floats: no grids, no
 state.  Validation failures name the violated constraint so callers can
@@ -131,20 +130,18 @@ class ProblemParams:
         """Threshold exponent (2-b-2s_c)/(2s_c); None outside the
         intercritical and energy-critical classes, where s_c <= 0.
 
-        It is evaluated by both closed forms, (2-b-2s_c)/(2s_c) and
-        ((2-b)(p+2)-p_c)/(p_c-4+2b); they must agree to 1e-12 relative
-        or ParameterError is raised (that would indicate broken float
-        algebra, not a bad parameter set).
+        It is evaluated as ((2-b)(p+2) - p_c)/(p_c - 2(2-b)), the
+        distances of p_c to the energy and mass lines that criticality
+        compares, so sigma > 0 exactly where the class is intercritical.
+        Near the mass line sigma is ill-conditioned in (n, b, c, p): its
+        one cancellation, p_c - 2(2-b), carries a relative rounding error
+        of about eps (|p_c| + 2|2-b|)/|p_c - 2(2-b)|, and no route from
+        the float parameters does better.
         """
         if self.criticality not in (Criticality.INTERCRITICAL, Criticality.ENERGY_CRITICAL):
             return None
-        b, pc, s_c = self.b, self.p_c, self.s_c
-        sigma_a = (2 - b - 2 * s_c) / (2 * s_c)
-        sigma_b = ((2 - b) * (self.p + 2) - pc) / (pc - 4 + 2 * b)
-        scale = max(abs(sigma_a), abs(sigma_b), 1.0)
-        if abs(sigma_a - sigma_b) > 1e-12 * scale:
-            raise ParameterError(f"sigma routes disagree: {sigma_a} vs {sigma_b} for {self}")
-        return sigma_a
+        pc = self.p_c
+        return ((2 - self.b) * (self.p + 2) - pc) / (pc - 2 * (2 - self.b))
 
     def with_omega(self, omega: float) -> "ProblemParams":
         """Same equation at a different frequency."""

@@ -21,7 +21,10 @@ set, SAMPLE_RADII (2048 log-spaced radii on [1e-6, 1e6]):
     (IV)   r^2 V'' <= -(3-b) r V'.
 
 (I), (III), (IV) are pointwise inequalities; a violation report carries
-the radius where the inequality fails worst.  (II) is an integrability
+the radius where the inequality fails worst.  Each is held to 1e-12
+times the size of the terms it compares at that radius, (2-b)|V| + |rV'|
+for (I), |rV'| for (III) and |r^2 V''| + (3-b)|rV'| for (IV), so a
+decaying V is judged at its own scale.  (II) is an integrability
 statement that no finite sample can witness, so the verdict combines a
 quadrature over the sampled range with per-family analytic exponents of
 the integrand |rV'|^{n/2} r^{-nb/2} r^{n-1} at r -> 0 and r -> oo.
@@ -229,17 +232,19 @@ def check_assumptions(spec: PotentialSpec, params: ProblemParams) -> AssumptionR
     if not finite.all():
         r_bad = float(radii[np.argmin(finite)])
         raise ValueError(f"{spec}: V, rV' or r^2 V'' is not finite at r = {r_bad:.6g}")
-    tol = 1e-12 * (1.0 + np.abs(V))
+    abs_rVp = np.abs(rVp)
 
     # (I): V >= 0 and (2-b)V + rV' >= 0
     comb = (2 - b) * V + rVp
-    v_I = _pointwise_verdict(np.minimum(V, comb), tol, radii)
+    v_I = _pointwise_verdict(np.minimum(V, comb), 1e-12 * ((2 - b) * np.abs(V) + abs_rVp), radii)
 
     # (III): rV' <= 0
-    v_III = _pointwise_verdict(-rVp, tol, radii)
+    v_III = _pointwise_verdict(-rVp, 1e-12 * abs_rVp, radii)
 
     # (IV): r^2 V'' <= -(3-b) rV'
-    v_IV = _pointwise_verdict(-(3 - b) * rVp - r2Vpp, tol, radii)
+    v_IV = _pointwise_verdict(
+        -(3 - b) * rVp - r2Vpp, 1e-12 * (np.abs(r2Vpp) + (3 - b) * abs_rVp), radii
+    )
 
     # (II): analytic tails, with the quadrature over the sample range
     # reported on the Holds branches (the integrand can overflow elsewhere)

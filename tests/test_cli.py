@@ -270,6 +270,10 @@ def test_groundstate_command_outputs_and_determinism(tmp_path, capsys):
     assert summary["m_omega"] == pytest.approx(ref.m_omega, rel=1e-12)
     assert summary["omega"] == 1.0
     assert summary["history"] == list(ref.history)
+    # history splits by mesh: the maps, then each mesh's Newton corrections
+    steps = [level["newton_steps"] for level in summary["levels"]]
+    assert [level["cells"] for level in summary["levels"]] == [512, 2048]
+    assert len(summary["history"]) == summary["iterations"] - 1 + sum(steps)
 
     for name in ("profile.csv", "groundstate.json", "manifest.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -203,6 +204,55 @@ def test_petviashvili_stops_on_a_failed_newton_solve(monkeypatch):
         petviashvili_solve(F1, grid=grid_for(3, 0.0, 256))
 
 
+def test_newton_stops_at_its_cap_naming_the_mesh(monkeypatch):
+    monkeypatch.setattr(groundstate, "NEWTON_CAP", 1)
+    cap = r"^Newton on the 64-cell mesh: correction .* after 1 steps$"
+    with pytest.raises(NonConvergence, match=cap):
+        petviashvili_solve(F1, grid=grid_for(3, 0.0, 256))
+
+
+def test_a_newton_iterate_gone_negative_raises_naming_its_mesh(monkeypatch):
+    # The first correction drives the iterate negative everywhere; at
+    # p = 2.5 its next power is NaN, which must end the solve with
+    # NonConvergence on that mesh, not with a RuntimeWarning.
+    lapack = groundstate.dgtsv
+    calls = []
+
+    def overshoot(dl, d, du, b, *overwrite):
+        calls.append(1)
+        if len(calls) == 1:
+            return dl, d, du, np.full_like(b, 1e3), 0
+        return lapack(dl, d, du, b, *overwrite)
+
+    monkeypatch.setattr(groundstate, "dgtsv", overshoot)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonConvergence, match=r"no longer finite on the 512-cell mesh"):
+            petviashvili_solve(F3, grid=grid_for(4, -1.0, 2048))
+
+
+MESHES = {"N2048": (2048, 2.0), "N4096-uniform": (4096, 1.0), "N4100": (4100, 2.0)}
+
+
+@pytest.mark.parametrize("omega", [0.5, 2.0])
+@pytest.mark.parametrize("mesh", list(MESHES))
+@pytest.mark.parametrize("params", [F1, F2, F3, MC, NM], ids=["F1", "F2", "F3", "MC", "NM"])
+def test_every_solve_certifies_or_refuses_without_warnings(params, mesh, omega):
+    N, grading = MESHES[mesh]
+    g = grid_for(params.n, params.b, N, grading)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            gs = petviashvili_solve(params.with_omega(omega), grid=g)
+        except NonConvergence as exc:
+            # only the uniform mesh is too coarse at the origin for Pohozaev
+            assert mesh == "N4096-uniform" and "Pohozaev" in str(exc)
+            return
+    assert gs.residual < groundstate.RESIDUAL_GATE
+    assert max(gs.pohozaev_res) < 1e-4
+    assert [cells for cells, _ in gs.levels][-1] == N
+
+
 def plain_petviashvili(params, g, maps):
     """Reference: the stabilized map alone, from the solver's start, for a
     fixed number of maps."""
@@ -216,8 +266,8 @@ def plain_petviashvili(params, g, maps):
 
 
 def test_polished_profile_is_the_fixed_point_of_the_map():
-    # At N = 16384 the maps run on the nested 4096-cell mesh and Newton
-    # starts from their interpolant; the plain map on the grid must still
+    # At N = 16384 the maps run on the 1024-cell mesh and Newton climbs
+    # the ladder through 4096 cells; the plain map on the grid must still
     # land on the same Q.
     for N in (2048, 16384):
         g = grid_for(3, 0.0, N)
@@ -226,23 +276,45 @@ def test_polished_profile_is_the_fixed_point_of_the_map():
         assert np.max(np.abs(q - reference)) < 1e-11 * np.max(reference), N
 
 
-@pytest.mark.parametrize("N, start", [(2048, 512), (4096, 1024), (16384, 4096)])
-def test_maps_run_on_the_nested_quarter_mesh(count_calls, N, start):
+LADDERS = [(2048, [512]), (4096, [1024]), (16384, [1024, 4096]), (65536, [1024, 4096, 16384])]
+
+
+@pytest.mark.parametrize(
+    "N, ladder", LADDERS, ids=["-".join(map(str, [N, *ladder])) for N, ladder in LADDERS]
+)
+def test_maps_run_on_the_coarsest_mesh_of_the_ladder(count_calls, N, ladder):
     meshes = []
     count_calls("solve_shifted", record=lambda name, args: meshes.append(args[0].N))
     gs = petviashvili_solve(F1, grid=grid_for(3, 0.0, N))
     maps = gs.iterations - 1
-    # the start maps, then the final map and the residual's solve on the grid
-    assert meshes == [start] * maps + [N, N]
-    assert len(gs.history) == maps + groundstate.NEWTON_STEPS
+    # the maps on the coarsest mesh, then the final map and the residual's
+    # solve on the grid; Newton solves with dgtsv on every mesh
+    assert meshes == [ladder[0]] * maps + [N, N]
+    assert [cells for cells, _ in gs.levels] == ladder + [N]
+    assert len(gs.history) == maps + sum(steps for _, steps in gs.levels)
 
 
 def test_newton_converges_quadratically_from_the_coarse_start():
     gs = solve(F1, 16384)
     maps = gs.iterations - 1
     assert gs.history[maps - 1] < groundstate.NEWTON_SWITCH <= gs.history[maps - 2]
-    first, second, _ = gs.history[maps:]
-    assert second < 100 * first**2
+    # the grid is the last mesh of the ladder, so its corrections end history
+    cells, steps = gs.levels[-1]
+    assert cells == 16384 and steps >= 2
+    corrections = gs.history[-steps:]
+    for first, second in zip(corrections, corrections[1:]):
+        assert second < 100 * first**2
+    assert corrections[-1] < groundstate.NEWTON_TOL <= min(corrections[:-1])
+
+
+def test_newton_lands_on_the_fixed_point_of_the_map_at_n_131072():
+    # Newton's residual must not lose digits to the cancellation in M Q
+    # near the origin: with M Q formed as diag Q minus its neighbour terms,
+    # the polished F2 profile at omega = 0.5 sat 1.2e-10 off the map's
+    # fixed point and the stabilizing-factor gate refused it.
+    gs = petviashvili_solve(F2.with_omega(0.5), grid=grid_for(3, -0.5, 131072))
+    assert gs.residual < groundstate.RESIDUAL_GATE
+    assert [cells for cells, _ in gs.levels] == [2048, 8192, 32768, 131072]
 
 
 def test_a_grid_4_does_not_divide_certifies():
@@ -254,7 +326,7 @@ def test_a_grid_4_does_not_divide_certifies():
 
 def test_a_solve_leaves_scipy_interpolate_unloaded():
     # scipy.interpolate costs about half a second to import, paid by every
-    # CLI process that loads it; the nested start transfers with np.interp,
+    # CLI process that loads it; the mesh ladder transfers with np.interp,
     # and the k-derivative check evaluates its scaling arcs in closed form.
     code = (
         "import sys, inls_lab\n"
@@ -433,6 +505,7 @@ def test_ground_state_serialization(gs_f1):
         "strong_residual",
         "iterations",
         "history",
+        "levels",
         "pohozaev_res_mass_nonlinear",
         "pohozaev_res_mass_gradient",
         "c_gn",
@@ -445,3 +518,5 @@ def test_ground_state_serialization(gs_f1):
     assert d["m_omega"] == gs_f1.m_omega
     assert d["iterations"] == gs_f1.iterations
     assert d["history"] == list(gs_f1.history)
+    assert d["levels"] == [{"cells": 1024, "newton_steps": gs_f1.levels[0][1]},
+                           {"cells": 4096, "newton_steps": gs_f1.levels[1][1]}]

@@ -1,6 +1,8 @@
 """Parameter validation and the exponent algebra of ProblemParams."""
 
 import math
+import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -126,6 +128,38 @@ def test_exponent_identities(params):
     assert params.s_c == pytest.approx(s_c, rel=1e-9, abs=1e-12)
     if params.criticality is Criticality.INTERCRITICAL:
         assert params.sigma is not None and params.sigma > 0
+        assert_sigma_within_rounding(params)
     elif params.criticality in (Criticality.MASS_CRITICAL, Criticality.MASS_SUBCRITICAL):
         assert params.sigma is None
     assert math.isfinite(params.p_c)
+
+
+def assert_sigma_within_rounding(params):
+    """sigma against its exact rational value at the float parameters, to
+    a few eps times the condition numbers of its two differences."""
+    n, b, c, p = params.n, Fraction(params.b), Fraction(params.c), Fraction(params.p)
+    energy_gap = (2 - b) * (p + 2) - (n * p - 2 * c)
+    mass_gap = (n * p - 2 * c) - 2 * (2 - b)
+    exact = energy_gap / mass_gap
+    terms = n * abs(p) + 2 * abs(c) + 2 * abs(2 - b)
+    cond = (terms + abs(2 - b) * (p + 2)) / abs(energy_gap) + terms / abs(mass_gap)
+    err = abs(Fraction(params.sigma) - exact)
+    assert err <= 8 * Fraction(sys.float_info.epsilon) * cond * abs(exact)
+
+
+@pytest.mark.parametrize(
+    "n, b, c, p",
+    [
+        (4, 0.31867492189140445, 1.4939171736776444, 1.5876935016510074),
+        (3, 0.0, 0.0, 4.0 / 3.0 + 1e-4),
+        (3, 0.0, 0.0, 4.0 / 3.0 + 1e-6),
+    ],
+)
+def test_sigma_near_the_mass_line(n, b, c, p):
+    # s_c is about 1e-4 or below: the two closed forms of sigma differ by
+    # more than 1e-12 relative there from rounding alone, and a check that
+    # they agree to 1e-12 refused these intercritical sets.
+    params = ProblemParams(n, b, c, p)
+    assert params.criticality is Criticality.INTERCRITICAL
+    assert params.sigma == pytest.approx((2 - b - 2 * params.s_c) / (2 * params.s_c), rel=1e-9)
+    assert_sigma_within_rounding(params)

@@ -201,3 +201,19 @@ def test_report_serialization_shape():
     assert d["IV"]["status"] == FAILS
     assert "witness" in d["IV"]
     assert isinstance(rep, AssumptionReport)
+
+
+def test_decaying_potential_is_judged_at_its_own_scale():
+    # s just above 2-b: (2-b)V + rV' and -(3-b)rV' - r^2 V'' both turn
+    # negative where V has decayed below 1e-10, so a tolerance of
+    # 1e-12 (1 + |V|) read (I) and (IV) as Holds beside omega1 > 0.
+    params = ProblemParams(5, -2.4486, 0.0, 1.0)
+    rep = check_assumptions(PotentialSpec.smooth_bump(1.0, 4.4488), params)
+    assert rep.omega1 > 0
+    assert rep.holds_I.status == FAILS
+    assert rep.holds_IV.status == FAILS
+    assert rep.holds_III.status == HOLDS
+    # at s = 2-b both hold again: the combinations stay nonnegative
+    rep = check_assumptions(PotentialSpec.smooth_bump(1.0, 4.4486), params)
+    assert rep.holds_I.status == HOLDS and rep.holds_IV.status == HOLDS
+    assert rep.omega1 <= 0
