@@ -24,7 +24,9 @@ functional of it.  Two independent routes compute Q:
 * ``shooting_solve`` integrates the radial ODE outward from a series
   start near r = 0 and finds the center value that separates shots
   that cross zero from shots that bottom out and regrow, by Brent's
-  method on a signed escape distance of each shot.
+  method on a signed escape distance of each shot.  The search shots
+  run Hairer's compiled DOP853 behind scipy.integrate.ode; only the
+  final shot runs solve_ivp's DOP853, for its dense output.
 
 The two routes share no discretization, so their agreement (relative
 sup norm about 1e-5 at default resolution) is the primary evidence
@@ -42,6 +44,7 @@ expression.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,10 +89,17 @@ NEWTON_CAP = 8
 
 # Shooting oracle: the series start radius of every shot, the center
 # values that bracket the search, and the relative bracket width that
-# ends it.
+# ends it.  A search shot may take _SHOT_STEPS integrator steps; on the
+# fixtures at N = 4096 a shot takes at most about 100.
 SHOOT_R0 = 1e-6
 SCAN_LO, SCAN_HI = 1e-3, 1e3
 BISECT_TOL = 1e-13
+_SHOT_STEPS = 10_000
+
+# The events that end a shot, first listed first named when two are found
+# at one radius: the name, the component of (Q, Q') that passes through
+# zero, and the direction it passes in (solve_ivp's event direction).
+_EVENTS = (("cross", 0, -1), ("regrow", 1, 1))
 
 
 class GroundStateError(RuntimeError):
@@ -421,15 +431,22 @@ def petviashvili_solve(params: ProblemParams, grid: RadialGrid) -> GroundState:
 
 def _thresholds(rep: FunctionalReport) -> dict[str, float | None]:
     """Dichotomy constants from the report of the profile, direct routes only;
-    None where the frequency or the criticality class leaves them undefined."""
+    None where the frequency or the criticality class leaves them undefined.
+    A power of the mass beyond the float range raises GroundStateError."""
     out: dict[str, float | None] = dict.fromkeys(("mass_threshold", "em_sigma", "grad_mass"))
     crit, sigma = rep.params.criticality, rep.params.sigma
     defined = crit in (Criticality.MASS_CRITICAL, Criticality.INTERCRITICAL)
     if defined and is_frequency_one(rep.params.omega):
         out["mass_threshold"] = mass_norm = rep.mass**0.5
         if crit is Criticality.INTERCRITICAL:
-            out["grad_mass"] = float(np.sqrt(rep.grad_sq) * mass_norm**sigma)
-            out["em_sigma"] = float(rep.energy * rep.mass**sigma)
+            try:
+                out["grad_mass"] = float(np.sqrt(rep.grad_sq) * mass_norm**sigma)
+                out["em_sigma"] = float(rep.energy * rep.mass**sigma)
+            except OverflowError:
+                raise GroundStateError(
+                    f"thresholds overflow the float range at sigma = {sigma:.6g} "
+                    f"for {rep.params}"
+                ) from None
     return out
 
 
@@ -510,54 +527,120 @@ def _series_start(
     return val, slope
 
 
-def _shoot_once(params: ProblemParams, q0: float, r_end: float, *, dense: bool = False):
-    """One outward shot; returns ('cross'|'regrow'|'decay', solution).
+def _fires(direction: int, g0: float, g1: float) -> bool:
+    """solve_ivp's event rule: a step whose end values g0 and g1 of the
+    event component bracket zero in the event's direction, a zero end
+    included."""
+    return g0 >= 0 >= g1 if direction < 0 else g0 <= 0 <= g1
 
-    The solution carries the dense-output interpolant only when dense
-    is set: classification reads t_events and the last radius alone,
-    and DOP853 spends three extra right-hand-side evaluations per step
-    on the interpolant.
+
+def _shooter(params: ProblemParams, r_end: float):
+    """The shots of one oracle solve: shoot(q0, dense=False) -> (kind, r_e, sol).
+
+    Each shot integrates the radial ODE for (Q, Q') outward from the
+    series start at SHOOT_R0 by DOP853 at rtol 1e-10 and atol 1e-12,
+    and stops at the first event of _EVENTS.  kind is the name of that
+    event, or 'decay' when the shot reaches r_end without one; r_e is
+    the event radius, r_end on a decay.
+
+    A search shot (dense unset; sol is None) runs Hairer's compiled
+    DOP853 behind scipy.integrate.ode, where solve_ivp spent over 80 %
+    of a shot on Python-level step bookkeeping (cProfile, F1).  A
+    solout callback applies the event rule at each accepted step to
+    the values at the step's two ends, and locates the event inside
+    the step at the root of the cubic Hermite interpolant of those
+    values and their slopes, read off the right-hand side.  All search shots
+    share one integrator, because scipy's compiled wrapper keeps a
+    reference to the integrator's solout method on every run, so no
+    integrator it ran is ever freed (one per shot would grow without
+    bound).  The dense shot runs solve_ivp with the same right-hand
+    side, tolerances and events, and sol is its solution with the
+    dense-output interpolant.  A shot that does not reach its end
+    raises NonConvergence naming q0 and the integrator's message, and
+    the integrator's warning does not escape; a search shot may take
+    _SHOT_STEPS steps.
     """
-    from scipy.integrate import solve_ivp  # only the oracle needs the integrator
+    from scipy.integrate import ode, solve_ivp  # only the oracle needs the integrators
+    from scipy.optimize import brentq
 
     n, b, c, p, w = params.n, params.b, params.c, params.p, params.omega
     drift = -(n - 1 + b)
+    tol = {"rtol": 1e-10, "atol": 1e-12}
+
+    def slope(r: float, q: float, dq: float) -> list[float]:
+        qp = math.copysign(abs(q) ** (p + 1), q)
+        return [dq, drift / r * dq - r ** (-b) * (-w * q + r**c * qp)]
 
     def rhs(r, y):
         # Python floats: two numbers per call, where NumPy scalars cost
         # more in dispatch than in arithmetic.
-        q, dq = y.tolist()
-        qp = math.copysign(abs(q) ** (p + 1), q)
-        return [dq, drift / r * dq - r ** (-b) * (-w * q + r**c * qp)]
+        return slope(r, *y.tolist())
 
-    def ev_cross(r, y):
-        return y[0]
+    def event(k: int, direction: int):
+        def g(r, y):
+            return y[k]
 
-    ev_cross.terminal = True
-    ev_cross.direction = -1
+        g.terminal, g.direction = True, direction
+        return g
 
-    def ev_regrow(r, y):
-        return y[1]
+    events = [event(k, direction) for _, k, direction in _EVENTS]
+    last = ended = None  # the last accepted point (r, y, y'), and the event of a search shot
 
-    ev_regrow.terminal = True
-    ev_regrow.direction = 1
+    def solout(r, y):
+        """Stop a search shot at the first event inside its last step."""
+        nonlocal last, ended
+        r0, y0, f0 = last
+        y = y.tolist()
+        f = slope(r, *y)
+        last = (r, y, f)
+        h = r - r0
+        if h == 0:  # the call at the start of the shot
+            return 0
+        first = None
+        for kind, k, direction in _EVENTS:
+            if _fires(direction, y0[k], y[k]):
+                g0, g1, s0, s1 = y0[k], y[k], h * f0[k], h * f[k]
+                theta = brentq(
+                    lambda t: (1 - t) ** 2 * ((1 + 2 * t) * g0 + t * s0)
+                    + t**2 * ((3 - 2 * t) * g1 - (1 - t) * s1),
+                    0.0,
+                    1.0,
+                )
+                if first is None or theta < first[1]:
+                    first = (kind, theta)
+        if first is None:
+            return 0
+        ended = (first[0], r0 + first[1] * h)
+        return -1
 
-    y0 = _series_start(params, q0, SHOOT_R0)
-    sol = solve_ivp(
-        rhs,
-        (SHOOT_R0, r_end),
-        y0,
-        method="DOP853",
-        events=[ev_cross, ev_regrow],
-        rtol=1e-10,
-        atol=1e-12,
-        dense_output=dense,
-    )
-    if sol.t_events[0].size:
-        return "cross", sol
-    if sol.t_events[1].size:
-        return "regrow", sol
-    return "decay", sol
+    integrator = ode(rhs).set_integrator("dop853", nsteps=_SHOT_STEPS, **tol)
+    integrator.set_solout(solout)
+
+    def shoot(q0: float, *, dense: bool = False):
+        nonlocal last, ended
+        y0 = list(_series_start(params, q0, SHOOT_R0))
+        sol = None
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", UserWarning)
+            if dense:
+                sol = solve_ivp(
+                    rhs, (SHOOT_R0, r_end), y0, method="DOP853", events=events,
+                    dense_output=True, **tol,
+                )
+                ok, message = sol.success, sol.message
+                fired = [kind for (kind, *_), t in zip(_EVENTS, sol.t_events) if t.size]
+                kind, r_e = (fired or ["decay"])[0], float(sol.t[-1])
+            else:
+                last, ended = (SHOOT_R0, y0, slope(SHOOT_R0, *y0)), ("decay", r_end)
+                integrator.set_initial_value(y0, SHOOT_R0).integrate(r_end)
+                ok = integrator.successful()
+                message = "; ".join(str(m.message) for m in caught)
+                kind, r_e = ended
+        if not ok:
+            raise NonConvergence(f"the shot from q0 = {q0!r} failed: {message}")
+        return kind, r_e, sol
+
+    return shoot
 
 
 def shooting_solve(params: ProblemParams, grid: RadialGrid) -> RadialField:
@@ -581,11 +664,15 @@ def shooting_solve(params: ProblemParams, grid: RadialGrid) -> RadialField:
     brentq stop short of hi - lo < BISECT_TOL sqrt(lo hi), geometric
     bisection finishes the bracket, and q_star = sqrt(lo hi).  On the
     five fixtures at N = 4096 and omega in {0.5, 1, 2} a solve takes
-    17 to 28 shots, the final one included.  Classification shots skip
-    the integrator's dense output; only the final shot builds it, to
-    sample the profile onto the grid, with the series filling r below
-    the start radius and zero beyond the last integrated radius (where
-    the profile has already decayed).
+    17 to 28 shots, the final one included.  The search shots run on
+    scipy's compiled DOP853 (_shooter), about 1 ms each, so a solve
+    takes 35-105 ms on one Intel Xeon core, where solve_ivp took
+    160-340 ms.  Only the final shot runs solve_ivp with dense output,
+    to sample the profile onto the grid, with the series filling r
+    below the start radius and zero beyond the last integrated radius
+    (where the profile has already decayed).  scipy never frees a
+    compiled integrator it ran, so each solve leaves its one
+    integrator behind, about 4 kB.
     """
     from scipy.optimize import brentq  # loaded with scipy.integrate
 
@@ -595,12 +682,13 @@ def shooting_solve(params: ProblemParams, grid: RadialGrid) -> RadialField:
     e = (2 - params.b) / 2
     rate = 2 * math.sqrt(params.omega) / e
     lo, hi = SCAN_LO, SCAN_HI
+    shoot_once = _shooter(params, r_end)
 
     def shoot(q0: float) -> tuple[str, float]:
         """Class and signed miss of one shot; narrows [lo, hi] to it."""
         nonlocal lo, hi
-        kind, sol = _shoot_once(params, q0, r_end)
-        miss = math.exp(-rate * sol.t[-1] ** e)  # t[-1]: the event radius, or r_end
+        kind, r_e, _ = shoot_once(q0)
+        miss = math.exp(-rate * r_e**e)
         if kind == "cross":
             hi = min(hi, q0)
             return kind, miss
@@ -626,12 +714,12 @@ def shooting_solve(params: ProblemParams, grid: RadialGrid) -> RadialField:
         shoot(math.sqrt(lo * hi))
 
     q_star = math.sqrt(lo * hi)
-    _, sol = _shoot_once(params, q_star, r_end, dense=True)
+    _, r_e, sol = shoot_once(q_star, dense=True)
     vals = np.zeros(grid.N)
     r = grid.nodes
     below = r < SHOOT_R0
     vals[below] = [_series_start(params, q_star, float(ri))[0] for ri in r[below]]
-    inside = (~below) & (r <= sol.t[-1])
+    inside = (~below) & (r <= r_e)
     vals[inside] = sol.sol(r[inside])[0]
     vals = np.maximum(vals, 0.0)  # dense output can dip to -1e-300 in the far tail
     return RadialField(grid, vals)

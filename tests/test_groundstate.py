@@ -1,5 +1,6 @@
 """Ground-state solvers: convergence invariants, regressions, dual routes."""
 
+import gc
 import os
 import re
 import subprocess
@@ -152,6 +153,14 @@ def test_derive_thresholds_requires_critical_window():
     gs = solve(sub, 2048)
     with pytest.raises(GroundStateError, match="undefined"):
         derive_thresholds(gs, sub)
+
+
+def test_thresholds_beyond_the_float_range_raise_a_ground_state_error():
+    # Just above the mass line sigma is 889, and the mass to that power
+    # overflows once the profile has certified.
+    near_mass_line = ProblemParams(3, 0.0, 0.0, 4 / 3 + 1e-3)
+    with pytest.raises(GroundStateError, match=r"float range at sigma = 888\.556 for ProblemParams\(n=3, b=0\.0, c=0\.0, p=1\.334"):
+        petviashvili_solve(near_mass_line, grid=grid_for(3, 0.0, 4096))
 
 
 def test_frequency_power_law_of_action():
@@ -380,19 +389,25 @@ def test_fine_meshes_certify(params, N):
 
 
 def record_shots(monkeypatch, classes=None):
-    """Wrap _shoot_once and return the (center value, dense) pair of every
-    shot; each shot's class is appended to classes, when given."""
+    """Wrap the shots of every oracle solve and return the (center value,
+    dense) pair of every shot; each shot's class is appended to classes,
+    when given."""
     shots = []
-    shoot = groundstate._shoot_once
+    shooter = groundstate._shooter
 
-    def recording(params, q0, r_end, *, dense=False):
-        shots.append((q0, dense))
-        kind, sol = shoot(params, q0, r_end, dense=dense)
-        if classes is not None:
-            classes.append(kind)
-        return kind, sol
+    def recording_shooter(params, r_end):
+        shoot = shooter(params, r_end)
 
-    monkeypatch.setattr(groundstate, "_shoot_once", recording)
+        def recording(q0, *, dense=False):
+            shots.append((q0, dense))
+            out = shoot(q0, dense=dense)
+            if classes is not None:
+                classes.append(out[0])
+            return out
+
+        return recording
+
+    monkeypatch.setattr(groundstate, "_shooter", recording_shooter)
     return shots
 
 
@@ -431,7 +446,8 @@ def test_shooting_bracket_is_first_scan_transition(monkeypatch):
     # geometric scan of the bracket.
     g = grid_for(3, -0.5, 2048)
     scan = np.geomspace(groundstate.SCAN_LO, groundstate.SCAN_HI, 61)
-    i = first_transition(groundstate._shoot_once(F2, float(q), g.r_max)[0] for q in scan)
+    shoot = groundstate._shooter(F2, g.r_max)
+    i = first_transition(shoot(float(q))[0] for q in scan)
     shots = record_shots(monkeypatch)
     shooting_solve(F2, grid=g)
     assert len(shots) <= 30
@@ -479,9 +495,10 @@ def test_shooting_bisects_what_brentq_leaves_open(monkeypatch):
 def bisect_center_value(params, r_end):
     """Reference: geometric bisection of [SCAN_LO, SCAN_HI] on cross / not cross."""
     lo, hi = groundstate.SCAN_LO, groundstate.SCAN_HI
+    shoot = groundstate._shooter(params, r_end)
     while True:
         mid = np.sqrt(lo * hi)
-        if groundstate._shoot_once(params, mid, r_end)[0] == "cross":
+        if shoot(mid)[0] == "cross":
             hi = mid
         else:
             lo = mid
@@ -495,6 +512,71 @@ def test_shooting_matches_plain_bisection(monkeypatch):
     shots = record_shots(monkeypatch)
     shooting_solve(F2, grid=g)
     assert shots[-1][0] == pytest.approx(reference, rel=2 * groundstate.BISECT_TOL, abs=0)
+
+
+@pytest.mark.parametrize("params", [F1, F2, F3, NM], ids=["F1", "F2", "F3", "NM"])
+def test_search_and_dense_shots_agree_near_the_critical_value(monkeypatch, params):
+    # The compiled search shots and the solve_ivp dense shot integrate the
+    # same equation at the same tolerances; closer to q* than about 1e-10
+    # their integration errors, not q0, decide the class.
+    g = grid_for(params.n, params.b, 4096)
+    shots = record_shots(monkeypatch)
+    shooting_solve(params, grid=g)
+    q_star = shots[-1][0]
+    shoot = groundstate._shooter(params, g.r_max)
+    for offset in (-1e-3, -1e-5, -1e-7, 1e-7, 1e-5, 1e-3):
+        q0 = q_star * (1 + offset)
+        kind, r_e, _ = shoot(q0)
+        dense_kind, dense_r_e, sol = shoot(q0, dense=True)
+        assert (kind, dense_kind) == (("cross",) * 2 if offset > 0 else ("regrow",) * 2)
+        assert dense_r_e == sol.t[-1]
+        assert r_e == pytest.approx(dense_r_e, abs=1e-3)
+
+
+def test_the_constant_solution_counts_below_on_both_paths():
+    # Q = 1 solves F1's equation at omega = 1: Q' starts at zero, so each
+    # path finds a regrow within its first step, and never a cross.
+    shoot = groundstate._shooter(F1, grid_for(3, 0.0, 4096).r_max)
+    assert shoot(1.0)[0] != "cross"
+    assert shoot(1.0, dense=True)[0] != "cross"
+
+
+def test_a_search_shot_out_of_steps_raises_naming_it(monkeypatch):
+    monkeypatch.setattr(groundstate, "_SHOT_STEPS", 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvergence, match=r"q0 = 0\.001 failed: .*larger nsteps is needed"):
+            shooting_solve(F2, grid=grid_for(3, -0.5, 2048))
+
+
+def test_a_failed_dense_shot_raises_naming_it(monkeypatch):
+    import scipy.integrate
+
+    solve_ivp = scipy.integrate.solve_ivp
+
+    def stalled(*args, **kwargs):  # every step is shorter than the radius spacing
+        return solve_ivp(*args, max_step=1e-30, **kwargs)
+
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", stalled)
+    shots = record_shots(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvergence, match="failed: Required step size"):
+            shooting_solve(F2, grid=grid_for(3, -0.5, 2048))
+    assert shots[-1][1]
+
+
+def test_each_oracle_solve_keeps_at_most_one_integrator_alive():
+    # scipy's compiled DOP853 wrapper keeps every integrator it ran alive.
+    def integrators():
+        gc.collect()
+        return sum(type(o).__name__ == "dop853" for o in gc.get_objects())
+
+    g = grid_for(3, -0.5, 2048)
+    before = integrators()
+    for _ in range(5):
+        shooting_solve(F2, grid=g)
+    assert integrators() - before <= 5
 
 
 def test_ground_state_serialization(gs_f1):
