@@ -243,12 +243,9 @@ def _intercritical(
     evidence: list[Evidence] = []
     notes: list[str] = []
     if intercritical:  # the products and their thresholds are defined
-        sigma = params.sigma
-        em_prod = rep.energy * rep.mass**sigma
-        grad_prod = rep.grad_norm_V * math.sqrt(rep.mass) ** sigma
         evidence = [
-            Evidence("em_product_vs_threshold", em_prod, gs1.thresholds["em_sigma"]),
-            Evidence("grad_product_vs_threshold", grad_prod, gs1.thresholds["grad_mass"]),
+            Evidence("em_product_vs_threshold", rep.em_product, gs1.thresholds["em_sigma"]),
+            Evidence("grad_product_vs_threshold", rep.grad_product, gs1.thresholds["grad_mass"]),
         ]
 
     def decide() -> tuple[str, bool]:
@@ -379,7 +376,7 @@ def _optimal_frequency(rep: FunctionalReport, gs1: GroundState) -> FrequencyRepo
     m0 = gs1.min_action(omega0)
     f0 = float(m0 - (rep.energy + 0.5 * omega0 * mass))
 
-    em_prod = float(rep.energy * mass**params.sigma)
+    em_prod = rep.em_product
     em_th = gs1.thresholds["em_sigma"]
 
     f_cmp = _compare(f0, 0.0, scale=m0)

@@ -24,9 +24,9 @@ functional of it.  Two independent routes compute Q:
 * ``shooting_solve`` integrates the radial ODE outward from a series
   start near r = 0 and finds the center value that separates shots
   that cross zero from shots that bottom out and regrow, by Brent's
-  method on a signed escape distance of each shot.  The search shots
-  run Hairer's compiled DOP853 behind scipy.integrate.ode; only the
-  final shot runs solve_ivp's DOP853, for its dense output.
+  method on a signed escape distance of each shot.  Every shot runs
+  Hairer's compiled DOP853 behind scipy.integrate.ode, and the final
+  one is sampled onto the grid from its own step ends.
 
 The two routes share no discretization, so their agreement (relative
 sup norm about 1e-5 at default resolution) is the primary evidence
@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functionals import FunctionalReport, evaluate_all, threshold_peak
+from .functionals import FunctionalError, FunctionalReport, evaluate_all, threshold_peak
 from .grid import (
     RadialField,
     RadialGrid,
@@ -89,7 +89,7 @@ NEWTON_CAP = 8
 
 # Shooting oracle: the series start radius of every shot, the center
 # values that bracket the search, and the relative bracket width that
-# ends it.  A search shot may take _SHOT_STEPS integrator steps; on the
+# ends it.  A shot may take _SHOT_STEPS integrator steps; on the
 # fixtures at N = 4096 a shot takes at most about 100.
 SHOOT_R0 = 1e-6
 SCAN_LO, SCAN_HI = 1e-3, 1e3
@@ -98,7 +98,7 @@ _SHOT_STEPS = 10_000
 
 # The events that end a shot, first listed first named when two are found
 # at one radius: the name, the component of (Q, Q') that passes through
-# zero, and the direction it passes in (solve_ivp's event direction).
+# zero, and the direction it passes in (-1 falling, +1 rising).
 _EVENTS = (("cross", 0, -1), ("regrow", 1, 1))
 
 
@@ -437,15 +437,13 @@ def _thresholds(rep: FunctionalReport) -> dict[str, float | None]:
     crit, sigma = rep.params.criticality, rep.params.sigma
     defined = crit in (Criticality.MASS_CRITICAL, Criticality.INTERCRITICAL)
     if defined and is_frequency_one(rep.params.omega):
-        out["mass_threshold"] = mass_norm = rep.mass**0.5
+        out["mass_threshold"] = rep.mass**0.5
         if crit is Criticality.INTERCRITICAL:
             try:
-                out["grad_mass"] = float(np.sqrt(rep.grad_sq) * mass_norm**sigma)
-                out["em_sigma"] = float(rep.energy * rep.mass**sigma)
-            except OverflowError:
+                out["grad_mass"], out["em_sigma"] = rep.grad_product, rep.em_product
+            except FunctionalError:
                 raise GroundStateError(
-                    f"thresholds overflow the float range at sigma = {sigma:.6g} "
-                    f"for {rep.params}"
+                    f"thresholds overflow the float range at sigma = {sigma:.6g} for {rep.params}"
                 ) from None
     return out
 
@@ -506,10 +504,8 @@ def derive_thresholds(gs1: GroundState, params: ProblemParams) -> dict[str, floa
     return out
 
 
-def _series_start(
-    params: ProblemParams, q0: float, r0: float
-) -> tuple[float, float]:
-    """Two-term series value and slope at the start radius.
+def _series_start(params: ProblemParams, q0: float, r0: float | np.ndarray):
+    """Two-term series value and slope at the radii r0 (a float or an array).
 
     Balancing the lowest powers of the profile ODE about r = 0 gives
 
@@ -528,78 +524,63 @@ def _series_start(
 
 
 def _fires(direction: int, g0: float, g1: float) -> bool:
-    """solve_ivp's event rule: a step whose end values g0 and g1 of the
-    event component bracket zero in the event's direction, a zero end
-    included."""
+    """The oracle's event rule: a step's end values g0 and g1 of the event
+    component bracket zero in the event's direction, a zero end included."""
     return g0 >= 0 >= g1 if direction < 0 else g0 <= 0 <= g1
 
 
 def _shooter(params: ProblemParams, r_end: float):
-    """The shots of one oracle solve: shoot(q0, dense=False) -> (kind, r_e, sol).
+    """The shots of one oracle solve: shoot(q0) -> (kind, r_e, steps).
 
-    Each shot integrates the radial ODE for (Q, Q') outward from the
-    series start at SHOOT_R0 by DOP853 at rtol 1e-10 and atol 1e-12,
-    and stops at the first event of _EVENTS.  kind is the name of that
-    event, or 'decay' when the shot reaches r_end without one; r_e is
-    the event radius, r_end on a decay.
-
-    A search shot (dense unset; sol is None) runs Hairer's compiled
-    DOP853 behind scipy.integrate.ode, where solve_ivp spent over 80 %
-    of a shot on Python-level step bookkeeping (cProfile, F1).  A
-    solout callback applies the event rule at each accepted step to
-    the values at the step's two ends, and locates the event inside
-    the step at the root of the cubic Hermite interpolant of those
-    values and their slopes, read off the right-hand side.  All search shots
-    share one integrator, because scipy's compiled wrapper keeps a
-    reference to the integrator's solout method on every run, so no
-    integrator it ran is ever freed (one per shot would grow without
-    bound).  The dense shot runs solve_ivp with the same right-hand
-    side, tolerances and events, and sol is its solution with the
-    dense-output interpolant.  A shot that does not reach its end
+    A shot integrates the radial ODE for (Q, Q') outward from the series
+    start at SHOOT_R0 by Hairer's compiled DOP853 behind
+    scipy.integrate.ode, at rtol 1e-10 and atol 1e-12, and stops at the
+    first event of _EVENTS.  kind names that event, or is 'decay' when
+    the shot reaches r_end without one; r_e is the event radius, r_end on
+    a decay; steps lists (r, Q, Q', Q'') at the start and at every
+    accepted step end, Q'' read off the right-hand side.  solout applies
+    the event rule to each step's two ends and locates the event at the
+    root of the cubic Hermite interpolant of the event component and its
+    slope over the step.  scipy's compiled wrapper never frees an
+    integrator it ran, so all shots share one (one per shot would grow
+    without bound), and solout lets go of a shot's steps when it ends.
+    A shot that does not reach its end (it may take _SHOT_STEPS steps)
     raises NonConvergence naming q0 and the integrator's message, and
-    the integrator's warning does not escape; a search shot may take
-    _SHOT_STEPS steps.
+    the integrator's warning does not escape.
     """
-    from scipy.integrate import ode, solve_ivp  # only the oracle needs the integrators
+    from scipy.integrate import ode  # only the oracle needs the integrator
     from scipy.optimize import brentq
 
     n, b, c, p, w = params.n, params.b, params.c, params.p, params.omega
     drift = -(n - 1 + b)
-    tol = {"rtol": 1e-10, "atol": 1e-12}
 
-    def slope(r: float, q: float, dq: float) -> list[float]:
+    def accel(r: float, q: float, dq: float) -> float:
+        # Python floats, where NumPy scalars cost more in dispatch than in arithmetic
         qp = math.copysign(abs(q) ** (p + 1), q)
-        return [dq, drift / r * dq - r ** (-b) * (-w * q + r**c * qp)]
+        return drift / r * dq - r ** (-b) * (-w * q + r**c * qp)
 
     def rhs(r, y):
-        # Python floats: two numbers per call, where NumPy scalars cost
-        # more in dispatch than in arithmetic.
-        return slope(r, *y.tolist())
+        q, dq = y.tolist()
+        return [dq, accel(r, q, dq)]
 
-    def event(k: int, direction: int):
-        def g(r, y):
-            return y[k]
-
-        g.terminal, g.direction = True, direction
-        return g
-
-    events = [event(k, direction) for _, k, direction in _EVENTS]
-    last = ended = None  # the last accepted point (r, y, y'), and the event of a search shot
+    steps = ended = None  # the step ends of the running shot, and its event
 
     def solout(r, y):
-        """Stop a search shot at the first event inside its last step."""
-        nonlocal last, ended
-        r0, y0, f0 = last
-        y = y.tolist()
-        f = slope(r, *y)
-        last = (r, y, f)
-        h = r - r0
+        """Keep the step ending at r; stop the shot at the first event in it.
+        A step end holds component k of (Q, Q') at 1 + k, its slope at 2 + k."""
+        nonlocal ended
+        start = steps[-1]
+        h = r - start[0]
         if h == 0:  # the call at the start of the shot
             return 0
+        q, dq = y.tolist()
+        end = (r, q, dq, accel(r, q, dq))
+        steps.append(end)
         first = None
         for kind, k, direction in _EVENTS:
-            if _fires(direction, y0[k], y[k]):
-                g0, g1, s0, s1 = y0[k], y[k], h * f0[k], h * f[k]
+            g0, g1 = start[1 + k], end[1 + k]
+            if _fires(direction, g0, g1):
+                s0, s1 = h * start[2 + k], h * end[2 + k]
                 theta = brentq(
                     lambda t: (1 - t) ** 2 * ((1 + 2 * t) * g0 + t * s0)
                     + t**2 * ((3 - 2 * t) * g1 - (1 - t) * s1),
@@ -610,35 +591,24 @@ def _shooter(params: ProblemParams, r_end: float):
                     first = (kind, theta)
         if first is None:
             return 0
-        ended = (first[0], r0 + first[1] * h)
+        ended = (first[0], start[0] + first[1] * h)
         return -1
 
-    integrator = ode(rhs).set_integrator("dop853", nsteps=_SHOT_STEPS, **tol)
+    integrator = ode(rhs).set_integrator("dop853", nsteps=_SHOT_STEPS, rtol=1e-10, atol=1e-12)
     integrator.set_solout(solout)
 
-    def shoot(q0: float, *, dense: bool = False):
-        nonlocal last, ended
-        y0 = list(_series_start(params, q0, SHOOT_R0))
-        sol = None
+    def shoot(q0: float):
+        nonlocal steps, ended
+        q, dq = _series_start(params, q0, SHOOT_R0)
+        steps, ended = [(SHOOT_R0, q, dq, accel(SHOOT_R0, q, dq))], ("decay", r_end)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", UserWarning)
-            if dense:
-                sol = solve_ivp(
-                    rhs, (SHOOT_R0, r_end), y0, method="DOP853", events=events,
-                    dense_output=True, **tol,
-                )
-                ok, message = sol.success, sol.message
-                fired = [kind for (kind, *_), t in zip(_EVENTS, sol.t_events) if t.size]
-                kind, r_e = (fired or ["decay"])[0], float(sol.t[-1])
-            else:
-                last, ended = (SHOOT_R0, y0, slope(SHOOT_R0, *y0)), ("decay", r_end)
-                integrator.set_initial_value(y0, SHOOT_R0).integrate(r_end)
-                ok = integrator.successful()
-                message = "; ".join(str(m.message) for m in caught)
-                kind, r_e = ended
-        if not ok:
+            integrator.set_initial_value([q, dq], SHOOT_R0).integrate(r_end)
+        shot, steps = steps, None  # the integrator, and so solout, outlives the solve
+        if not integrator.successful():
+            message = "; ".join(str(m.message) for m in caught)
             raise NonConvergence(f"the shot from q0 = {q0!r} failed: {message}")
-        return kind, r_e, sol
+        return *ended, shot
 
     return shoot
 
@@ -664,15 +634,16 @@ def shooting_solve(params: ProblemParams, grid: RadialGrid) -> RadialField:
     brentq stop short of hi - lo < BISECT_TOL sqrt(lo hi), geometric
     bisection finishes the bracket, and q_star = sqrt(lo hi).  On the
     five fixtures at N = 4096 and omega in {0.5, 1, 2} a solve takes
-    17 to 28 shots, the final one included.  The search shots run on
-    scipy's compiled DOP853 (_shooter), about 1 ms each, so a solve
-    takes 35-105 ms on one Intel Xeon core, where solve_ivp took
-    160-340 ms.  Only the final shot runs solve_ivp with dense output,
-    to sample the profile onto the grid, with the series filling r
-    below the start radius and zero beyond the last integrated radius
-    (where the profile has already decayed).  scipy never frees a
-    compiled integrator it ran, so each solve leaves its one
-    integrator behind, about 4 kB.
+    17 to 28 shots, the final one included, about 1 ms each on scipy's
+    compiled DOP853 (_shooter): 18-44 ms per solve on one Intel Xeon
+    core.  The final shot, at q_star, is sampled onto the grid between
+    SHOOT_R0 and its event radius by the quintic Hermite interpolant of
+    Q, Q' and Q'' at the two ends of each of its steps, within 2.5e-7
+    relative of solve_ivp's dense output on the fixtures (a cubic on Q
+    and Q' alone is off by 2-4e-6).  The series fills r below SHOOT_R0,
+    and zero fills r beyond the event radius, where the profile has
+    already decayed.  scipy never frees a compiled integrator it ran,
+    so each solve leaves its one integrator behind, about 4 kB.
     """
     from scipy.optimize import brentq  # loaded with scipy.integrate
 
@@ -714,12 +685,21 @@ def shooting_solve(params: ProblemParams, grid: RadialGrid) -> RadialField:
         shoot(math.sqrt(lo * hi))
 
     q_star = math.sqrt(lo * hi)
-    _, r_e, sol = shoot_once(q_star, dense=True)
+    _, r_e, steps = shoot_once(q_star)
     vals = np.zeros(grid.N)
     r = grid.nodes
     below = r < SHOOT_R0
-    vals[below] = [_series_start(params, q_star, float(ri))[0] for ri in r[below]]
-    inside = (~below) & (r <= r_e)
-    vals[inside] = sol.sol(r[inside])[0]
-    vals = np.maximum(vals, 0.0)  # dense output can dip to -1e-300 in the far tail
-    return RadialField(grid, vals)
+    vals[below] = _series_start(params, q_star, r[below])[0]
+    inside = ~below & (r <= r_e)
+    # The quintic Hermite interpolant of Q, Q', Q'' at the ends of each node's step.
+    x = r[inside]
+    R, Q, dQ, ddQ = np.array(steps).T
+    i = np.searchsorted(R[1:-1], x, side="right")
+    h = R[i + 1] - R[i]
+    t = (x - R[i]) / h
+    u = 1 - t
+    q0, d0, s0 = Q[i], h * dQ[i], h**2 * ddQ[i] / 2
+    q1, d1, s1 = Q[i + 1], h * dQ[i + 1], h**2 * ddQ[i + 1] / 2
+    left = u**3 * (q0 + t * (3 * q0 + d0 + t * (6 * q0 + 3 * d0 + s0)))
+    vals[inside] = left + t**3 * (q1 + u * (3 * q1 - d1 + u * (6 * q1 - 3 * d1 + s1)))
+    return RadialField(grid, np.maximum(vals, 0.0))  # it may dip below 0 just before a cross

@@ -144,7 +144,7 @@ def check_pohozaev() -> list[CheckResult]:
 
 def check_oracle_equivalence() -> list[CheckResult]:
     """Fixed-point versus shooting profiles in relative sup norm."""
-    # The oracle imports its integrators on first use; load them before any
+    # The oracle imports its integrator on first use; load it before any
     # clock starts, so that each row times its own solve only.
     import scipy.integrate  # noqa: F401
     import scipy.optimize  # noqa: F401

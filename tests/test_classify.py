@@ -13,6 +13,7 @@ from inls_lab.classify import (
     classify_all,
     optimal_frequency,
 )
+from inls_lab.functionals import FunctionalError
 from inls_lab.grid import RadialField
 from inls_lab.params import ProblemParams
 from inls_lab.potential import PotentialSpec
@@ -255,3 +256,16 @@ def test_set_route_runs_at_the_optimized_frequency(gs_f1):
     assert f"omega = {cls.frequency.omega0:.12g}" in entry.notes
     with pytest.raises(KeyError):
         cls.entry("no_such_theorem")
+
+
+def test_a_product_beyond_the_float_range_raises_naming_sigma():
+    # Near the mass line sigma is 88.6: 1.1Q and 3Q classify, and the
+    # energy-mass product of 10Q leaves the float range.
+    params = ProblemParams(3, 0.0, 0.0, 4 / 3 + 1e-2)
+    gs = solve(params, 4096)
+    for t in (1.1, 3.0):
+        assert classify_all(multiple(gs, t), params, ZERO, gs).frequency is not None
+    with pytest.raises(
+        FunctionalError, match=r"energy-mass product overflows the float range at sigma = 88\.5556"
+    ):
+        classify_all(multiple(gs, 10.0), params, ZERO, gs)
