@@ -401,8 +401,7 @@ def _evolve_and_write(cfg: RunConfig, u0: RadialField) -> tuple[str, float, floa
     os.makedirs(cfg.out_dir, exist_ok=True)
     trace_to_csv(trace, os.path.join(cfg.out_dir, "trace.csv"))
     kind, t = trace.events[-1]
-    growth = trace.grad_norm[-1] / trace.grad_norm[0] if trace.grad_norm[0] > 0 else 0.0
-    return kind, t, growth
+    return kind, t, trace.grad_growth
 
 
 def cmd_classify(cfg: RunConfig) -> int:

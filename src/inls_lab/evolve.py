@@ -38,10 +38,11 @@ one to two steps left before t_end, it takes two even ones.
 A sample is the report of evaluate_all's own body
 (functionals.Quadrature) on the node values, with weights the stepper
 forms once per march, so it equals evaluate_all of the same field to
-the last bit.  Its finiteness is read from the six quadratures: a
-non-finite node makes the mass non-finite, and only then is the field
-scanned, to tell a non-finite field (EvolveError) from an overflowing
-quadrature (FunctionalError).
+the last bit.  The trace keeps that FunctionalReport, and every series
+it writes is read from it.  The sample's finiteness is read from the
+six quadratures: a non-finite node makes the mass non-finite, and only
+then is the field scanned, to tell a non-finite field (EvolveError)
+from an overflowing quadrature (FunctionalError).
 
 Blow-up is reported as a candidate event, never a proof: the trigger
 requires gradient growth past blowup_factor together with a negative
@@ -53,11 +54,12 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .functionals import FunctionalError, quadrature
+from .functionals import FunctionalError, FunctionalReport, quadrature
 from .grid import RadialField, RadialGrid, gradient_norm_sq, zgtsv
 from .params import ProblemParams
 from .potential import PotentialSpec
@@ -116,19 +118,21 @@ class EvolutionConfig:
             raise EvolveError(f"blowup_factor must exceed 1, got {self.blowup_factor}")
         if not self.t_end > 0:
             raise EvolveError(f"t_end must be positive, got {self.t_end}")
-        if self.sample_every < 1:
-            raise EvolveError(f"sample_every must be >= 1, got {self.sample_every}")
+        if not (isinstance(self.sample_every, numbers.Integral) and self.sample_every >= 1):
+            raise EvolveError(f"sample_every must be an integer >= 1, got {self.sample_every!r}")
 
 
 @dataclass
 class EvolutionTrace:
     """Sampled diagnostics of one run; all series share `times`.
 
-    variance is the weighted square norm ||u||^2_{2-b,2} whose second
-    time derivative the virial identity controls.  outer_amp records
-    |u| at the outermost cell as a boundary-contamination witness, and
-    inner_amp |u| at node 0 over the largest |u| of its next
-    INNER_NEIGHBOURS nodes as an origin-spike witness (near 1 on a
+    reports holds each sample's FunctionalReport, from which every
+    closed form is read: reports[i].variance is the weighted square
+    norm ||u||^2_{2-b,2} whose second time derivative the virial
+    identity controls, reports[i].k(a, b) any K^{a,b}.  outer_amp
+    records |u| at the outermost cell as a boundary-contamination
+    witness, and inner_amp |u| at node 0 over the largest |u| of its
+    next INNER_NEIGHBOURS nodes as an origin-spike witness (near 1 on a
     smooth field).  events holds (kind, time) pairs with kind in
     {"BlowupTriggered", "Completed", "StepFloorHit"}; a run stopped by
     the step floor samples its exit state, and BlowupTriggered follows
@@ -137,13 +141,7 @@ class EvolutionTrace:
     """
 
     times: list[float] = field(default_factory=list)
-    mass: list[float] = field(default_factory=list)
-    energy: list[float] = field(default_factory=list)
-    grad_norm: list[float] = field(default_factory=list)
-    virial: list[float] = field(default_factory=list)
-    k_n2: list[float] = field(default_factory=list)
-    variance: list[float] = field(default_factory=list)
-    nehari: list[float] = field(default_factory=list)
+    reports: list[FunctionalReport] = field(default_factory=list)
     outer_amp: list[float] = field(default_factory=list)
     inner_amp: list[float] = field(default_factory=list)
     events: list[tuple[str, float]] = field(default_factory=list)
@@ -151,6 +149,18 @@ class EvolutionTrace:
     steps: int = 0
     dt_min: float | None = None
     dt_max: float | None = None
+
+    @property
+    def mass(self) -> list[float]:
+        """The sampled masses."""
+        return [r.mass for r in self.reports]
+
+    @property
+    def grad_growth(self) -> float:
+        """||grad u||_{b,2} at the last sample over its value at the
+        first; 0.0 when the first is 0, where no growth is defined."""
+        first = math.sqrt(self.reports[0].grad_sq)
+        return math.sqrt(self.reports[-1].grad_sq) / first if first > 0 else 0.0
 
 
 class RelaxationStepper:
@@ -227,7 +237,7 @@ def variance_concavity(trace: EvolutionTrace) -> float:
     +inf, so concavity is never claimed without evidence.
     """
     ts = np.array(trace.times[-10:])
-    Is = np.array(trace.variance[-10:])
+    Is = np.array([r.variance for r in trace.reports[-10:]])
     if ts.size < 3:
         return float("inf")
     return float(np.max(_second_difference(ts, Is)))
@@ -267,13 +277,7 @@ def evolve(
                 raise EvolveError(f"non-finite field at t = {t:.6g}") from None
             raise
         trace.times.append(t)
-        trace.mass.append(rep.mass)
-        trace.energy.append(rep.energy)
-        trace.grad_norm.append(math.sqrt(rep.grad_sq))
-        trace.virial.append(rep.virial)
-        trace.k_n2.append(rep.k(params.n, 2))
-        trace.variance.append(rep.variance)
-        trace.nehari.append(rep.nehari)
+        trace.reports.append(rep)
         trace.outer_amp.append(float(abs(vals[-1])))
         amp = np.abs(vals[: INNER_NEIGHBOURS + 1])
         trace.inner_amp.append(float(amp[0] / max(amp[1:].max(), TINY)))
@@ -345,9 +349,8 @@ def virial_check(trace: EvolutionTrace, params: ProblemParams) -> float:
     h = dts[0]
     if np.max(np.abs(dts - h)) > 1e-9 * h:
         raise EvolveError("virial check needs equally spaced samples")
-    P = np.asarray(trace.virial)
-    lhs = _second_difference(ts, np.asarray(trace.variance))
-    rhs = 2 * (2 - params.b) ** 2 * P[1:-1]
+    lhs = _second_difference(ts, np.array([r.variance for r in trace.reports]))
+    rhs = 2 * (2 - params.b) ** 2 * np.array([r.virial for r in trace.reports[1:-1]])
     defect = np.abs(lhs - rhs) / np.maximum(np.abs(rhs), VIRIAL_FLOOR)
     return float(np.max(defect))
 
@@ -367,18 +370,9 @@ def trace_to_csv(trace: EvolutionTrace, path) -> None:
     path = str(path)
     with open(path, "w") as fh:
         fh.write("t,mass,energy,grad_norm,P,K_n2,variance,nehari,outer_amp,inner_amp\n")
-        for row in zip(
-            trace.times,
-            trace.mass,
-            trace.energy,
-            trace.grad_norm,
-            trace.virial,
-            trace.k_n2,
-            trace.variance,
-            trace.nehari,
-            trace.outer_amp,
-            trace.inner_amp,
-        ):
+        for t, r, outer, inner in zip(trace.times, trace.reports, trace.outer_amp, trace.inner_amp):
+            row = (t, r.mass, r.energy, math.sqrt(r.grad_sq), r.virial, r.k(r.params.n, 2),
+                   r.variance, r.nehari, outer, inner)
             fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
     sidecar = path[:-4] + ".events.json" if path.endswith(".csv") else path + ".events.json"
     with open(sidecar, "w") as fh:
@@ -389,7 +383,7 @@ def trace_to_csv(trace: EvolutionTrace, path) -> None:
                 "dt_min": trace.dt_min,
                 "dt_max": trace.dt_max,
                 "mass_drift": relative_drift(trace.mass),
-                "energy_drift": relative_drift(trace.energy),
+                "energy_drift": relative_drift([r.energy for r in trace.reports]),
             },
             fh,
             indent=2,

@@ -66,10 +66,11 @@ class FunctionalError(ValueError):
     """A functional evaluated to a non-finite value."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FunctionalReport:
     """The six quadratures of one field and the parameters they were
-    evaluated at; every other scalar diagnostic is a closed form of them."""
+    evaluated at; every other scalar diagnostic is a closed form of them.
+    Slotted: a march keeps one per sample."""
 
     mass: float
     variance: float

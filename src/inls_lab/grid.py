@@ -273,19 +273,24 @@ def field_to_csv(f: RadialField, path) -> None:
 
 
 def field_from_csv(grid: RadialGrid, path) -> RadialField:
-    """Load a field saved by field_to_csv onto a matching grid."""
+    """Load a field saved by field_to_csv onto a matching grid; a row
+    that is not three numbers raises GridError naming the file and line."""
     rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if [h.strip() for h in header[:3]] != ["r", "re", "im"]:
-            raise GridError(f"unexpected field CSV header {header!r}")
+            raise GridError(f"field file {path}, line 1: expected header r,re,im, got {header!r}")
         for row in reader:
-            rows.append((float(row[0]), float(row[1]), float(row[2])))
+            try:
+                rows.append((float(row[0]), float(row[1]), float(row[2])))
+            except (IndexError, ValueError):
+                where = f"field file {path}, line {reader.line_num}"
+                raise GridError(f"{where}: expected three numbers, got {row!r}") from None
     if len(rows) != grid.N:
-        raise GridError(f"field file has {len(rows)} rows, grid has N={grid.N}")
+        raise GridError(f"field file {path} has {len(rows)} rows, grid has N={grid.N}")
     r = np.array([row[0] for row in rows])
     if not np.allclose(r, grid.nodes, rtol=1e-9, atol=1e-12 * grid.r_max):
-        raise GridError("field file nodes do not match the grid")
+        raise GridError(f"field file {path}: nodes do not match the grid")
     vals = np.array([complex(re, im) for _, re, im in rows])
     return RadialField(grid, vals)

@@ -293,7 +293,7 @@ def check_conservation() -> list[CheckResult]:
     for dt in (1e-3, 5e-4):
         cfg = EvolutionConfig(dt0=dt, t_end=1.0, sample_every=10, adaptivity=False)
         tr = evolve(u0, cfg, params, _ZERO)
-        drifts[dt] = relative_drift(tr.energy)
+        drifts[dt] = relative_drift([r.energy for r in tr.reports])
         mass_worst = max(mass_worst, relative_drift(tr.mass))
     ratio = drifts[1e-3] / drifts[5e-4]
     return [
@@ -364,7 +364,7 @@ def _dichotomy_row(
     tr = evolve(u0, EvolutionConfig(dt0=1e-3, t_end=t_end, sample_every=10), params, _ZERO)
     (event, t), drift = tr.events[-1], relative_drift(tr.mass)
     if want == GLOBAL_CANDIDATE:
-        flow, measured, bound = "Completed", tr.grad_norm[-1] / tr.grad_norm[0], 2.0
+        flow, measured, bound = "Completed", tr.grad_growth, 2.0
         what = f"gradient growth over t in [0,{t_end:g}]"
     else:
         flow, measured, bound = "BlowupTriggered", variance_concavity(tr), 0.0
@@ -497,7 +497,7 @@ def check_nminus_flow() -> list[CheckResult]:
 
     cfg = EvolutionConfig(dt0=1e-3, t_end=3.0, sample_every=20, blowup_factor=10.0)
     tr = evolve(u0, cfg, NMINUS, _ZERO)
-    k = np.asarray(tr.k_n2)
+    k = np.array([r.k(NMINUS.n, 2) for r in tr.reports])
     triggered = tr.events[-1][0] == "BlowupTriggered"
     drift = relative_drift(tr.mass)
     rows.append(

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from inls_lab.evolve import (
     variance_concavity,
     virial_check,
 )
-from inls_lab.functionals import FunctionalError, evaluate_all
+from inls_lab.functionals import FunctionalError, FunctionalReport, evaluate_all
 from inls_lab.grid import GridError, RadialField, build_grid, gradient_norm_sq, zgtsv
 from inls_lab.potential import PotentialSpec, eval_potential
 
@@ -45,6 +46,15 @@ BUMP = PotentialSpec.smooth_bump(0.4, 2.0)
 def test_config_validation(kwargs):
     with pytest.raises(EvolveError):
         EvolutionConfig(**kwargs)
+
+
+def test_sample_every_must_be_a_positive_integer():
+    # 2.5 would sample every 5 steps without saying so.  A NumPy
+    # integer is an integer.
+    for every in (2.5, 2.0, "3"):
+        with pytest.raises(EvolveError, match=re.escape(f"an integer >= 1, got {every!r}")):
+            EvolutionConfig(sample_every=every)
+    assert EvolutionConfig(sample_every=np.int64(3)).sample_every == 3
 
 
 def gaussian(grid, width=1.5):
@@ -162,21 +172,9 @@ def test_evolve_completes_and_conserves():
     assert trace.times[0] == 0.0
     m = np.asarray(trace.mass)
     assert np.max(np.abs(m - m[0])) < 1e-12 * m[0]
-    e = np.asarray(trace.energy)
+    e = np.asarray([r.energy for r in trace.reports])
     assert np.max(np.abs(e - e[0])) < 1e-6 * max(1.0, abs(e[0]))
     assert trace.final_state is not None
-    lists = (
-        trace.mass,
-        trace.energy,
-        trace.grad_norm,
-        trace.virial,
-        trace.k_n2,
-        trace.variance,
-        trace.nehari,
-        trace.outer_amp,
-        trace.inner_amp,
-    )
-    assert all(len(s) == len(trace.times) for s in lists)
 
 
 def test_gradient_series_is_the_raw_quadrature():
@@ -186,7 +184,7 @@ def test_gradient_series_is_the_raw_quadrature():
     u0 = gaussian(g)
     cfg = EvolutionConfig(dt0=1e-3, t_end=1e-3, sample_every=1)
     trace = evolve(u0, cfg, F1, PotentialSpec.const_plus_gaussian(1e8))
-    assert trace.grad_norm[0] == np.sqrt(gradient_norm_sq(g, u0.values))
+    assert trace.reports[0].grad_sq == gradient_norm_sq(g, u0.values)
 
 
 @pytest.mark.parametrize("params, spec", [(F1, BUMP), (NM, ZERO), (NM, BUMP)])
@@ -197,14 +195,7 @@ def test_march_samples_are_evaluate_all_reports(params, spec):
     u0 = gaussian(g)
     trace = evolve(u0, EvolutionConfig(dt0=1e-3, t_end=0.02, sample_every=3), params, spec)
     for i, u in ((0, u0), (-1, trace.final_state)):
-        rep = evaluate_all(u, params, spec)
-        assert trace.mass[i] == rep.mass
-        assert trace.energy[i] == rep.energy
-        assert trace.grad_norm[i] == math.sqrt(rep.grad_sq)
-        assert trace.virial[i] == rep.virial
-        assert trace.k_n2[i] == rep.k(params.n, 2)
-        assert trace.variance[i] == rep.variance
-        assert trace.nehari[i] == rep.nehari
+        assert trace.reports[i] == evaluate_all(u, params, spec)
 
 
 def test_march_evaluates_the_potential_once(count_calls):
@@ -235,7 +226,7 @@ def test_supercritical_multiple_triggers_blowup():
     kind, t_event = trace.events[-1]
     assert kind == "BlowupTriggered"
     assert 0.0 < t_event < 2.0
-    assert trace.grad_norm[-1] > 9.5 * trace.grad_norm[0]
+    assert trace.grad_growth > 9.5
     # Trailing variance samples are concave at the trigger.
     assert variance_concavity(trace) < 0
     m = np.asarray(trace.mass)
@@ -252,7 +243,7 @@ def test_benign_adaptive_run_keeps_dt0(tmp_path):
     for adaptivity in (True, False):
         cfg = EvolutionConfig(dt0=1e-3, t_end=0.1, sample_every=1, adaptivity=adaptivity)
         trace = evolve(u0, cfg, F1, ZERO)
-        assert max(trace.grad_norm[1:]) < trace.grad_norm[0]
+        assert max(r.grad_sq for r in trace.reports[1:]) < trace.reports[0].grad_sq
         trace_to_csv(trace, tmp_path / f"{adaptivity}.csv")
         text[adaptivity] = (tmp_path / f"{adaptivity}.csv").read_bytes()
     assert text[True] == text[False]
@@ -277,6 +268,8 @@ def test_zero_gradient_data_keep_dt0():
         trace = evolve(u0, EvolutionConfig(dt0=1e-3, t_end=0.01), F1, ZERO)
         assert trace.events == [("Completed", pytest.approx(0.01, abs=1e-12))]
         assert trace.steps == 10 and trace.dt_max == 1e-3
+        # no growth is defined from a zero gradient
+        assert trace.grad_growth == 0.0
 
 
 def test_unsampled_non_finite_gradient_names_the_time(monkeypatch):
@@ -347,16 +340,22 @@ def test_step_floor_exit_state_is_sampled():
     assert trace.times[-1] == t_exit
     g = u0.grid
     growth = np.sqrt(gradient_norm_sq(g, trace.final_state.values) / gradient_norm_sq(g, u0.values))
-    assert trace.grad_norm[-1] / trace.grad_norm[0] == pytest.approx(growth, rel=1e-12)
+    assert trace.grad_growth == pytest.approx(growth, rel=1e-12)
     # The trigger is evaluated on that sample: growth past 100 with a
     # concave variance.
     assert growth > 100 and variance_concavity(trace) < 0
     assert trace.events[-1] == ("BlowupTriggered", t_exit)
 
 
+def sample(variance, virial=0.0):
+    """A report with the given variance and, with zero potential and
+    nonlinear terms, a virial equal to its grad_sq."""
+    return FunctionalReport(1.0, variance, virial, 0.0, 0.0, 0.0, F2)
+
+
 def test_variance_concavity_needs_three_samples():
     # Two samples support no second difference: no evidence of concavity.
-    tr = EvolutionTrace(times=[0.0, 0.1], variance=[1.0, 0.5])
+    tr = EvolutionTrace(times=[0.0, 0.1], reports=[sample(1.0), sample(0.5)])
     assert variance_concavity(tr) == np.inf
 
 
@@ -364,17 +363,17 @@ def test_variance_concavity_on_nonuniform_concave_quadratic():
     # The nonuniform stencil is exact on quadratics: every second
     # difference of I(t) = 2 + t - 0.8 t^2 equals I'' = -1.6.
     ts = [0.0, 0.05, 0.2, 0.22, 0.4, 0.7, 0.75, 1.0, 1.3, 1.32, 1.6, 2.0]
-    tr = EvolutionTrace(times=ts, variance=[2.0 + t - 0.8 * t**2 for t in ts])
+    tr = EvolutionTrace(times=ts, reports=[sample(2.0 + t - 0.8 * t**2) for t in ts])
+    # Only the trailing ten samples are read, so earlier ones may be anything.
+    tr.reports[:2] = [None, None]
     assert variance_concavity(tr) == pytest.approx(-1.6, rel=1e-9)
 
 
 def test_virial_check_validates_sampling():
-    tr = EvolutionTrace(times=[0.0, 0.1], variance=[1.0, 1.0], virial=[0.0, 0.0])
+    tr = EvolutionTrace(times=[0.0, 0.1], reports=[sample(1.0)] * 2)
     with pytest.raises(EvolveError, match="3 samples"):
         virial_check(tr, F1)
-    tr = EvolutionTrace(
-        times=[0.0, 0.1, 0.3], variance=[1.0, 1.0, 1.0], virial=[0.0, 0.0, 0.0]
-    )
+    tr = EvolutionTrace(times=[0.0, 0.1, 0.3], reports=[sample(1.0)] * 3)
     with pytest.raises(EvolveError, match="equally spaced"):
         virial_check(tr, F1)
 
@@ -386,11 +385,8 @@ def test_virial_check_zero_defect_on_exact_data():
     ts = [0.1 * k for k in range(8)]
     b = F2.b
     P = 2 * a / (2 * (2 - b) ** 2)
-    tr = EvolutionTrace(
-        times=ts,
-        variance=[1.0 + a * t**2 for t in ts],
-        virial=[P] * len(ts),
-    )
+    tr = EvolutionTrace(times=ts, reports=[sample(1.0 + a * t**2, P) for t in ts])
+    assert tr.reports[0].virial == pytest.approx(P, rel=1e-15)
     assert virial_check(tr, F2) < 1e-10
 
 
@@ -403,17 +399,19 @@ def test_trace_csv_and_events_sidecar(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "t,mass,energy,grad_norm,P,K_n2,variance,nehari,outer_amp,inner_amp"
     assert len(lines) == 1 + len(trace.times)
-    first = [float(x) for x in lines[1].split(",")]
-    assert first[0] == trace.times[0]
-    assert first[1] == trace.mass[0]
-    assert first[8] == trace.outer_amp[0]
-    assert first[9] == trace.inner_amp[0]
+    # every column of every row is the .17g form of its sample's value
+    for line, t, r, outer, inner in zip(
+        lines[1:], trace.times, trace.reports, trace.outer_amp, trace.inner_amp
+    ):
+        want = (t, r.mass, r.energy, math.sqrt(r.grad_sq), r.virial, r.k(F1.n, 2),
+                r.variance, r.nehari, outer, inner)
+        assert line.split(",") == [f"{x:.17g}" for x in want]
     sidecar = json.loads((tmp_path / "trace.events.json").read_text())
     assert sidecar["events"] == [{"kind": "Completed", "t": trace.events[0][1]}]
     assert sidecar["steps"] == trace.steps == 50
     assert sidecar["dt_max"] == 1e-3
     assert 0 < sidecar["dt_min"] <= 1e-3
-    m, e = np.asarray(trace.mass), np.asarray(trace.energy)
+    m, e = np.asarray(trace.mass), np.asarray([r.energy for r in trace.reports])
     assert sidecar["mass_drift"] == np.max(np.abs(m - m[0])) / m[0] < 1e-12
     assert sidecar["energy_drift"] == np.max(np.abs(e - e[0])) / abs(e[0]) < 1e-6
     assert set(sidecar) == {"events", "steps", "dt_min", "dt_max", "mass_drift", "energy_drift"}
@@ -434,7 +432,7 @@ def test_c_negative_graded_march_stays_accurate(tmp_path):
     trace = evolve(RadialField(g, 4.0 * gaussian(g).values), cfg, F2, ZERO)
     assert trace.events == [("Completed", pytest.approx(0.02, abs=1e-12))]
     assert trace.steps <= 100
-    e = np.asarray(trace.energy)
+    e = np.asarray([r.energy for r in trace.reports])
     assert np.max(np.abs(e - e[0])) < 1e-3 * abs(e[0])
     assert max(trace.inner_amp) < 1.01
     trace_to_csv(trace, tmp_path / "trace.csv")

@@ -177,6 +177,22 @@ def test_field_csv_rejects_wrong_grid(tmp_path):
         field_from_csv(other, path)
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("r,re,im\n0.1,1.0,0.0\n0.2,1.0\n", 3),  # a short row
+        ("r,re,im\n0.1,1.0,0.0\n0.2,one,0.0\n", 3),  # a non-numeric cell
+        ("", 1),  # an empty file
+    ],
+)
+def test_field_csv_names_the_file_and_line_of_a_malformed_row(tmp_path, text, line):
+    g = build_grid(3, 0.0, r_max=10.0, N=64)
+    path = tmp_path / "f.csv"
+    path.write_text(text)
+    with pytest.raises(GridError, match=re.escape(f"field file {path}, line {line}:")):
+        field_from_csv(g, path)
+
+
 def test_radial_field_validation():
     g = build_grid(3, 0.0, r_max=10.0, N=64)
     with pytest.raises(GridError):
