@@ -395,8 +395,9 @@ def _classify_and_write(
 _TRACE_OUTPUTS = ["trace.csv", "trace.events.json"]
 
 
-def _evolve_and_write(cfg: RunConfig, u0: RadialField) -> tuple[str, float, float]:
-    """March u0 into trace.csv; returns the final event, its time, the gradient growth."""
+def _evolve_and_write(cfg: RunConfig, u0: RadialField) -> tuple[str, float, float | None]:
+    """March u0 into trace.csv; returns the final event, its time, the gradient
+    growth (None where the first sample's gradient is 0)."""
     trace = evolve(u0, cfg.evolution, cfg.params, cfg.potential)
     os.makedirs(cfg.out_dir, exist_ok=True)
     trace_to_csv(trace, os.path.join(cfg.out_dir, "trace.csv"))
@@ -418,11 +419,12 @@ def cmd_evolve(cfg: RunConfig) -> int:
     u0 = build_initial(cfg, _make_grid(cfg))
     kind, t, growth = _evolve_and_write(cfg, u0)
     write_manifest(cfg, "evolve", _TRACE_OUTPUTS)
-    print(f"evolve: {kind} at t = {t:.6g}, gradient growth {growth:.6g}")
+    growth_text = "undefined" if growth is None else f"{growth:.6g}"
+    print(f"evolve: {kind} at t = {t:.6g}, gradient growth {growth_text}")
     return 0
 
 
-def _run_sweep_point(args: tuple) -> tuple[int, str, str, str, float, float]:
+def _run_sweep_point(args: tuple) -> tuple[int, str, str, str, float, float | None]:
     """One sweep point, from its built config: classify and evolve in its own directory."""
     idx, cfg, value = args
     grid = _make_grid(cfg)
@@ -465,9 +467,8 @@ def cmd_sweep(cfg: RunConfig, pairs: dict[str, tuple[str, int]], jobs: int) -> i
     with open(summary, "w", newline="") as fh:
         fh.write("index,key,value,verdict,event,event_time,grad_growth\n")
         for idx, value, verdict, kind, t, growth in rows:
-            fh.write(
-                f"{idx},{cfg.sweep_key},{value},{verdict},{kind},{t:.17g},{growth:.17g}\n"
-            )
+            growth_cell = "" if growth is None else f"{growth:.17g}"
+            fh.write(f"{idx},{cfg.sweep_key},{value},{verdict},{kind},{t:.17g},{growth_cell}\n")
     write_manifest(cfg, "sweep", ["summary.csv"])
     for idx, value, verdict, kind, t, growth in rows:
         print(f"point {idx:03d} {cfg.sweep_key}={value}: {verdict}, {kind} at t={t:.6g}")

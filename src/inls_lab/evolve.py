@@ -156,11 +156,12 @@ class EvolutionTrace:
         return [r.mass for r in self.reports]
 
     @property
-    def grad_growth(self) -> float:
+    def grad_growth(self) -> float | None:
         """||grad u||_{b,2} at the last sample over its value at the
-        first; 0.0 when the first is 0, where no growth is defined."""
+        first; None when the first is 0, or its square underflows to 0,
+        where no growth is defined."""
         first = math.sqrt(self.reports[0].grad_sq)
-        return math.sqrt(self.reports[-1].grad_sq) / first if first > 0 else 0.0
+        return math.sqrt(self.reports[-1].grad_sq) / first if first > 0 else None
 
 
 class RelaxationStepper:
@@ -366,7 +367,8 @@ def relative_drift(series: list[float]) -> float | None:
 
 def trace_to_csv(trace: EvolutionTrace, path) -> None:
     """Write the sampled series as CSV plus a JSON sidecar with the
-    events, the march counters and the relative mass and energy drifts."""
+    events, the march counters, the relative mass and energy drifts and
+    the largest sampled inner_amp."""
     path = str(path)
     with open(path, "w") as fh:
         fh.write("t,mass,energy,grad_norm,P,K_n2,variance,nehari,outer_amp,inner_amp\n")
@@ -384,6 +386,7 @@ def trace_to_csv(trace: EvolutionTrace, path) -> None:
                 "dt_max": trace.dt_max,
                 "mass_drift": relative_drift(trace.mass),
                 "energy_drift": relative_drift([r.energy for r in trace.reports]),
+                "inner_amp_max": max(trace.inner_amp, default=None),
             },
             fh,
             indent=2,

@@ -24,9 +24,11 @@ functional of it.  Two independent routes compute Q:
 * ``shooting_solve`` integrates the radial ODE outward from a series
   start near r = 0 and finds the center value that separates shots
   that cross zero from shots that bottom out and regrow, by Brent's
-  method on a signed escape distance of each shot.  Every shot runs
-  Hairer's compiled DOP853 behind scipy.integrate.ode, and the final
-  one is sampled onto the grid from its own step ends.
+  method on each shot's ratio of growing to decaying Bessel mode of
+  the linearised equation at its event, after a bisection on the shot
+  class alone has narrowed the bracket.  Every shot runs Hairer's
+  compiled DOP853 behind scipy.integrate.ode, and the final one is
+  sampled onto the grid from its own step ends.
 
 The two routes share no discretization, so their agreement (relative
 sup norm about 1e-5 at default resolution) is the primary evidence
@@ -620,38 +622,54 @@ def shooting_solve(params: ProblemParams, grid: RadialGrid) -> RadialField:
     zero; values below make it bottom out and regrow, and a clean decay
     counts as below.  Every shot starts from the series at SHOOT_R0.
     The bracket [SCAN_LO, SCAN_HI] must shoot regrow then cross.
+    Geometric bisection on the class alone then narrows it to
+    hi/lo <= 4 (four shots from the shipped bracket): over the whole
+    bracket the miss below is not monotone, since the SCAN_LO shot
+    saturates and regrows late with a miss that looks like a root.
     scipy.optimize.brentq then finds the sign change, in s = ln q0, of
-    the signed miss
+    the signed miss m of each shot: minus the amplitude of its growing
+    mode over that of its decaying mode at its event radius r_e (r_end
+    on a decay).  The linear part of the profile equation,
+    Q'' + (n-1+b)/r Q' = omega r^{-b} Q, has the exact modes
+    r^{-(n-2+b)/2} I_nu(z) and r^{-(n-2+b)/2} K_nu(z) with
 
-        m = +-exp(-2 sqrt(omega) r_e^e / e),   e = (2 - b)/2,
+        z = sqrt(omega) r^e / e,   e = (2 - b)/2,   nu = (n-2+b)/(2-b)
 
-    positive on a cross and negative on a regrow or a decay, with r_e
-    the event radius (r_end on a decay).  Far out the profile ODE grows
-    and decays as exp(+-sqrt(omega) r^e / e), so a shot that starts
-    delta off the critical value escapes where delta exp(2 sqrt(omega)
-    r_e^e / e) is of order one: m is linear in delta to leading order.
-    Every shot narrows the tightest regrow/cross pair [lo, hi]; should
-    brentq stop short of hi - lo < BISECT_TOL sqrt(lo hi), geometric
-    bisection finishes the bracket, and q_star = sqrt(lo hi).  On the
-    five fixtures at N = 4096 and omega in {0.5, 1, 2} a solve takes
-    17 to 28 shots, the final one included, about 1 ms each on scipy's
-    compiled DOP853 (_shooter): 18-44 ms per solve on one Intel Xeon
-    core.  The final shot, at q_star, is sampled onto the grid between
-    SHOOT_R0 and its event radius by the quintic Hermite interpolant of
-    Q, Q' and Q'' at the two ends of each of its steps, within 2.5e-7
-    relative of solve_ivp's dense output on the fixtures (a cubic on Q
-    and Q' alone is off by 2-4e-6).  The series fills r below SHOOT_R0,
-    and zero fills r beyond the event radius, where the profile has
-    already decayed.  scipy never frees a compiled integrator it ran,
-    so each solve leaves its one integrator behind, about 4 kB.
+    (DLMF 10.25), so Q = 0 at a cross and Q' = 0 at a regrow or a decay
+    give
+
+        m = +K_nu(z)/I_nu(z) on a cross,
+        m = -K_{nu+1}(z)/I_{nu+1}(z) on a regrow or a decay,
+
+    formed as exp(-2z) kve/ive.  A shot that starts delta off the
+    critical value carries a growing mode of amplitude proportional to
+    delta, so m is linear in delta with one slope on both sides of it,
+    and Brent converges superlinearly (Brent, Algorithms for
+    Minimization without Derivatives, 1973).  Every shot narrows the
+    tightest regrow/cross pair [lo, hi]; should brentq stop short of
+    hi - lo < BISECT_TOL sqrt(lo hi), geometric bisection finishes the
+    bracket, and q_star = sqrt(lo hi).  On the five fixtures at
+    N = 4096 and omega in {0.5, 1, 2} a solve takes 13 to 19 shots, the
+    final one included, about 1 ms each on scipy's compiled DOP853
+    (_shooter): 13-24 ms per solve on one Intel Xeon core.  The final
+    shot, at q_star, is sampled onto the grid between SHOOT_R0 and its
+    event radius by the quintic Hermite interpolant of Q, Q' and Q'' at
+    the two ends of each of its steps, within 2.5e-7 relative of
+    solve_ivp's dense output on the fixtures (a cubic on Q and Q' alone
+    is off by 2-4e-6).  The series fills r below SHOOT_R0, and zero
+    fills r beyond the event radius, where the profile has already
+    decayed.  scipy never frees a compiled integrator it ran, so each
+    solve leaves its one integrator behind, about 4 kB.
     """
-    from scipy.optimize import brentq  # loaded with scipy.integrate
+    from scipy.optimize import brentq  # loaded with scipy.integrate, as is scipy.special
+    from scipy.special import ive, kve
 
     _admissible(params)
     check_grid(grid, params)
     r_end = grid.r_max
     e = (2 - params.b) / 2
-    rate = 2 * math.sqrt(params.omega) / e
+    nu = (params.n - 2 + params.b) / (2 - params.b)
+    root_w = math.sqrt(params.omega)
     lo, hi = SCAN_LO, SCAN_HI
     shoot_once = _shooter(params, r_end)
 
@@ -659,12 +677,12 @@ def shooting_solve(params: ProblemParams, grid: RadialGrid) -> RadialField:
         """Class and signed miss of one shot; narrows [lo, hi] to it."""
         nonlocal lo, hi
         kind, r_e, _ = shoot_once(q0)
-        miss = math.exp(-rate * r_e**e)
+        z = root_w * r_e**e / e
         if kind == "cross":
             hi = min(hi, q0)
-            return kind, miss
+            return kind, math.exp(-2 * z) * kve(nu, z) / ive(nu, z)
         lo = max(lo, q0)
-        return kind, -miss
+        return kind, -math.exp(-2 * z) * kve(nu + 1, z) / ive(nu + 1, z)
 
     (kind_lo, miss_lo), (kind_hi, miss_hi) = shoot(SCAN_LO), shoot(SCAN_HI)
     if (kind_lo, kind_hi) != ("regrow", "cross"):
@@ -672,7 +690,13 @@ def shooting_solve(params: ProblemParams, grid: RadialGrid) -> RadialField:
             f"no overshoot/undershoot transition for q0 in [{SCAN_LO}, {SCAN_HI}]: "
             f"the scan ends shoot {kind_lo} and {kind_hi}, not regrow and cross"
         )
-    s_lo, s_hi = math.log(SCAN_LO), math.log(SCAN_HI)
+    while hi > 4 * lo:
+        kind, miss = shoot(math.sqrt(lo * hi))
+        if kind == "cross":
+            miss_hi = miss
+        else:
+            miss_lo = miss
+    s_lo, s_hi = math.log(lo), math.log(hi)
     ends = {s_lo: miss_lo, s_hi: miss_hi}  # brentq asks for these first
     brentq(
         lambda s: ends[s] if s in ends else shoot(math.exp(s))[1],

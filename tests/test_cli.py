@@ -19,6 +19,7 @@ from inls_lab.cli import (
     parse_config_text,
 )
 from inls_lab.classify import NOT_APPLICABLE, ClassificationEntry, classify_all
+from inls_lab.evolve import EvolutionTrace
 from inls_lab.grid import RadialField, build_grid, field_from_csv
 from inls_lab.potential import PotentialSpec
 
@@ -296,6 +297,29 @@ def test_evolve_command(tmp_path, capsys):
     assert manifest["outputs"] == ["trace.csv", "trace.events.json"]
 
 
+def test_an_undefined_gradient_growth_prints_and_writes_as_undefined(
+    tmp_path, capsys, monkeypatch
+):
+    # A Gaussian of amplitude 1e-200 has a gradient whose square underflows
+    # to 0, so its growth is undefined, and the evolve line says so.
+    text = (
+        MINI + "grid.N = 256\ninitial.kind = gaussian\ninitial.amplitude = 1e-200\n"
+        "evolve.t_end = 0.01\nevolve.adaptivity = false\n"
+    )
+    cfg = write_config(tmp_path, text)
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "ev")]) == 0
+    assert capsys.readouterr().out.endswith("gradient growth undefined\n")
+    # classify refuses such a datum, so a sweep point reaches the summary
+    # with an undefined growth only through a stand-in trace property; the
+    # summary leaves its cell empty.
+    monkeypatch.setattr(EvolutionTrace, "grad_growth", property(lambda self: None))
+    text = BASE.replace("evolve.t_end = 0.3", "evolve.t_end = 0.01")
+    cfg = write_config(tmp_path, text + "sweep.key = initial.alpha\nsweep.values = 0.5\n")
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "sw")]) == 0
+    rows = (tmp_path / "sw" / "summary.csv").read_text().splitlines()
+    assert rows[1].endswith(",Completed,0.01,")
+
+
 def test_evolve_from_file_roundtrip(tmp_path):
     from inls_lab.grid import RadialField, field_to_csv
 
@@ -442,7 +466,7 @@ def test_cli_import_leaves_scipy_solvers_unloaded():
         "import sys, inls_lab.cli\n"
         + SOLVE_AND_MARCH
         + "print([m for m in ('scipy.linalg', 'scipy.integrate', 'scipy.interpolate', "
-        "'scipy.optimize') if m in sys.modules])"
+        "'scipy.optimize', 'scipy.special') if m in sys.modules])"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"

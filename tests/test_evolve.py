@@ -268,8 +268,9 @@ def test_zero_gradient_data_keep_dt0():
         trace = evolve(u0, EvolutionConfig(dt0=1e-3, t_end=0.01), F1, ZERO)
         assert trace.events == [("Completed", pytest.approx(0.01, abs=1e-12))]
         assert trace.steps == 10 and trace.dt_max == 1e-3
-        # no growth is defined from a zero gradient
-        assert trace.grad_growth == 0.0
+        # no growth is defined from a zero gradient, nor from one whose
+        # square underflows (the 1e-200 Gaussian's growth is about 1)
+        assert trace.grad_growth is None
 
 
 def test_unsampled_non_finite_gradient_names_the_time(monkeypatch):
@@ -414,7 +415,10 @@ def test_trace_csv_and_events_sidecar(tmp_path):
     m, e = np.asarray(trace.mass), np.asarray([r.energy for r in trace.reports])
     assert sidecar["mass_drift"] == np.max(np.abs(m - m[0])) / m[0] < 1e-12
     assert sidecar["energy_drift"] == np.max(np.abs(e - e[0])) / abs(e[0]) < 1e-6
-    assert set(sidecar) == {"events", "steps", "dt_min", "dt_max", "mass_drift", "energy_drift"}
+    assert sidecar["inner_amp_max"] == max(trace.inner_amp)
+    assert set(sidecar) == {
+        "events", "steps", "dt_min", "dt_max", "mass_drift", "energy_drift", "inner_amp_max"
+    }
 
 
 def test_relative_drift_needs_a_nonzero_start():
@@ -437,4 +441,7 @@ def test_c_negative_graded_march_stays_accurate(tmp_path):
     assert max(trace.inner_amp) < 1.01
     trace_to_csv(trace, tmp_path / "trace.csv")
     rows = (tmp_path / "trace.csv").read_text().splitlines()
-    assert [float(r.split(",")[-1]) for r in rows[1:]] == trace.inner_amp
+    column = [float(r.split(",")[-1]) for r in rows[1:]]
+    assert column == trace.inner_amp
+    sidecar = json.loads((tmp_path / "trace.events.json").read_text())
+    assert sidecar["inner_amp_max"] == max(column)

@@ -475,22 +475,48 @@ def test_shooting_returns_the_tightest_bracket(monkeypatch):
     assert_tightest_bracket(shots, classes)
 
 
-def test_shooting_bisects_what_brentq_leaves_open(monkeypatch):
+def record_searches(monkeypatch, xtol=None):
+    """Wrap scipy.optimize.brentq and return (f, a, b) of every call of the
+    oracle's search, the call with xtol = BISECT_TOL rather than an event
+    location; xtol, when given, replaces the search's tolerance."""
     import scipy.optimize
 
     brentq = scipy.optimize.brentq
-    s_lo, s_hi = np.log(groundstate.SCAN_LO), np.log(groundstate.SCAN_HI)
+    searches = []
 
-    def stops_early(f, a, b, **kwargs):
-        if (a, b) == (s_lo, s_hi):  # the oracle's search, not an event location
-            kwargs["xtol"] = 1e-3
+    def recording(f, a, b, **kwargs):
+        if kwargs.get("xtol") == groundstate.BISECT_TOL:
+            searches.append((f, a, b))
+            if xtol is not None:
+                kwargs["xtol"] = xtol
         return brentq(f, a, b, **kwargs)
 
-    monkeypatch.setattr(scipy.optimize, "brentq", stops_early)
+    monkeypatch.setattr(scipy.optimize, "brentq", recording)
+    return searches
+
+
+def test_shooting_bisects_what_brentq_leaves_open(monkeypatch):
+    searches = record_searches(monkeypatch, xtol=1e-3)
     classes = []
     shots = record_shots(monkeypatch, classes)
     shooting_solve(F2, grid=grid_for(3, -0.5, 2048))
+    assert len(searches) == 1
     assert_tightest_bracket(shots, classes)
+
+
+def test_brentq_starts_from_a_bracket_narrowed_by_class(monkeypatch):
+    # Geometric bisection on the class alone narrows [SCAN_LO, SCAN_HI]
+    # to hi/lo <= 4 before brentq sees it: 1e6 -> 1e3 -> ... -> 2.37.
+    searches = record_searches(monkeypatch)
+    classes = []
+    shots = record_shots(monkeypatch, classes)
+    shooting_solve(F2, grid=grid_for(3, -0.5, 2048))
+    lo, hi = groundstate.SCAN_LO, groundstate.SCAN_HI
+    for q0, kind in zip(shots[2:6], classes[2:6]):
+        assert q0 == np.sqrt(lo * hi)
+        lo, hi = (lo, q0) if kind == "cross" else (q0, hi)
+    assert 2 < hi / lo <= 4
+    assert [(a, b) for _, a, b in searches] == [(math.log(lo), math.log(hi))]
 
 
 def bisect_center_value(params, r_end):
@@ -513,6 +539,37 @@ def test_shooting_matches_plain_bisection(monkeypatch):
     shots = record_shots(monkeypatch)
     shooting_solve(F2, grid=g)
     assert shots[-1] == pytest.approx(reference, rel=2 * groundstate.BISECT_TOL, abs=0)
+
+
+@pytest.mark.parametrize("params", [F1, F2, F3, NM], ids=["F1", "F2", "F3", "NM"])
+def test_search_miss_is_linear_in_the_offset_on_both_sides(monkeypatch, params):
+    # The miss brentq steers by is the ratio of the growing to the
+    # decaying Bessel mode of the linearised equation at the event, so a
+    # shot delta off q* misses by the same multiple of delta on either
+    # side; exp(-2 sqrt(omega) r_e^e / e) alone differs by 20-30 % there.
+    g = grid_for(params.n, params.b, 4096)
+    q_star = bisect_center_value(params, g.r_max)
+    searches = record_searches(monkeypatch)
+    shooting_solve(params, grid=g)
+    ((miss, _, _),) = searches
+    slopes = []
+    for delta in (1e-6, -1e-6):
+        s = math.log(q_star * (1 + delta))
+        slopes.append(miss(s) / (math.exp(s) / q_star - 1))
+    assert slopes[0] > 0
+    assert slopes[0] / slopes[1] == pytest.approx(1, abs=1e-3)
+
+
+def test_oracle_solves_take_at_most_20_shots(monkeypatch):
+    # Brent steered by a miss linear in delta converges superlinearly:
+    # 13-18 shots per solve here, the final one included.
+    shots = record_shots(monkeypatch)
+    for params in (F1, F2, F3, NM):
+        g = grid_for(params.n, params.b, 4096)
+        for omega in (0.5, 1.0, 2.0):
+            shots.clear()
+            shooting_solve(params.with_omega(omega), grid=g)
+            assert len(shots) <= 20, (params, omega)
 
 
 def dense_reference(params, q0, g):
