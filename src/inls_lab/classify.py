@@ -361,13 +361,22 @@ def _sets(
     return _entry("action_set_membership", assumptions, evidence, notes, decide)
 
 
-def _optimal_frequency(rep: FunctionalReport, gs1: GroundState) -> FrequencyReport:
-    """The optimized frequency from the report of the datum (intercritical exponents)."""
+def _optimal_frequency(
+    u0: RadialField, rep: FunctionalReport, gs1: GroundState
+) -> FrequencyReport:
+    """The optimized frequency from the datum u0 and its report rep
+    (intercritical exponents)."""
     params = rep.params
     b, p = params.b, params.p
     pc = params.p_c
     mass = rep.mass
     if not mass > 0:
+        peak = float(abs(u0.values).max())
+        if peak > 0:
+            raise ClassifyError(
+                f"frequency optimization needs a positive mass, and the mass of this "
+                f"datum underflows to 0 (largest amplitude {peak:.3g})"
+            )
         raise ClassifyError("frequency optimization needs a nonzero datum")
 
     base = (2 - b) * p / (2 * (2 - b) * (p + 2) - 2 * pc) * (mass / gs1.m_omega)
@@ -419,7 +428,7 @@ def optimal_frequency(
     spec = PotentialSpec.zero() if spec is None else spec
     if params.criticality is not Criticality.INTERCRITICAL:
         raise ClassifyError("frequency optimization needs intercritical exponents")
-    return _optimal_frequency(evaluate_all(u0, params, spec), gs1)
+    return _optimal_frequency(u0, evaluate_all(u0, params, spec), gs1)
 
 
 def classify_all(
@@ -447,7 +456,7 @@ def classify_all(
     rep = evaluate_all(u0, params, spec)
     frequency = None
     if params.criticality is Criticality.INTERCRITICAL:
-        frequency = _optimal_frequency(rep, gs1)
+        frequency = _optimal_frequency(u0, rep, gs1)
     if omega is None:
         omega = gs1.omega if frequency is None else frequency.omega0
     omega = float(omega)

@@ -25,8 +25,8 @@ functional of it.  Two independent routes compute Q:
   start near r = 0 and finds the center value that separates shots
   that cross zero from shots that bottom out and regrow, by Brent's
   method on each shot's ratio of growing to decaying Bessel mode of
-  the linearised equation at its event, after a bisection on the shot
-  class alone has narrowed the bracket.  Every shot runs Hairer's
+  the linearised equation at its event, from a bracket found by
+  stepping out from the frequency scale of Q.  Every shot runs Hairer's
   compiled DOP853 behind scipy.integrate.ode, and the final one is
   sampled onto the grid from its own step ends.
 
@@ -71,6 +71,7 @@ __all__ = [
     "GroundStateError",
     "IndefiniteOperator",
     "NonConvergence",
+    "OracleProfile",
     "derive_thresholds",
     "gn_ratio",
     "is_frequency_one",
@@ -89,12 +90,15 @@ NEWTON_SWITCH = 1e-2
 NEWTON_TOL = 1e-8
 NEWTON_CAP = 8
 
-# Shooting oracle: the series start radius of every shot, the center
-# values that bracket the search, and the relative bracket width that
-# ends it.  A shot may take _SHOT_STEPS integrator steps; on the
-# fixtures at N = 4096 a shot takes at most about 100.
-SHOOT_R0 = 1e-6
+# Shooting oracle: the size of the larger series correction, relative to
+# the center value, at the radius where a shot starts; the window of
+# center values the bracket search may shoot, and the factor it steps by;
+# the relative bracket width that ends the search.  A shot may take
+# _SHOT_STEPS integrator steps; on the fixtures at N = 4096 a shot takes
+# at most about 100.
+SERIES_TOL = 1e-8
 SCAN_LO, SCAN_HI = 1e-3, 1e3
+SCAN_STEP = 4.0
 BISECT_TOL = 1e-13
 _SHOT_STEPS = 10_000
 
@@ -117,7 +121,19 @@ class IndefiniteOperator(GroundStateError):
 
 
 class BracketNotFound(GroundStateError):
-    """No overshoot/undershoot dichotomy between the bracket's center values."""
+    """No overshoot/undershoot dichotomy in the window of center values."""
+
+
+@dataclass(frozen=True)
+class OracleProfile(RadialField):
+    """The shooting oracle's profile on the grid, with the center value
+    q_star of its final shot and the work of the solve that found it:
+    its shots, the final one included, and the accepted DOP853 steps of
+    all of them."""
+
+    q_star: float
+    shots: int
+    steps: int
 
 
 @dataclass(frozen=True)
@@ -506,23 +522,39 @@ def derive_thresholds(gs1: GroundState, params: ProblemParams) -> dict[str, floa
     return out
 
 
-def _series_start(params: ProblemParams, q0: float, r0: float | np.ndarray):
-    """Two-term series value and slope at the radii r0 (a float or an array).
+def _series_terms(params: ProblemParams, q0: float) -> tuple[float, float, float, float]:
+    """Coefficients a1, a2 and powers e1, e2 of the two series corrections.
 
     Balancing the lowest powers of the profile ODE about r = 0 gives
 
-        Q(r) = q0 + [omega q0/(n(2-b))] r^{2-b}
-                  - [q0^{p+1}/((n+c)(2-b+c))] r^{2-b+c} + ...
+        Q(r) = q0 + a1 r^e1 + a2 r^e2 + ...,
+        a1 = omega q0/(n(2-b)),  e1 = 2-b,
+        a2 = -q0^{p+1}/((n+c)(2-b+c)),  e2 = 2-b+c,
 
     which stays valid for b < 0 and c < 0 where the raw coefficients
-    are singular.
+    are singular.  The first terms left out are products of two
+    corrections, of order (a1 r^e1)^2/q0 and the like.
     """
     n, b, c, p, w = params.n, params.b, params.c, params.p, params.omega
-    a1 = w * q0 / (n * (2 - b))
-    a2 = -(q0 ** (p + 1)) / ((n + c) * (2 - b + c))
-    val = q0 + a1 * r0 ** (2 - b) + a2 * r0 ** (2 - b + c)
-    slope = a1 * (2 - b) * r0 ** (1 - b) + a2 * (2 - b + c) * r0 ** (1 - b + c)
+    e1, e2 = 2 - b, 2 - b + c
+    return w * q0 / (n * e1), -(q0 ** (p + 1)) / ((n + c) * e2), e1, e2
+
+
+def _series_start(params: ProblemParams, q0: float, r0: float | np.ndarray):
+    """Two-term series value and slope at the radii r0 (a float or an array)."""
+    a1, a2, e1, e2 = _series_terms(params, q0)
+    val = q0 + a1 * r0**e1 + a2 * r0**e2
+    slope = a1 * e1 * r0 ** (e1 - 1) + a2 * e2 * r0 ** (e2 - 1)
     return val, slope
+
+
+def _start_radius(params: ProblemParams, q0: float) -> float:
+    """The radius where the larger series correction, a1 r^e1 or |a2| r^e2,
+    is SERIES_TOL q0: a shot from center value q0 starts there, and the
+    terms the series leaves out are about SERIES_TOL^2 q0 there."""
+    a1, a2, e1, e2 = _series_terms(params, q0)
+    tol = SERIES_TOL * q0
+    return min((tol / a1) ** (1 / e1), (tol / abs(a2)) ** (1 / e2))
 
 
 def _fires(direction: int, g0: float, g1: float) -> bool:
@@ -535,7 +567,9 @@ def _shooter(params: ProblemParams, r_end: float):
     """The shots of one oracle solve: shoot(q0) -> (kind, r_e, steps).
 
     A shot integrates the radial ODE for (Q, Q') outward from the series
-    start at SHOOT_R0 by Hairer's compiled DOP853 behind
+    start at _start_radius(params, q0), where the larger series
+    correction is SERIES_TOL q0 and the series is exact to about
+    1e-16 q0, by Hairer's compiled DOP853 behind
     scipy.integrate.ode, at rtol 1e-10 and atol 1e-12, and stops at the
     first event of _EVENTS.  kind names that event, or is 'decay' when
     the shot reaches r_end without one; r_e is the event radius, r_end on
@@ -601,11 +635,12 @@ def _shooter(params: ProblemParams, r_end: float):
 
     def shoot(q0: float):
         nonlocal steps, ended
-        q, dq = _series_start(params, q0, SHOOT_R0)
-        steps, ended = [(SHOOT_R0, q, dq, accel(SHOOT_R0, q, dq))], ("decay", r_end)
+        r0 = _start_radius(params, q0)
+        q, dq = _series_start(params, q0, r0)
+        steps, ended = [(r0, q, dq, accel(r0, q, dq))], ("decay", r_end)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", UserWarning)
-            integrator.set_initial_value([q, dq], SHOOT_R0).integrate(r_end)
+            integrator.set_initial_value([q, dq], r0).integrate(r_end)
         shot, steps = steps, None  # the integrator, and so solout, outlives the solve
         if not integrator.successful():
             message = "; ".join(str(m.message) for m in caught)
@@ -615,18 +650,26 @@ def _shooter(params: ProblemParams, r_end: float):
     return shoot
 
 
-def shooting_solve(params: ProblemParams, grid: RadialGrid) -> RadialField:
+def shooting_solve(params: ProblemParams, grid: RadialGrid) -> OracleProfile:
     """Ground state by Brent's method on the center value of outward shots.
 
     Center values above the critical one drive the profile through
     zero; values below make it bottom out and regrow, and a clean decay
-    counts as below.  Every shot starts from the series at SHOOT_R0.
-    The bracket [SCAN_LO, SCAN_HI] must shoot regrow then cross.
-    Geometric bisection on the class alone then narrows it to
-    hi/lo <= 4 (four shots from the shipped bracket): over the whole
-    bracket the miss below is not monotone, since the SCAN_LO shot
+    counts as below.  Every shot starts from the series at the radius
+    where its larger correction is SERIES_TOL times its center value
+    (_shooter).  The bracket comes from the frequency scaling of Q,
+
+        Q_omega(r) = omega^{(2-b+c)/(p(2-b))} Q_1(omega^{1/(2-b)} r),
+
+    so the first shot is at q_s = omega^{(2-b+c)/(p(2-b))}, moved into
+    [SCAN_LO, SCAN_HI], and each next one SCAN_STEP = 4 times further
+    from it, towards the other class, until the class flips; a walk
+    that reaches the window's end without a flip raises
+    BracketNotFound.  Brent then starts at once from the last two shots,
+    hi/lo <= 4, with both misses known: the miss below is monotone
+    there, though not over the whole window, where a shot near SCAN_LO
     saturates and regrows late with a miss that looks like a root.
-    scipy.optimize.brentq then finds the sign change, in s = ln q0, of
+    scipy.optimize.brentq finds the sign change, in s = ln q0, of
     the signed miss m of each shot: minus the amplitude of its growing
     mode over that of its decaying mode at its event radius r_e (r_end
     on a decay).  The linear part of the profile equation,
@@ -649,16 +692,18 @@ def shooting_solve(params: ProblemParams, grid: RadialGrid) -> RadialField:
     tightest regrow/cross pair [lo, hi]; should brentq stop short of
     hi - lo < BISECT_TOL sqrt(lo hi), geometric bisection finishes the
     bracket, and q_star = sqrt(lo hi).  On the five fixtures at
-    N = 4096 and omega in {0.5, 1, 2} a solve takes 13 to 19 shots, the
-    final one included, about 1 ms each on scipy's compiled DOP853
-    (_shooter): 13-24 ms per solve on one Intel Xeon core.  The final
-    shot, at q_star, is sampled onto the grid between SHOOT_R0 and its
-    event radius by the quintic Hermite interpolant of Q, Q' and Q'' at
-    the two ends of each of its steps, within 2.5e-7 relative of
-    solve_ivp's dense output on the fixtures (a cubic on Q and Q' alone
-    is off by 2-4e-6).  The series fills r below SHOOT_R0, and zero
-    fills r beyond the event radius, where the profile has already
-    decayed.  scipy never frees a compiled integrator it ran, so each
+    N = 4096 and omega in {0.5, 1, 2} a solve takes 11 or 12 shots, the
+    final one included, and 591-892 accepted DOP853 steps, about 1 ms a
+    shot on scipy's compiled DOP853 (_shooter): 9-14 ms per solve on
+    one Intel Xeon core.  The final shot, at q_star, is sampled onto the
+    grid between its start radius and its event radius by the quintic
+    Hermite interpolant of Q, Q' and Q'' at the two ends of each of its
+    steps, within 2.5e-7 relative of solve_ivp's dense output on the
+    fixtures (a cubic on Q and Q' alone is off by 2-4e-6).  The series
+    fills r below the start radius, and zero fills r beyond the event
+    radius, where the profile has already decayed.  The returned
+    OracleProfile carries q_star and the solve's shots and accepted
+    steps.  scipy never frees a compiled integrator it ran, so each
     solve leaves its one integrator behind, about 4 kB.
     """
     from scipy.optimize import brentq  # loaded with scipy.integrate, as is scipy.special
@@ -667,16 +712,26 @@ def shooting_solve(params: ProblemParams, grid: RadialGrid) -> RadialField:
     _admissible(params)
     check_grid(grid, params)
     r_end = grid.r_max
-    e = (2 - params.b) / 2
-    nu = (params.n - 2 + params.b) / (2 - params.b)
-    root_w = math.sqrt(params.omega)
-    lo, hi = SCAN_LO, SCAN_HI
+    b, c, p, w = params.b, params.c, params.p, params.omega
+    e = (2 - b) / 2
+    nu = (params.n - 2 + b) / (2 - b)
+    root_w = math.sqrt(w)
+    lo, hi = 0.0, math.inf  # the tightest regrow/cross pair shot so far
+    shots = steps = 0
     shoot_once = _shooter(params, r_end)
+
+    def run(q0: float):
+        """One shot, counted."""
+        nonlocal shots, steps
+        kind, r_e, shot = shoot_once(q0)
+        shots += 1
+        steps += len(shot) - 1
+        return kind, r_e, shot
 
     def shoot(q0: float) -> tuple[str, float]:
         """Class and signed miss of one shot; narrows [lo, hi] to it."""
         nonlocal lo, hi
-        kind, r_e, _ = shoot_once(q0)
+        kind, r_e, _ = run(q0)
         z = root_w * r_e**e / e
         if kind == "cross":
             hi = min(hi, q0)
@@ -684,20 +739,26 @@ def shooting_solve(params: ProblemParams, grid: RadialGrid) -> RadialField:
         lo = max(lo, q0)
         return kind, -math.exp(-2 * z) * kve(nu + 1, z) / ive(nu + 1, z)
 
-    (kind_lo, miss_lo), (kind_hi, miss_hi) = shoot(SCAN_LO), shoot(SCAN_HI)
-    if (kind_lo, kind_hi) != ("regrow", "cross"):
-        raise BracketNotFound(
-            f"no overshoot/undershoot transition for q0 in [{SCAN_LO}, {SCAN_HI}]: "
-            f"the scan ends shoot {kind_lo} and {kind_hi}, not regrow and cross"
-        )
-    while hi > 4 * lo:
-        kind, miss = shoot(math.sqrt(lo * hi))
-        if kind == "cross":
-            miss_hi = miss
-        else:
-            miss_lo = miss
+    # Step from the frequency scale of Q by factors of SCAN_STEP until the
+    # class flips: the last shot on each side holds that side's miss.
+    q = first = min(max(w ** ((2 - b + c) / (p * (2 - b))), SCAN_LO), SCAN_HI)
+    misses = {}
+    while True:
+        kind, miss = shoot(q)
+        misses[kind == "cross"] = miss
+        if len(misses) == 2:
+            break
+        q_next = q / SCAN_STEP if kind == "cross" else q * SCAN_STEP
+        q_next = min(max(q_next, SCAN_LO), SCAN_HI)
+        if q_next == q:
+            verdict = "crosses zero" if kind == "cross" else "regrows or decays"
+            raise BracketNotFound(
+                f"no overshoot/undershoot transition for q0 in [{SCAN_LO}, {SCAN_HI}]: "
+                f"every shot from q0 = {first:.6g} to {q:.6g} {verdict}"
+            )
+        q = q_next
     s_lo, s_hi = math.log(lo), math.log(hi)
-    ends = {s_lo: miss_lo, s_hi: miss_hi}  # brentq asks for these first
+    ends = {s_lo: misses[False], s_hi: misses[True]}  # brentq asks for these first
     brentq(
         lambda s: ends[s] if s in ends else shoot(math.exp(s))[1],
         s_lo,
@@ -709,15 +770,15 @@ def shooting_solve(params: ProblemParams, grid: RadialGrid) -> RadialField:
         shoot(math.sqrt(lo * hi))
 
     q_star = math.sqrt(lo * hi)
-    _, r_e, steps = shoot_once(q_star)
+    _, r_e, final = run(q_star)
     vals = np.zeros(grid.N)
     r = grid.nodes
-    below = r < SHOOT_R0
+    R, Q, dQ, ddQ = np.array(final).T
+    below = r < R[0]
     vals[below] = _series_start(params, q_star, r[below])[0]
     inside = ~below & (r <= r_e)
     # The quintic Hermite interpolant of Q, Q', Q'' at the ends of each node's step.
     x = r[inside]
-    R, Q, dQ, ddQ = np.array(steps).T
     i = np.searchsorted(R[1:-1], x, side="right")
     h = R[i + 1] - R[i]
     t = (x - R[i]) / h
@@ -726,4 +787,5 @@ def shooting_solve(params: ProblemParams, grid: RadialGrid) -> RadialField:
     q1, d1, s1 = Q[i + 1], h * dQ[i + 1], h**2 * ddQ[i + 1] / 2
     left = u**3 * (q0 + t * (3 * q0 + d0 + t * (6 * q0 + 3 * d0 + s0)))
     vals[inside] = left + t**3 * (q1 + u * (3 * q1 - d1 + u * (6 * q1 - 3 * d1 + s1)))
-    return RadialField(grid, np.maximum(vals, 0.0))  # it may dip below 0 just before a cross
+    # The sample may dip below 0 just before a cross.
+    return OracleProfile(grid, np.maximum(vals, 0.0), q_star, shots, steps)

@@ -161,7 +161,12 @@ def check_oracle_equivalence() -> list[CheckResult]:
         )
         rows.append(
             CheckResult(
-                f"oracle_agreement_{tag}", rel < 1e-3, rel, 1e-3, f"oracle {elapsed:.2f}s"
+                f"oracle_agreement_{tag}",
+                rel < 1e-3,
+                rel,
+                1e-3,
+                f"oracle {elapsed * 1e3:.1f} ms, {shot.shots} shots, "
+                f"{shot.steps} accepted DOP853 steps",
             )
         )
     return rows

@@ -18,7 +18,7 @@ from inls_lab.grid import RadialField
 from inls_lab.params import ProblemParams
 from inls_lab.potential import PotentialSpec
 
-from conftest import F1, MC, solve
+from conftest import F1, MC, grid_for, solve
 
 ZERO = PotentialSpec.zero()
 
@@ -187,6 +187,18 @@ def test_optimal_frequency_maximizes_the_gap(gs_f1):
 def test_optimal_frequency_requires_intercritical(gs_mc):
     with pytest.raises(ClassifyError, match="intercritical"):
         optimal_frequency(multiple(gs_mc, 0.5), MC, gs_mc)
+
+
+def test_optimal_frequency_names_a_mass_that_underflows(gs_f1):
+    # The mass of an F1 Gaussian of amplitude 1e-200 underflows to 0,
+    # though the datum is not zero; the zero datum is refused as such.
+    g = grid_for(3, 0.0, 1024)
+    tiny = RadialField(g, 1e-200 * np.exp(-(g.nodes**2) / 2))
+    for route in (optimal_frequency, lambda u, p, gs: classify_all(u, p, ZERO, gs)):
+        with pytest.raises(ClassifyError, match="mass of this datum underflows to 0 .*1e-200"):
+            route(tiny, F1, gs_f1)
+        with pytest.raises(ClassifyError, match="needs a nonzero datum"):
+            route(RadialField(g, np.zeros(g.N)), F1, gs_f1)
 
 
 def test_optimal_frequency_requires_frequency_one(gs_f1):

@@ -390,10 +390,10 @@ def test_fine_meshes_certify(params, N):
     assert max(gs.pohozaev_res) < 1e-4
 
 
-def record_shots(monkeypatch, classes=None):
+def record_shots(monkeypatch, classes=None, steps=None):
     """Wrap the shots of every oracle solve and return the center value of
     every shot, the final one last; each shot's class is appended to
-    classes, when given."""
+    classes, and its count of accepted steps to steps, when given."""
     shots = []
     shooter = groundstate._shooter
 
@@ -405,6 +405,8 @@ def record_shots(monkeypatch, classes=None):
             out = shoot(q0)
             if classes is not None:
                 classes.append(out[0])
+            if steps is not None:
+                steps.append(len(out[2]) - 1)
             return out
 
         return recording
@@ -421,15 +423,24 @@ def test_shooting_rejects_mismatched_grid(monkeypatch):
 
 
 def test_shooting_needs_a_bracket(monkeypatch):
+    # F1's critical center value is 4.34.  The walk starts at the
+    # frequency scale q_s = 1, moved into the window, and steps by
+    # SCAN_STEP towards the other class until the window's end.
     g = grid_for(3, 0.0, 512)
+    searches = record_searches(monkeypatch)
     shots = record_shots(monkeypatch)
-    for lo, hi, named in ((1e-3, 2e-3, "regrow and regrow"), (10.0, 20.0, "cross and cross")):
+    for lo, hi, walk, named in (
+        (1e-3, 2.0, [1.0, 2.0], "regrows or decays"),
+        (1e-3, 3.0, [1.0, 3.0], "regrows or decays"),
+        (10.0, 20.0, [10.0], "crosses zero"),
+    ):
         monkeypatch.setattr(groundstate, "SCAN_LO", lo)
         monkeypatch.setattr(groundstate, "SCAN_HI", hi)
         shots.clear()
-        with pytest.raises(BracketNotFound, match=f"ends shoot {named}"):
+        with pytest.raises(BracketNotFound, match=f"to {walk[-1]:g} {named}$"):
             shooting_solve(F1, grid=g)
-        assert shots == [lo, hi]
+        assert shots == walk
+    assert searches == []
 
 
 def first_transition(classes):
@@ -504,19 +515,27 @@ def test_shooting_bisects_what_brentq_leaves_open(monkeypatch):
     assert_tightest_bracket(shots, classes)
 
 
-def test_brentq_starts_from_a_bracket_narrowed_by_class(monkeypatch):
-    # Geometric bisection on the class alone narrows [SCAN_LO, SCAN_HI]
-    # to hi/lo <= 4 before brentq sees it: 1e6 -> 1e3 -> ... -> 2.37.
+def test_brentq_starts_from_the_first_class_flip_of_a_walk_from_the_scale_of_q(monkeypatch):
+    # Q_w(r) = w^((2-b+c)/(p(2-b))) Q_1(w^(1/(2-b)) r), so the walk starts
+    # at q_s = w^((2-b+c)/(p(2-b))) and steps by SCAN_STEP = 4 away from
+    # its class; brentq starts from the two shots around the first flip,
+    # with both misses known.  F1 walks 1 -> 4 -> 16 at w = 1, F2 one step.
     searches = record_searches(monkeypatch)
     classes = []
     shots = record_shots(monkeypatch, classes)
-    shooting_solve(F2, grid=grid_for(3, -0.5, 2048))
-    lo, hi = groundstate.SCAN_LO, groundstate.SCAN_HI
-    for q0, kind in zip(shots[2:6], classes[2:6]):
-        assert q0 == np.sqrt(lo * hi)
-        lo, hi = (lo, q0) if kind == "cross" else (q0, hi)
-    assert 2 < hi / lo <= 4
-    assert [(a, b) for _, a, b in searches] == [(math.log(lo), math.log(hi))]
+    for params in (F1, F2):
+        b, c, p = params.b, params.c, params.p
+        g = grid_for(params.n, b, 2048)
+        for omega in (0.5, 1.0, 2.0):
+            del searches[:], shots[:], classes[:]
+            shooting_solve(params.with_omega(omega), grid=g)
+            flip = next(i for i, kind in enumerate(classes) if kind == "cross")
+            assert flip >= 1
+            q_s = omega ** ((2 - b + c) / (p * (2 - b)))
+            assert shots[: flip + 1] == [q_s * 4.0**k for k in range(flip + 1)]
+            lo, hi = shots[flip - 1], shots[flip]
+            assert [(x, y) for _, x, y in searches] == [(math.log(lo), math.log(hi))]
+            assert hi / lo <= groundstate.SCAN_STEP
 
 
 def bisect_center_value(params, r_end):
@@ -560,32 +579,40 @@ def test_search_miss_is_linear_in_the_offset_on_both_sides(monkeypatch, params):
     assert slopes[0] / slopes[1] == pytest.approx(1, abs=1e-3)
 
 
-def test_oracle_solves_take_at_most_20_shots(monkeypatch):
-    # Brent steered by a miss linear in delta converges superlinearly:
-    # 13-18 shots per solve here, the final one included.
-    shots = record_shots(monkeypatch)
+def test_oracle_solves_take_at_most_13_shots(monkeypatch):
+    # Brent steered by a miss linear in delta converges superlinearly from
+    # a bracket of hi/lo <= 4: 11-12 shots per solve here, the final one
+    # included, and 8915 accepted DOP853 steps over the 12 solves.  Each
+    # solve reports its own counts, checked against the shots it made.
+    steps = []
+    shots = record_shots(monkeypatch, steps=steps)
+    total = 0
     for params in (F1, F2, F3, NM):
         g = grid_for(params.n, params.b, 4096)
         for omega in (0.5, 1.0, 2.0):
-            shots.clear()
-            shooting_solve(params.with_omega(omega), grid=g)
-            assert len(shots) <= 20, (params, omega)
+            del shots[:], steps[:]
+            solved = shooting_solve(params.with_omega(omega), grid=g)
+            assert (solved.shots, solved.steps) == (len(shots), sum(steps))
+            assert solved.q_star == shots[-1]
+            assert solved.shots <= 13, (params, omega)
+            total += solved.steps
+    assert total <= 9000
 
 
-def dense_reference(params, q0, g):
-    """The oracle's profile from center value q0, sampled on g by
-    solve_ivp's DOP853 dense output: the same right-hand side,
-    tolerances, events and event rule as the oracle's shots, and the
-    same series below SHOOT_R0 and zero beyond the event radius."""
-    from scipy.integrate import solve_ivp
-
+def profile_rhs(params):
+    """The right-hand side of the oracle's shots, for solve_ivp."""
     n, b, c, p, w = params.n, params.b, params.c, params.p, params.omega
-    r0 = groundstate.SHOOT_R0
 
     def rhs(r, y):
         q, dq = y.tolist()
         qp = math.copysign(abs(q) ** (p + 1), q)
         return [dq, -(n - 1 + b) / r * dq - r ** (-b) * (-w * q + r**c * qp)]
+
+    return rhs
+
+
+def shot_events():
+    """The oracle's events, for solve_ivp: terminal, in _EVENTS order."""
 
     def event(k, direction):
         def crossing(r, y):
@@ -594,10 +621,22 @@ def dense_reference(params, q0, g):
         crossing.terminal, crossing.direction = True, direction
         return crossing
 
+    return [event(k, direction) for _, k, direction in groundstate._EVENTS]
+
+
+def dense_reference(params, q0, g):
+    """The oracle's profile from center value q0, sampled on g by
+    solve_ivp's DOP853 dense output: the same start radius, right-hand
+    side, tolerances, events and event rule as the oracle's shots, and
+    the same series below the start radius and zero beyond the event
+    radius."""
+    from scipy.integrate import solve_ivp
+
+    r0 = groundstate._start_radius(params, q0)
+
     sol = solve_ivp(
-        rhs, (r0, g.r_max), list(groundstate._series_start(params, q0, r0)), method="DOP853",
-        events=[event(k, direction) for _, k, direction in groundstate._EVENTS],
-        dense_output=True, rtol=1e-10, atol=1e-12,
+        profile_rhs(params), (r0, g.r_max), list(groundstate._series_start(params, q0, r0)),
+        method="DOP853", events=shot_events(), dense_output=True, rtol=1e-10, atol=1e-12,
     )
     assert sol.success
     r = g.nodes
@@ -627,6 +666,57 @@ def test_search_and_dense_shots_agree_near_the_critical_value(monkeypatch, param
     assert abs(sampled - reference).max() < 1e-6 * abs(reference).max()
 
 
+def test_center_value_matches_a_tight_tolerance_bisection():
+    # A reference built like dense_reference but at rtol 1e-13, atol 1e-16
+    # and the old fixed start radius 1e-6 bisects a bracket of 1e-8 around
+    # the oracle's q* on the class alone down to 1e-12.  The oracle lands
+    # within 1e-11 of it (9.5e-12 here; 7.1e-12 from a start at 1e-6).
+    from scipy.integrate import solve_ivp
+
+    g = grid_for(3, -0.5, 2048)
+    q_star = shooting_solve(F2, grid=g).q_star
+    rhs, events, r0 = profile_rhs(F2), shot_events(), 1e-6
+
+    def crosses(q0):
+        sol = solve_ivp(
+            rhs, (r0, g.r_max), list(groundstate._series_start(F2, q0, r0)),
+            method="DOP853", events=events, rtol=1e-13, atol=1e-16,
+        )
+        assert sol.success
+        return sol.t_events[0].size > 0
+
+    lo, hi = q_star * (1 - 1e-8), q_star * (1 + 1e-8)
+    assert not crosses(lo) and crosses(hi)
+    while hi - lo > 1e-12 * q_star:
+        mid = (lo + hi) / 2
+        lo, hi = (lo, mid) if crosses(mid) else (mid, hi)
+    assert q_star == pytest.approx((lo + hi) / 2, rel=1e-10, abs=0)
+
+
+@pytest.mark.parametrize("params", [F1, F2, F3, NM], ids=["F1", "F2", "F3", "NM"])
+def test_shots_start_where_the_larger_series_correction_is_series_tol(monkeypatch, params):
+    # At r0 the larger of a1 r0^e1 and |a2| r0^e2 is SERIES_TOL q0, so the
+    # terms the series leaves out are about 1e-16 q0.  The grid sample
+    # takes the series at every node below the final shot's r0 and the
+    # shot above it: across r0 its step between neighbouring nodes is
+    # the series' own, to 1e-14 of q* (4e-16 at worst here).
+    g = grid_for(params.n, params.b, 4096)
+    shots = record_shots(monkeypatch)
+    sampled = shooting_solve(params, grid=g).values.real
+    for q0 in shots:
+        a1, a2, e1, e2 = groundstate._series_terms(params, q0)
+        r0 = groundstate._start_radius(params, q0)
+        corrections = (a1 * r0**e1, abs(a2) * r0**e2)
+        assert max(corrections) == pytest.approx(groundstate.SERIES_TOL * q0, rel=1e-12)
+    q_star = shots[-1]
+    r = g.nodes
+    i = int(np.searchsorted(r, groundstate._start_radius(params, q_star)))
+    assert 2 <= i < g.N
+    series = groundstate._series_start(params, q_star, r[: i + 1])[0]
+    assert np.array_equal(sampled[:i], series[:i])
+    assert abs((sampled[i] - sampled[i - 1]) - (series[i] - series[i - 1])) < 1e-14 * q_star
+
+
 def test_the_constant_solution_counts_below():
     # Q = 1 solves F1's equation at omega = 1: Q' starts at zero, so the
     # shot finds a regrow within its first step, and never a cross.
@@ -638,7 +728,7 @@ def test_a_search_shot_out_of_steps_raises_naming_it(monkeypatch):
     monkeypatch.setattr(groundstate, "_SHOT_STEPS", 5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NonConvergence, match=r"q0 = 0\.001 failed: .*larger nsteps is needed"):
+        with pytest.raises(NonConvergence, match=r"q0 = 1\.0 failed: .*larger nsteps is needed"):
             shooting_solve(F2, grid=grid_for(3, -0.5, 2048))
 
 
@@ -657,7 +747,7 @@ def test_oracle_solves_retain_no_shot(monkeypatch):
     # alive for good: about 4 kB per solve with the search constants as
     # they ship (tracemalloc).  The bound is that plus 50 %.  Here a solve
     # leaves about 2.3 kB behind; a closure that also kept the final
-    # shot's 54 step ends would leave about 12 kB.  A narrow bracket
+    # shot's 54 step ends would leave about 12 kB.  A narrow window
     # around q* = 3.03 and a loose stop rule make each solve three shots,
     # which keeps the traced solves cheap; what a solve leaves behind
     # does not depend on how many shots it took.
