@@ -244,8 +244,8 @@ def _intercritical(
     notes: list[str] = []
     if intercritical:  # the products and their thresholds are defined
         evidence = [
-            Evidence("em_product_vs_threshold", rep.em_product, gs1.thresholds["em_sigma"]),
-            Evidence("grad_product_vs_threshold", rep.grad_product, gs1.thresholds["grad_mass"]),
+            Evidence("em_product_vs_threshold", rep.em_product, gs1.report.em_product),
+            Evidence("grad_product_vs_threshold", rep.grad_product, gs1.report.grad_product),
         ]
 
     def decide() -> tuple[str, bool]:
@@ -386,7 +386,7 @@ def _optimal_frequency(
     f0 = float(m0 - (rep.energy + 0.5 * omega0 * mass))
 
     em_prod = rep.em_product
-    em_th = gs1.thresholds["em_sigma"]
+    em_th = gs1.report.em_product
 
     f_cmp = _compare(f0, 0.0, scale=m0)
     em_cmp = _compare(em_prod, em_th)

@@ -291,7 +291,6 @@ def evolve(
     gsq = grad0_sq = sample(t, u)
     trigger_sq = cfg.blowup_factor**2 * grad0_sq
     sampled = True
-    dts = []
     while t < cfg.t_end - END_TOL:
         if cfg.adaptivity:
             dt = cfg.dt0 * (grad0_sq / gsq) if gsq > grad0_sq else cfg.dt0
@@ -312,9 +311,11 @@ def evolve(
 
         u = stepper.step(u, dt)
         t += dt
-        dts.append(dt)
+        trace.steps += 1
+        trace.dt_min = dt if trace.dt_min is None else min(trace.dt_min, dt)
+        trace.dt_max = dt if trace.dt_max is None else max(trace.dt_max, dt)
 
-        sampled = len(dts) % cfg.sample_every == 0 or t >= cfg.t_end - END_TOL
+        sampled = trace.steps % cfg.sample_every == 0 or t >= cfg.t_end - END_TOL
         if sampled:
             gsq = sample(t, u)
             if triggered(gsq):
@@ -328,9 +329,6 @@ def evolve(
     else:
         trace.events.append(("Completed", t))
 
-    trace.steps = len(dts)
-    if dts:
-        trace.dt_min, trace.dt_max = min(dts), max(dts)
     trace.final_state = RadialField(g, u)
     return trace
 

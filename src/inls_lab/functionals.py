@@ -1,4 +1,4 @@
-"""Scalar functionals and the threshold function.
+"""Scalar functionals.
 
 All conserved/monitored quantities of the flow are assembled here from
 grid quadratures:
@@ -48,7 +48,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .grid import RadialField, RadialGrid, check_grid, gradient_norm_sq
-from .params import Criticality, ProblemParams
+from .params import ProblemParams
 from .potential import PotentialSpec, eval_potential
 
 __all__ = [
@@ -57,8 +57,6 @@ __all__ = [
     "Quadrature",
     "evaluate_all",
     "quadrature",
-    "threshold_function",
-    "threshold_peak",
 ]
 
 
@@ -206,28 +204,3 @@ def evaluate_all(
     """Evaluate every scalar functional of u in one pass of quadratures."""
     return quadrature(u.grid, params, spec).report(u.values)
 
-
-def threshold_function(x: float, params: ProblemParams, alpha: float) -> float:
-    """f(x) = x^2/2 - ((2-b)/p_c) alpha^{2 - p_c/(2-b)} x^{p_c/(2-b)}.
-
-    The comparison function whose single positive maximum at x = alpha
-    separates the global and blow-up regimes; alpha is the ground-state
-    gradient-mass product the thresholds are phrased in.
-    """
-    crit = params.criticality
-    if crit is not Criticality.INTERCRITICAL:
-        raise ValueError(f"threshold function needs intercritical params, got {crit}")
-    if not alpha > 0:
-        raise ValueError(f"peak location alpha={alpha} must be positive")
-    b, pc = params.b, params.p_c
-    e = pc / (2 - b)
-    return 0.5 * x**2 - (2 - b) / pc * alpha ** (2 - e) * x**e
-
-
-def threshold_peak(params: ProblemParams, alpha: float) -> float:
-    """Peak value f(alpha) = ((p_c - 2(2-b))/(2 p_c)) alpha^2."""
-    crit = params.criticality
-    if crit is not Criticality.INTERCRITICAL:
-        raise ValueError(f"threshold function needs intercritical params, got {crit}")
-    b, pc = params.b, params.p_c
-    return (pc - 2 * (2 - b)) / (2 * pc) * alpha**2

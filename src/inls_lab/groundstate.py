@@ -34,13 +34,13 @@ The two routes share no discretization, so their agreement (relative
 sup norm about 1e-5 at default resolution) is the primary evidence
 that either one found the ground state rather than a solver artifact.
 
-Threshold constants (sharp interpolation-inequality constant, the
-energy-mass product at the ground state, the ground-state action) and
-the Pohozaev defects are closed forms of the one
-functionals.evaluate_all report of the converged profile, which
-carries the parameters it was evaluated at; derive_thresholds
-cross-checks each stored constant that admits a second, independent
-expression.
+A GroundState carries the functionals.evaluate_all report of its
+profile, which holds the parameters it was evaluated at, and every
+constant is read off that report: the threshold constants (sharp
+interpolation-inequality constant, the energy-mass product at the
+ground state, the ground-state action) and the Pohozaev defects are
+closed forms of it.  derive_thresholds cross-checks each constant that
+admits a second, independent expression.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functionals import FunctionalError, FunctionalReport, evaluate_all, threshold_peak
+from .functionals import FunctionalError, FunctionalReport, evaluate_all
 from .grid import (
     RadialField,
     RadialGrid,
@@ -138,9 +138,11 @@ class OracleProfile(RadialField):
 
 @dataclass(frozen=True)
 class GroundState:
-    """Converged profile with its consistency metrics and thresholds.
+    """Converged profile with its consistency metrics and its report.
 
-    params is the equation and frequency the profile solves.  residual
+    report is the functionals.evaluate_all report of the profile with
+    the zero potential, at the equation and frequency the profile
+    solves; every constant of the state is read off it.  residual
     is the relative fixed-point residual in the (A+omega) energy norm,
 
         ||Q - (A+omega)^{-1}(r^c Q^{p+1})||_{A+omega} / ||Q||_{A+omega},
@@ -155,26 +157,57 @@ class GroundState:
     coarsest mesh, then the relative size of each Newton correction,
     mesh by mesh in the order of levels, so the linear rate of the maps
     and the quadratic one of Newton can be read from the output.
-    pohozaev_res is the pair of relative defects in the two Pohozaev
-    identities.  c_gn is
-    the sharp constant of the weighted interpolation inequality,
-    computed as the ratio functional at Q (frequency-independent).
-    m_omega is the zero-potential action at Q_omega.  thresholds
-    holds the frequency-1 dichotomy constants when the criticality
-    class defines them, else None entries.
     """
 
     profile: RadialField
-    params: ProblemParams
+    report: FunctionalReport
     residual: float
     strong_residual: float
     iterations: int
     history: tuple[float, ...]
     levels: tuple[tuple[int, int], ...]
-    pohozaev_res: tuple[float, float]
-    c_gn: float
-    m_omega: float
-    thresholds: dict[str, float | None]
+
+    @property
+    def params(self) -> ProblemParams:
+        """The equation and frequency the profile solves."""
+        return self.report.params
+
+    @property
+    def pohozaev_res(self) -> tuple[float, float]:
+        """The relative defects in the two Pohozaev identities."""
+        return pohozaev_residuals(self.report)
+
+    @property
+    def c_gn(self) -> float:
+        """The sharp constant of the weighted interpolation inequality,
+        the ratio functional at Q (frequency-independent)."""
+        return gn_ratio(self.report)
+
+    @property
+    def m_omega(self) -> float:
+        """The zero-potential action at Q_omega."""
+        return self.report.action
+
+    @property
+    def thresholds(self) -> dict[str, float | None]:
+        """The frequency-1 dichotomy constants, direct routes only; None
+        where the frequency or the criticality class leaves them undefined.
+        A power of the mass beyond the float range raises GroundStateError."""
+        rep, params = self.report, self.params
+        out: dict[str, float | None] = dict.fromkeys(("mass_threshold", "em_sigma", "grad_mass"))
+        crit = params.criticality
+        defined = crit in (Criticality.MASS_CRITICAL, Criticality.INTERCRITICAL)
+        if defined and is_frequency_one(params.omega):
+            out["mass_threshold"] = rep.mass**0.5
+            if crit is Criticality.INTERCRITICAL:
+                try:
+                    out["grad_mass"], out["em_sigma"] = rep.grad_product, rep.em_product
+                except FunctionalError:
+                    raise GroundStateError(
+                        f"thresholds overflow the float range at sigma = {params.sigma:.6g} "
+                        f"for {params}"
+                    ) from None
+        return out
 
     @property
     def omega(self) -> float:
@@ -432,38 +465,17 @@ def petviashvili_solve(params: ProblemParams, grid: RadialGrid) -> GroundState:
     if not rep.action > 0:
         raise NonConvergence(f"ground-state action {rep.action} not positive")
 
-    return GroundState(
+    gs = GroundState(
         profile=profile,
-        params=params,
+        report=rep,
         residual=residual,
         strong_residual=strong_residual,
         iterations=maps + 1,
         history=tuple(history),
         levels=tuple(levels),
-        pohozaev_res=poh,
-        c_gn=gn_ratio(rep),
-        m_omega=rep.action,
-        thresholds=_thresholds(rep),
     )
-
-
-def _thresholds(rep: FunctionalReport) -> dict[str, float | None]:
-    """Dichotomy constants from the report of the profile, direct routes only;
-    None where the frequency or the criticality class leaves them undefined.
-    A power of the mass beyond the float range raises GroundStateError."""
-    out: dict[str, float | None] = dict.fromkeys(("mass_threshold", "em_sigma", "grad_mass"))
-    crit, sigma = rep.params.criticality, rep.params.sigma
-    defined = crit in (Criticality.MASS_CRITICAL, Criticality.INTERCRITICAL)
-    if defined and is_frequency_one(rep.params.omega):
-        out["mass_threshold"] = rep.mass**0.5
-        if crit is Criticality.INTERCRITICAL:
-            try:
-                out["grad_mass"], out["em_sigma"] = rep.grad_product, rep.em_product
-            except FunctionalError:
-                raise GroundStateError(
-                    f"thresholds overflow the float range at sigma = {sigma:.6g} for {rep.params}"
-                ) from None
-    return out
+    gs.thresholds  # refuses a set whose products leave the float range
+    return gs
 
 
 def derive_thresholds(gs1: GroundState, params: ProblemParams) -> dict[str, float | None]:
@@ -471,14 +483,13 @@ def derive_thresholds(gs1: GroundState, params: ProblemParams) -> dict[str, floa
 
     gs1 must be the reference of params (GroundState.is_reference_for:
     frequency 1, same n, b, c, p), else GroundStateError.  Returns the
-    thresholds stored on gs1: for intercritical exponents all of
+    thresholds of gs1: for intercritical exponents all of
     mass_threshold, em_sigma, and grad_mass; for mass-critical
-    exponents only the mass threshold is defined, and a missing one
-    raises.  Every constant with two independent expressions is
-    cross-checked to 1e-6 relative before being reported: em_sigma
-    directly as the energy-mass product and via the closed form
-    functionals.threshold_peak = [(p_c - 2(2-b))/(2 p_c)] grad_mass^2,
-    and the sharp constant
+    exponents only the mass threshold is defined.  Every constant with
+    two independent expressions is cross-checked to 1e-6 relative
+    before being reported: em_sigma directly as the energy-mass product
+    and via the peak of the threshold function,
+    [(p_c - 2(2-b))/(2 p_c)] grad_mass^2, and the sharp constant
 
         C_GN = ((2-b)(p+2)/p_c) grad_mass^{2 - p_c/(2-b)}
 
@@ -496,18 +507,13 @@ def derive_thresholds(gs1: GroundState, params: ProblemParams) -> dict[str, floa
             f"thresholds require omega = 1 and the (n, b, c, p) of {params}; "
             f"got the ground state of {gs1.params}"
         )
-    out = dict(gs1.thresholds)
-    intercritical = crit is Criticality.INTERCRITICAL
-    keys = ("mass_threshold", "em_sigma", "grad_mass") if intercritical else ("mass_threshold",)
-    missing = [k for k in keys if out.get(k) is None]
-    if missing:
-        raise GroundStateError(f"ground state lacks thresholds {missing}")
-    if intercritical:
+    out = gs1.thresholds
+    if crit is Criticality.INTERCRITICAL:
         pc = params.p_c
         b = params.b
         grad_mass = out["grad_mass"]
         em_direct = out["em_sigma"]
-        em_closed = threshold_peak(params, grad_mass)
+        em_closed = (pc - 2 * (2 - b)) / (2 * pc) * grad_mass**2
         if abs(em_direct - em_closed) > 1e-6 * abs(em_closed):
             raise GroundStateError(
                 f"energy-mass product disagrees between routes: "

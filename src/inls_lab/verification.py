@@ -176,8 +176,7 @@ def check_k_annihilation() -> list[CheckResult]:
     """K^{alpha,beta} vanishes at the ground state, relative to L."""
     rows = []
     for tag, params in STATIONARY_FIXTURES:
-        gs = _solve(params, 4096)
-        rep = evaluate_all(gs.profile, params, _ZERO)
+        rep = _solve(params, 4096).report
         worst = 0.0
         for alpha, beta in ((1.0, 0.0), (float(params.n), 2.0), (2.0, 1.0), (3.0, 1.0)):
             worst = max(worst, abs(rep.k(alpha, beta)) / rep.L)

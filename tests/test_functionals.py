@@ -1,21 +1,16 @@
 """Scalar functionals: internal identities, the scaling derivative K on
-exact arcs, threshold algebra."""
+exact arcs."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
-from inls_lab.functionals import (
-    FunctionalError,
-    evaluate_all,
-    threshold_function,
-    threshold_peak,
-)
+from inls_lab.functionals import FunctionalError, evaluate_all
 from inls_lab.grid import GridError, RadialField, gradient_norm_sq
 from inls_lab.potential import PotentialSpec
 
-from conftest import F1, F2, MC, NM, grid_for
+from conftest import F1, F2, NM, grid_for
 
 BUMP = PotentialSpec.smooth_bump(0.4, 2.0)
 ZERO = PotentialSpec.zero()
@@ -134,31 +129,9 @@ def test_k_matches_scaling_derivative_of_action():
 
 def test_ground_state_action_is_nehari_fraction(gs_f1):
     # On the Nehari constraint, 2 S = L p / (p + 2).
-    rep = evaluate_all(gs_f1.profile, F1, ZERO)
+    rep = gs_f1.report
     assert abs(rep.nehari) < 1e-4 * rep.L
     assert 2 * rep.action == pytest.approx(rep.L * F1.p / (F1.p + 2), rel=1e-4)
-
-
-def test_threshold_function_peaks_at_alpha():
-    alpha = 1.7
-    peak = threshold_peak(F1, alpha)
-    assert threshold_function(alpha, F1, alpha) == pytest.approx(peak, rel=1e-12)
-    # Strict maximum among nearby samples.
-    for x in (0.5 * alpha, 0.9 * alpha, 1.1 * alpha, 2.0 * alpha):
-        assert threshold_function(x, F1, alpha) < peak
-    # Stationarity at the peak.
-    h = 1e-6
-    fd = (threshold_function(alpha + h, F1, alpha) - threshold_function(alpha - h, F1, alpha)) / (2 * h)
-    assert abs(fd) < 1e-8 * alpha
-
-
-def test_threshold_functions_need_intercritical_params():
-    with pytest.raises(ValueError):
-        threshold_function(1.0, MC, 1.0)
-    with pytest.raises(ValueError):
-        threshold_peak(MC, 1.0)
-    with pytest.raises(ValueError):
-        threshold_function(1.0, F1, 0.0)
 
 
 def test_functionals_reject_mismatched_grid():

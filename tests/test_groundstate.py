@@ -8,7 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -18,6 +18,7 @@ from inls_lab.functionals import evaluate_all
 from inls_lab.grid import GridError, RadialField, apply_operator, gradient_norm_sq, solve_shifted
 from inls_lab.groundstate import (
     BracketNotFound,
+    GroundState,
     GroundStateError,
     NonConvergence,
     derive_thresholds,
@@ -26,7 +27,7 @@ from inls_lab.groundstate import (
     pohozaev_residuals,
     shooting_solve,
 )
-from inls_lab.params import ProblemParams
+from inls_lab.params import Criticality, ProblemParams
 from inls_lab.potential import PotentialSpec
 
 from conftest import F1, F2, F3, MC, NM, grid_for, solve
@@ -65,9 +66,40 @@ def test_mass_critical_thresholds_structure(gs_mc):
     th = gs_mc.thresholds
     assert th["em_sigma"] is None
     assert th["grad_mass"] is None
-    q = gs_mc.profile
-    mass = np.sum(q.grid.measure_weights * abs(q.values) ** 2)
-    assert th["mass_threshold"] == pytest.approx(mass**0.5, rel=1e-14)
+    assert th["mass_threshold"] == gs_mc.report.mass**0.5
+
+
+def assert_constants_follow(gs, rep):
+    """Every constant of gs is its closed form of rep, bit for bit."""
+    intercritical = rep.params.criticality is Criticality.INTERCRITICAL
+    assert gs.params == rep.params
+    assert gs.m_omega == rep.action
+    assert gs.c_gn == gn_ratio(rep)
+    assert gs.pohozaev_res == pohozaev_residuals(rep)
+    assert gs.thresholds == {
+        "mass_threshold": rep.mass**0.5,
+        "em_sigma": rep.em_product if intercritical else None,
+        "grad_mass": rep.grad_product if intercritical else None,
+    }
+
+
+@pytest.mark.parametrize("fixture", ["gs_f1", "gs_mc"])
+def test_every_constant_is_read_off_the_report(fixture, request):
+    gs = request.getfixturevalue(fixture)
+    assert [f.name for f in fields(GroundState)] == [
+        "profile", "report", "residual", "strong_residual", "iterations", "history", "levels",
+    ]
+    rep = evaluate_all(gs.profile, gs.params, PotentialSpec.zero())
+    assert gs.report == rep
+    assert_constants_follow(gs, rep)
+    # A state holding another report reads every constant off that one.
+    scaled = evaluate_all(
+        RadialField(gs.profile.grid, 0.9 * gs.profile.values), gs.params, PotentialSpec.zero()
+    )
+    moved = replace(gs, report=scaled)
+    assert_constants_follow(moved, scaled)
+    assert moved.m_omega != gs.m_omega
+    assert moved.thresholds["mass_threshold"] != gs.thresholds["mass_threshold"]
 
 
 def test_pohozaev_defect_refines_at_second_order(gs_f1):
@@ -94,8 +126,7 @@ def test_perturbed_profile_fails_identities(gs_f1):
 
 def test_gn_ratio_scaling_invariances(gs_f1):
     q = gs_f1.profile
-    base = gn_ratio(report(q))
-    assert base == gs_f1.c_gn
+    base = gn_ratio(gs_f1.report)
     assert gn_ratio(report(RadialField(q.grid, 2.7 * q.values))) == pytest.approx(
         base, rel=1e-12
     )
@@ -121,13 +152,6 @@ def test_derive_thresholds_certified_grid():
 def test_derive_thresholds_returns_the_stored_constants():
     gs = solve(F2, 8192)
     assert derive_thresholds(gs, F2) == gs.thresholds
-
-
-def test_derive_thresholds_names_missing_constants():
-    gs = solve(F2, 8192)
-    stripped = replace(gs, thresholds={**gs.thresholds, "grad_mass": None})
-    with pytest.raises(GroundStateError, match="lacks thresholds \\['grad_mass'\\]"):
-        derive_thresholds(stripped, F2)
 
 
 def test_derive_thresholds_refuses_coarse_grid(gs_f1):
@@ -188,7 +212,7 @@ def test_solver_rejects_mismatched_grid():
 def test_pohozaev_gate_reports_python_floats(gs_f1):
     g = gs_f1.profile.grid
     assert type(gradient_norm_sq(g, gs_f1.profile.values)) is float
-    assert type(report(gs_f1.profile).grad_sq) is float
+    assert type(gs_f1.report.grad_sq) is float
     assert all(type(res) is float for res in gs_f1.pohozaev_res)
     # At N = 256 the defects of F1 sit near 1e-3, above the 1e-4 gate.
     with pytest.raises(NonConvergence) as exc:
