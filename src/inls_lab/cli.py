@@ -49,76 +49,95 @@ _REQUIRED = object()
 
 _INITIAL_KINDS = ("ground_state_multiple", "gaussian", "from_file")
 
+_BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
-class _ConfigView:
-    """Typed access to parsed key-value pairs with line diagnostics."""
 
-    def __init__(self, pairs: dict[str, tuple[str, int]]):
-        self.pairs = pairs
-        self.used: set[str] = set()
+# Every config key: the kind of its value ("positive" is finite and > 0;
+# "optimal or positive" also reads 'optimal', as None) and, for a key no
+# library object covers, its default (_REQUIRED where there is none).  Left
+# out, a params., potential. or evolve. key takes its library default.
+_KEYS: dict[str, tuple] = {
+    "params.n": ("integer", _REQUIRED),
+    "params.b": ("number", _REQUIRED),
+    "params.c": ("number", _REQUIRED),
+    "params.p": ("number", _REQUIRED),
+    "params.omega": ("number",),
+    "potential.family": ("text", "zero"),
+    "potential.a": ("number",),
+    "potential.s": ("number",),
+    "initial.kind": ("text", "ground_state_multiple"),
+    "initial.alpha": ("positive", 1.0),
+    "initial.amplitude": ("finite", 1.0),
+    "initial.width": ("positive", 1.0),
+    "initial.path": ("text", None),
+    "evolve.dt0": ("number",),
+    "evolve.t_end": ("number",),
+    "evolve.sample_every": ("integer",),
+    "evolve.blowup_factor": ("number",),
+    "evolve.dt_min": ("number",),
+    "evolve.adaptivity": ("true/false",),
+    "classify.omega": ("optimal or positive", None),
+    "sweep.key": ("text", None),
+    "sweep.values": ("text", None),
+    "grid.r_max": ("finite", 30.0),
+    "grid.N": ("integer", 4096),
+    "grid.gamma": ("finite", 2.0),
+    "output.dir": ("text", "out"),
+}
 
-    def _raw(self, key: str, default):
-        if key in self.pairs:
-            self.used.add(key)
-            return self.pairs[key][0]
-        if default is _REQUIRED:
+
+def _error(pairs: dict[str, tuple[str, int]], message: str, *keys: str) -> ConfigError:
+    """A ConfigError that names the lines of those keys the config sets."""
+    lines = sorted({pairs[k][1] for k in keys if k in pairs})
+    if not lines:
+        return ConfigError(message)
+    label = "line" if len(lines) == 1 else "lines"
+    return ConfigError(f"{label} {', '.join(map(str, lines))}: {message}")
+
+
+def _section_error(pairs: dict[str, tuple[str, int]], prefix: str, e: Exception) -> ConfigError:
+    """The error of one section, naming every key of it the config sets."""
+    return _error(pairs, f"{prefix[:-1]}: {e}", *(k for k in pairs if k.startswith(prefix)))
+
+
+def _value(pairs: dict[str, tuple[str, int]], key: str):
+    """The value of one key: its text in the config read as its kind, else its default."""
+    kind, *default = _KEYS[key]
+    if key not in pairs:
+        if default == [_REQUIRED]:
             raise ConfigError(f"missing required key {key!r}")
-        return default
+        return default[0]
+    text = pairs[key][0]
+    if kind == "text":
+        return text
+    if kind == "true/false":
+        if text.lower() not in _BOOLS:
+            raise _error(pairs, f"key {key!r} expects true/false, got {text!r}", key)
+        return _BOOLS[text.lower()]
+    if kind == "optimal or positive" and text == "optimal":
+        return None
+    try:
+        value = int(text) if kind == "integer" else float(text)
+    except ValueError:
+        expects = f"key {key!r} expects {'an integer' if kind == 'integer' else 'a number'}"
+        if kind == "optimal or positive":
+            expects = f"{key} expects 'optimal' or a number"
+        raise _error(pairs, f"{expects}, got {text!r}", key) from None
+    if kind not in ("integer", "number") and not math.isfinite(value):
+        raise _error(pairs, f"{key} must be finite, got {value}", key)
+    if kind.endswith("positive") and not value > 0:
+        raise _error(pairs, f"{key} must be positive, got {value}", key)
+    return value
 
-    def error(self, message: str, *keys: str) -> ConfigError:
-        """A ConfigError that names the lines of those keys the config sets."""
-        lines = sorted({self.pairs[k][1] for k in keys if k in self.pairs})
-        if not lines:
-            return ConfigError(message)
-        label = "line" if len(lines) == 1 else "lines"
-        return ConfigError(f"{label} {', '.join(map(str, lines))}: {message}")
 
-    def section(self, prefix: str) -> list[str]:
-        """The keys of one section (prefix ends in '.') that the config sets."""
-        return [k for k in self.pairs if k.startswith(prefix)]
-
-    def get_str(self, key: str, default=_REQUIRED) -> str:
-        return self._raw(key, default)
-
-    def get_float(self, key: str, default=_REQUIRED) -> float:
-        v = self._raw(key, default)
-        if isinstance(v, float):
-            return v
-        try:
-            return float(v)
-        except ValueError:
-            raise self.error(f"key {key!r} expects a number, got {v!r}", key) from None
-
-    def get_finite(self, key: str, default=_REQUIRED) -> float:
-        v = self.get_float(key, default)
-        if not math.isfinite(v):
-            raise self.error(f"{key} must be finite, got {v}", key)
-        return v
-
-    def get_int(self, key: str, default=_REQUIRED) -> int:
-        v = self._raw(key, default)
-        if isinstance(v, int):
-            return v
-        try:
-            return int(v)
-        except ValueError:
-            raise self.error(f"key {key!r} expects an integer, got {v!r}", key) from None
-
-    def get_bool(self, key: str, default=_REQUIRED) -> bool:
-        v = self._raw(key, default)
-        if isinstance(v, bool):
-            return v
-        low = v.lower()
-        if low in ("true", "yes", "1"):
-            return True
-        if low in ("false", "no", "0"):
-            return False
-        raise self.error(f"key {key!r} expects true/false, got {v!r}", key)
-
-    def reject_unknown(self) -> None:
-        unknown = sorted(set(self.pairs) - self.used)
-        if unknown:
-            raise self.error(f"unknown key {unknown[0]!r}", unknown[0])
+def _section(pairs: dict[str, tuple[str, int]], prefix: str) -> dict:
+    """Field name -> value of each key of one section that the config sets
+    or the table gives a default, in table order."""
+    return {
+        k[len(prefix):]: _value(pairs, k)
+        for k in _KEYS
+        if k.startswith(prefix) and (k in pairs or len(_KEYS[k]) > 1)
+    }
 
 
 def parse_config_text(text: str) -> dict[str, tuple[str, int]]:
@@ -171,97 +190,59 @@ class RunConfig:
 
 
 def build_run_config(pairs: dict[str, tuple[str, int]]) -> RunConfig:
-    view = _ConfigView(pairs)
     try:
-        params = ProblemParams(
-            n=view.get_int("params.n"),
-            b=view.get_float("params.b"),
-            c=view.get_float("params.c"),
-            p=view.get_float("params.p"),
-            omega=view.get_float("params.omega", 1.0),
-        )
+        params = ProblemParams(**_section(pairs, "params."))
     except ValueError as e:
-        raise view.error(f"params: {e}", *view.section("params.")) from None
+        raise _section_error(pairs, "params.", e) from None
 
-    family = view.get_str("potential.family", "zero")
+    spec = _section(pairs, "potential.")
+    if spec["family"] == "inverse_power":
+        spec.setdefault("s", 1.0)
     try:
-        potential = PotentialSpec(
-            family,
-            view.get_float("potential.a", 0.0),
-            view.get_float("potential.s", 0.0 if family != "inverse_power" else 1.0),
-        )
+        potential = PotentialSpec(**spec)
     except ValueError as e:
-        raise view.error(f"potential: {e}", *view.section("potential.")) from None
+        raise _section_error(pairs, "potential.", e) from None
 
-    kind = view.get_str("initial.kind", "ground_state_multiple")
+    kind = _value(pairs, "initial.kind")
     if kind not in _INITIAL_KINDS:
-        raise view.error(
-            f"initial.kind must be one of {_INITIAL_KINDS}, got {kind!r}", "initial.kind"
+        raise _error(
+            pairs, f"initial.kind must be one of {_INITIAL_KINDS}, got {kind!r}", "initial.kind"
         )
-    alpha = view.get_finite("initial.alpha", 1.0)
-    if not alpha > 0:
-        raise view.error(f"initial.alpha must be positive, got {alpha}", "initial.alpha")
-    amplitude = view.get_finite("initial.amplitude", 1.0)
-    width = view.get_finite("initial.width", 1.0)
-    if not width > 0:
-        raise view.error(f"initial.width must be positive, got {width}", "initial.width")
-    path = view.get_str("initial.path", None)
+    alpha = _value(pairs, "initial.alpha")
+    amplitude = _value(pairs, "initial.amplitude")
+    width = _value(pairs, "initial.width")
+    path = _value(pairs, "initial.path")
     if kind == "from_file":
         if path is None:
-            raise view.error("initial.kind = from_file requires initial.path", "initial.kind")
+            raise _error(pairs, "initial.kind = from_file requires initial.path", "initial.kind")
         if not os.path.exists(path):
-            raise view.error(f"initial.path does not exist: {path}", "initial.path")
+            raise _error(pairs, f"initial.path does not exist: {path}", "initial.path")
 
     try:
-        evolution = EvolutionConfig(
-            dt0=view.get_float("evolve.dt0", 1e-3),
-            t_end=view.get_float("evolve.t_end", 1.0),
-            sample_every=view.get_int("evolve.sample_every", 10),
-            blowup_factor=view.get_float("evolve.blowup_factor", 100.0),
-            dt_min=view.get_float("evolve.dt_min", 1e-9),
-            adaptivity=view.get_bool("evolve.adaptivity", True),
-        )
+        evolution = EvolutionConfig(**_section(pairs, "evolve."))
     except RuntimeError as e:
-        raise view.error(f"evolve: {e}", *view.section("evolve.")) from None
+        raise _section_error(pairs, "evolve.", e) from None
 
-    omega_raw = view.get_str("classify.omega", "optimal")
-    classify_omega: float | None
-    if omega_raw == "optimal":
-        classify_omega = None
-    else:
-        try:
-            classify_omega = float(omega_raw)
-        except ValueError:
-            raise view.error(
-                f"classify.omega expects 'optimal' or a number, got {omega_raw!r}",
-                "classify.omega",
-            ) from None
-        if not classify_omega > 0:
-            raise view.error(
-                f"classify.omega must be positive, got {classify_omega}", "classify.omega"
-            )
-        if not math.isfinite(classify_omega):
-            raise view.error(
-                f"classify.omega must be finite, got {classify_omega}", "classify.omega"
-            )
-
-    sweep_key = view.get_str("sweep.key", None)
-    sweep_raw = view.get_str("sweep.values", None)
+    classify_omega = _value(pairs, "classify.omega")
+    sweep_raw = _value(pairs, "sweep.values")
     sweep_values: tuple[str, ...] = ()
     if sweep_raw is not None:
         sweep_values = tuple(s.strip() for s in sweep_raw.split(",") if s.strip())
         if not sweep_values:
-            raise view.error("sweep.values is empty", "sweep.values")
+            raise _error(pairs, "sweep.values is empty", "sweep.values")
 
-    r_max = view.get_finite("grid.r_max", 30.0)
-    num_cells = view.get_int("grid.N", 4096)
-    grading = view.get_finite("grid.gamma", 2.0)
+    r_max = _value(pairs, "grid.r_max")
+    num_cells = _value(pairs, "grid.N")
+    grading = _value(pairs, "grid.gamma")
     try:
         check_grid_settings(params.n, params.b, r_max, num_cells, grading)
     except GridError as e:
-        raise view.error(f"grid: {e}", *view.section("grid.")) from None
+        raise _section_error(pairs, "grid.", e) from None
 
-    cfg = RunConfig(
+    unknown = sorted(set(pairs) - set(_KEYS))
+    if unknown:
+        raise _error(pairs, f"unknown key {unknown[0]!r}", unknown[0])
+    return RunConfig(
         params=params,
         potential=potential,
         r_max=r_max,
@@ -274,13 +255,11 @@ def build_run_config(pairs: dict[str, tuple[str, int]]) -> RunConfig:
         initial_path=path,
         evolution=evolution,
         classify_omega=classify_omega,
-        sweep_key=sweep_key,
+        sweep_key=_value(pairs, "sweep.key"),
         sweep_values=sweep_values,
-        out_dir=view.get_str("output.dir", "out"),
+        out_dir=_value(pairs, "output.dir"),
         sha=config_hash(pairs),
     )
-    view.reject_unknown()
-    return cfg
 
 
 def _read_config(path: str) -> dict[str, tuple[str, int]]:

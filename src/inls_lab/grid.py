@@ -67,7 +67,7 @@ import os
 import sys
 import sysconfig
 from dataclasses import dataclass
-from math import gamma, pi
+from math import gamma, isfinite, pi
 from types import ModuleType
 
 import numpy as np
@@ -274,7 +274,7 @@ def field_to_csv(f: RadialField, path) -> None:
 
 def field_from_csv(grid: RadialGrid, path) -> RadialField:
     """Load a field saved by field_to_csv onto a matching grid; a row
-    that is not three numbers raises GridError naming the file and line."""
+    that is not three finite numbers raises GridError naming the file and line."""
     rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -283,10 +283,13 @@ def field_from_csv(grid: RadialGrid, path) -> RadialField:
             raise GridError(f"field file {path}, line 1: expected header r,re,im, got {header!r}")
         for row in reader:
             try:
-                rows.append((float(row[0]), float(row[1]), float(row[2])))
+                values = (float(row[0]), float(row[1]), float(row[2]))
+                if not all(map(isfinite, values)):
+                    raise ValueError
             except (IndexError, ValueError):
                 where = f"field file {path}, line {reader.line_num}"
-                raise GridError(f"{where}: expected three numbers, got {row!r}") from None
+                raise GridError(f"{where}: expected three finite numbers, got {row!r}") from None
+            rows.append(values)
     if len(rows) != grid.N:
         raise GridError(f"field file {path} has {len(rows)} rows, grid has N={grid.N}")
     r = np.array([row[0] for row in rows])

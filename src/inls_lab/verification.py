@@ -83,8 +83,8 @@ def _scaled(gs, a: float) -> RadialField:
     return RadialField(gs.profile.grid, a * gs.profile.values)
 
 
-def _gaussian(grid: RadialGrid, amplitude: float = 1.0, width: float = 1.0) -> RadialField:
-    return RadialField(grid, amplitude * np.exp(-((grid.nodes / width) ** 2)))
+def _gaussian(grid: RadialGrid) -> RadialField:
+    return RadialField(grid, np.exp(-(grid.nodes**2)))
 
 
 def _bump_sum(rng: np.random.Generator, complex_phase: bool):

@@ -166,6 +166,7 @@ def test_build_run_config_rejects(extra, fragment):
          "lines 5, 6: potential: s=inf must be finite"),
         ("params.omega = inf\n", "lines 1, 2, 3, 4, 5: params: omega=inf must be finite"),
         ("classify.omega = inf\n", "line 5: classify.omega must be finite, got inf"),
+        ("classify.omega = nan\n", "line 5: classify.omega must be finite, got nan"),
         ("grid.r_max = inf\n", "line 5: grid.r_max must be finite, got inf"),
         ("grid.gamma = inf\n", "line 5: grid.gamma must be finite, got inf"),
         ("grid.r_max = -1\n", "line 5: grid: r_max=-1.0 must be positive"),
@@ -176,8 +177,8 @@ def test_build_run_config_rejects(extra, fragment):
         "alpha", "width", "kind", "from_file", "path", "classify_omega", "classify_omega_text",
         "sweep_values", "params", "potential", "evolve", "t_end_inf", "dt0_inf",
         "alpha_inf", "amplitude_inf", "amplitude_nan", "width_inf", "potential_a_nan",
-        "potential_s_inf", "omega_inf", "classify_omega_inf", "r_max_inf", "gamma_inf",
-        "r_max_negative", "gamma_below_one", "N_too_small",
+        "potential_s_inf", "omega_inf", "classify_omega_inf", "classify_omega_nan", "r_max_inf",
+        "gamma_inf", "r_max_negative", "gamma_below_one", "N_too_small",
     ],
 )
 def test_config_errors_name_their_lines(tmp_path, capsys, extra, message):
@@ -201,8 +202,8 @@ def test_classify_omega_forms():
 
 
 def test_out_override_keeps_output_dir_consumed(tmp_path, monkeypatch):
-    # output.dir must count as used even when --out replaces it, or the
-    # unknown-key sieve rejects valid configs.
+    # output.dir is a known key even when --out replaces it, so the
+    # unknown-key check accepts the config.
     monkeypatch.chdir(tmp_path)
     cfg = write_config(tmp_path, BASE + "output.dir = from_config\n")
     assert main(["check-potential", "--config", cfg, "--out", "cli_dir"]) == 0

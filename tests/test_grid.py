@@ -182,6 +182,8 @@ def test_field_csv_rejects_wrong_grid(tmp_path):
     [
         ("r,re,im\n0.1,1.0,0.0\n0.2,1.0\n", 3),  # a short row
         ("r,re,im\n0.1,1.0,0.0\n0.2,one,0.0\n", 3),  # a non-numeric cell
+        ("r,re,im\n0.1,1.0,0.0\n0.2,nan,0.0\n", 3),  # a NaN cell
+        ("r,re,im\n0.1,1.0,0.0\n0.2,1.0,inf\n", 3),  # an infinite cell
         ("", 1),  # an empty file
     ],
 )

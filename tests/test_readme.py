@@ -3,6 +3,8 @@
 import re
 from pathlib import Path
 
+from inls_lab.cli import _KEYS, build_run_config, parse_config_text
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -17,3 +19,16 @@ def test_readme_python_blocks_run_in_order(capsys):
     assert "action_set_membership" in capsys.readouterr().out
     assert namespace["trace"].events[-1][0] == "Completed"
     assert namespace["trace"].final_state.grid is namespace["grid"]
+
+
+def _block_after(label: str) -> str:
+    """The first fenced block after `label` in the README."""
+    return re.search(label + r"\s*```\n(.*?)```", README.read_text(), flags=re.DOTALL).group(1)
+
+
+def test_readme_lists_exactly_the_config_keys():
+    listed = [k for line in _block_after("Keys:").splitlines() for k in line.split("#")[0].split()]
+    assert sorted(listed) == sorted(_KEYS)
+    example = build_run_config(parse_config_text(_block_after("Example:")))
+    assert example.sweep_key == "initial.alpha"
+    assert example.sweep_values == ("0.5", "0.9", "1.5")
