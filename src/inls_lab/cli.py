@@ -215,8 +215,10 @@ def build_run_config(pairs: dict[str, tuple[str, int]]) -> RunConfig:
     if kind == "from_file":
         if path is None:
             raise _error(pairs, "initial.kind = from_file requires initial.path", "initial.kind")
-        if not os.path.exists(path):
-            raise _error(pairs, f"initial.path does not exist: {path}", "initial.path")
+        if not os.path.isfile(path):
+            raise _error(
+                pairs, f"initial.path does not exist or is not a file: {path}", "initial.path"
+            )
 
     try:
         evolution = EvolutionConfig(**_section(pairs, "evolve."))

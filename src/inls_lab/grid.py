@@ -45,11 +45,16 @@ This exact summation-by-parts identity is what makes the Cayley time
 step unitary and mass conservation exact in the evolution module.
 
 The grid stores M_{b,0}, the form at V = 0: its diagonal as
-stiffness_diag and its off-diagonal as -face_weights.  apply_operator
-and solve_shifted work with it directly; the time stepper adds
-diag(mu V) to the diagonal for its own potential.  It also stores
-r^(2-b) at the nodes, the weight of the variance, a grid constant
-because check_grid ties the parameters' b to the grid's.
+stiffness_diag and its off-diagonal as -face_weights.  solve_shifted
+works with these bands directly; the time stepper adds diag(mu V) to
+the diagonal for its own potential.  M v itself is formed in one
+place, add_stiffness, from the face fluxes nu_{i+1/2} (v_i - v_{i+1})
+and the Dirichlet edge term: diag v minus the neighbour terms would
+cancel to about h^2 of their size where v is smooth and lose those
+digits.  apply_operator and the ground-state solve's residual both
+call it.  The grid also stores r^(2-b) at the nodes, the weight of the
+variance, a grid constant because check_grid ties the parameters' b
+to the grid's.
 
 The package calls three LAPACK routines: dptsv here, dgtsv in the
 Newton polish and zgtsv in the Cayley step.  All three are bound from
@@ -79,6 +84,7 @@ __all__ = [
     "GridError",
     "RadialField",
     "RadialGrid",
+    "add_stiffness",
     "apply_operator",
     "build_grid",
     "check_grid",
@@ -240,13 +246,23 @@ def gradient_norm_sq(g: RadialGrid, values: np.ndarray) -> float:
     return float(np.dot(g.face_weights, sq) + g.outer_face_weight * abs(values[-1]) ** 2)
 
 
+def add_stiffness(g: RadialGrid, values: np.ndarray, acc: np.ndarray) -> np.ndarray:
+    """acc + M_{b,0} v for node values v (real or complex) on g, added into
+    acc in place and returned.  M v is formed from the face fluxes
+    nu_{i+1/2} (v_i - v_{i+1}) and the Dirichlet edge term, so it does
+    not cancel where v is nearly constant: a constant v gives exact zeros
+    on every node but the last.  Values are not validated."""
+    flux = g.face_weights * (values[:-1] - values[1:])
+    acc[:-1] += flux
+    acc[1:] -= flux
+    acc[-1] += g.outer_face_weight * values[-1]
+    return acc
+
+
 def apply_operator(g: RadialGrid, values: np.ndarray) -> np.ndarray:
     """A_{b,0} v for node values v (real or complex) on g, computed as
     (M v) * (1 / mu).  Values are not validated."""
-    y = g.stiffness_diag * values
-    y[:-1] -= g.face_weights * values[1:]
-    y[1:] -= g.face_weights * values[:-1]
-    return y * (1.0 / g.measure_weights)
+    return add_stiffness(g, values, np.zeros_like(values)) * (1.0 / g.measure_weights)
 
 
 def solve_shifted(g: RadialGrid, shift: float, rhs: np.ndarray) -> np.ndarray:

@@ -17,9 +17,10 @@ functional of it.  Two independent routes compute Q:
   the result on the fixed-point residual in the (A + omega) energy
   norm, the norm in which the map's convergence is analysed
   (Pelinovsky-Stepanyants, SIAM J. Numer. Anal. 42 (2004); Lakoba-Yang,
-  J. Comput. Phys. 226 (2007)).  The strong-form residual in L2 is
-  reported beside it; it carries a roundoff floor of Q that grows
-  about 16x per 4x in N, so it is not gated.
+  J. Comput. Phys. 226 (2007)).  The defect of the profile equation,
+  read off Newton's residual, is reported beside it in L2; it carries
+  a roundoff floor of Q that grows about 16x per 4x in N, so it is not
+  gated.
 
 * ``shooting_solve`` integrates the radial ODE outward from a series
   start near r = 0 and finds the center value that separates shots
@@ -55,7 +56,7 @@ from .functionals import FunctionalError, FunctionalReport, evaluate_all
 from .grid import (
     RadialField,
     RadialGrid,
-    apply_operator,
+    add_stiffness,
     build_grid,
     check_grid,
     dgtsv,
@@ -148,24 +149,33 @@ class GroundState:
         ||Q - (A+omega)^{-1}(r^c Q^{p+1})||_{A+omega} / ||Q||_{A+omega},
         ||v||^2_{A+omega} = ||grad v||^2_{b,2} + omega ||v||^2_mu,
 
-    the exit gate (RESIDUAL_GATE); strong_residual is the L2 strong-form
-    residual ||(A+omega)Q - r^c Q^{p+1}||_mu / ||Q||_mu, reported only.
-    iterations counts the Petviashvili maps, the final one included.
-    levels is the ladder the solve climbed, coarsest mesh first: the
-    cells of each mesh and the Newton steps taken on it.  history holds
-    the successive relative change (sup norm) of each map on the
-    coarsest mesh, then the relative size of each Newton correction,
-    mesh by mesh in the order of levels, so the linear rate of the maps
-    and the quadratic one of Newton can be read from the output.
+    the exit gate (RESIDUAL_GATE); strong_residual is the defect of the
+    profile equation, read off Newton's residual
+    F(Q) = M Q + mu (omega - r^c Q^p) Q at the profile,
+
+        ||F(Q)/mu||_mu / ||Q||_mu,   F(Q)/mu = (A+omega)Q - r^c Q^{p+1},
+
+    reported only.  levels is the ladder the solve climbed, coarsest
+    mesh first: the cells of each mesh and the Newton steps taken on
+    it.  history holds the successive relative change (sup norm) of
+    each map on the coarsest mesh, then the relative size of each
+    Newton correction, mesh by mesh in the order of levels, so the
+    linear rate of the maps and the quadratic one of Newton can be read
+    from the output; iterations, the Petviashvili maps with the final
+    one included, is read off the two.
     """
 
     profile: RadialField
     report: FunctionalReport
     residual: float
     strong_residual: float
-    iterations: int
     history: tuple[float, ...]
     levels: tuple[tuple[int, int], ...]
+
+    @property
+    def iterations(self) -> int:
+        """The Petviashvili maps, the final one on the grid included."""
+        return len(self.history) - sum(steps for _, steps in self.levels) + 1
 
     @property
     def params(self) -> ProblemParams:
@@ -302,33 +312,36 @@ def petviashvili_solve(params: ProblemParams, grid: RadialGrid) -> GroundState:
     grid's radius and grading, down to the last one of at least 1024
     cells, or the one mesh of max(N // 4, 16) cells when N < 4096; a
     mesh's faces are every 4th face of the next finer one when 4
-    divides that one's size.  Starting from the Gaussian exp(-r^2/2),
-    the Petviashvili map runs on the coarsest mesh only, until the
-    successive relative change drops below NEWTON_SWITCH (within
-    MAX_ITER maps; the map converges only linearly, about 0.74 per map,
-    at a rate that does not depend on N).  Newton steps on the
-    symmetric form
+    divides that one's size.  The solve builds these meshes up front
+    and climbs them, coarsest first and the grid last, forming r^c once
+    on each.  Starting from the Gaussian exp(-r^2/2), the Petviashvili
+    map runs on the coarsest mesh only, until the successive relative
+    change drops below NEWTON_SWITCH (within MAX_ITER maps; the map
+    converges only linearly, about 0.74 per map, at a rate that does
+    not depend on N).  Newton steps on the symmetric form
 
         F(Q) = M Q + mu (omega - r^c Q^p) Q,
 
-    with M Q formed from the face fluxes, then take Q to the discrete
-    fixed point of each mesh in turn, until the relative correction
-    drops below NEWTON_TOL, and np.interp carries the converged Q up one
-    mesh as the next start (nested iteration: Brandt, Math. Comp. 31
-    (1977)).  The Jacobian M + diag(mu (omega - (p+1) r^c Q^p)) is
-    symmetric tridiagonal and indefinite (Morse index 1), so each step
-    is one LAPACK dgtsv solve; a mesh whose Newton does not converge
-    within NEWTON_CAP steps, or whose iterate turns non-finite, raises
-    NonConvergence naming it.  On the five fixtures at omega in
-    {0.5, 1, 2} and N from 2048 to 65536 this is 3-12 maps and 3-4
-    Newton steps on the coarsest mesh, then 2-3 Newton steps on each
-    finer one, and |M_k - 1| at exit stays below 5e-15 up to
-    N = 262144.  One final map on the grid keeps Q positive by
+    with M Q formed from the face fluxes by grid.add_stiffness, then
+    take Q to the discrete fixed point of each mesh in turn, until the
+    relative correction drops below NEWTON_TOL, and np.interp carries
+    the converged Q up one mesh as the next start (nested iteration:
+    Brandt, Math. Comp. 31 (1977)).  The Jacobian
+    M + diag(mu (omega - (p+1) r^c Q^p)) is symmetric tridiagonal and
+    indefinite (Morse index 1), so each step is one LAPACK dgtsv solve;
+    a mesh whose Newton does not converge within NEWTON_CAP steps, or
+    whose iterate turns non-finite, raises NonConvergence naming it.
+    On the five fixtures at omega in {0.5, 1, 2} and N from 2048 to
+    65536 this is 3-12 maps and 3-4 Newton steps on the coarsest mesh,
+    then 2-3 Newton steps on each finer one, and |M_k - 1| at exit
+    stays below 5e-15 up to N = 262144.  One final map on the grid, by
+    the same map function the coarsest mesh runs, keeps Q positive by
     construction and measures the stabilizing factor M_k at the
-    polished profile.  Every gate is taken on the grid: the returned
-    state satisfies residual < RESIDUAL_GATE, both Pohozaev defects
-    < 1e-4, |M_k - 1| < 1e-10 at exit, strict positivity, and monotone
-    decay beyond the maximum; any violation raises NonConvergence
+    polished profile; strong_residual is F at the profile it returns.
+    Every gate is taken on the grid: the returned state satisfies
+    residual < RESIDUAL_GATE, both Pohozaev defects < 1e-4,
+    |M_k - 1| < 1e-10 at exit, strict positivity, and monotone decay
+    beyond the maximum; any violation raises NonConvergence
     rather than returning a dressed-up failure.
     """
     _admissible(params)
@@ -336,7 +349,6 @@ def petviashvili_solve(params: ProblemParams, grid: RadialGrid) -> GroundState:
     w = params.omega
     p, c = params.p, params.c
     mu = grid.measure_weights
-    rc = grid.nodes**c
     gamma = (p + 1) / p
 
     def energy_sq(mesh: RadialGrid, v: np.ndarray) -> float:
@@ -349,52 +361,33 @@ def petviashvili_solve(params: ProblemParams, grid: RadialGrid) -> GroundState:
             raise NonConvergence(f"iterate is no longer finite on the {mesh.N}-cell mesh")
         return change
 
-    def iterate(
-        mesh: RadialGrid, mesh_rc: np.ndarray, Q: np.ndarray, switch: float
-    ) -> tuple[np.ndarray, float, list[float]]:
-        """Petviashvili maps of Q on mesh (mesh_rc = r^c at its nodes) until
-        the successive relative change drops below switch: the last
-        iterate, the stabilizing factor M_k of the one before it, and the
-        change of every map."""
-        changes: list[float] = []
-        while len(changes) < MAX_ITER:
-            nl = mesh_rc * Q ** (p + 1)
-            num = energy_sq(mesh, Q)
-            den = float((mesh.measure_weights * nl * Q).sum())
-            if num <= 0:
-                raise IndefiniteOperator(f"<(A+omega)Q, Q> = {num} <= 0")
-            if den <= 0:
-                raise NonConvergence(f"nonlinear pairing {den} <= 0: sign change")
-            stab = num / den
-            Qn = stab**gamma * solve_shifted(mesh, w, nl)
-            changes.append(relative_change(Qn, Q, mesh))
-            Q = Qn
-            if changes[-1] < switch:
-                return Q, stab, changes
-        raise NonConvergence(
-            f"no fixed point after {MAX_ITER} maps (last change {changes[-1]:.3e})"
-        )
+    def one_map(mesh: RadialGrid, rc: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, float]:
+        """One Petviashvili map of Q on mesh (rc = r^c at its nodes): the
+        new iterate and the stabilizing factor M_k of Q."""
+        nl = rc * Q ** (p + 1)
+        num = energy_sq(mesh, Q)
+        den = float((mesh.measure_weights * nl * Q).sum())
+        if num <= 0:
+            raise IndefiniteOperator(f"<(A+omega)Q, Q> = {num} <= 0")
+        if den <= 0:
+            raise NonConvergence(f"nonlinear pairing {den} <= 0: sign change")
+        stab = num / den
+        return stab**gamma * solve_shifted(mesh, w, nl), stab
 
-    def newton(
-        mesh: RadialGrid, mesh_rc: np.ndarray, Q: np.ndarray
-    ) -> tuple[np.ndarray, list[float]]:
-        """Newton steps on mesh from Q until the relative correction drops
-        below NEWTON_TOL: the last iterate and every step's correction."""
-        m, nu = mesh.measure_weights, mesh.face_weights
+    def profile_residual(mesh: RadialGrid, Q: np.ndarray, Qp: np.ndarray) -> np.ndarray:
+        """F(Q) = M Q + mu (omega - r^c Q^p) Q on mesh, with Qp = r^c Q^p."""
+        return add_stiffness(mesh, Q, mesh.measure_weights * (w - Qp) * Q)
+
+    def newton(mesh: RadialGrid, rc: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, list[float]]:
+        """Newton steps on mesh (rc = r^c at its nodes) from Q until the
+        relative correction drops below NEWTON_TOL: the last iterate and
+        every step's correction."""
+        nu = mesh.face_weights
         corrections: list[float] = []
         while len(corrections) < NEWTON_CAP:
-            Qp = mesh_rc * Q**p
-            # M Q from the face fluxes nu (Q_i - Q_{i+1}) and the Dirichlet
-            # edge term.  Formed as diag Q minus the neighbour terms, it
-            # cancels near the origin to about h^2 of their size, and that
-            # rounding held the Newton fixed point about 1e-10 off the
-            # map's at N = 131072; the fluxes do not cancel.
-            flux = nu * (Q[:-1] - Q[1:])
-            F = m * (w - Qp) * Q
-            F[:-1] += flux
-            F[1:] -= flux
-            F[-1] += mesh.outer_face_weight * Q[-1]
-            jac = mesh.stiffness_diag + m * (w - (p + 1) * Qp)
+            Qp = rc * Q**p
+            F = profile_residual(mesh, Q, Qp)
+            jac = mesh.stiffness_diag + mesh.measure_weights * (w - (p + 1) * Qp)
             # dgtsv overwrites all four arrays, and each is this step's own
             *_, delta, info = dgtsv(-nu, jac, -nu, F, 1, 1, 1, 1)
             if info != 0:
@@ -414,37 +407,46 @@ def petviashvili_solve(params: ProblemParams, grid: RadialGrid) -> GroundState:
     rungs = [max(grid.N // 4, 16)]
     while rungs[-1] // 4 >= 1024:
         rungs.append(rungs[-1] // 4)
-    mesh = build_grid(grid.n, grid.b, grid.r_max, rungs.pop(), grid.grading)
-    mesh_rc = mesh.nodes**c
+    meshes = [build_grid(grid.n, grid.b, grid.r_max, N, grid.grading) for N in reversed(rungs)]
+    meshes.append(grid)
+    Q = np.exp(-(meshes[0].nodes**2) / 2)
+    history: list[float] = []
+    levels: list[tuple[int, int]] = []
     # A power of an iterate that went negative or overflowed is NaN or
     # inf, not a warning: relative_change and the residual's finiteness
     # check raise NonConvergence on it.
     with np.errstate(all="ignore"):
-        Q, _, history = iterate(mesh, mesh_rc, np.exp(-(mesh.nodes**2) / 2), NEWTON_SWITCH)
-        maps = len(history)
-        levels: list[tuple[int, int]] = []
-        while True:
-            Q, corrections = newton(mesh, mesh_rc, Q)
+        for k, mesh in enumerate(meshes):
+            rc = mesh.nodes**c
+            if k == 0:
+                for _ in range(MAX_ITER):
+                    Qn, _ = one_map(mesh, rc, Q)
+                    history.append(relative_change(Qn, Q, mesh))
+                    Q = Qn
+                    if history[-1] < NEWTON_SWITCH:
+                        break
+                else:
+                    raise NonConvergence(
+                        f"no fixed point after {MAX_ITER} maps (last change {history[-1]:.3e})"
+                    )
+            else:
+                # A Newton start, not a field transfer: every gate is taken
+                # on the grid.  np.interp keeps scipy.interpolate out of the
+                # process.
+                Q = np.interp(mesh.nodes, meshes[k - 1].nodes, Q)
+            Q, corrections = newton(mesh, rc, Q)
             history += corrections
             levels.append((mesh.N, len(corrections)))
-            if mesh is grid:
-                break
-            fine = grid
-            if rungs:
-                fine = build_grid(grid.n, grid.b, grid.r_max, rungs.pop(), grid.grading)
-            # A Newton start, not a field transfer: every gate is taken on
-            # the grid.  np.interp keeps scipy.interpolate out of the process.
-            Q = np.interp(fine.nodes, mesh.nodes, Q)
-            mesh, mesh_rc = fine, (rc if fine is grid else fine.nodes**c)
 
-        Q, stab, _ = iterate(grid, rc, Q, math.inf)
+        # The loop ends on the grid, so rc is r^c at the grid's nodes.
+        Q, stab = one_map(grid, rc, Q)
         nl = rc * Q ** (p + 1)
         defect = Q - solve_shifted(grid, w, nl)
         residual = math.sqrt(energy_sq(grid, defect) / energy_sq(grid, Q))
+        strong = profile_residual(grid, Q, rc * Q**p) / mu
     stab_gap = abs(stab - 1.0)
     if not math.isfinite(residual):
         raise NonConvergence("iterate is no longer finite")
-    strong = apply_operator(grid, Q) + w * Q - nl
     strong_residual = float(np.sqrt(np.sum(mu * strong**2) / np.sum(mu * Q**2)))
 
     if residual >= RESIDUAL_GATE:
@@ -470,7 +472,6 @@ def petviashvili_solve(params: ProblemParams, grid: RadialGrid) -> GroundState:
         report=rep,
         residual=residual,
         strong_residual=strong_residual,
-        iterations=maps + 1,
         history=tuple(history),
         levels=tuple(levels),
     )

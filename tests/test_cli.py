@@ -125,6 +125,7 @@ def test_build_run_config_defaults():
         ("initial.alpha = 0\n", "must be positive"),
         ("initial.kind = from_file\n", "requires initial.path"),
         ("initial.kind = from_file\ninitial.path = /no/such/file.csv\n", "does not exist"),
+        ("initial.kind = from_file\ninitial.path = /\n", "does not exist or is not a file"),
         ("classify.omega = abc\n", "expects 'optimal' or a number"),
         ("classify.omega = 0\n", "must be positive"),
         ("evolve.dt0 = 0\n", "evolve: "),
@@ -146,6 +147,8 @@ def test_build_run_config_rejects(extra, fragment):
         ("initial.kind = from_file\n", "line 5: initial.kind = from_file requires initial.path"),
         ("initial.kind = from_file\ninitial.path = /no/such/file.csv\n",
          "line 6: initial.path does not exist"),
+        ("initial.kind = from_file\ninitial.path = /\n",
+         "line 6: initial.path does not exist or is not a file"),
         ("classify.omega = -2\n", "line 5: classify.omega must be positive, got -2.0"),
         ("classify.omega = abc\n", "line 5: classify.omega expects 'optimal' or a number"),
         ("sweep.values = ,\n", "line 5: sweep.values is empty"),
@@ -174,9 +177,9 @@ def test_build_run_config_rejects(extra, fragment):
         ("grid.N = 8\n", "line 5: grid: N=8 too small (need >= 16)"),
     ],
     ids=[
-        "alpha", "width", "kind", "from_file", "path", "classify_omega", "classify_omega_text",
-        "sweep_values", "params", "potential", "evolve", "t_end_inf", "dt0_inf",
-        "alpha_inf", "amplitude_inf", "amplitude_nan", "width_inf", "potential_a_nan",
+        "alpha", "width", "kind", "from_file", "path", "path_directory", "classify_omega",
+        "classify_omega_text", "sweep_values", "params", "potential", "evolve", "t_end_inf",
+        "dt0_inf", "alpha_inf", "amplitude_inf", "amplitude_nan", "width_inf", "potential_a_nan",
         "potential_s_inf", "omega_inf", "classify_omega_inf", "classify_omega_nan", "r_max_inf",
         "gamma_inf", "r_max_negative", "gamma_below_one", "N_too_small",
     ],

@@ -109,6 +109,18 @@ def test_operator_is_self_adjoint_and_matches_energy():
         assert quad == pytest.approx(gradient_norm_sq(g, u), rel=1e-12)
 
 
+@pytest.mark.parametrize("N", [256, 4096])
+@pytest.mark.parametrize("n,b", [(3, 0.0), (3, -0.5), (4, -1.0)])
+def test_operator_maps_a_constant_to_exact_zeros_off_the_edge(n, b, N):
+    # Every face flux of a constant is exactly 0; only the Dirichlet edge
+    # term survives.  Diag minus neighbour terms would leave rounding
+    # residue, divided by the small cell measures near the origin.
+    g = build_grid(n, b, r_max=30.0, N=N)
+    y = apply_operator(g, np.ones(N))
+    assert np.all(y[:-1] == 0.0)
+    assert y[-1] > 0
+
+
 @pytest.mark.parametrize("is_complex", [False, True])
 def test_gradient_norm_is_the_face_difference_sum(is_complex):
     # sum(nu |u_{i+1} - u_i|^2) + nu_out |u_N|^2, summed exactly face by face.

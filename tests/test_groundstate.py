@@ -15,7 +15,7 @@ import pytest
 
 from inls_lab import groundstate
 from inls_lab.functionals import evaluate_all
-from inls_lab.grid import GridError, RadialField, apply_operator, gradient_norm_sq, solve_shifted
+from inls_lab.grid import GridError, RadialField, add_stiffness, gradient_norm_sq, solve_shifted
 from inls_lab.groundstate import (
     BracketNotFound,
     GroundState,
@@ -87,7 +87,7 @@ def assert_constants_follow(gs, rep):
 def test_every_constant_is_read_off_the_report(fixture, request):
     gs = request.getfixturevalue(fixture)
     assert [f.name for f in fields(GroundState)] == [
-        "profile", "report", "residual", "strong_residual", "iterations", "history", "levels",
+        "profile", "report", "residual", "strong_residual", "history", "levels",
     ]
     rep = evaluate_all(gs.profile, gs.params, PotentialSpec.zero())
     assert gs.report == rep
@@ -318,15 +318,22 @@ LADDERS = [(2048, [512]), (4096, [1024]), (16384, [1024, 4096]), (65536, [1024, 
     "N, ladder", LADDERS, ids=["-".join(map(str, [N, *ladder])) for N, ladder in LADDERS]
 )
 def test_maps_run_on_the_coarsest_mesh_of_the_ladder(count_calls, N, ladder):
+    grid = grid_for(3, 0.0, N)
     meshes = []
-    count_calls("solve_shifted", record=lambda name, args: meshes.append(args[0].N))
-    gs = petviashvili_solve(F1, grid=grid_for(3, 0.0, N))
+
+    def record(name, args):
+        if name == "solve_shifted":
+            meshes.append(args[0].N)
+
+    calls = count_calls("solve_shifted", "build_grid", record=record)
+    gs = petviashvili_solve(F1, grid=grid)
     maps = gs.iterations - 1
     # the maps on the coarsest mesh, then the final map and the residual's
     # solve on the grid; Newton solves with dgtsv on every mesh
     assert meshes == [ladder[0]] * maps + [N, N]
     assert [cells for cells, _ in gs.levels] == ladder + [N]
-    assert len(gs.history) == maps + sum(steps for _, steps in gs.levels)
+    # each mesh below the grid is built once; the grid is the caller's
+    assert calls["build_grid"] == len(ladder)
 
 
 def test_newton_converges_quadratically_from_the_coarse_start():
@@ -345,9 +352,11 @@ def test_newton_converges_quadratically_from_the_coarse_start():
 def test_newton_lands_on_the_fixed_point_of_the_map_at_n_131072():
     # Newton's residual must not lose digits to the cancellation in M Q
     # near the origin: with M Q formed as diag Q minus its neighbour terms,
-    # the polished F2 profile at omega = 0.5 sat 1.2e-10 off the map's
-    # fixed point and the stabilizing-factor gate refused it.
-    gs = petviashvili_solve(F2.with_omega(0.5), grid=grid_for(3, -0.5, 131072))
+    # the stabilizing factor of the polished F2 profile sat 1.3e-10 to
+    # 1.6e-10 off 1 at exit and the 1e-10 gate refused it; with M Q from
+    # the face fluxes it sits 9e-16 off.  (F2 at omega = 0.5 sits 2.2e-11
+    # off with the diag form, inside the gate, so it would not tell.)
+    gs = petviashvili_solve(F2, grid=grid_for(3, -0.5, 131072))
     assert gs.residual < groundstate.RESIDUAL_GATE
     assert [cells for cells, _ in gs.levels] == [2048, 8192, 32768, 131072]
 
@@ -398,14 +407,14 @@ def test_fixed_point_residual_is_the_energy_norm_defect(gs_f1):
 
     defect = q - solve_shifted(g, w, q ** (F1.p + 1))
     assert gs_f1.residual == pytest.approx(np.sqrt(energy_sq(defect) / energy_sq(q)), rel=1e-6)
-    strong = apply_operator(g, q) + w * q - q ** (F1.p + 1)
-    assert gs_f1.strong_residual == pytest.approx(
-        np.sqrt(np.sum(mu * strong**2) / np.sum(mu * q**2)), rel=1e-6
-    )
+    # Newton's residual F(Q) = M Q + mu (omega - Q^p) Q at the profile, M Q
+    # from the grid's face fluxes (r^c = 1 for F1), read as F / mu
+    strong = add_stiffness(g, q, mu * (w - q**F1.p) * q) / mu
+    assert gs_f1.strong_residual == float(np.sqrt(np.sum(mu * strong**2) / np.sum(mu * q**2)))
 
 
 # The strong-form residual of these solves sits at its roundoff floor in Q
-# (about 1.2e-8 and 1.9e-8, growing 16x per 4x in N), above 1e-8; the
+# (about 1.2e-8 and 1.6e-8, growing 16x per 4x in N), above 1e-8; the
 # fixed-point residual, the gated measure, certifies them.
 @pytest.mark.parametrize("params, N", [(F3, 16384), (F1, 65536)], ids=["F3_N16384", "F1_N65536"])
 def test_fine_meshes_certify(params, N):
