@@ -3,8 +3,8 @@
 Config files are flat key = value text with # comments and dotted
 section prefixes (grid.N = 4096).  Numeric bulk output is CSV, scalar
 summaries are JSON, and every command writes a manifest recording the
-config hash, the grid, and the library versions, so a run can be
-reproduced from its output directory alone.
+config hash, the grid, the library versions and the files it wrote, so
+a run can be reproduced from its output directory alone.
 
 Exit codes: 0 success, 1 module error, 2 config error, 3 verification
 failure.
@@ -301,43 +301,55 @@ def _write_json(path: str, obj) -> None:
         fh.write("\n")
 
 
-def write_manifest(cfg: RunConfig, command: str, outputs: list[str]) -> None:
-    manifest = {
-        "command": command,
-        "config_sha256": cfg.sha,
-        "grid": {
-            "r_max": cfg.r_max,
-            "N": cfg.num_cells,
-            "gamma": cfg.grading,
-            "n": cfg.params.n,
-            "b": cfg.params.b,
-        },
-        "versions": {
-            "inls-lab": __version__,
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-        },
-        "outputs": sorted(outputs),
-    }
-    _write_json(os.path.join(cfg.out_dir, "manifest.json"), manifest)
+class _Outputs:
+    """The files one command writes into cfg.out_dir.
+
+    path(name) creates the directory on first use, so a command that
+    fails before it writes leaves none, and remembers name; manifest()
+    writes manifest.json listing exactly the remembered names."""
+
+    def __init__(self, cfg: RunConfig):
+        self.cfg = cfg
+        self.names: set[str] = set()
+
+    def path(self, name: str) -> str:
+        os.makedirs(self.cfg.out_dir, exist_ok=True)
+        self.names.add(name)
+        return os.path.join(self.cfg.out_dir, name)
+
+    def manifest(self, command: str) -> None:
+        cfg = self.cfg
+        manifest = {
+            "command": command,
+            "config_sha256": cfg.sha,
+            "grid": {
+                "r_max": cfg.r_max,
+                "N": cfg.num_cells,
+                "gamma": cfg.grading,
+                "n": cfg.params.n,
+                "b": cfg.params.b,
+            },
+            "versions": {
+                "inls-lab": __version__,
+                "numpy": np.__version__,
+                "scipy": scipy.__version__,
+            },
+            "outputs": sorted(self.names),
+        }
+        _write_json(os.path.join(cfg.out_dir, "manifest.json"), manifest)
 
 
-def cmd_groundstate(cfg: RunConfig) -> int:
-    grid = _make_grid(cfg)
-    gs = petviashvili_solve(cfg.params, grid=grid)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    field_to_csv(gs.profile, os.path.join(cfg.out_dir, "profile.csv"))
-    _write_json(os.path.join(cfg.out_dir, "groundstate.json"), gs.as_dict())
-    write_manifest(cfg, "groundstate", ["profile.csv", "groundstate.json"])
+def cmd_groundstate(cfg: RunConfig, out: _Outputs) -> int:
+    gs = petviashvili_solve(cfg.params, grid=_make_grid(cfg))
+    field_to_csv(gs.profile, out.path("profile.csv"))
+    _write_json(out.path("groundstate.json"), gs.as_dict())
     print(f"groundstate: residual {gs.residual:.3e}, action {gs.m_omega:.12g}")
     return 0
 
 
-def cmd_check_potential(cfg: RunConfig) -> int:
+def cmd_check_potential(cfg: RunConfig, out: _Outputs) -> int:
     report = check_assumptions(cfg.potential, cfg.params)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    _write_json(os.path.join(cfg.out_dir, "assumptions.json"), report.as_dict())
-    write_manifest(cfg, "check-potential", ["assumptions.json"])
+    _write_json(out.path("assumptions.json"), report.as_dict())
     for name, verdict in report.verdicts().items():
         print(f"({name}): {verdict.status}")
     print(f"omega1 = {report.omega1:.12g}")
@@ -353,53 +365,45 @@ def headline_verdict(entries: list[ClassificationEntry]) -> str:
 
 
 def _reference_and_initial(cfg: RunConfig, grid: RadialGrid) -> tuple[GroundState, RadialField]:
-    """The frequency-1 ground state and the initial datum; at params.omega = 1
-    a ground-state multiple reuses that solve."""
+    """The frequency-1 ground state and the initial datum; where that state
+    is the ground state of cfg.params, a ground-state multiple reuses it."""
     gs1 = petviashvili_solve(cfg.params.with_omega(1.0), grid=grid)
-    return gs1, build_initial(cfg, grid, gs1 if cfg.params.omega == 1.0 else None)
+    return gs1, build_initial(cfg, grid, gs1 if gs1.is_reference_for(cfg.params) else None)
 
 
 def _classify_and_write(
-    cfg: RunConfig, u0: RadialField, gs1: GroundState
-) -> tuple[tuple[ClassificationEntry, ...], list[str]]:
+    cfg: RunConfig, out: _Outputs, u0: RadialField, gs1: GroundState
+) -> tuple[ClassificationEntry, ...]:
     """Classify u0 into classification.json (and frequency.json when intercritical)."""
     classification = classify_all(u0, cfg.params, cfg.potential, gs1, cfg.classify_omega)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    _write_json(os.path.join(cfg.out_dir, "classification.json"), classification.as_json_list())
-    outputs = ["classification.json"]
+    _write_json(out.path("classification.json"), classification.as_json_list())
     if classification.frequency is not None:
-        _write_json(os.path.join(cfg.out_dir, "frequency.json"), classification.frequency.as_dict())
-        outputs.append("frequency.json")
-    return classification.entries, outputs
+        _write_json(out.path("frequency.json"), classification.frequency.as_dict())
+    return classification.entries
 
 
-_TRACE_OUTPUTS = ["trace.csv", "trace.events.json"]
-
-
-def _evolve_and_write(cfg: RunConfig, u0: RadialField) -> tuple[str, float, float | None]:
-    """March u0 into trace.csv; returns the final event, its time, the gradient
-    growth (None where the first sample's gradient is 0)."""
+def _evolve_and_write(
+    cfg: RunConfig, out: _Outputs, u0: RadialField
+) -> tuple[str, float, float | None]:
+    """March u0 into its trace files; returns the final event, its time, the
+    gradient growth (None where the first sample's gradient is 0)."""
     trace = evolve(u0, cfg.evolution, cfg.params, cfg.potential)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    trace_to_csv(trace, os.path.join(cfg.out_dir, "trace.csv"))
+    trace_to_csv(trace, out.path("trace.csv"), out.path("trace.events.json"))
     kind, t = trace.events[-1]
     return kind, t, trace.grad_growth
 
 
-def cmd_classify(cfg: RunConfig) -> int:
+def cmd_classify(cfg: RunConfig, out: _Outputs) -> int:
     grid = _make_grid(cfg)
     gs1, u0 = _reference_and_initial(cfg, grid)
-    entries, outputs = _classify_and_write(cfg, u0, gs1)
-    write_manifest(cfg, "classify", outputs)
-    for e in entries:
+    for e in _classify_and_write(cfg, out, u0, gs1):
         print(f"{e.theorem}: {e.verdict}")
     return 0
 
 
-def cmd_evolve(cfg: RunConfig) -> int:
+def cmd_evolve(cfg: RunConfig, out: _Outputs) -> int:
     u0 = build_initial(cfg, _make_grid(cfg))
-    kind, t, growth = _evolve_and_write(cfg, u0)
-    write_manifest(cfg, "evolve", _TRACE_OUTPUTS)
+    kind, t, growth = _evolve_and_write(cfg, out, u0)
     growth_text = "undefined" if growth is None else f"{growth:.6g}"
     print(f"evolve: {kind} at t = {t:.6g}, gradient growth {growth_text}")
     return 0
@@ -408,15 +412,16 @@ def cmd_evolve(cfg: RunConfig) -> int:
 def _run_sweep_point(args: tuple) -> tuple[int, str, str, str, float, float | None]:
     """One sweep point, from its built config: classify and evolve in its own directory."""
     idx, cfg, value = args
+    out = _Outputs(cfg)
     grid = _make_grid(cfg)
     gs1, u0 = _reference_and_initial(cfg, grid)
-    entries, outputs = _classify_and_write(cfg, u0, gs1)
-    kind, t, growth = _evolve_and_write(cfg, u0)
-    write_manifest(cfg, "sweep-point", outputs + _TRACE_OUTPUTS)
+    entries = _classify_and_write(cfg, out, u0, gs1)
+    kind, t, growth = _evolve_and_write(cfg, out, u0)
+    out.manifest("sweep-point")
     return idx, value, headline_verdict(entries), kind, t, growth
 
 
-def cmd_sweep(cfg: RunConfig, pairs: dict[str, tuple[str, int]], jobs: int) -> int:
+def cmd_sweep(cfg: RunConfig, out: _Outputs, pairs: dict[str, tuple[str, int]], jobs: int) -> int:
     """Run every sweep point of cfg; pairs are the parsed config cfg was built from."""
     if jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {jobs}")
@@ -430,7 +435,7 @@ def cmd_sweep(cfg: RunConfig, pairs: dict[str, tuple[str, int]], jobs: int) -> i
     # built before any directory exists.
     points = [build_run_config({**pairs, cfg.sweep_key: (v, line)}) for v in cfg.sweep_values]
 
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    summary = out.path("summary.csv")  # the sweep's directory exists before its points run
     tasks = [
         (i, replace(point, out_dir=os.path.join(cfg.out_dir, f"point_{i:03d}")), v)
         for i, (point, v) in enumerate(zip(points, cfg.sweep_values))
@@ -444,13 +449,11 @@ def cmd_sweep(cfg: RunConfig, pairs: dict[str, tuple[str, int]], jobs: int) -> i
         rows = [_run_sweep_point(t) for t in tasks]
     rows.sort(key=lambda r: r[0])
 
-    summary = os.path.join(cfg.out_dir, "summary.csv")
     with open(summary, "w", newline="") as fh:
         fh.write("index,key,value,verdict,event,event_time,grad_growth\n")
         for idx, value, verdict, kind, t, growth in rows:
             growth_cell = "" if growth is None else f"{growth:.17g}"
             fh.write(f"{idx},{cfg.sweep_key},{value},{verdict},{kind},{t:.17g},{growth_cell}\n")
-    write_manifest(cfg, "sweep", ["summary.csv"])
     for idx, value, verdict, kind, t, growth in rows:
         print(f"point {idx:03d} {cfg.sweep_key}={value}: {verdict}, {kind} at t={t:.6g}")
     return 0
@@ -468,17 +471,28 @@ def cmd_verify() -> int:
     return 0 if failed == 0 else 3
 
 
+# Every subcommand that reads a config; the sweep alone takes --jobs and
+# builds its points from the parsed config.
+_COMMANDS = {
+    "groundstate": cmd_groundstate,
+    "check-potential": cmd_check_potential,
+    "classify": cmd_classify,
+    "evolve": cmd_evolve,
+    "sweep": cmd_sweep,
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="inls-lab",
         description="Ground states, classification, and evolution for the weighted NLS",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("groundstate", "check-potential", "classify", "evolve", "sweep"):
+    for name, command in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to key = value config file")
         p.add_argument("--out", default=None, help="output directory (overrides output.dir)")
-        if name == "sweep":
+        if command is cmd_sweep:
             p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     sub.add_parser("verify")
     return parser
@@ -491,15 +505,11 @@ def _dispatch(args: argparse.Namespace) -> int:
     cfg = build_run_config(pairs)
     if args.out is not None:
         cfg = replace(cfg, out_dir=args.out)
-    if args.command == "groundstate":
-        return cmd_groundstate(cfg)
-    if args.command == "check-potential":
-        return cmd_check_potential(cfg)
-    if args.command == "classify":
-        return cmd_classify(cfg)
-    if args.command == "evolve":
-        return cmd_evolve(cfg)
-    return cmd_sweep(cfg, pairs, args.jobs)
+    command = _COMMANDS[args.command]
+    out = _Outputs(cfg)
+    code = command(cfg, out, pairs, args.jobs) if command is cmd_sweep else command(cfg, out)
+    out.manifest(args.command)
+    return code
 
 
 def main(argv: list[str] | None = None) -> int:

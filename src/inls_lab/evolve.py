@@ -363,19 +363,17 @@ def relative_drift(series: list[float]) -> float | None:
     return float(np.max(np.abs(x - x[0])) / abs(x[0]))
 
 
-def trace_to_csv(trace: EvolutionTrace, path) -> None:
-    """Write the sampled series as CSV plus a JSON sidecar with the
-    events, the march counters, the relative mass and energy drifts and
-    the largest sampled inner_amp."""
-    path = str(path)
+def trace_to_csv(trace: EvolutionTrace, path, events_path) -> None:
+    """Write the sampled series as CSV to path, and to events_path a JSON
+    sidecar with the events, the march counters, the relative mass and
+    energy drifts and the largest sampled inner_amp."""
     with open(path, "w") as fh:
         fh.write("t,mass,energy,grad_norm,P,K_n2,variance,nehari,outer_amp,inner_amp\n")
         for t, r, outer, inner in zip(trace.times, trace.reports, trace.outer_amp, trace.inner_amp):
             row = (t, r.mass, r.energy, math.sqrt(r.grad_sq), r.virial, r.k(r.params.n, 2),
                    r.variance, r.nehari, outer, inner)
             fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
-    sidecar = path[:-4] + ".events.json" if path.endswith(".csv") else path + ".events.json"
-    with open(sidecar, "w") as fh:
+    with open(events_path, "w") as fh:
         json.dump(
             {
                 "events": [{"kind": k, "t": t} for k, t in trace.events],

@@ -18,7 +18,7 @@ from inls_lab.grid import RadialField
 from inls_lab.params import ProblemParams
 from inls_lab.potential import PotentialSpec
 
-from conftest import F1, MC, grid_for, solve
+from conftest import F1, F2, MC, grid_for, solve
 
 ZERO = PotentialSpec.zero()
 
@@ -96,6 +96,29 @@ def test_intercritical_dichotomy(gs_f1):
     assert at.near_boundary
 
 
+def test_intercritical_blow_up_without_the_radial_branch():
+    # p = 4 is intercritical for (n, b, c) = (3, 0, 1) and inside the
+    # interpolation window, but the radial branch needs p < 4.
+    params = ProblemParams(3, 0.0, 1.0, 4.0)
+    gs = solve(params, 4096)
+    entry = intercritical(multiple(gs, 1.2), params, ZERO, gs)
+    assert entry.verdict == BLOWUP_CANDIDATE
+    assert entry.notes[-1] == "radial branch unavailable (p >= 4)"
+
+
+def test_intercritical_energy_mass_product_above_threshold(gs_f1):
+    # A thin shell of positive energy whose energy-mass product is more
+    # than three times the ground state's: neither branch applies.
+    grid = gs_f1.profile.grid
+    u0 = RadialField(grid, 0.3 * np.exp(-(((grid.nodes - 5.0) / 0.5) ** 2)))
+    entry = intercritical(u0, F1, ZERO, gs_f1)
+    em = evidence_map(entry)["em_product_vs_threshold"]
+    assert em.lhs > 3 * em.rhs > 0
+    assert entry.verdict == UNDETERMINED
+    assert not entry.near_boundary
+    assert entry.notes == ("energy-mass product above threshold: no branch applies",)
+
+
 def test_intercritical_is_phase_invariant(gs_f1):
     u = multiple(gs_f1, 0.5)
     rotated = RadialField(u.grid, np.exp(0.7j) * u.values)
@@ -135,6 +158,17 @@ def test_sets_membership_negative_k_without_window(gs_f1):
     ev = evidence_map(entry)
     assert ev["k_n2_vs_zero"].lhs < 0
     assert "k_gap_bound" in ev
+
+
+def test_sets_negative_k_outside_the_blow_up_window(gs_f2):
+    # F2 has c <= b < 0, but p_c = 7 lies above the window bound
+    # 2c(2-b)/b = 5, so the negative-K set alone stays Undetermined.
+    entry = sets(multiple(gs_f2, 1.2), F2, ZERO, gs_f2, omega=1.0)
+    assert entry.verdict == UNDETERMINED
+    assert not entry.near_boundary
+    assert entry.notes[-1] == "inside the negative-K set but outside the blow-up window"
+    window = evidence_map(entry)["pc_vs_blowup_window"]
+    assert (window.lhs, window.rhs) == (pytest.approx(7.0), pytest.approx(5.0))
 
 
 def test_sets_ground_state_sits_on_boundary(gs_f1):

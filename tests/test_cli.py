@@ -21,6 +21,7 @@ from inls_lab.cli import (
 from inls_lab.classify import NOT_APPLICABLE, ClassificationEntry, classify_all
 from inls_lab.evolve import EvolutionTrace
 from inls_lab.grid import RadialField, build_grid, field_from_csv
+from inls_lab.groundstate import NEWTON_SWITCH, NEWTON_TOL
 from inls_lab.potential import PotentialSpec
 
 from conftest import F1, SOLVE_AND_MARCH, solve
@@ -275,10 +276,17 @@ def test_groundstate_command_outputs_and_determinism(tmp_path, capsys):
     assert summary["m_omega"] == pytest.approx(ref.m_omega, rel=1e-12)
     assert summary["omega"] == 1.0
     assert summary["history"] == list(ref.history)
-    # history splits by mesh: the maps, then each mesh's Newton corrections
+    # history splits by mesh: the maps on the coarsest mesh, whose changes
+    # stay at or above NEWTON_SWITCH until the last, then each mesh's Newton
+    # corrections, which stay at or above NEWTON_TOL until the last
     steps = [level["newton_steps"] for level in summary["levels"]]
     assert [level["cells"] for level in summary["levels"]] == [512, 2048]
-    assert len(summary["history"]) == summary["iterations"] - 1 + sum(steps)
+    history = summary["history"]
+    bounds = np.cumsum([0, len(history) - sum(steps), *steps])
+    stops = [NEWTON_SWITCH] + [NEWTON_TOL] * len(steps)
+    for lo, hi, stop in zip(bounds, bounds[1:], stops):
+        run = history[lo:hi]
+        assert run and min(run[:-1], default=stop) >= stop > run[-1]
 
     for name in ("profile.csv", "groundstate.json", "manifest.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
@@ -437,6 +445,17 @@ def test_only_sweep_takes_jobs(tmp_path, command):
     assert exc.value.code == 2
 
 
+def test_classify_reuses_the_reference_solve_within_the_frequency_one_rule(
+    tmp_path, count_calls
+):
+    # classify_all takes the omega = 1 state as the reference of a frequency
+    # within 1e-14 of 1, so the ground-state multiple reuses that one solve.
+    calls = count_calls("petviashvili_solve")
+    cfg = write_config(tmp_path, BASE + "params.omega = 1.000000000000001\n")
+    assert main(["classify", "--config", cfg, "--out", str(tmp_path / "cls")]) == 0
+    assert calls == {"petviashvili_solve": 1}
+
+
 def test_classify_command_honours_classify_omega(tmp_path):
     cfg = write_config(tmp_path, BASE + "classify.omega = 2.0\n")
     out = tmp_path / "cls"
@@ -460,6 +479,41 @@ def test_sweep_point_matches_separate_commands(tmp_path):
         assert (point / name).read_bytes() == (cls / name).read_bytes()
     for name in ("trace.csv", "trace.events.json"):
         assert (point / name).read_bytes() == (ev / name).read_bytes()
+
+
+def assert_manifest_lists_its_files(out):
+    """manifest.json names exactly the files beside it; each subdirectory,
+    a sweep point, is a run of its own with its own manifest."""
+    manifest = json.loads((out / "manifest.json").read_text())
+    files = sorted(p.name for p in out.iterdir() if p.is_file() and p.name != "manifest.json")
+    assert manifest["outputs"] == files
+    for point in (p for p in out.iterdir() if p.is_dir()):
+        assert point.name.startswith("point_")
+        assert_manifest_lists_its_files(point)
+
+
+RUN = MINI + "grid.N = 1024\nevolve.t_end = 0.05\ninitial.alpha = 0.5\n"
+MC_RUN = "params.n = 3\nparams.b = 0\nparams.c = 0\nparams.p = 1.3333333333333333\n"
+
+
+@pytest.mark.parametrize(
+    "argv, text, points",
+    [
+        (["groundstate"], RUN, 0),
+        (["check-potential"], RUN, 0),
+        (["classify"], RUN, 0),
+        # mass-critical exponents: classification.json without frequency.json
+        (["classify"], MC_RUN, 0),
+        (["evolve"], RUN, 0),
+        (["sweep", "--jobs", "1"], RUN + "sweep.key = initial.alpha\nsweep.values = 0.5, 1.5\n", 2),
+    ],
+    ids=["groundstate", "check-potential", "classify", "classify-mc", "evolve", "sweep"],
+)
+def test_manifest_lists_exactly_the_files_written(tmp_path, argv, text, points):
+    cfg, out = write_config(tmp_path, text), tmp_path / "o"
+    assert main([argv[0], "--config", cfg, "--out", str(out), *argv[1:]]) == 0
+    assert_manifest_lists_its_files(out)
+    assert sum(p.is_dir() for p in out.iterdir()) == points
 
 
 def test_cli_import_leaves_scipy_solvers_unloaded():

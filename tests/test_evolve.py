@@ -244,7 +244,7 @@ def test_benign_adaptive_run_keeps_dt0(tmp_path):
         cfg = EvolutionConfig(dt0=1e-3, t_end=0.1, sample_every=1, adaptivity=adaptivity)
         trace = evolve(u0, cfg, F1, ZERO)
         assert max(r.grad_sq for r in trace.reports[1:]) < trace.reports[0].grad_sq
-        trace_to_csv(trace, tmp_path / f"{adaptivity}.csv")
+        trace_to_csv(trace, tmp_path / f"{adaptivity}.csv", tmp_path / f"{adaptivity}.events.json")
         text[adaptivity] = (tmp_path / f"{adaptivity}.csv").read_bytes()
     assert text[True] == text[False]
 
@@ -396,7 +396,7 @@ def test_trace_csv_and_events_sidecar(tmp_path):
     cfg = EvolutionConfig(dt0=1e-3, t_end=0.05, sample_every=5, adaptivity=False)
     trace = evolve(gaussian(g), cfg, F1, ZERO)
     path = tmp_path / "trace.csv"
-    trace_to_csv(trace, path)
+    trace_to_csv(trace, path, tmp_path / "trace.events.json")
     lines = path.read_text().splitlines()
     assert lines[0] == "t,mass,energy,grad_norm,P,K_n2,variance,nehari,outer_amp,inner_amp"
     assert len(lines) == 1 + len(trace.times)
@@ -439,7 +439,7 @@ def test_c_negative_graded_march_stays_accurate(tmp_path):
     e = np.asarray([r.energy for r in trace.reports])
     assert np.max(np.abs(e - e[0])) < 1e-3 * abs(e[0])
     assert max(trace.inner_amp) < 1.01
-    trace_to_csv(trace, tmp_path / "trace.csv")
+    trace_to_csv(trace, tmp_path / "trace.csv", tmp_path / "trace.events.json")
     rows = (tmp_path / "trace.csv").read_text().splitlines()
     column = [float(r.split(",")[-1]) for r in rows[1:]]
     assert column == trace.inner_amp
