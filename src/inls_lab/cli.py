@@ -36,7 +36,7 @@ from .grid import (
     field_from_csv,
     field_to_csv,
 )
-from .groundstate import GroundState, petviashvili_solve
+from .groundstate import GroundState, is_frequency_one, petviashvili_solve
 from .params import ProblemParams
 from .potential import PotentialSpec, check_assumptions
 
@@ -44,6 +44,9 @@ from .potential import PotentialSpec, check_assumptions
 class ConfigError(Exception):
     """Malformed or inconsistent configuration."""
 
+
+# A parsed config: key -> (value text, line number).
+_Pairs = dict[str, tuple[str, int]]
 
 _REQUIRED = object()
 
@@ -86,7 +89,7 @@ _KEYS: dict[str, tuple] = {
 }
 
 
-def _error(pairs: dict[str, tuple[str, int]], message: str, *keys: str) -> ConfigError:
+def _error(pairs: _Pairs, message: str, *keys: str) -> ConfigError:
     """A ConfigError that names the lines of those keys the config sets."""
     lines = sorted({pairs[k][1] for k in keys if k in pairs})
     if not lines:
@@ -95,12 +98,12 @@ def _error(pairs: dict[str, tuple[str, int]], message: str, *keys: str) -> Confi
     return ConfigError(f"{label} {', '.join(map(str, lines))}: {message}")
 
 
-def _section_error(pairs: dict[str, tuple[str, int]], prefix: str, e: Exception) -> ConfigError:
+def _section_error(pairs: _Pairs, prefix: str, e: Exception) -> ConfigError:
     """The error of one section, naming every key of it the config sets."""
     return _error(pairs, f"{prefix[:-1]}: {e}", *(k for k in pairs if k.startswith(prefix)))
 
 
-def _value(pairs: dict[str, tuple[str, int]], key: str):
+def _value(pairs: _Pairs, key: str):
     """The value of one key: its text in the config read as its kind, else its default."""
     kind, *default = _KEYS[key]
     if key not in pairs:
@@ -130,7 +133,7 @@ def _value(pairs: dict[str, tuple[str, int]], key: str):
     return value
 
 
-def _section(pairs: dict[str, tuple[str, int]], prefix: str) -> dict:
+def _section(pairs: _Pairs, prefix: str) -> dict:
     """Field name -> value of each key of one section that the config sets
     or the table gives a default, in table order."""
     return {
@@ -140,9 +143,9 @@ def _section(pairs: dict[str, tuple[str, int]], prefix: str) -> dict:
     }
 
 
-def parse_config_text(text: str) -> dict[str, tuple[str, int]]:
+def parse_config_text(text: str) -> _Pairs:
     """Parse flat key = value lines into {key: (value, line_number)}."""
-    pairs: dict[str, tuple[str, int]] = {}
+    pairs: _Pairs = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -161,7 +164,7 @@ def parse_config_text(text: str) -> dict[str, tuple[str, int]]:
     return pairs
 
 
-def config_hash(pairs: dict[str, tuple[str, int]]) -> str:
+def config_hash(pairs: _Pairs) -> str:
     """Order- and comment-insensitive digest of the parsed pairs."""
     canon = "\n".join(f"{k}={v}" for k, (v, _) in sorted(pairs.items()))
     return hashlib.sha256(canon.encode()).hexdigest()
@@ -189,7 +192,7 @@ class RunConfig:
     sha: str
 
 
-def build_run_config(pairs: dict[str, tuple[str, int]]) -> RunConfig:
+def build_run_config(pairs: _Pairs) -> RunConfig:
     try:
         params = ProblemParams(**_section(pairs, "params."))
     except ValueError as e:
@@ -264,7 +267,7 @@ def build_run_config(pairs: dict[str, tuple[str, int]]) -> RunConfig:
     )
 
 
-def _read_config(path: str) -> dict[str, tuple[str, int]]:
+def _read_config(path: str) -> _Pairs:
     try:
         with open(path) as fh:
             text = fh.read()
@@ -339,7 +342,7 @@ class _Outputs:
         _write_json(os.path.join(cfg.out_dir, "manifest.json"), manifest)
 
 
-def cmd_groundstate(cfg: RunConfig, out: _Outputs) -> int:
+def cmd_groundstate(cfg: RunConfig, out: _Outputs, pairs: _Pairs, args: argparse.Namespace) -> int:
     gs = petviashvili_solve(cfg.params, grid=_make_grid(cfg))
     field_to_csv(gs.profile, out.path("profile.csv"))
     _write_json(out.path("groundstate.json"), gs.as_dict())
@@ -347,7 +350,9 @@ def cmd_groundstate(cfg: RunConfig, out: _Outputs) -> int:
     return 0
 
 
-def cmd_check_potential(cfg: RunConfig, out: _Outputs) -> int:
+def cmd_check_potential(
+    cfg: RunConfig, out: _Outputs, pairs: _Pairs, args: argparse.Namespace
+) -> int:
     report = check_assumptions(cfg.potential, cfg.params)
     _write_json(out.path("assumptions.json"), report.as_dict())
     for name, verdict in report.verdicts().items():
@@ -364,11 +369,13 @@ def headline_verdict(entries: list[ClassificationEntry]) -> str:
     return NOT_APPLICABLE
 
 
-def _reference_and_initial(cfg: RunConfig, grid: RadialGrid) -> tuple[GroundState, RadialField]:
-    """The frequency-1 ground state and the initial datum; where that state
-    is the ground state of cfg.params, a ground-state multiple reuses it."""
+def _reference_and_initial(cfg: RunConfig) -> tuple[GroundState, RadialField]:
+    """The frequency-1 ground state and the initial datum; where cfg.params
+    is at frequency 1 (is_frequency_one), a ground-state multiple reuses
+    that state."""
+    grid = _make_grid(cfg)
     gs1 = petviashvili_solve(cfg.params.with_omega(1.0), grid=grid)
-    return gs1, build_initial(cfg, grid, gs1 if gs1.is_reference_for(cfg.params) else None)
+    return gs1, build_initial(cfg, grid, gs1 if is_frequency_one(cfg.params.omega) else None)
 
 
 def _classify_and_write(
@@ -393,15 +400,14 @@ def _evolve_and_write(
     return kind, t, trace.grad_growth
 
 
-def cmd_classify(cfg: RunConfig, out: _Outputs) -> int:
-    grid = _make_grid(cfg)
-    gs1, u0 = _reference_and_initial(cfg, grid)
+def cmd_classify(cfg: RunConfig, out: _Outputs, pairs: _Pairs, args: argparse.Namespace) -> int:
+    gs1, u0 = _reference_and_initial(cfg)
     for e in _classify_and_write(cfg, out, u0, gs1):
         print(f"{e.theorem}: {e.verdict}")
     return 0
 
 
-def cmd_evolve(cfg: RunConfig, out: _Outputs) -> int:
+def cmd_evolve(cfg: RunConfig, out: _Outputs, pairs: _Pairs, args: argparse.Namespace) -> int:
     u0 = build_initial(cfg, _make_grid(cfg))
     kind, t, growth = _evolve_and_write(cfg, out, u0)
     growth_text = "undefined" if growth is None else f"{growth:.6g}"
@@ -413,18 +419,18 @@ def _run_sweep_point(args: tuple) -> tuple[int, str, str, str, float, float | No
     """One sweep point, from its built config: classify and evolve in its own directory."""
     idx, cfg, value = args
     out = _Outputs(cfg)
-    grid = _make_grid(cfg)
-    gs1, u0 = _reference_and_initial(cfg, grid)
+    gs1, u0 = _reference_and_initial(cfg)
     entries = _classify_and_write(cfg, out, u0, gs1)
     kind, t, growth = _evolve_and_write(cfg, out, u0)
     out.manifest("sweep-point")
     return idx, value, headline_verdict(entries), kind, t, growth
 
 
-def cmd_sweep(cfg: RunConfig, out: _Outputs, pairs: dict[str, tuple[str, int]], jobs: int) -> int:
-    """Run every sweep point of cfg; pairs are the parsed config cfg was built from."""
-    if jobs < 1:
-        raise ConfigError(f"--jobs must be at least 1, got {jobs}")
+def cmd_sweep(cfg: RunConfig, out: _Outputs, pairs: _Pairs, args: argparse.Namespace) -> int:
+    """Run every sweep point of cfg, args.jobs at a time; pairs are the
+    parsed config cfg was built from."""
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     if cfg.sweep_key is None or not cfg.sweep_values:
         raise ConfigError("sweep requires sweep.key and sweep.values")
     line = pairs["sweep.key"][1]
@@ -440,7 +446,7 @@ def cmd_sweep(cfg: RunConfig, out: _Outputs, pairs: dict[str, tuple[str, int]], 
         (i, replace(point, out_dir=os.path.join(cfg.out_dir, f"point_{i:03d}")), v)
         for i, (point, v) in enumerate(zip(points, cfg.sweep_values))
     ]
-    workers = min(jobs, len(tasks))
+    workers = min(args.jobs, len(tasks))
     if workers > 1:
         # Under fork the pool starts all max_workers processes at once.
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
@@ -471,8 +477,9 @@ def cmd_verify() -> int:
     return 0 if failed == 0 else 3
 
 
-# Every subcommand that reads a config; the sweep alone takes --jobs and
-# builds its points from the parsed config.
+# Every subcommand that reads a config.  Each is called with its config,
+# its output recorder, the parsed config and the parsed arguments; the
+# sweep alone reads the last two, for its points and its --jobs.
 _COMMANDS = {
     "groundstate": cmd_groundstate,
     "check-potential": cmd_check_potential,
@@ -505,9 +512,8 @@ def _dispatch(args: argparse.Namespace) -> int:
     cfg = build_run_config(pairs)
     if args.out is not None:
         cfg = replace(cfg, out_dir=args.out)
-    command = _COMMANDS[args.command]
     out = _Outputs(cfg)
-    code = command(cfg, out, pairs, args.jobs) if command is cmd_sweep else command(cfg, out)
+    code = _COMMANDS[args.command](cfg, out, pairs, args)
     out.manifest(args.command)
     return code
 

@@ -445,15 +445,25 @@ def test_only_sweep_takes_jobs(tmp_path, command):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("omega, solves", [(1.000000000000001, 1), (2.0, 2)])
 def test_classify_reuses_the_reference_solve_within_the_frequency_one_rule(
-    tmp_path, count_calls
+    tmp_path, count_calls, omega, solves
 ):
     # classify_all takes the omega = 1 state as the reference of a frequency
-    # within 1e-14 of 1, so the ground-state multiple reuses that one solve.
+    # within 1e-14 of 1, so the ground-state multiple reuses that one solve;
+    # at omega = 2 the datum is alpha times the omega = 2 profile, a second solve.
     calls = count_calls("petviashvili_solve")
-    cfg = write_config(tmp_path, BASE + "params.omega = 1.000000000000001\n")
-    assert main(["classify", "--config", cfg, "--out", str(tmp_path / "cls")]) == 0
-    assert calls == {"petviashvili_solve": 1}
+    # At N = 1024 the omega = 2 solve does not certify.
+    text = MINI + f"params.omega = {omega!r}\ngrid.N = 2048\ninitial.alpha = 0.5\n"
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "cls"
+    assert main(["classify", "--config", cfg, "--out", str(out)]) == 0
+    assert calls == {"petviashvili_solve": solves}
+    params = F1.with_omega(omega)
+    gs = solve(params if solves == 2 else F1, 2048)
+    u0 = RadialField(gs.profile.grid, 0.5 * gs.profile.values)
+    want = classify_all(u0, params, PotentialSpec.zero(), solve(F1, 2048)).as_json_list()
+    assert json.loads((out / "classification.json").read_text()) == json.loads(json.dumps(want))
 
 
 def test_classify_command_honours_classify_omega(tmp_path):
