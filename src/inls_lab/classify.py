@@ -19,10 +19,13 @@ classify_all is the one entry point: it checks the reference ground
 state, checks the assumptions and integrates the datum once, and
 holds the one set-route frequency rule.  Every route reads that one FunctionalReport and hands its decide step to _entry.
 
-Strict inequalities are decided with a relative dead band of 1e-6.
-Values inside the band yield Undetermined with a near-boundary flag:
-the theorems are open-condition statements, and numerical equality is
-not evidence for either side.
+Each comparison states its band: an Evidence row holds both sides of
+one strict inequality and the absolute half-width of its dead band,
+DEAD_BAND times a scale of the compared quantity, set where the row is
+built.  Its side is the one comparison every verdict reads.  A row in
+its band withholds the verdict with a near-boundary flag: the theorems
+are open-condition statements, and numerical equality is not evidence
+for either side.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .params import Criticality, ProblemParams
 from .potential import HOLDS, FAILS, AssumptionReport, PotentialSpec, check_assumptions
 
 # Relative half-width of the band around a threshold inside which a
-# strict inequality is treated as undecided.
+# strict inequality is treated as undecided; each row scales it.
 DEAD_BAND = 1e-6
 
 GLOBAL_CANDIDATE = "GlobalCandidate"
@@ -53,14 +56,33 @@ class ClassifyError(RuntimeError):
 
 @dataclass(frozen=True)
 class Evidence:
-    """One compared scalar pair backing a verdict."""
+    """One compared scalar pair backing a verdict, with band the
+    absolute half-width around rhs inside which lhs is undecided."""
 
     name: str
     lhs: float
     rhs: float
+    band: float
+
+    @property
+    def side(self) -> str:
+        """Where lhs lies: "below" or "above" rhs, or "band" when |lhs - rhs| <= band."""
+        if abs(self.lhs - self.rhs) <= self.band:
+            return "band"
+        return "below" if self.lhs < self.rhs else "above"
 
     def as_dict(self) -> dict:
-        return {"name": self.name, "lhs": self.lhs, "rhs": self.rhs}
+        return asdict(self)
+
+
+def _relative(name: str, lhs: float, rhs: float) -> Evidence:
+    """The row of two same-sized quantities, banded by the larger."""
+    return Evidence(name, lhs, rhs, DEAD_BAND * max(abs(lhs), abs(rhs)))
+
+
+def _in_band(*rows: Evidence) -> Evidence | None:
+    """The first of rows that sits inside its band, else None."""
+    return next((e for e in rows if e.side == "band"), None)
 
 
 @dataclass(frozen=True)
@@ -70,9 +92,10 @@ class ClassificationEntry:
     assumptions maps every gating hypothesis of the theorem to the
     status string of the potential checker (Holds/Fails/Borderline);
     any status other than Holds forces the NotApplicable verdict.
-    evidence carries both sides of each strict inequality that was
-    actually evaluated.  near_boundary marks verdicts that were
-    withheld because a comparison fell inside the dead band.
+    evidence carries each strict inequality that was actually
+    evaluated, both sides and its band.  near_boundary marks verdicts
+    that were withheld because a row fell inside its band; the note
+    names that row.
     """
 
     theorem: str
@@ -97,20 +120,29 @@ class ClassificationEntry:
 class FrequencyReport:
     """Optimized frequency and the action gap attained there.
 
-    f_omega0 is the value of f(w) = w^kappa * m_1 - S_{w,V}(u0) at its
-    critical point omega0; a positive value certifies that u0 lies
-    below the minimal action at that frequency.  em_product and
-    em_threshold are the two sides of the equivalent energy-mass gate.
+    gap compares f(w) = w^kappa * m_1 - S_{w,V}(u0) at its critical
+    point omega0 with 0; a positive f(omega0) certifies that u0 lies
+    below the minimal action at that frequency.  em is the equivalent
+    energy-mass gate, the row the intercritical route decides on too.
     """
 
     omega0: float
-    f_omega0: float
-    em_product: float
-    em_threshold: float
-    near_boundary: bool
+    gap: Evidence
+    em: Evidence
+
+    @property
+    def near_boundary(self) -> bool:
+        return _in_band(self.gap, self.em) is not None
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        """The frequency.json record."""
+        return {
+            "omega0": self.omega0,
+            "f_omega0": self.gap.lhs,
+            "em_product": self.em.lhs,
+            "em_threshold": self.em.rhs,
+            "near_boundary": self.near_boundary,
+        }
 
 
 @dataclass(frozen=True)
@@ -132,19 +164,6 @@ class Classification:
         return [e.as_dict() for e in self.entries]
 
 
-def _compare(lhs: float, rhs: float, scale: float | None = None) -> str:
-    """Three-way strict comparison: "below", "above", or "band".
-
-    scale overrides the default max(|lhs|, |rhs|) when the compared
-    difference is a small residue of cancellations with a larger
-    natural magnitude (sign tests of the energy, of K^{n,2}).
-    """
-    s = max(abs(lhs), abs(rhs)) if scale is None else scale
-    if abs(lhs - rhs) <= DEAD_BAND * s:
-        return "band"
-    return "below" if lhs < rhs else "above"
-
-
 def _status(flag: bool) -> str:
     return HOLDS if flag else FAILS
 
@@ -154,17 +173,21 @@ def _entry(
     assumptions: dict[str, str],
     evidence: list[Evidence],
     notes: list[str],
-    decide: Callable[[], tuple[str, bool]],
+    decide: Callable[[], tuple[str, Evidence | None]],
 ) -> ClassificationEntry:
     """A route's entry: NotApplicable when a gating hypothesis does not
-    hold, else the (verdict, near_boundary) of decide(), which may append
-    to evidence and notes before they are frozen into the entry."""
+    hold, else the verdict of decide(), which may append to evidence and
+    notes before they are frozen into the entry, and names the row in
+    its band that withheld the verdict, if one did."""
     failed = [k for k, v in assumptions.items() if v != HOLDS]
     if failed:
         notes.append("gating failed: " + ", ".join(failed))
-        verdict, near = NOT_APPLICABLE, False
+        verdict, band = NOT_APPLICABLE, None
     else:
-        verdict, near = decide()
+        verdict, band = decide()
+    near = band is not None
+    if near:
+        notes.append(f"near_boundary: {band.name} inside the dead band")
     return ClassificationEntry(theorem, assumptions, verdict, tuple(evidence), tuple(notes), near)
 
 
@@ -189,29 +212,24 @@ def _mass_critical(
         "finite_variance": HOLDS,
     }
 
-    mass_norm = math.sqrt(rep.mass)
     # The energy is a difference of same-order terms; its sign test is
     # banded against the magnitude of the cancelling parts.
     e_scale = 0.5 * (rep.grad_sq + rep.potential_energy) + rep.nonlinear_term / (params.p + 2)
 
-    evidence = [Evidence("energy_vs_zero", rep.energy, 0.0)]
-    mass_th = gs1.thresholds.get("mass_threshold")  # None below the mass-critical line
+    evidence = [Evidence("energy_vs_zero", rep.energy, 0.0, DEAD_BAND * e_scale)]
+    mass_th = gs1.thresholds["mass_threshold"]  # None below the mass-critical line
     if mass_th is not None:
-        evidence.insert(0, Evidence("mass_norm_vs_threshold", mass_norm, mass_th))
+        evidence.insert(0, _relative("mass_norm_vs_threshold", math.sqrt(rep.mass), mass_th))
     notes = [f"weighted_variance_sq = {rep.variance:.6e}"]
 
-    def decide() -> tuple[str, bool]:
-        mass_cmp = _compare(mass_norm, mass_th)
-        energy_cmp = _compare(rep.energy, 0.0, scale=e_scale)
-        if energy_cmp == "below":
+    def decide() -> tuple[str, Evidence | None]:
+        mass, energy = evidence
+        if energy.side == "below":
             notes.append("negative energy with grid-finite weighted variance")
-            return BLOWUP_CANDIDATE, False
-        if mass_cmp == "below":
-            return GLOBAL_CANDIDATE, False
-        near = "band" in (mass_cmp, energy_cmp)
-        if near:
-            notes.append("near_boundary: comparison inside the dead band")
-        return UNDETERMINED, near
+            return BLOWUP_CANDIDATE, None
+        if mass.side == "below":
+            return GLOBAL_CANDIDATE, None
+        return UNDETERMINED, _in_band(mass, energy)
 
     return _entry("mass_critical_threshold", assumptions, evidence, notes, decide)
 
@@ -220,15 +238,16 @@ def _intercritical(
     report: AssumptionReport,
     rep: FunctionalReport,
     gs1: GroundState,
+    frequency: FrequencyReport | None,
 ) -> ClassificationEntry:
     """Scale-invariant product dichotomy at intercritical exponents.
 
     Both branches are gated on the energy-mass product sitting below
-    its ground-state value.  Below that gate, the gradient-mass
-    product below its ground-state value gives a global candidate and
-    above it a blow-up candidate.  The blow-up branch applies to grid
-    data through the finite-variance hypothesis; the radial branch
-    additionally needs p < 4 and is recorded alongside.
+    its ground-state value, the row frequency.em.  Below that gate, the
+    gradient-mass product below its ground-state value gives a global
+    candidate and above it a blow-up candidate.  The blow-up branch
+    applies to grid data through the finite-variance hypothesis; the
+    radial branch additionally needs p < 4 and is recorded alongside.
     """
     params = rep.params
     intercritical = params.criticality is Criticality.INTERCRITICAL
@@ -242,29 +261,25 @@ def _intercritical(
 
     evidence: list[Evidence] = []
     notes: list[str] = []
-    if intercritical:  # the products and their thresholds are defined
-        evidence = [
-            Evidence("em_product_vs_threshold", rep.em_product, gs1.report.em_product),
-            Evidence("grad_product_vs_threshold", rep.grad_product, gs1.report.grad_product),
-        ]
+    if frequency is not None:  # intercritical: the products and their thresholds are defined
+        grad_th = gs1.thresholds["grad_mass"]
+        evidence = [frequency.em, _relative("grad_product_vs_threshold", rep.grad_product, grad_th)]
 
-    def decide() -> tuple[str, bool]:
-        em_cmp, grad_cmp = (_compare(e.lhs, e.rhs) for e in evidence)
-        if em_cmp == "below" and grad_cmp == "below":
-            return GLOBAL_CANDIDATE, False
-        if em_cmp == "below" and grad_cmp == "above":
+    def decide() -> tuple[str, Evidence | None]:
+        em, grad = evidence
+        if em.side == "below" and grad.side == "below":
+            return GLOBAL_CANDIDATE, None
+        if em.side == "below" and grad.side == "above":
             notes.append("blow-up branch: grid data have finite weighted variance")
             if params.p < 4:
                 notes.append("radial branch also applies (p < 4)")
             else:
                 notes.append("radial branch unavailable (p >= 4)")
-            return BLOWUP_CANDIDATE, False
-        near = "band" in (em_cmp, grad_cmp)
-        if near:
-            notes.append("near_boundary: comparison inside the dead band")
-        elif em_cmp == "above":
+            return BLOWUP_CANDIDATE, None
+        band = _in_band(em, grad)
+        if band is None and em.side == "above":
             notes.append("energy-mass product above threshold: no branch applies")
-        return UNDETERMINED, near
+        return UNDETERMINED, band
 
     return _entry("intercritical_threshold", assumptions, evidence, notes, decide)
 
@@ -284,7 +299,7 @@ def _sets(
     blow-up argument closes), else Undetermined with a note.  When the
     datum sits in the negative-K set the gap bound
     K^{n,2} <= -2(2-b)(m_omega - S) is reported as a consistency
-    check.  The action, L and K^{n,2} at omega are closed forms of rep,
+    check.  The action and K^{n,2} at omega are closed forms of rep,
     m_omega the power law GroundState.min_action.
     """
     params = rep.params
@@ -303,60 +318,53 @@ def _sets(
     action = rep_w.action
     k_n2 = rep_w.k(n, 2)
     m_omega = gs.min_action(omega)
+    # K^{n,2} = (2-b)||grad u||^2_b - int x.grad V|u|^2 - p_c/(p+2)||u||^{p+2}_{c,p+2}
+    # has no omega term; its sign is banded by the sizes of its three terms.
+    nl_term = params.p_c / (params.p + 2) * rep.nonlinear_term
+    k_size = abs((2 - b) * rep.grad_sq) + abs(rep.xgradV_term) + abs(nl_term)
 
-    evidence = [
-        Evidence("action_vs_min_action", action, m_omega),
-        Evidence("k_n2_vs_zero", k_n2, 0.0),
-    ]
+    action_row = _relative("action_vs_min_action", action, m_omega)
+    k_row = Evidence("k_n2_vs_zero", k_n2, 0.0, DEAD_BAND * k_size)
+    evidence = [action_row, k_row]
     notes = [f"omega = {omega:.12g}"]
     if gs.omega != omega:
         notes.append(
             f"min action rescaled from omega = {gs.omega:.12g} by the frequency power law"
         )
 
-    def decide() -> tuple[str, bool]:
-        s_cmp = _compare(action, m_omega)
-        if s_cmp != "below":
-            near = s_cmp == "band"
+    def decide() -> tuple[str, Evidence | None]:
+        if action_row.side != "below":
             notes.append("action not below the minimal action: outside both sets")
-            if near:
-                notes.append("near_boundary: action inside the dead band")
-            return NOT_APPLICABLE, near
-
-        # Sign of K^{n,2} decides the set; it is a cancellation residue, so
-        # the band is taken relative to the positive-definite part L.
-        k_cmp = _compare(k_n2, 0.0, scale=rep_w.L)
-        if k_cmp == "band":
-            notes.append("near_boundary: K^{n,2} inside the dead band")
-            return UNDETERMINED, True
-        if k_cmp == "above":
+            return NOT_APPLICABLE, _in_band(action_row)
+        if k_row.side == "band":
+            return UNDETERMINED, k_row
+        if k_row.side == "above":
             notes.append("membership: nonnegative-K set")
-            return GLOBAL_CANDIDATE, False
+            return GLOBAL_CANDIDATE, None
 
         # Negative-K set.  Report the gap bound, then test the blow-up window.
         notes.append("membership: negative-K set")
         gap_rhs = -2.0 * (2 - b) * (m_omega - action)
-        evidence.append(Evidence("k_gap_bound", k_n2, gap_rhs))
-        slack = 1e-9 * max(abs(k_n2), abs(gap_rhs))
-        if k_n2 <= gap_rhs + slack:
-            notes.append("gap bound satisfied")
-        else:
-            notes.append("gap bound violated: check resolution of the minimal action")
+        gap = Evidence("k_gap_bound", k_n2, gap_rhs, 1e-9 * max(abs(k_n2), abs(gap_rhs)))
+        evidence.append(gap)
+        notes.append("gap bound satisfied" if gap.side != "above" else
+                     "gap bound violated: check resolution of the minimal action")
 
         if b == 0.0:
             notes.append(
                 "blow-up window bound 2c(2-b)/b undefined at b = 0; branch not applicable"
             )
-            return UNDETERMINED, False
+            return UNDETERMINED, None
         window_ok = c <= b < 0
         if b < 0:
-            bound = 2.0 * c * (2 - b) / b
-            evidence.append(Evidence("pc_vs_blowup_window", params.p_c, bound))
-            window_ok = window_ok and params.p_c <= bound
+            # The window is closed: p_c on the bound is inside it.
+            window = Evidence("pc_vs_blowup_window", params.p_c, 2.0 * c * (2 - b) / b, 0.0)
+            evidence.append(window)
+            window_ok = window_ok and window.side != "above"
         if window_ok:
-            return BLOWUP_CANDIDATE, False
+            return BLOWUP_CANDIDATE, None
         notes.append("inside the negative-K set but outside the blow-up window")
-        return UNDETERMINED, False
+        return UNDETERMINED, None
 
     return _entry("action_set_membership", assumptions, evidence, notes, decide)
 
@@ -385,24 +393,14 @@ def _optimal_frequency(
     m0 = gs1.min_action(omega0)
     f0 = float(m0 - (rep.energy + 0.5 * omega0 * mass))
 
-    em_prod = rep.em_product
-    em_th = gs1.report.em_product
-
-    f_cmp = _compare(f0, 0.0, scale=m0)
-    em_cmp = _compare(em_prod, em_th)
-    near = "band" in (f_cmp, em_cmp)
-    if not near and (f_cmp == "above") != (em_cmp == "below"):
+    gap = Evidence("f_omega0_vs_zero", f0, 0.0, DEAD_BAND * m0)
+    em = _relative("em_product_vs_threshold", rep.em_product, gs1.thresholds["em_sigma"])
+    if _in_band(gap, em) is None and (gap.side == "above") != (em.side == "below"):
         raise ClassifyError(
             f"gate equivalence violated: f(omega0) = {f0} while "
-            f"energy-mass product is {em_prod} vs threshold {em_th}"
+            f"energy-mass product is {em.lhs} vs threshold {em.rhs}"
         )
-    return FrequencyReport(
-        omega0=omega0,
-        f_omega0=f0,
-        em_product=em_prod,
-        em_threshold=em_th,
-        near_boundary=near,
-    )
+    return FrequencyReport(omega0, gap, em)
 
 
 def optimal_frequency(
@@ -419,8 +417,9 @@ def optimal_frequency(
 
     and f(omega0) > 0 holds exactly when the energy-mass product of u0
     is below its ground-state value.  The two directions are asserted
-    to agree outside a relative band of 1e-6 around equality; band
-    cases are flagged instead of asserted.  gs1 must be the frequency-1
+    to agree unless either row sits in its band (f(omega0) banded by
+    1e-6 m(omega0), the products by 1e-6 of the larger); band cases
+    are flagged instead of asserted.  gs1 must be the frequency-1
     ground state of the equation of params, else ClassifyError.
     """
     if not gs1.is_reference_for(params):
@@ -465,7 +464,7 @@ def classify_all(
     return Classification(
         (
             _mass_critical(report, rep, gs1),
-            _intercritical(report, rep, gs1),
+            _intercritical(report, rep, gs1, frequency),
             _sets(report, rep, gs1, omega),
         ),
         frequency,

@@ -412,7 +412,7 @@ def check_frequency_scaling() -> list[CheckResult]:
 
     h = 1e-4 * fr.omega0
     fd = abs(f(fr.omega0 + h) - f(fr.omega0 - h)) / (2 * h)
-    tol = 1e-6 * abs(fr.f_omega0) / fr.omega0
+    tol = 1e-6 * abs(fr.gap.lhs) / fr.omega0
     rows.append(CheckResult("frequency_stationarity", fd < tol, fd, tol))
 
     rng = np.random.default_rng(SEED)

@@ -1,5 +1,7 @@
 """Verdict routes: thresholds, action sets, frequency optimization."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,16 +11,16 @@ from inls_lab.classify import (
     NOT_APPLICABLE,
     UNDETERMINED,
     ClassifyError,
-    _compare,
+    Evidence,
     classify_all,
     optimal_frequency,
 )
-from inls_lab.functionals import FunctionalError
+from inls_lab.functionals import FunctionalError, evaluate_all
 from inls_lab.grid import RadialField
 from inls_lab.params import ProblemParams
 from inls_lab.potential import PotentialSpec
 
-from conftest import F1, F2, MC, grid_for, solve
+from conftest import F1, F2, MC, NM, grid_for, solve
 
 ZERO = PotentialSpec.zero()
 
@@ -43,13 +45,36 @@ def sets(u0, params, spec, gs, omega):
     return classify_all(u0, params, spec, gs, omega).entry("action_set_membership")
 
 
-def test_compare_three_way():
-    assert _compare(1.0, 2.0) == "below"
-    assert _compare(2.0, 1.0) == "above"
-    assert _compare(1.0, 1.0 + 1e-8) == "band"
-    # Scale override judges small residues against their natural magnitude.
-    assert _compare(1e-9, 0.0, scale=1.0) == "band"
-    assert _compare(1e-9, 0.0, scale=1e-12) == "above"
+def near_note(entry):
+    return [n for n in entry.notes if n.startswith("near_boundary")]
+
+
+def with_report(gs, **changes):
+    """gs with some quadratures of its report replaced."""
+    return dataclasses.replace(gs, report=dataclasses.replace(gs.report, **changes))
+
+
+def inflated(gs, t):
+    """gs with t copies of its quadratures: the Pohozaev identities still
+    hold, but every threshold and the minimal action are t times too large."""
+    r = gs.report
+    return with_report(
+        gs, mass=t * r.mass, grad_sq=t * r.grad_sq, nonlinear_term=t * r.nonlinear_term
+    )
+
+
+def test_evidence_side_three_way():
+    assert Evidence("x", 1.0, 2.0, 0.5).side == "below"
+    assert Evidence("x", 2.0, 1.0, 0.5).side == "above"
+    # The edge of the band is inside it, and a zero band holds equality only.
+    assert Evidence("x", 1.0, 1.5, 0.5).side == "band"
+    assert Evidence("x", 2.0, 1.5, 0.5).side == "band"
+    assert Evidence("x", 1.0, 1.0, 0.0).side == "band"
+    assert Evidence("x", 1.0, 1.0 + 2**-52, 0.0).side == "below"
+    assert Evidence("x", 1e-9, 0.0, 1e-12).side == "above"
+    assert Evidence("x", 1e-9, 0.0, 1.0).as_dict() == {
+        "name": "x", "lhs": 1e-9, "rhs": 0.0, "band": 1.0
+    }
 
 
 def test_mass_critical_dichotomy(gs_mc):
@@ -67,6 +92,7 @@ def test_mass_critical_dichotomy(gs_mc):
     at = mass_critical(multiple(gs_mc, 1.0), MC, ZERO, gs_mc)
     assert at.verdict == UNDETERMINED
     assert at.near_boundary
+    assert near_note(at) == ["near_boundary: mass_norm_vs_threshold inside the dead band"]
 
 
 def test_mass_critical_gates_on_criticality(gs_f1):
@@ -94,6 +120,7 @@ def test_intercritical_dichotomy(gs_f1):
     at = intercritical(multiple(gs_f1, 1.0), F1, ZERO, gs_f1)
     assert at.verdict == UNDETERMINED
     assert at.near_boundary
+    assert near_note(at) == ["near_boundary: em_product_vs_threshold inside the dead band"]
 
 
 def test_intercritical_blow_up_without_the_radial_branch():
@@ -176,6 +203,77 @@ def test_sets_ground_state_sits_on_boundary(gs_f1):
     assert entry.verdict == NOT_APPLICABLE
     assert entry.near_boundary
     assert any("action not below" in n for n in entry.notes)
+    assert near_note(entry) == ["near_boundary: action_vs_min_action inside the dead band"]
+
+
+def test_k_band_does_not_move_with_the_frequency():
+    # A small NMINUS Gaussian: its optimized frequency is 3.5e16, where
+    # omega*M dwarfs K^{n,2} = 0.947.  K has no omega term, so neither
+    # its band nor the set-route verdict may depend on omega.
+    gs = solve(NM, 4096)
+    g = gs.profile.grid
+    u0 = RadialField(g, 0.3 * np.exp(-((g.nodes / 0.5) ** 2)))
+    cls = classify_all(u0, NM, ZERO, gs)
+    assert cls.frequency.omega0 > 1e16
+    entries = [cls.entry("action_set_membership")]
+    entries += [sets(u0, NM, ZERO, gs, 10.0**k) for k in range(17)]
+    k_rows = [evidence_map(e)["k_n2_vs_zero"] for e in entries]
+    assert {e.verdict for e in entries} == {GLOBAL_CANDIDATE}
+    assert not any(e.near_boundary for e in entries)
+    assert len({(r.lhs, r.band) for r in k_rows}) == 1
+    assert 0 < 1e3 * k_rows[0].band < k_rows[0].lhs
+
+
+def test_set_route_decides_near_the_mass_line():
+    # sigma = 88.6 puts omega0 at 1.6e8 for 0.9Q; K^{n,2} = 20.3 is far
+    # outside a band of 1e-6 times the sizes of its terms.
+    params = ProblemParams(3, 0.0, 0.0, 4 / 3 + 1e-2)
+    gs = solve(params, 4096)
+    cls = classify_all(multiple(gs, 0.9), params, ZERO, gs)
+    assert cls.frequency.omega0 > 1e8
+    assert [e.verdict for e in cls.entries] == [NOT_APPLICABLE, GLOBAL_CANDIDATE, GLOBAL_CANDIDATE]
+    assert not any(e.near_boundary for e in cls.entries)
+
+
+@pytest.mark.parametrize("params", [F1, F2, NM], ids=["F1", "F2", "NMINUS"])
+def test_verdicts_are_invariant_under_dilation(params):
+    # The products and the optimized set route are invariant under
+    # u -> lam^{(2-b+c)/p} u(lam .), so no verdict may change with lam.
+    gs = solve(params, 8192)
+    r = gs.profile.grid.nodes
+    rng = np.random.default_rng(7)
+    for amp, width in zip(rng.uniform(0.3, 2.0, 15), rng.uniform(0.5, 2.0, 15)):
+        verdicts = set()
+        for lam in (0.5, 0.71, 1.0, 1.41, 2.0):
+            scale = lam ** ((2 - params.b + params.c) / params.p)
+            u0 = RadialField(gs.profile.grid, scale * amp * np.exp(-((lam * r / width) ** 2)))
+            verdicts.add(tuple(e.verdict for e in classify_all(u0, params, ZERO, gs).entries))
+        assert len(verdicts) == 1, (amp, width, verdicts)
+
+
+def test_gap_bound_violated_against_an_inflated_minimal_action(gs_f1):
+    # The gate equivalence still holds, but against a minimal action ten
+    # times too large K^{n,2} of 1.5Q no longer meets the gap bound.
+    entry = sets(multiple(gs_f1, 1.5), F1, ZERO, inflated(gs_f1, 10), omega=1.0)
+    gap = evidence_map(entry)["k_gap_bound"]
+    assert gap.side == "above"
+    assert "gap bound violated: check resolution of the minimal action" in entry.notes
+    assert entry.verdict == UNDETERMINED
+
+
+def test_k_inside_its_band_withholds_the_set_verdict(gs_f1):
+    # On K^{n,2} = 0 the action is at least m_omega, so only an inflated
+    # minimal action lets such a datum into the sub-action sets; there
+    # the sign of K is undecided.  A Gaussian is scaled onto K = 0.
+    g = gs_f1.profile.grid
+    phi = np.exp(-(g.nodes**2))
+    rep = evaluate_all(RadialField(g, phi), F1, ZERO)
+    ratio = (2 - F1.b) * (F1.p + 2) * rep.grad_sq / (F1.p_c * rep.nonlinear_term)
+    u0 = RadialField(g, ratio ** (1 / F1.p) * phi)
+    entry = sets(u0, F1, ZERO, inflated(gs_f1, 10), omega=1.0)
+    assert evidence_map(entry)["k_n2_vs_zero"].side == "band"
+    assert entry.verdict == UNDETERMINED
+    assert near_note(entry) == ["near_boundary: k_n2_vs_zero inside the dead band"]
 
 
 def test_sets_rescales_min_action_for_other_frequencies(gs_f1):
@@ -193,18 +291,35 @@ def test_sets_rescales_min_action_for_other_frequencies(gs_f1):
 def test_optimal_frequency_frozen_values(gs_f1):
     rep = optimal_frequency(multiple(gs_f1, 0.5), F1, gs_f1)
     assert rep.omega0 == pytest.approx(16.0001252898, rel=1e-9)
-    assert rep.f_omega0 == pytest.approx(31.8891254463, rel=1e-9)
-    assert rep.em_product == pytest.approx(27.8986305911, rel=1e-9)
+    assert rep.gap.lhs == pytest.approx(31.8891254463, rel=1e-9)
+    assert rep.em.lhs == pytest.approx(27.8986305911, rel=1e-9)
     assert not rep.near_boundary
-    assert rep.f_omega0 > 0 and rep.em_product < rep.em_threshold
+    assert rep.gap.side == "above" and rep.em.side == "below"
     d = rep.as_dict()
     assert set(d) == {"omega0", "f_omega0", "em_product", "em_threshold", "near_boundary"}
+    assert (d["f_omega0"], d["em_product"], d["em_threshold"]) == (
+        rep.gap.lhs, rep.em.lhs, rep.em.rhs
+    )
+
+
+def test_intercritical_route_decides_on_the_frequency_row(gs_f1):
+    cls = classify_all(multiple(gs_f1, 0.5), F1, ZERO, gs_f1)
+    em = evidence_map(cls.entry("intercritical_threshold"))["em_product_vs_threshold"]
+    assert em is cls.frequency.em
+    assert em.rhs == gs_f1.thresholds["em_sigma"]
+
+
+def test_gate_equivalence_violation_is_refused(gs_f1):
+    # A gradient term 0.8 times Q's breaks the Pohozaev identities that
+    # tie f(omega0) > 0 to the energy-mass gate; 0.7Q then reads a
+    # positive gap but a product above the threshold.
+    bad = with_report(gs_f1, grad_sq=0.8 * gs_f1.report.grad_sq)
+    with pytest.raises(ClassifyError, match="gate equivalence violated"):
+        optimal_frequency(multiple(gs_f1, 0.7), F1, bad)
 
 
 def test_optimal_frequency_maximizes_the_gap(gs_f1):
     # f(w) = w^kappa m_1 - S_w(u0) evaluated directly must peak at omega0.
-    from inls_lab.functionals import evaluate_all
-
     u0 = multiple(gs_f1, 0.5)
     rep = optimal_frequency(u0, F1, gs_f1)
     base = evaluate_all(u0, F1, ZERO)
@@ -213,9 +328,9 @@ def test_optimal_frequency_maximizes_the_gap(gs_f1):
     def f(w):
         return w**kappa * gs_f1.m_omega - (base.energy + 0.5 * w * base.mass)
 
-    assert f(rep.omega0) == pytest.approx(rep.f_omega0, rel=1e-12)
+    assert f(rep.omega0) == pytest.approx(rep.gap.lhs, rel=1e-12)
     for w in (0.5 * rep.omega0, 0.9 * rep.omega0, 1.1 * rep.omega0, 2 * rep.omega0):
-        assert f(w) < rep.f_omega0
+        assert f(w) < rep.gap.lhs
 
 
 def test_optimal_frequency_requires_intercritical(gs_mc):

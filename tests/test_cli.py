@@ -1,6 +1,7 @@
 """Config parsing, command dispatch, file outputs, exit codes."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -381,6 +382,48 @@ def test_classify_command(tmp_path, capsys, count_calls):
     u0 = RadialField(gs1.profile.grid, 0.5 * gs1.profile.values)
     want = classify_all(u0, F1, PotentialSpec.zero(), gs1).as_json_list()
     assert rows == json.loads(json.dumps(want))
+
+
+@pytest.mark.parametrize(
+    "text, near",
+    [
+        (BASE, [False, False, False]),
+        (BASE.replace("initial.alpha = 0.5", "initial.alpha = 1.0"), [False, True, True]),
+        # F2 at omega = 1: the negative-K set, its gap bound and the closed
+        # blow-up window, whose band is 0.
+        (
+            "params.n = 3\nparams.b = -0.5\nparams.c = -0.5\nparams.p = 2\ngrid.N = 1024\n"
+            "initial.alpha = 1.2\nclassify.omega = 1\n",
+            [False, False, False],
+        ),
+        (
+            "params.n = 3\nparams.b = 0\nparams.c = 0\nparams.p = 1.3333333333333333\n"
+            "initial.alpha = 1.0\n",
+            [True, False, False],
+        ),
+    ],
+    ids=["F1-0.5Q", "F1-Q", "F2-1.2Q", "MC-Q"],
+)
+def test_every_evidence_row_states_its_band(tmp_path, text, near):
+    cfg, out = write_config(tmp_path, text), tmp_path / "o"
+    assert main(["classify", "--config", cfg, "--out", str(out)]) == 0
+    rows = json.loads((out / "classification.json").read_text())
+    for row in rows:
+        for e in row["evidence"]:
+            assert set(e) == {"name", "lhs", "rhs", "band"}
+            assert math.isfinite(e["band"]) and e["band"] >= 0
+            if e["name"] == "pc_vs_blowup_window":  # the window is closed
+                assert e["band"] == 0
+        # A withheld verdict names the one row that sat in its band.
+        notes = [n for n in row["notes"] if n.startswith("near_boundary")]
+        assert len(notes) == row["near_boundary"]
+        for e in row["evidence"]:
+            if notes == [f"near_boundary: {e['name']} inside the dead band"]:
+                assert abs(e["lhs"] - e["rhs"]) <= e["band"]
+                break
+        else:
+            assert not notes
+    assert [r["near_boundary"] for r in rows] == near
 
 
 def test_sweep_parallel_matches_serial(tmp_path):
