@@ -10,22 +10,26 @@ Three routes are implemented.  The mass-critical route compares the
 L2 norm of the datum against the ground-state norm and tests the sign
 of the energy.  The intercritical route compares the scale-invariant
 products energy*mass^sigma and gradnorm*norm^sigma against their
-ground-state values.  The set route tests membership in the two
-sub-action sets split by the sign of the scaling derivative K^{n,2}
-at a chosen frequency; the frequency-optimized choice omega0 makes
-the set route equivalent to the intercritical energy-mass gate.
+ground-state values in log form, log(E/E_Q) + sigma log(M/M_Q) < 0,
+so no power of the mass is formed however large sigma grows; E <= 0
+passes the energy-mass gate outright.  The set route tests membership
+in the two sub-action sets split by the sign of the scaling derivative
+K^{n,2} at a chosen frequency; the frequency-optimized choice omega0
+makes the set route equivalent to the intercritical energy-mass gate.
 
 classify_all is the one entry point: it checks the reference ground
 state, checks the assumptions and integrates the datum once, and
-holds the one set-route frequency rule.  Every route reads that one FunctionalReport and hands its decide step to _entry.
+holds the one set-route frequency rule.  Every route reads that one
+FunctionalReport against Q's own, gs1.report, and hands its decide
+step to _entry.
 
 Each comparison states its band: an Evidence row holds both sides of
 one strict inequality and the absolute half-width of its dead band,
 DEAD_BAND times a scale of the compared quantity, set where the row is
-built.  Its side is the one comparison every verdict reads.  A row in
-its band withholds the verdict with a near-boundary flag: the theorems
-are open-condition statements, and numerical equality is not evidence
-for either side.
+built (1 for a log ratio of products).  Its side is the one comparison
+every verdict reads.  A row in its band withholds the verdict with a
+near-boundary flag: the theorems are open-condition statements, and
+numerical equality is not evidence for either side.
 """
 
 from __future__ import annotations
@@ -123,7 +127,8 @@ class FrequencyReport:
     gap compares f(w) = w^kappa * m_1 - S_{w,V}(u0) at its critical
     point omega0 with 0; a positive f(omega0) certifies that u0 lies
     below the minimal action at that frequency.  em is the equivalent
-    energy-mass gate, the row the intercritical route decides on too.
+    energy-mass gate, the row the intercritical route decides on too
+    (energy_vs_zero where the energy of u0 is not positive).
     """
 
     omega0: float
@@ -138,9 +143,8 @@ class FrequencyReport:
         """The frequency.json record."""
         return {
             "omega0": self.omega0,
-            "f_omega0": self.gap.lhs,
-            "em_product": self.em.lhs,
-            "em_threshold": self.em.rhs,
+            "gap": self.gap.as_dict(),
+            "em": self.em.as_dict(),
             "near_boundary": self.near_boundary,
         }
 
@@ -217,8 +221,8 @@ def _mass_critical(
     e_scale = 0.5 * (rep.grad_sq + rep.potential_energy) + rep.nonlinear_term / (params.p + 2)
 
     evidence = [Evidence("energy_vs_zero", rep.energy, 0.0, DEAD_BAND * e_scale)]
-    mass_th = gs1.thresholds["mass_threshold"]  # None below the mass-critical line
-    if mass_th is not None:
+    if params.criticality in (Criticality.MASS_CRITICAL, Criticality.INTERCRITICAL):
+        mass_th = gs1.report.mass**0.5  # undefined below the mass-critical line
         evidence.insert(0, _relative("mass_norm_vs_threshold", math.sqrt(rep.mass), mass_th))
     notes = [f"weighted_variance_sq = {rep.variance:.6e}"]
 
@@ -245,9 +249,10 @@ def _intercritical(
     Both branches are gated on the energy-mass product sitting below
     its ground-state value, the row frequency.em.  Below that gate, the
     gradient-mass product below its ground-state value gives a global
-    candidate and above it a blow-up candidate.  The blow-up branch
-    applies to grid data through the finite-variance hypothesis; the
-    radial branch additionally needs p < 4 and is recorded alongside.
+    candidate and above it a blow-up candidate, both in log form.  The
+    blow-up branch applies to grid data through the finite-variance
+    hypothesis; the radial branch additionally needs p < 4 and is
+    recorded alongside.
     """
     params = rep.params
     intercritical = params.criticality is Criticality.INTERCRITICAL
@@ -261,9 +266,12 @@ def _intercritical(
 
     evidence: list[Evidence] = []
     notes: list[str] = []
-    if frequency is not None:  # intercritical: the products and their thresholds are defined
-        grad_th = gs1.thresholds["grad_mass"]
-        evidence = [frequency.em, _relative("grad_product_vs_threshold", rep.grad_product, grad_th)]
+    if frequency is not None:  # intercritical: the products are defined
+        q = gs1.report
+        log_grad = 0.5 * (math.log(rep.grad_sq + rep.potential_energy) - math.log(q.grad_sq))
+        log_mass = 0.5 * params.sigma * (math.log(rep.mass) - math.log(q.mass))
+        grad = Evidence("grad_product_vs_threshold", log_grad + log_mass, 0.0, DEAD_BAND)
+        evidence = [frequency.em, grad]
 
     def decide() -> tuple[str, Evidence | None]:
         em, grad = evidence
@@ -389,16 +397,30 @@ def _optimal_frequency(
 
     base = (2 - b) * p / (2 * (2 - b) * (p + 2) - 2 * pc) * (mass / gs1.m_omega)
     expo = (2 - b) * p / (2 * (2 - b) - pc)
-    omega0 = float(base**expo)
+    try:
+        omega0 = base**expo
+    except OverflowError:
+        omega0 = math.inf
+    if not 0 < omega0 < math.inf:
+        raise ClassifyError(
+            f"optimized frequency exp({expo * math.log(base):.6g}) is not a positive finite "
+            f"float at sigma = {params.sigma:.6g}"
+        )
     m0 = gs1.min_action(omega0)
     f0 = float(m0 - (rep.energy + 0.5 * omega0 * mass))
 
     gap = Evidence("f_omega0_vs_zero", f0, 0.0, DEAD_BAND * m0)
-    em = _relative("em_product_vs_threshold", rep.em_product, gs1.thresholds["em_sigma"])
+    q = gs1.report
+    if rep.energy > 0:
+        log_energy = math.log(rep.energy) - math.log(q.energy)
+        log_mass = params.sigma * (math.log(mass) - math.log(q.mass))
+        em = Evidence("em_product_vs_threshold", log_energy + log_mass, 0.0, DEAD_BAND)
+    else:  # E_Q > 0, so E M^sigma < E_Q M_Q^sigma holds outright
+        em = Evidence("energy_vs_zero", rep.energy, 0.0, 0.0)
     if _in_band(gap, em) is None and (gap.side == "above") != (em.side == "below"):
         raise ClassifyError(
             f"gate equivalence violated: f(omega0) = {f0} while "
-            f"energy-mass product is {em.lhs} vs threshold {em.rhs}"
+            f"{em.name} reads {em.lhs} against {em.rhs}"
         )
     return FrequencyReport(omega0, gap, em)
 
@@ -418,9 +440,10 @@ def optimal_frequency(
     and f(omega0) > 0 holds exactly when the energy-mass product of u0
     is below its ground-state value.  The two directions are asserted
     to agree unless either row sits in its band (f(omega0) banded by
-    1e-6 m(omega0), the products by 1e-6 of the larger); band cases
+    1e-6 m(omega0), the log ratio of the products by 1e-6); band cases
     are flagged instead of asserted.  gs1 must be the frequency-1
-    ground state of the equation of params, else ClassifyError.
+    ground state of the equation of params, else ClassifyError, and so
+    is an omega0 off the positive floats.
     """
     if not gs1.is_reference_for(params):
         raise ClassifyError(f"needs the frequency-1 ground state of {params}, got {gs1.params}")

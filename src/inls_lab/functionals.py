@@ -92,31 +92,6 @@ class FunctionalReport:
         return self.grad_sq + self.potential_energy + self.params.omega * self.mass
 
     @property
-    def grad_norm_V(self) -> float:
-        return math.sqrt(self.grad_sq + self.potential_energy)
-
-    @property
-    def em_product(self) -> float:
-        """E M^sigma, the energy-mass product of the intercritical dichotomy."""
-        return self._sigma_product("energy-mass", self.energy, self.mass)
-
-    @property
-    def grad_product(self) -> float:
-        """||grad u||_{b,V} ||u||_2^sigma, the gradient-mass product."""
-        return self._sigma_product("gradient-mass", self.grad_norm_V, math.sqrt(self.mass))
-
-    def _sigma_product(self, name: str, factor: float, base: float) -> float:
-        """factor * base^sigma, or FunctionalError naming sigma off the float range."""
-        sigma = self.params.sigma
-        try:
-            product = factor * base**sigma
-        except OverflowError:
-            product = math.inf
-        if math.isfinite(product):
-            return product
-        raise FunctionalError(f"{name} product overflows the float range at sigma = {sigma:.6g}")
-
-    @property
     def nehari(self) -> float:
         return self.k(1, 0)
 

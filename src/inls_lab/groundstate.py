@@ -37,11 +37,12 @@ that either one found the ground state rather than a solver artifact.
 
 A GroundState carries the functionals.evaluate_all report of its
 profile, which holds the parameters it was evaluated at, and every
-constant is read off that report: the threshold constants (sharp
-interpolation-inequality constant, the energy-mass product at the
-ground state, the ground-state action) and the Pohozaev defects are
-closed forms of it.  derive_thresholds cross-checks each constant that
-admits a second, independent expression.
+constant is read off that report: the sharp interpolation-inequality
+constant, the ground-state action and the Pohozaev defects are closed
+forms of it.  The report is also the dichotomy's threshold, which
+classify compares a datum's report with in log form; derive_thresholds
+alone forms the threshold constants, powers sigma of the mass among
+them, and cross-checks each one that admits a second expression.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functionals import FunctionalError, FunctionalReport, evaluate_all
+from .functionals import FunctionalReport, evaluate_all
 from .grid import (
     RadialField,
     RadialGrid,
@@ -199,27 +200,6 @@ class GroundState:
         return self.report.action
 
     @property
-    def thresholds(self) -> dict[str, float | None]:
-        """The frequency-1 dichotomy constants, direct routes only; None
-        where the frequency or the criticality class leaves them undefined.
-        A power of the mass beyond the float range raises GroundStateError."""
-        rep, params = self.report, self.params
-        out: dict[str, float | None] = dict.fromkeys(("mass_threshold", "em_sigma", "grad_mass"))
-        crit = params.criticality
-        defined = crit in (Criticality.MASS_CRITICAL, Criticality.INTERCRITICAL)
-        if defined and is_frequency_one(params.omega):
-            out["mass_threshold"] = rep.mass**0.5
-            if crit is Criticality.INTERCRITICAL:
-                try:
-                    out["grad_mass"], out["em_sigma"] = rep.grad_product, rep.em_product
-                except FunctionalError:
-                    raise GroundStateError(
-                        f"thresholds overflow the float range at sigma = {params.sigma:.6g} "
-                        f"for {params}"
-                    ) from None
-        return out
-
-    @property
     def omega(self) -> float:
         return self.params.omega
 
@@ -237,7 +217,7 @@ class GroundState:
         return is_frequency_one(self.omega) and self.params == params.with_omega(self.omega)
 
     def as_dict(self) -> dict:
-        out = {
+        return {
             "omega": self.omega,
             "residual": self.residual,
             "strong_residual": self.strong_residual,
@@ -248,9 +228,10 @@ class GroundState:
             "pohozaev_res_mass_gradient": self.pohozaev_res[1],
             "c_gn": self.c_gn,
             "m_omega": self.m_omega,
+            "mass": self.report.mass,
+            "energy": self.report.energy,
+            "grad_sq": self.report.grad_sq,
         }
-        out.update(self.thresholds)
-        return out
 
 
 def _admissible(params: ProblemParams) -> None:
@@ -467,7 +448,7 @@ def petviashvili_solve(params: ProblemParams, grid: RadialGrid) -> GroundState:
     if not rep.action > 0:
         raise NonConvergence(f"ground-state action {rep.action} not positive")
 
-    gs = GroundState(
+    return GroundState(
         profile=profile,
         report=rep,
         residual=residual,
@@ -475,8 +456,6 @@ def petviashvili_solve(params: ProblemParams, grid: RadialGrid) -> GroundState:
         history=tuple(history),
         levels=tuple(levels),
     )
-    gs.thresholds  # refuses a set whose products leave the float range
-    return gs
 
 
 def derive_thresholds(gs1: GroundState, params: ProblemParams) -> dict[str, float | None]:
@@ -484,10 +463,12 @@ def derive_thresholds(gs1: GroundState, params: ProblemParams) -> dict[str, floa
 
     gs1 must be the reference of params (GroundState.is_reference_for:
     frequency 1, same n, b, c, p), else GroundStateError.  Returns the
-    thresholds of gs1: for intercritical exponents all of
-    mass_threshold, em_sigma, and grad_mass; for mass-critical
-    exponents only the mass threshold is defined.  Every constant with
-    two independent expressions is cross-checked to 1e-6 relative
+    closed forms mass_threshold ||Q||_2, em_sigma E(Q) M(Q)^sigma and
+    grad_mass ||grad Q||_{b,2} ||Q||_2^sigma of the report of Q_1, the
+    last two None for mass-critical exponents; the one place a power
+    sigma of the mass is formed, and one beyond the float range raises
+    GroundStateError naming sigma.  Every constant with two
+    independent expressions is cross-checked to 1e-6 relative
     before being reported: em_sigma directly as the energy-mass product
     and via the peak of the threshold function,
     [(p_c - 2(2-b))/(2 p_c)] grad_mass^2, and the sharp constant
@@ -508,25 +489,33 @@ def derive_thresholds(gs1: GroundState, params: ProblemParams) -> dict[str, floa
             f"thresholds require omega = 1 and the (n, b, c, p) of {params}; "
             f"got the ground state of {gs1.params}"
         )
-    out = gs1.thresholds
-    if crit is Criticality.INTERCRITICAL:
-        pc = params.p_c
-        b = params.b
-        grad_mass = out["grad_mass"]
-        em_direct = out["em_sigma"]
-        em_closed = (pc - 2 * (2 - b)) / (2 * pc) * grad_mass**2
-        if abs(em_direct - em_closed) > 1e-6 * abs(em_closed):
-            raise GroundStateError(
-                f"energy-mass product disagrees between routes: "
-                f"{em_direct:.12e} vs {em_closed:.12e}"
-            )
-        c_closed = (2 - b) * (params.p + 2) / pc * grad_mass ** (2 - pc / (2 - b))
-        if abs(c_closed - gs1.c_gn) > 1e-6 * abs(gs1.c_gn):
-            raise GroundStateError(
-                f"sharp constant disagrees between routes: "
-                f"{c_closed:.12e} vs {gs1.c_gn:.12e}"
-            )
-    return out
+    rep = gs1.report
+    mass_threshold = rep.mass**0.5
+    if crit is Criticality.MASS_CRITICAL:
+        return {"mass_threshold": mass_threshold, "em_sigma": None, "grad_mass": None}
+    pc, b, sigma = params.p_c, params.b, params.sigma
+    try:
+        grad_mass = math.sqrt(rep.grad_sq) * math.sqrt(rep.mass) ** sigma
+        em_direct = rep.energy * rep.mass**sigma
+    except OverflowError:
+        grad_mass = em_direct = math.inf
+    if not (math.isfinite(grad_mass) and math.isfinite(em_direct)):
+        raise GroundStateError(
+            f"thresholds overflow the float range at sigma = {sigma:.6g} for {params}"
+        )
+    em_closed = (pc - 2 * (2 - b)) / (2 * pc) * grad_mass**2
+    if abs(em_direct - em_closed) > 1e-6 * abs(em_closed):
+        raise GroundStateError(
+            f"energy-mass product disagrees between routes: "
+            f"{em_direct:.12e} vs {em_closed:.12e}"
+        )
+    c_closed = (2 - b) * (params.p + 2) / pc * grad_mass ** (2 - pc / (2 - b))
+    if abs(c_closed - gs1.c_gn) > 1e-6 * abs(gs1.c_gn):
+        raise GroundStateError(
+            f"sharp constant disagrees between routes: "
+            f"{c_closed:.12e} vs {gs1.c_gn:.12e}"
+        )
+    return {"mass_threshold": mass_threshold, "em_sigma": em_direct, "grad_mass": grad_mass}
 
 
 def _series_terms(params: ProblemParams, q0: float) -> tuple[float, float, float, float]:

@@ -238,7 +238,7 @@ def _gn_pair(params: ProblemParams, N: int) -> tuple[float, float]:
     """Measured interpolation ratio at Q and its closed form, one grid."""
     gs = _solve(params, N)
     b, p, pc = params.b, params.p, params.p_c
-    mass_norm = gs.thresholds["mass_threshold"]
+    mass_norm = gs.report.mass**0.5
     closed = (pc / ((2 - b) * (p + 2) - pc)) ** (1 - pc / (2 * (2 - b))) * (
         (2 - b) * (p + 2) / (pc * mass_norm**p)
     )

@@ -1,6 +1,7 @@
 """Verdict routes: thresholds, action sets, frequency optimization."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from inls_lab.classify import (
     classify_all,
     optimal_frequency,
 )
-from inls_lab.functionals import FunctionalError, evaluate_all
+from inls_lab.functionals import evaluate_all
 from inls_lab.grid import RadialField
 from inls_lab.params import ProblemParams
 from inls_lab.potential import PotentialSpec
@@ -106,15 +107,20 @@ def test_intercritical_dichotomy(gs_f1):
     low = intercritical(multiple(gs_f1, 0.5), F1, ZERO, gs_f1)
     assert low.verdict == GLOBAL_CANDIDATE
     ev = evidence_map(low)
-    assert ev["em_product_vs_threshold"].lhs == pytest.approx(27.8986305911, rel=1e-9)
-    assert ev["em_product_vs_threshold"].rhs == pytest.approx(178.551655229, rel=1e-9)
-    assert ev["grad_product_vs_threshold"].lhs < ev["grad_product_vs_threshold"].rhs
+    # Each product row is log(product/threshold) against 0, banded by 1e-6:
+    # log(27.8986305911/178.551655229) for the energy-mass product, and
+    # (1 + sigma) log 0.5 with sigma = 1 for the gradient-mass product of 0.5Q.
+    em, grad = ev["em_product_vs_threshold"], ev["grad_product_vs_threshold"]
+    assert em.lhs == pytest.approx(-1.85630033953, abs=1e-9)
+    assert grad.lhs == pytest.approx(2 * math.log(0.5), abs=1e-12)
+    assert (em.rhs, em.band) == (grad.rhs, grad.band) == (0.0, 1e-6)
 
     high = intercritical(multiple(gs_f1, 1.5), F1, ZERO, gs_f1)
     assert high.verdict == BLOWUP_CANDIDATE
     ev = evidence_map(high)
-    assert ev["em_product_vs_threshold"].lhs < ev["em_product_vs_threshold"].rhs
-    assert ev["grad_product_vs_threshold"].lhs > ev["grad_product_vs_threshold"].rhs
+    # A negative energy passes the energy-mass gate outright: E_Q > 0.
+    assert ev["energy_vs_zero"].lhs < 0 and ev["energy_vs_zero"].band == 0.0
+    assert ev["grad_product_vs_threshold"].lhs > 0
     assert any("radial branch also applies (p < 4)" in n for n in high.notes)
 
     at = intercritical(multiple(gs_f1, 1.0), F1, ZERO, gs_f1)
@@ -140,7 +146,7 @@ def test_intercritical_energy_mass_product_above_threshold(gs_f1):
     u0 = RadialField(grid, 0.3 * np.exp(-(((grid.nodes - 5.0) / 0.5) ** 2)))
     entry = intercritical(u0, F1, ZERO, gs_f1)
     em = evidence_map(entry)["em_product_vs_threshold"]
-    assert em.lhs > 3 * em.rhs > 0
+    assert em.lhs > math.log(3) and em.rhs == 0
     assert entry.verdict == UNDETERMINED
     assert not entry.near_boundary
     assert entry.notes == ("energy-mass product above threshold: no branch applies",)
@@ -292,21 +298,30 @@ def test_optimal_frequency_frozen_values(gs_f1):
     rep = optimal_frequency(multiple(gs_f1, 0.5), F1, gs_f1)
     assert rep.omega0 == pytest.approx(16.0001252898, rel=1e-9)
     assert rep.gap.lhs == pytest.approx(31.8891254463, rel=1e-9)
-    assert rep.em.lhs == pytest.approx(27.8986305911, rel=1e-9)
+    assert rep.em.lhs == pytest.approx(-1.85630033953, abs=1e-9)
     assert not rep.near_boundary
     assert rep.gap.side == "above" and rep.em.side == "below"
-    d = rep.as_dict()
-    assert set(d) == {"omega0", "f_omega0", "em_product", "em_threshold", "near_boundary"}
-    assert (d["f_omega0"], d["em_product"], d["em_threshold"]) == (
-        rep.gap.lhs, rep.em.lhs, rep.em.rhs
-    )
+    assert rep.as_dict() == {
+        "omega0": rep.omega0,
+        "gap": rep.gap.as_dict(),
+        "em": rep.em.as_dict(),
+        "near_boundary": False,
+    }
+    assert rep.as_dict()["em"] == {
+        "name": "em_product_vs_threshold", "lhs": rep.em.lhs, "rhs": 0.0, "band": 1e-6
+    }
 
 
 def test_intercritical_route_decides_on_the_frequency_row(gs_f1):
     cls = classify_all(multiple(gs_f1, 0.5), F1, ZERO, gs_f1)
     em = evidence_map(cls.entry("intercritical_threshold"))["em_product_vs_threshold"]
     assert em is cls.frequency.em
-    assert em.rhs == gs_f1.thresholds["em_sigma"]
+    # The threshold is Q's own report: no power of the mass is formed.
+    u, q = evaluate_all(multiple(gs_f1, 0.5), F1, ZERO), gs_f1.report
+    log_em = math.log(u.energy) - math.log(q.energy) + F1.sigma * (
+        math.log(u.mass) - math.log(q.mass)
+    )
+    assert (em.lhs, em.rhs) == (log_em, 0.0)
 
 
 def test_gate_equivalence_violation_is_refused(gs_f1):
@@ -419,14 +434,39 @@ def test_set_route_runs_at_the_optimized_frequency(gs_f1):
         cls.entry("no_such_theorem")
 
 
-def test_a_product_beyond_the_float_range_raises_naming_sigma():
-    # Near the mass line sigma is 88.6: 1.1Q and 3Q classify, and the
-    # energy-mass product of 10Q leaves the float range.
+def test_the_intercritical_route_decides_up_to_the_mass_line():
+    # sigma = 8.56, 88.6 and 889 at p = 4/3 + delta: the products are
+    # compared in log form against Q's report, so no power of the mass
+    # is formed, and the verdicts of 0.9Q and 1.1Q hold up to the line.
+    for delta in (1e-1, 1e-2, 1e-3):
+        params = ProblemParams(3, 0.0, 0.0, 4 / 3 + delta)
+        gs = solve(params, 4096)
+        for t, verdict in ((0.9, GLOBAL_CANDIDATE), (1.1, BLOWUP_CANDIDATE)):
+            cls = classify_all(multiple(gs, t), params, ZERO, gs)
+            assert cls.entry("intercritical_threshold").verdict == verdict
+            rows = [x for e in cls.entries for x in e.evidence]
+            assert all(math.isfinite(v) for x in rows for v in (x.lhs, x.rhs, x.band))
+            assert math.isfinite(cls.frequency.omega0)
+    # At sigma = 88.6, E M^sigma of 10Q is beyond the float range; the
+    # energy of 3Q and 10Q is negative, so their energy-mass row is
+    # energy_vs_zero and they classify.
     params = ProblemParams(3, 0.0, 0.0, 4 / 3 + 1e-2)
     gs = solve(params, 4096)
-    for t in (1.1, 3.0):
-        assert classify_all(multiple(gs, t), params, ZERO, gs).frequency is not None
-    with pytest.raises(
-        FunctionalError, match=r"energy-mass product overflows the float range at sigma = 88\.5556"
-    ):
-        classify_all(multiple(gs, 10.0), params, ZERO, gs)
+    for t in (3.0, 10.0):
+        cls = classify_all(multiple(gs, t), params, ZERO, gs)
+        em = cls.frequency.em
+        assert em.name == "energy_vs_zero" and em.lhs < 0 and em.band == 0.0
+        assert cls.entry("intercritical_threshold").verdict == BLOWUP_CANDIDATE
+
+
+def test_an_optimized_frequency_off_the_floats_is_refused_naming_it():
+    # At sigma = 8889, omega0 = exp(1873) overflows for 0.9Q and
+    # exp(-1695) underflows for 1.1Q.
+    params = ProblemParams(3, 0.0, 0.0, 4 / 3 + 1e-4)
+    gs = solve(params, 4096)
+    for t, log_omega0 in ((0.9, r"1873\.23"), (1.1, r"-1694\.52")):
+        with pytest.raises(
+            ClassifyError,
+            match=rf"exp\({log_omega0}\) is not a positive finite float at sigma = 8888\.56",
+        ):
+            classify_all(multiple(gs, t), params, ZERO, gs)

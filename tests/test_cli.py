@@ -229,6 +229,13 @@ def test_main_exit_codes(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["missing.cfg", "."], ids=["missing", "directory"])
+def test_an_unreadable_config_exits_2_naming_it(tmp_path, capsys, name):
+    path = tmp_path / name
+    assert main(["groundstate", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: cannot read config {path}: ")
+
+
 def test_check_potential_command(tmp_path, capsys):
     text = (
         "params.n = 3\nparams.b = -0.5\nparams.c = -0.5\nparams.p = 2\n"
@@ -377,7 +384,9 @@ def test_classify_command(tmp_path, capsys, count_calls):
     assert rows[0]["verdict"] == "NotApplicable"
     assert rows[1]["verdict"] == "GlobalCandidate"
     freq = json.loads((out / "frequency.json").read_text())
-    assert freq["f_omega0"] > 0
+    assert set(freq) == {"omega0", "gap", "em", "near_boundary"}
+    assert freq["gap"]["name"] == "f_omega0_vs_zero" and freq["gap"]["lhs"] > 0
+    assert freq["em"] == rows[1]["evidence"][0]
     gs1 = solve(F1, 1024)
     u0 = RadialField(gs1.profile.grid, 0.5 * gs1.profile.values)
     want = classify_all(u0, F1, PotentialSpec.zero(), gs1).as_json_list()

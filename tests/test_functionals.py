@@ -37,7 +37,7 @@ def test_report_internal_identities():
     u = sample_field(F2)
     rep = evaluate_all(u, F2, BUMP)
     p, w = F2.p, F2.omega
-    grad_V_sq = rep.grad_norm_V**2
+    grad_V_sq = rep.grad_sq + rep.potential_energy
     assert rep.energy == pytest.approx(
         0.5 * grad_V_sq - rep.nonlinear_term / (p + 2), rel=1e-12
     )

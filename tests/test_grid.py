@@ -189,6 +189,16 @@ def test_field_csv_rejects_wrong_grid(tmp_path):
         field_from_csv(other, path)
 
 
+def test_field_csv_rejects_a_grid_of_another_grading(tmp_path):
+    # Same N, so the row count matches; the graded nodes do not.
+    g = build_grid(3, -0.5, r_max=15.0, N=128, grading=2.0)
+    path = tmp_path / "f.csv"
+    field_to_csv(RadialField(g, np.exp(-g.nodes**2)), path)
+    other = build_grid(3, -0.5, r_max=15.0, N=128, grading=1.5)
+    with pytest.raises(GridError, match=re.escape(f"field file {path}: nodes do not match the grid")):
+        field_from_csv(other, path)
+
+
 @pytest.mark.parametrize(
     "text, line",
     [

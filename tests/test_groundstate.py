@@ -27,7 +27,7 @@ from inls_lab.groundstate import (
     pohozaev_residuals,
     shooting_solve,
 )
-from inls_lab.params import Criticality, ProblemParams
+from inls_lab.params import ProblemParams
 from inls_lab.potential import PotentialSpec
 
 from conftest import F1, F2, F3, MC, NM, grid_for, solve
@@ -56,14 +56,15 @@ def test_frozen_action_values(gs_f1):
 
 
 def test_frozen_threshold_values(gs_f1):
-    th = gs_f1.thresholds
-    assert th["mass_threshold"] == pytest.approx(4.34707986204, rel=1e-9)
-    assert th["em_sigma"] == pytest.approx(178.551655229, rel=1e-9)
-    assert th["grad_mass"] == pytest.approx(32.7308285118, rel=1e-9)
+    # Each threshold is a closed form of Q's mass, energy and gradient term.
+    rep, sigma = gs_f1.report, F1.sigma
+    assert rep.mass**0.5 == pytest.approx(4.34707986204, rel=1e-9)
+    assert rep.energy * rep.mass**sigma == pytest.approx(178.551655229, rel=1e-9)
+    assert math.sqrt(rep.grad_sq * rep.mass**sigma) == pytest.approx(32.7308285118, rel=1e-9)
 
 
 def test_mass_critical_thresholds_structure(gs_mc):
-    th = gs_mc.thresholds
+    th = derive_thresholds(gs_mc, MC)
     assert th["em_sigma"] is None
     assert th["grad_mass"] is None
     assert th["mass_threshold"] == gs_mc.report.mass**0.5
@@ -71,16 +72,12 @@ def test_mass_critical_thresholds_structure(gs_mc):
 
 def assert_constants_follow(gs, rep):
     """Every constant of gs is its closed form of rep, bit for bit."""
-    intercritical = rep.params.criticality is Criticality.INTERCRITICAL
     assert gs.params == rep.params
     assert gs.m_omega == rep.action
     assert gs.c_gn == gn_ratio(rep)
     assert gs.pohozaev_res == pohozaev_residuals(rep)
-    assert gs.thresholds == {
-        "mass_threshold": rep.mass**0.5,
-        "em_sigma": rep.em_product if intercritical else None,
-        "grad_mass": rep.grad_product if intercritical else None,
-    }
+    d = gs.as_dict()
+    assert (d["mass"], d["energy"], d["grad_sq"]) == (rep.mass, rep.energy, rep.grad_sq)
 
 
 @pytest.mark.parametrize("fixture", ["gs_f1", "gs_mc"])
@@ -99,7 +96,7 @@ def test_every_constant_is_read_off_the_report(fixture, request):
     moved = replace(gs, report=scaled)
     assert_constants_follow(moved, scaled)
     assert moved.m_omega != gs.m_omega
-    assert moved.thresholds["mass_threshold"] != gs.thresholds["mass_threshold"]
+    assert moved.as_dict()["energy"] != gs.as_dict()["energy"]
 
 
 def test_pohozaev_defect_refines_at_second_order(gs_f1):
@@ -150,8 +147,14 @@ def test_derive_thresholds_certified_grid():
 
 
 def test_derive_thresholds_returns_the_stored_constants():
+    # Bit for bit the closed forms of the three numbers groundstate.json stores.
     gs = solve(F2, 8192)
-    assert derive_thresholds(gs, F2) == gs.thresholds
+    d, sigma = gs.as_dict(), F2.sigma
+    assert derive_thresholds(gs, F2) == {
+        "mass_threshold": d["mass"] ** 0.5,
+        "em_sigma": d["energy"] * d["mass"] ** sigma,
+        "grad_mass": math.sqrt(d["grad_sq"]) * math.sqrt(d["mass"]) ** sigma,
+    }
 
 
 def test_derive_thresholds_refuses_coarse_grid(gs_f1):
@@ -182,11 +185,13 @@ def test_derive_thresholds_requires_critical_window():
 
 
 def test_thresholds_beyond_the_float_range_raise_a_ground_state_error():
-    # Just above the mass line sigma is 889, and the mass to that power
-    # overflows once the profile has certified.
+    # Just above the mass line sigma is 889: the profile certifies, and
+    # only the mass to that power, formed by derive_thresholds alone,
+    # leaves the float range.
     near_mass_line = ProblemParams(3, 0.0, 0.0, 4 / 3 + 1e-3)
+    gs = petviashvili_solve(near_mass_line, grid=grid_for(3, 0.0, 4096))
     with pytest.raises(GroundStateError, match=r"float range at sigma = 888\.556 for ProblemParams\(n=3, b=0\.0, c=0\.0, p=1\.334"):
-        petviashvili_solve(near_mass_line, grid=grid_for(3, 0.0, 4096))
+        derive_thresholds(gs, near_mass_line)
 
 
 def test_frequency_power_law_of_action():
@@ -828,11 +833,14 @@ def test_ground_state_serialization(gs_f1):
         "pohozaev_res_mass_gradient",
         "c_gn",
         "m_omega",
-        "mass_threshold",
-        "em_sigma",
-        "grad_mass",
+        "mass",
+        "energy",
+        "grad_sq",
     }
     assert d["omega"] == 1.0
+    assert (d["mass"], d["energy"], d["grad_sq"]) == (
+        gs_f1.report.mass, gs_f1.report.energy, gs_f1.report.grad_sq
+    )
     assert d["m_omega"] == gs_f1.m_omega
     assert d["iterations"] == gs_f1.iterations
     assert d["history"] == list(gs_f1.history)
