@@ -45,8 +45,9 @@ This exact summation-by-parts identity is what makes the Cayley time
 step unitary and mass conservation exact in the evolution module.
 
 The grid stores M_{b,0}, the form at V = 0: its diagonal as
-stiffness_diag and its off-diagonal as -face_weights.  solve_shifted
-works with these bands directly; the time stepper adds diag(mu V) to
+stiffness_diag and its off-diagonal as -face_weights.  factor_shifted
+factors M + shift diag(mu) from these bands once and solves each
+right-hand side with the factor; the time stepper adds diag(mu V) to
 the diagonal for its own potential.  M v itself is formed in one
 place, add_stiffness, from the face fluxes nu_{i+1/2} (v_i - v_{i+1})
 and the Dirichlet edge term: diag v minus the neighbour terms would
@@ -54,10 +55,13 @@ cancel to about h^2 of their size where v is smooth and lose those
 digits.  apply_operator and the ground-state solve's residual both
 call it.  The grid also stores r^(2-b) at the nodes, the weight of the
 variance, a grid constant because check_grid ties the parameters' b
-to the grid's.
+to the grid's.  A grid keeps its coarse mesh, the mesh of
+max(N // 4, 16) cells with the same radius and grading, built the
+first time it is read; the ground-state solve climbs grid.coarse,
+grid.coarse.coarse, ... and so builds each mesh below a grid once.
 
-The package calls three LAPACK routines: dptsv here, dgtsv in the
-Newton polish and zgtsv in the Cayley step.  All three are bound from
+The package calls four LAPACK routines: dpttrf and dpttrs here, dgtsv
+in the Newton polish and zgtsv in the Cayley step.  All four are bound from
 scipy's compiled wrapper module scipy.linalg._flapack, loaded by path:
 importing scipy.linalg would run its package __init__, which costs
 about half of every CLI command's time.  A later import of
@@ -71,7 +75,9 @@ import importlib.util
 import os
 import sys
 import sysconfig
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 from math import gamma, isfinite, pi
 from types import ModuleType
 
@@ -89,10 +95,10 @@ __all__ = [
     "build_grid",
     "check_grid",
     "check_grid_settings",
+    "factor_shifted",
     "field_from_csv",
     "field_to_csv",
     "gradient_norm_sq",
-    "solve_shifted",
 ]
 
 
@@ -120,7 +126,8 @@ def load_flapack(scipy_dir: str) -> ModuleType:
 
 
 _flapack = load_flapack(os.path.dirname(scipy.__file__))
-dptsv, dgtsv, zgtsv = _flapack.dptsv, _flapack.dgtsv, _flapack.zgtsv
+dpttrf, dpttrs = _flapack.dpttrf, _flapack.dpttrs
+dgtsv, zgtsv = _flapack.dgtsv, _flapack.zgtsv
 
 
 def sphere_area(n: int) -> float:
@@ -144,6 +151,14 @@ class RadialGrid:
     outer_face_weight: float  # nu_{N+1/2} with ghost spacing r_max - r_N
     stiffness_diag: np.ndarray  # diagonal of M_{b,0} = diag(mu) A_{b,0}, shape (N,)
     variance_weight: np.ndarray  # r_i^(2-b), the weight of the variance, shape (N,)
+
+    @cached_property
+    def coarse(self) -> RadialGrid:
+        """The mesh of max(N // 4, 16) cells with this radius and grading,
+        built once: its faces are every 4th face of this mesh when 4
+        divides N.  cached_property writes the instance __dict__, which
+        the frozen dataclass leaves open."""
+        return build_grid(self.n, self.b, self.r_max, max(self.N // 4, 16), self.grading)
 
 
 def check_grid_settings(n: int, b: float, r_max: float, N: int, grading: float) -> None:
@@ -265,18 +280,27 @@ def apply_operator(g: RadialGrid, values: np.ndarray) -> np.ndarray:
     return add_stiffness(g, values, np.zeros_like(values)) * (1.0 / g.measure_weights)
 
 
-def solve_shifted(g: RadialGrid, shift: float, rhs: np.ndarray) -> np.ndarray:
-    """Solve (A_{b,0} + shift) x = rhs on g for real rhs and shift > 0.
+def factor_shifted(g: RadialGrid, shift: float) -> Callable[[np.ndarray], np.ndarray]:
+    """The solver of (A_{b,0} + shift) x = rhs on g, for real rhs and shift > 0.
 
-    Works on the symmetric form: (M + shift diag(mu)) x = mu * rhs is
-    symmetric positive definite tridiagonal, one LAPACK dptsv call.
+    Works on the symmetric form: M + shift diag(mu) is symmetric positive
+    definite tridiagonal, factored once by LAPACK dpttrf, and each
+    right-hand side mu * rhs is one dpttrs solve with that factor, the
+    same bits as one dptsv call.  A system that is not positive definite
+    raises GridError naming dpttrf.
     """
     mu = g.measure_weights
-    # dptsv overwrites all three arrays, and each is this call's own
-    *_, x, info = dptsv(g.stiffness_diag + shift * mu, -g.face_weights, mu * rhs, 1, 1, 1)
+    # dpttrf overwrites both bands, and each is this factor's own
+    d, e, info = dpttrf(g.stiffness_diag + shift * mu, -g.face_weights, 1, 1)
     if info != 0:
-        raise GridError(f"shifted solve failed (dptsv info {info})")
-    return x
+        raise GridError(f"shifted factorization failed (dpttrf info {info})")
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        # dpttrs overwrites the right-hand side, which is this call's own;
+        # its info is nonzero only for an illegal argument
+        return dpttrs(d, e, mu * rhs, 1)[0]
+
+    return solve
 
 
 def field_to_csv(f: RadialField, path) -> None:

@@ -49,23 +49,22 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .functionals import FunctionalReport, evaluate_all
+from .functionals import FunctionalReport, Quadrature
 from .grid import (
     RadialField,
     RadialGrid,
     add_stiffness,
-    build_grid,
     check_grid,
     dgtsv,
+    factor_shifted,
     gradient_norm_sq,
-    solve_shifted,
 )
 from .params import Criticality, ProblemParams, validate_gn_window
-from .potential import PotentialSpec
 
 __all__ = [
     "BracketNotFound",
@@ -293,13 +292,17 @@ def petviashvili_solve(params: ProblemParams, grid: RadialGrid) -> GroundState:
     grid's radius and grading, down to the last one of at least 1024
     cells, or the one mesh of max(N // 4, 16) cells when N < 4096; a
     mesh's faces are every 4th face of the next finer one when 4
-    divides that one's size.  The solve builds these meshes up front
-    and climbs them, coarsest first and the grid last, forming r^c once
-    on each.  Starting from the Gaussian exp(-r^2/2), the Petviashvili
-    map runs on the coarsest mesh only, until the successive relative
-    change drops below NEWTON_SWITCH (within MAX_ITER maps; the map
-    converges only linearly, about 0.74 per map, at a rate that does
-    not depend on N).  Newton steps on the symmetric form
+    divides that one's size.  The solve reads the ladder off
+    grid.coarse, grid.coarse.coarse, ..., each built once per grid, so a
+    second solve on the same grid builds no mesh; it climbs them,
+    coarsest first and the grid last, forming r^c once on each.
+    (A + omega) is factored once on the coarsest mesh, for all its maps,
+    and once on the grid, for the final map and the residual
+    (grid.factor_shifted).  Starting from the Gaussian exp(-r^2/2),
+    the Petviashvili map runs on the coarsest mesh only, until the
+    successive relative change drops below NEWTON_SWITCH (within
+    MAX_ITER maps; the map converges only linearly, about 0.74 per map,
+    at a rate that does not depend on N).  Newton steps on the symmetric form
 
         F(Q) = M Q + mu (omega - r^c Q^p) Q,
 
@@ -319,11 +322,12 @@ def petviashvili_solve(params: ProblemParams, grid: RadialGrid) -> GroundState:
     the same map function the coarsest mesh runs, keeps Q positive by
     construction and measures the stabilizing factor M_k at the
     polished profile; strong_residual is F at the profile it returns.
-    Every gate is taken on the grid: the returned state satisfies
-    residual < RESIDUAL_GATE, both Pohozaev defects < 1e-4,
-    |M_k - 1| < 1e-10 at exit, strict positivity, and monotone decay
-    beyond the maximum; any violation raises NonConvergence
-    rather than returning a dressed-up failure.
+    Q's report is read from the solve's own real Q and mu r^c, the same
+    bits as evaluate_all of the profile.  Every gate is taken on the
+    grid: the returned state satisfies residual < RESIDUAL_GATE, both
+    Pohozaev defects < 1e-4, |M_k - 1| < 1e-10 at exit, strict
+    positivity, and monotone decay beyond the maximum; any violation
+    raises NonConvergence rather than returning a dressed-up failure.
     """
     _admissible(params)
     check_grid(grid, params)
@@ -342,9 +346,12 @@ def petviashvili_solve(params: ProblemParams, grid: RadialGrid) -> GroundState:
             raise NonConvergence(f"iterate is no longer finite on the {mesh.N}-cell mesh")
         return change
 
-    def one_map(mesh: RadialGrid, rc: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, float]:
-        """One Petviashvili map of Q on mesh (rc = r^c at its nodes): the
-        new iterate and the stabilizing factor M_k of Q."""
+    def one_map(
+        mesh: RadialGrid, rc: np.ndarray, solve: Callable[[np.ndarray], np.ndarray], Q: np.ndarray
+    ) -> tuple[np.ndarray, float]:
+        """One Petviashvili map of Q on mesh (rc = r^c at its nodes, solve
+        the factored (A + omega)^{-1} there): the new iterate and the
+        stabilizing factor M_k of Q."""
         nl = rc * Q ** (p + 1)
         num = energy_sq(mesh, Q)
         den = float((mesh.measure_weights * nl * Q).sum())
@@ -353,7 +360,7 @@ def petviashvili_solve(params: ProblemParams, grid: RadialGrid) -> GroundState:
         if den <= 0:
             raise NonConvergence(f"nonlinear pairing {den} <= 0: sign change")
         stab = num / den
-        return stab**gamma * solve_shifted(mesh, w, nl), stab
+        return stab**gamma * solve(nl), stab
 
     def profile_residual(mesh: RadialGrid, Q: np.ndarray, Qp: np.ndarray) -> np.ndarray:
         """F(Q) = M Q + mu (omega - r^c Q^p) Q on mesh, with Qp = r^c Q^p."""
@@ -385,10 +392,10 @@ def petviashvili_solve(params: ProblemParams, grid: RadialGrid) -> GroundState:
             f"after {NEWTON_CAP} steps"
         )
 
-    rungs = [max(grid.N // 4, 16)]
-    while rungs[-1] // 4 >= 1024:
-        rungs.append(rungs[-1] // 4)
-    meshes = [build_grid(grid.n, grid.b, grid.r_max, N, grid.grading) for N in reversed(rungs)]
+    meshes = [grid.coarse]
+    while meshes[-1].N // 4 >= 1024:
+        meshes.append(meshes[-1].coarse)
+    meshes.reverse()
     meshes.append(grid)
     Q = np.exp(-(meshes[0].nodes**2) / 2)
     history: list[float] = []
@@ -400,8 +407,9 @@ def petviashvili_solve(params: ProblemParams, grid: RadialGrid) -> GroundState:
         for k, mesh in enumerate(meshes):
             rc = mesh.nodes**c
             if k == 0:
+                solve = factor_shifted(mesh, w)
                 for _ in range(MAX_ITER):
-                    Qn, _ = one_map(mesh, rc, Q)
+                    Qn, _ = one_map(mesh, rc, solve, Q)
                     history.append(relative_change(Qn, Q, mesh))
                     Q = Qn
                     if history[-1] < NEWTON_SWITCH:
@@ -420,9 +428,10 @@ def petviashvili_solve(params: ProblemParams, grid: RadialGrid) -> GroundState:
             levels.append((mesh.N, len(corrections)))
 
         # The loop ends on the grid, so rc is r^c at the grid's nodes.
-        Q, stab = one_map(grid, rc, Q)
+        solve = factor_shifted(grid, w)
+        Q, stab = one_map(grid, rc, solve, Q)
         nl = rc * Q ** (p + 1)
-        defect = Q - solve_shifted(grid, w, nl)
+        defect = Q - solve(nl)
         residual = math.sqrt(energy_sq(grid, defect) / energy_sq(grid, Q))
         strong = profile_residual(grid, Q, rc * Q**p) / mu
     stab_gap = abs(stab - 1.0)
@@ -440,8 +449,8 @@ def petviashvili_solve(params: ProblemParams, grid: RadialGrid) -> GroundState:
     if np.any(np.diff(Q[peak:]) > 1e-14 * Q[peak]):
         raise NonConvergence("profile not monotone beyond its maximum")
 
-    profile = RadialField(grid, Q)
-    rep = evaluate_all(profile, params, PotentialSpec.zero())
+    # V and rV' are None for the zero potential, as in evaluate_all
+    rep = Quadrature(grid, params, mu * rc, None, None).report(Q)
     poh = pohozaev_residuals(rep)
     if max(poh) >= 1e-4:
         raise NonConvergence(f"Pohozaev defects ({poh[0]:.3e}, {poh[1]:.3e}) exceed 1e-4")
@@ -449,7 +458,7 @@ def petviashvili_solve(params: ProblemParams, grid: RadialGrid) -> GroundState:
         raise NonConvergence(f"ground-state action {rep.action} not positive")
 
     return GroundState(
-        profile=profile,
+        profile=RadialField(grid, Q),
         report=rep,
         residual=residual,
         strong_residual=strong_residual,

@@ -368,11 +368,10 @@ def test_classify_command(tmp_path, capsys, count_calls):
     out = tmp_path / "cls"
     assert main(["classify", "--config", cfg, "--out", str(out)]) == 0
     # At params.omega = 1 the reference state is the ground state the
-    # datum multiplies; the solve integrates its profile once, and the
-    # classification integrates the datum once.
-    assert calls == {"petviashvili_solve": 1, "evaluate_all": 2}
-    profile, datum = fields
-    assert np.array_equal(datum.values, 0.5 * profile.values)
+    # datum multiplies; the solve reads its profile's report off its own
+    # arrays, and the classification integrates the datum once.
+    assert calls == {"petviashvili_solve": 1, "evaluate_all": 1}
+    (datum,) = fields
     stdout = capsys.readouterr().out
     assert "intercritical_threshold: GlobalCandidate" in stdout
     rows = json.loads((out / "classification.json").read_text())
@@ -388,6 +387,7 @@ def test_classify_command(tmp_path, capsys, count_calls):
     assert freq["gap"]["name"] == "f_omega0_vs_zero" and freq["gap"]["lhs"] > 0
     assert freq["em"] == rows[1]["evidence"][0]
     gs1 = solve(F1, 1024)
+    assert np.array_equal(datum.values, 0.5 * gs1.profile.values)
     u0 = RadialField(gs1.profile.grid, 0.5 * gs1.profile.values)
     want = classify_all(u0, F1, PotentialSpec.zero(), gs1).as_json_list()
     assert rows == json.loads(json.dumps(want))

@@ -5,21 +5,24 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dptsv
 from scipy.special import gamma as gamma_fn
 
 from inls_lab.grid import (
     GridError,
     RadialField,
+    RadialGrid,
     apply_operator,
     build_grid,
+    factor_shifted,
     field_from_csv,
     field_to_csv,
     gradient_norm_sq,
     load_flapack,
-    solve_shifted,
 )
 
 from conftest import SOLVE_AND_MARCH
@@ -139,14 +142,39 @@ def test_solve_shifted_recovers_manufactured_solution():
     x_true = np.exp(-g.nodes**2)
     for shift in (1.7, 0.3):
         rhs = apply_operator(g, x_true) + shift * x_true
-        x = solve_shifted(g, shift, rhs)
+        x = factor_shifted(g, shift)(rhs)
         assert np.max(np.abs(x - x_true)) < 1e-12 * np.max(np.abs(x_true))
+
+
+@pytest.mark.parametrize("N", [1024, 4096, 16384])
+def test_one_factor_solves_every_right_hand_side_as_dptsv_does(N):
+    # dptsv is dpttrf followed by dpttrs, so one factor reused across
+    # right-hand sides gives each the bits of a fresh dptsv call.
+    g = build_grid(3, -0.5, r_max=30.0, N=N, grading=2.0)
+    mu, shift = g.measure_weights, 0.52
+    solve = factor_shifted(g, shift)
+    rng = np.random.default_rng(N)
+    for rhs in rng.standard_normal((3, N)):
+        *_, want, info = dptsv(g.stiffness_diag + shift * mu, -g.face_weights, mu * rhs)
+        assert info == 0
+        assert np.array_equal(solve(rhs), want)
 
 
 def test_solve_shifted_refuses_an_indefinite_system():
     g = build_grid(3, 0.0, r_max=20.0, N=64, grading=2.0)
-    with pytest.raises(GridError, match="dptsv info"):
-        solve_shifted(g, -1e6, np.ones(g.N))
+    with pytest.raises(GridError, match=r"\(dpttrf info [1-9]\d*\)"):
+        factor_shifted(g, -1e6)
+
+
+@pytest.mark.parametrize("N, grading", [(40, 2.0), (4096, 2.0), (4100, 1.5), (16384, 2.0), (65536, 2.0)])
+def test_a_grid_keeps_the_mesh_of_a_quarter_of_its_cells(N, grading):
+    g = build_grid(3, -0.5, r_max=30.0, N=N, grading=grading)
+    assert g.coarse is g.coarse
+    want = build_grid(3, -0.5, r_max=30.0, N=max(N // 4, 16), grading=grading)
+    for f in fields(RadialGrid):
+        assert np.array_equal(getattr(g.coarse, f.name), getattr(want, f.name)), f.name
+    if 4 * g.coarse.N == N:
+        assert np.array_equal(g.coarse.faces, g.faces[::4])
 
 
 @pytest.mark.parametrize("first", ["", "import scipy.linalg.lapack\n"], ids=["inls_lab", "scipy"])
@@ -158,10 +186,11 @@ def test_lapack_wrappers_are_scipys_own(first):
         + "import importlib, scipy.linalg.lapack as lapack\n"
         "grid, gs, ev = (importlib.import_module('inls_lab.' + m) "
         "for m in ('grid', 'groundstate', 'evolve'))\n"
-        "print(grid.dptsv is lapack.dptsv, gs.dgtsv is lapack.dgtsv, ev.zgtsv is lapack.zgtsv)"
+        "print(grid.dpttrf is lapack.dpttrf, grid.dpttrs is lapack.dpttrs, "
+        "gs.dgtsv is lapack.dgtsv, ev.zgtsv is lapack.zgtsv)"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "True True True"
+    assert out.stdout.strip() == "True True True True"
 
 
 def test_load_flapack_names_a_missing_wrapper_module(tmp_path):

@@ -12,10 +12,11 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dptsv
 
 from inls_lab import groundstate
 from inls_lab.functionals import evaluate_all
-from inls_lab.grid import GridError, RadialField, add_stiffness, gradient_norm_sq, solve_shifted
+from inls_lab.grid import GridError, RadialField, add_stiffness, build_grid, gradient_norm_sq
 from inls_lab.groundstate import (
     BracketNotFound,
     GroundState,
@@ -35,6 +36,15 @@ from conftest import F1, F2, F3, MC, NM, grid_for, solve
 
 def report(u, params=F1):
     return evaluate_all(u, params, PotentialSpec.zero())
+
+
+def shifted_solve(g, shift, rhs):
+    """Reference (A + shift)^{-1} rhs on g: one dptsv call on the grid's
+    bands, sharing no code with the solve's factor."""
+    mu = g.measure_weights
+    *_, x, info = dptsv(g.stiffness_diag + shift * mu, -g.face_weights, mu * rhs)
+    assert info == 0
+    return x
 
 
 def test_fixture_convergence_invariants(gs_f1, gs_f2):
@@ -80,7 +90,8 @@ def assert_constants_follow(gs, rep):
     assert (d["mass"], d["energy"], d["grad_sq"]) == (rep.mass, rep.energy, rep.grad_sq)
 
 
-@pytest.mark.parametrize("fixture", ["gs_f1", "gs_mc"])
+# gs_f2 (c = -0.5) covers the mu r^c the solve forms for its own report.
+@pytest.mark.parametrize("fixture", ["gs_f1", "gs_f2", "gs_mc"])
 def test_every_constant_is_read_off_the_report(fixture, request):
     gs = request.getfixturevalue(fixture)
     assert [f.name for f in fields(GroundState)] == [
@@ -227,10 +238,10 @@ def test_pohozaev_gate_reports_python_floats(gs_f1):
 
 
 def test_petviashvili_stops_on_a_non_finite_iterate(monkeypatch):
-    def poisoned(grid, shift, rhs):
-        return np.full(rhs.shape, np.nan)
+    def poisoned(grid, shift):
+        return lambda rhs: np.full(rhs.shape, np.nan)
 
-    monkeypatch.setattr(groundstate, "solve_shifted", poisoned)
+    monkeypatch.setattr(groundstate, "factor_shifted", poisoned)
     with pytest.raises(NonConvergence, match="no longer finite"):
         petviashvili_solve(F1, grid=grid_for(3, 0.0, 256))
 
@@ -301,7 +312,7 @@ def plain_petviashvili(params, g, maps):
     for _ in range(maps):
         nl = rc * Q ** (p + 1)
         stab = (gradient_norm_sq(g, Q) + w * np.sum(mu * Q**2)) / np.sum(mu * nl * Q)
-        Q = stab ** ((p + 1) / p) * solve_shifted(g, w, nl)
+        Q = stab ** ((p + 1) / p) * shifted_solve(g, w, nl)
     return Q
 
 
@@ -323,21 +334,27 @@ LADDERS = [(2048, [512]), (4096, [1024]), (16384, [1024, 4096]), (65536, [1024, 
     "N, ladder", LADDERS, ids=["-".join(map(str, [N, *ladder])) for N, ladder in LADDERS]
 )
 def test_maps_run_on_the_coarsest_mesh_of_the_ladder(count_calls, N, ladder):
-    grid = grid_for(3, 0.0, N)
-    meshes = []
+    # a grid of its own: a cached one may keep its ladder from an earlier solve
+    grid = build_grid(3, 0.0, r_max=30.0, N=N, grading=2.0)
+    cells = {"dpttrf": [], "dpttrs": []}
 
     def record(name, args):
-        if name == "solve_shifted":
-            meshes.append(args[0].N)
+        if name in cells:
+            cells[name].append(len(args[0]))
 
-    calls = count_calls("solve_shifted", "build_grid", record=record)
+    calls = count_calls("dpttrf", "dpttrs", "build_grid", record=record)
     gs = petviashvili_solve(F1, grid=grid)
     maps = gs.iterations - 1
-    # the maps on the coarsest mesh, then the final map and the residual's
-    # solve on the grid; Newton solves with dgtsv on every mesh
-    assert meshes == [ladder[0]] * maps + [N, N]
+    # one factor on the coarsest mesh serves every map there, and one on
+    # the grid the final map and the residual's solve; Newton solves with
+    # dgtsv on every mesh
+    assert cells["dpttrf"] == [ladder[0], N]
+    assert cells["dpttrs"] == [ladder[0]] * maps + [N, N]
     assert [cells for cells, _ in gs.levels] == ladder + [N]
-    # each mesh below the grid is built once; the grid is the caller's
+    # each mesh below the grid is built once, and kept by the mesh above
+    # it, so a second solve on the grid builds none
+    assert calls["build_grid"] == len(ladder)
+    assert petviashvili_solve(F1, grid=grid).levels == gs.levels
     assert calls["build_grid"] == len(ladder)
 
 
@@ -410,7 +427,7 @@ def test_fixed_point_residual_is_the_energy_norm_defect(gs_f1):
     def energy_sq(v):
         return gradient_norm_sq(g, v) + w * np.sum(mu * v**2)
 
-    defect = q - solve_shifted(g, w, q ** (F1.p + 1))
+    defect = q - shifted_solve(g, w, q ** (F1.p + 1))
     assert gs_f1.residual == pytest.approx(np.sqrt(energy_sq(defect) / energy_sq(q)), rel=1e-6)
     # Newton's residual F(Q) = M Q + mu (omega - Q^p) Q at the profile, M Q
     # from the grid's face fluxes (r^c = 1 for F1), read as F / mu
