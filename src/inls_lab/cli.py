@@ -4,7 +4,9 @@ Config files are flat key = value text with # comments and dotted
 section prefixes (grid.N = 4096).  Numeric bulk output is CSV, scalar
 summaries are JSON, and every command writes a manifest recording the
 config hash, the grid, the library versions and the files it wrote, so
-a run can be reproduced from its output directory alone.
+a run can be reproduced from its output directory alone.  This is the
+one module that reads or writes a file: every CSV goes through
+_write_csv and every JSON file through _write_json.
 
 Exit codes: 0 success, 1 module error, 2 config error, 3 verification
 failure.
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import csv
 import hashlib
 import json
 import math
@@ -26,16 +29,8 @@ import scipy
 
 from . import __version__
 from .classify import NOT_APPLICABLE, ClassificationEntry, classify_all
-from .evolve import EvolutionConfig, evolve, trace_to_csv
-from .grid import (
-    GridError,
-    RadialField,
-    RadialGrid,
-    build_grid,
-    check_grid_settings,
-    field_from_csv,
-    field_to_csv,
-)
+from .evolve import EvolutionConfig, EvolutionTrace, evolve
+from .grid import GridError, RadialField, RadialGrid, build_grid, check_grid_settings
 from .groundstate import GroundState, is_frequency_one, petviashvili_solve
 from .params import ProblemParams
 from .potential import PotentialSpec, check_assumptions
@@ -299,9 +294,74 @@ def build_initial(cfg: RunConfig, grid: RadialGrid, gs: GroundState | None = Non
 
 
 def _write_json(path: str, obj) -> None:
+    """The one JSON writer: obj indented by 2 with sorted keys, then LF."""
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _cell(x) -> str:
+    """One CSV cell: a float in .17g, None empty, anything else its str."""
+    if isinstance(x, float):
+        return f"{x:.17g}"
+    return "" if x is None else str(x)
+
+
+def _write_csv(path: str, header, rows) -> None:
+    """The one CSV writer: the header row, then a line of cells per row,
+    every line ended by LF.  Python floats format fastest, so a NumPy
+    column is best passed through tolist()."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
+
+
+def field_to_csv(f: RadialField, path) -> None:
+    """Write a field as rows (r, re(u), im(u)) under the header r,re,im."""
+    v = f.values
+    rows = zip(f.grid.nodes.tolist(), v.real.tolist(), v.imag.tolist())
+    _write_csv(path, ("r", "re", "im"), rows)
+
+
+def field_from_csv(grid: RadialGrid, path) -> RadialField:
+    """Load a field saved by field_to_csv onto a matching grid; a row
+    that is not three finite numbers raises GridError naming the file and line."""
+    rows = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        if [h.strip() for h in header[:3]] != ["r", "re", "im"]:
+            raise GridError(f"field file {path}, line 1: expected header r,re,im, got {header!r}")
+        for row in reader:
+            try:
+                values = (float(row[0]), float(row[1]), float(row[2]))
+                if not all(map(math.isfinite, values)):
+                    raise ValueError
+            except (IndexError, ValueError):
+                where = f"field file {path}, line {reader.line_num}"
+                raise GridError(f"{where}: expected three finite numbers, got {row!r}") from None
+            rows.append(values)
+    if len(rows) != grid.N:
+        raise GridError(f"field file {path} has {len(rows)} rows, grid has N={grid.N}")
+    r = np.array([row[0] for row in rows])
+    if not np.allclose(r, grid.nodes, rtol=1e-9, atol=1e-12 * grid.r_max):
+        raise GridError(f"field file {path}: nodes do not match the grid")
+    vals = np.array([complex(re, im) for _, re, im in rows])
+    return RadialField(grid, vals)
+
+
+def trace_to_csv(trace: EvolutionTrace, path, events_path) -> None:
+    """Write the sampled series as CSV to path, one row per sample, and
+    trace.as_dict() as JSON to events_path."""
+    rows = (
+        (t, r.mass, r.energy, math.sqrt(r.grad_sq), r.virial, r.k(r.params.n, 2),
+         r.variance, r.nehari, outer, inner)
+        for t, r, outer, inner in zip(trace.times, trace.reports, trace.outer_amp, trace.inner_amp)
+    )
+    header = ("t", "mass", "energy", "grad_norm", "P", "K_n2", "variance", "nehari",
+              "outer_amp", "inner_amp")
+    _write_csv(path, header, rows)
+    _write_json(events_path, trace.as_dict())
 
 
 class _Outputs:
@@ -455,11 +515,11 @@ def cmd_sweep(cfg: RunConfig, out: _Outputs, pairs: _Pairs, args: argparse.Names
         rows = [_run_sweep_point(t) for t in tasks]
     rows.sort(key=lambda r: r[0])
 
-    with open(summary, "w", newline="") as fh:
-        fh.write("index,key,value,verdict,event,event_time,grad_growth\n")
-        for idx, value, verdict, kind, t, growth in rows:
-            growth_cell = "" if growth is None else f"{growth:.17g}"
-            fh.write(f"{idx},{cfg.sweep_key},{value},{verdict},{kind},{t:.17g},{growth_cell}\n")
+    _write_csv(
+        summary,
+        ("index", "key", "value", "verdict", "event", "event_time", "grad_growth"),
+        ((idx, cfg.sweep_key, *rest) for idx, *rest in rows),
+    )
     for idx, value, verdict, kind, t, growth in rows:
         print(f"point {idx:03d} {cfg.sweep_key}={value}: {verdict}, {kind} at t={t:.6g}")
     return 0

@@ -39,7 +39,7 @@ A sample is the report of evaluate_all's own body
 (functionals.Quadrature) on the node values, with weights the stepper
 forms once per march, so it equals evaluate_all of the same field to
 the last bit.  The trace keeps that FunctionalReport, and every series
-it writes is read from it.  The sample's finiteness is read from the
+written from the trace is read from it.  The sample's finiteness is read from the
 six quadratures: a non-finite node makes the mass non-finite, and only
 then is the field scanned, to tell a non-finite field (EvolveError)
 from an overflowing quadrature (FunctionalError).
@@ -52,7 +52,6 @@ isolated gradient spikes do not masquerade as collapse.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -71,7 +70,6 @@ __all__ = [
     "RelaxationStepper",
     "evolve",
     "relative_drift",
-    "trace_to_csv",
     "variance_concavity",
     "virial_check",
 ]
@@ -162,6 +160,19 @@ class EvolutionTrace:
         where no growth is defined."""
         first = math.sqrt(self.reports[0].grad_sq)
         return math.sqrt(self.reports[-1].grad_sq) / first if first > 0 else None
+
+    def as_dict(self) -> dict:
+        """The events, the march counters, the relative mass and energy
+        drifts and the largest sampled inner_amp."""
+        return {
+            "events": [{"kind": k, "t": t} for k, t in self.events],
+            "steps": self.steps,
+            "dt_min": self.dt_min,
+            "dt_max": self.dt_max,
+            "mass_drift": relative_drift(self.mass),
+            "energy_drift": relative_drift([r.energy for r in self.reports]),
+            "inner_amp_max": max(self.inner_amp, default=None),
+        }
 
 
 class RelaxationStepper:
@@ -362,30 +373,3 @@ def relative_drift(series: list[float]) -> float | None:
     x = np.asarray(series)
     return float(np.max(np.abs(x - x[0])) / abs(x[0]))
 
-
-def trace_to_csv(trace: EvolutionTrace, path, events_path) -> None:
-    """Write the sampled series as CSV to path, and to events_path a JSON
-    sidecar with the events, the march counters, the relative mass and
-    energy drifts and the largest sampled inner_amp."""
-    with open(path, "w") as fh:
-        fh.write("t,mass,energy,grad_norm,P,K_n2,variance,nehari,outer_amp,inner_amp\n")
-        for t, r, outer, inner in zip(trace.times, trace.reports, trace.outer_amp, trace.inner_amp):
-            row = (t, r.mass, r.energy, math.sqrt(r.grad_sq), r.virial, r.k(r.params.n, 2),
-                   r.variance, r.nehari, outer, inner)
-            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
-    with open(events_path, "w") as fh:
-        json.dump(
-            {
-                "events": [{"kind": k, "t": t} for k, t in trace.events],
-                "steps": trace.steps,
-                "dt_min": trace.dt_min,
-                "dt_max": trace.dt_max,
-                "mass_drift": relative_drift(trace.mass),
-                "energy_drift": relative_drift([r.energy for r in trace.reports]),
-                "inner_amp_max": max(trace.inner_amp, default=None),
-            },
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")

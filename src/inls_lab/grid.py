@@ -70,7 +70,6 @@ scipy.linalg.lapack exposes these same function objects.
 
 from __future__ import annotations
 
-import csv
 import importlib.util
 import os
 import sys
@@ -78,7 +77,7 @@ import sysconfig
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
-from math import gamma, isfinite, pi
+from math import gamma, pi
 from types import ModuleType
 
 import numpy as np
@@ -96,8 +95,6 @@ __all__ = [
     "check_grid",
     "check_grid_settings",
     "factor_shifted",
-    "field_from_csv",
-    "field_to_csv",
     "gradient_norm_sq",
 ]
 
@@ -302,38 +299,3 @@ def factor_shifted(g: RadialGrid, shift: float) -> Callable[[np.ndarray], np.nda
 
     return solve
 
-
-def field_to_csv(f: RadialField, path) -> None:
-    """Serialize a field as CSV rows (r, re(u), im(u)) with a header."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["r", "re", "im"])
-        for r, v in zip(f.grid.nodes, f.values):
-            w.writerow([f"{r:.17g}", f"{v.real:.17g}", f"{v.imag:.17g}"])
-
-
-def field_from_csv(grid: RadialGrid, path) -> RadialField:
-    """Load a field saved by field_to_csv onto a matching grid; a row
-    that is not three finite numbers raises GridError naming the file and line."""
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        if [h.strip() for h in header[:3]] != ["r", "re", "im"]:
-            raise GridError(f"field file {path}, line 1: expected header r,re,im, got {header!r}")
-        for row in reader:
-            try:
-                values = (float(row[0]), float(row[1]), float(row[2]))
-                if not all(map(isfinite, values)):
-                    raise ValueError
-            except (IndexError, ValueError):
-                where = f"field file {path}, line {reader.line_num}"
-                raise GridError(f"{where}: expected three finite numbers, got {row!r}") from None
-            rows.append(values)
-    if len(rows) != grid.N:
-        raise GridError(f"field file {path} has {len(rows)} rows, grid has N={grid.N}")
-    r = np.array([row[0] for row in rows])
-    if not np.allclose(r, grid.nodes, rtol=1e-9, atol=1e-12 * grid.r_max):
-        raise GridError(f"field file {path}: nodes do not match the grid")
-    vals = np.array([complex(re, im) for _, re, im in rows])
-    return RadialField(grid, vals)

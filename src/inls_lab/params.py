@@ -48,9 +48,6 @@ class Criticality(enum.Enum):
     INTERCRITICAL = "Intercritical"
     ENERGY_CRITICAL = "EnergyCritical"
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
-
 
 @dataclass(frozen=True)
 class ProblemParams:

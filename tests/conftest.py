@@ -53,16 +53,20 @@ def count_calls(monkeypatch):
     """Install counting wrappers around the named functions under every
     binding in the loaded inls_lab modules; returns the live counts.
 
-    record, if given, receives (name, args) of every counted call."""
+    record, if given, receives (name, args) of every counted call.  A
+    name that no loaded module binds raises LookupError, so a renamed or
+    deleted function fails the test instead of counting 0."""
 
     def install(*names, record=None):
         calls = dict.fromkeys(names, 0)
         modules = [m for k, m in sorted(sys.modules.items()) if k.split(".")[0] == "inls_lab"]
+        unbound = set(names)
         for mod in modules:
             for name in names:
                 fn = getattr(mod, name, None)
                 if not callable(fn):
                     continue
+                unbound.discard(name)
 
                 def wrapper(*args, _fn=fn, _name=name, **kwargs):
                     calls[_name] += 1
@@ -71,6 +75,8 @@ def count_calls(monkeypatch):
                     return _fn(*args, **kwargs)
 
                 monkeypatch.setattr(mod, name, wrapper)
+        if unbound:
+            raise LookupError(f"bound in no loaded inls_lab module: {sorted(unbound)}")
         return calls
 
     return install

@@ -15,13 +15,15 @@ from inls_lab.cli import (
     ConfigError,
     build_run_config,
     config_hash,
+    field_from_csv,
+    field_to_csv,
     headline_verdict,
     main,
     parse_config_text,
 )
 from inls_lab.classify import NOT_APPLICABLE, ClassificationEntry, classify_all
 from inls_lab.evolve import EvolutionTrace
-from inls_lab.grid import RadialField, build_grid, field_from_csv
+from inls_lab.grid import RadialField, build_grid
 from inls_lab.groundstate import NEWTON_SWITCH, NEWTON_TOL
 from inls_lab.potential import PotentialSpec
 
@@ -341,8 +343,6 @@ def test_an_undefined_gradient_growth_prints_and_writes_as_undefined(
 
 
 def test_evolve_from_file_roundtrip(tmp_path):
-    from inls_lab.grid import RadialField, field_to_csv
-
     g = build_grid(3, 0.0, r_max=30.0, N=512, grading=2.0)
     datum = tmp_path / "datum.csv"
     field_to_csv(RadialField(g, np.exp(-g.nodes**2)), datum)
@@ -576,6 +576,48 @@ def test_manifest_lists_exactly_the_files_written(tmp_path, argv, text, points):
     assert main([argv[0], "--config", cfg, "--out", str(out), *argv[1:]]) == 0
     assert_manifest_lists_its_files(out)
     assert sum(p.is_dir() for p in out.iterdir()) == points
+
+
+# The header of every CSV a command writes, and which of its columns hold floats.
+CSV_LAYOUTS = {
+    "profile.csv": ("r,re,im", range(3)),
+    "trace.csv": ("t,mass,energy,grad_norm,P,K_n2,variance,nehari,outer_amp,inner_amp", range(10)),
+    "summary.csv": ("index,key,value,verdict,event,event_time,grad_growth", (5, 6)),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["groundstate"], RUN),
+        (["evolve"], RUN),
+        (["sweep"], RUN + "sweep.key = initial.alpha\nsweep.values = 0.5, 1.5\n"),
+    ],
+    ids=["groundstate", "evolve", "sweep"],
+)
+def test_every_csv_has_lf_lines_its_header_and_exact_floats(tmp_path, argv, text):
+    cfg, out = write_config(tmp_path, text), tmp_path / "o"
+    assert main([argv[0], "--config", cfg, "--out", str(out)]) == 0
+    written = sorted(out.rglob("*.csv"))
+    assert written
+    for path in written:
+        data = path.read_bytes()
+        assert b"\r" not in data, path
+        header, columns = CSV_LAYOUTS[path.name]
+        lines = data.decode().split("\n")
+        assert lines[0] == header and lines[-1] == ""
+        rows = [line.split(",") for line in lines[1:-1]]
+        assert rows and all(len(row) == header.count(",") + 1 for row in rows)
+        # each float is its .17g cell, which float() reads back exactly;
+        # an empty cell is a None
+        for row in rows:
+            for cell in (row[i] for i in columns if row[i]):
+                assert f"{float(cell):.17g}" == cell, (path, cell)
+    if argv[0] == "groundstate":
+        g = build_grid(3, 0.0, r_max=30.0, N=1024, grading=2.0)
+        values = np.loadtxt(out / "profile.csv", delimiter=",", skiprows=1)
+        assert np.array_equal(values[:, 0], g.nodes)
+        assert np.array_equal(values[:, 1], solve(F1, 1024).profile.values.real)
 
 
 def test_cli_import_leaves_scipy_solvers_unloaded():

@@ -14,10 +14,10 @@ from inls_lab.evolve import (
     RelaxationStepper,
     evolve,
     relative_drift,
-    trace_to_csv,
     variance_concavity,
     virial_check,
 )
+from inls_lab.cli import trace_to_csv
 from inls_lab.functionals import FunctionalError, FunctionalReport, evaluate_all
 from inls_lab.grid import GridError, RadialField, build_grid, gradient_norm_sq, zgtsv
 from inls_lab.potential import PotentialSpec, eval_potential

@@ -19,11 +19,10 @@ from inls_lab.grid import (
     apply_operator,
     build_grid,
     factor_shifted,
-    field_from_csv,
-    field_to_csv,
     gradient_norm_sq,
     load_flapack,
 )
+from inls_lab.cli import field_from_csv, field_to_csv
 
 from conftest import SOLVE_AND_MARCH
 
