@@ -85,17 +85,18 @@ _KEYS: dict[str, tuple] = {
 
 
 def _error(pairs: _Pairs, message: str, *keys: str) -> ConfigError:
-    """A ConfigError that names the lines of those keys the config sets."""
+    """A ConfigError that names the lines of those keys the config sets (at least one)."""
     lines = sorted({pairs[k][1] for k in keys if k in pairs})
-    if not lines:
-        return ConfigError(message)
     label = "line" if len(lines) == 1 else "lines"
     return ConfigError(f"{label} {', '.join(map(str, lines))}: {message}")
 
 
-def _section_error(pairs: _Pairs, prefix: str, e: Exception) -> ConfigError:
-    """The error of one section, naming every key of it the config sets."""
-    return _error(pairs, f"{prefix[:-1]}: {e}", *(k for k in pairs if k.startswith(prefix)))
+def _section_error(pairs: _Pairs, prefix: str, e: Exception, *also: str) -> ConfigError:
+    """The error of one section, naming every key of it the config sets
+    and each key of also that it sets."""
+    return _error(
+        pairs, f"{prefix[:-1]}: {e}", *also, *(k for k in pairs if k.startswith(prefix))
+    )
 
 
 def _value(pairs: _Pairs, key: str):
@@ -237,7 +238,9 @@ def build_run_config(pairs: _Pairs) -> RunConfig:
     try:
         check_grid_settings(params.n, params.b, r_max, num_cells, grading)
     except GridError as e:
-        raise _section_error(pairs, "grid.", e) from None
+        # The mesh is refused for the dimension too (its ball volume and
+        # innermost cell scale as r^n), so the error names params.n.
+        raise _section_error(pairs, "grid.", e, "params.n") from None
 
     unknown = sorted(set(pairs) - set(_KEYS))
     if unknown:

@@ -71,6 +71,7 @@ scipy.linalg.lapack exposes these same function objects.
 from __future__ import annotations
 
 import importlib.util
+import math
 import os
 import sys
 import sysconfig
@@ -159,7 +160,10 @@ class RadialGrid:
 
 
 def check_grid_settings(n: int, b: float, r_max: float, N: int, grading: float) -> None:
-    """Refuse mesh settings build_grid cannot use, with GridError."""
+    """Refuse mesh settings build_grid cannot use, with GridError: among
+    them a ball volume S r_max^n / n beyond the float range, and an
+    innermost cell measure S (r_max N^-grading)^n / n, the smallest of
+    all, below the normal floats (a zero measure divides A = M / mu)."""
     if N < 16:
         raise GridError(f"N={N} too small (need >= 16)")
     if not r_max > 0:
@@ -168,6 +172,19 @@ def check_grid_settings(n: int, b: float, r_max: float, N: int, grading: float) 
         raise GridError(f"grading={grading} must be >= 1")
     if not n - 1 + b > 0:
         raise GridError(f"n-1+b = {n - 1 + b} <= 0: inner flux weight would not vanish")
+    S = sphere_area(n)
+    try:
+        volume = S * float(r_max) ** n / n
+    except OverflowError:
+        volume = math.inf
+    if not math.isfinite(volume):
+        raise GridError(f"ball volume S r_max^n / n overflows at r_max={r_max}, n={n}")
+    inner = S * (r_max * (1 / N) ** grading) ** n / n
+    if not inner >= sys.float_info.min:
+        raise GridError(
+            f"innermost cell measure {inner:.3g} underflows at r_max={r_max}, N={N}, "
+            f"grading={grading}, n={n}"
+        )
 
 
 def build_grid(
@@ -183,8 +200,6 @@ def build_grid(
     i = np.arange(N + 1, dtype=float)
     faces = r_max * (i / N) ** grading
     nodes = 0.5 * (faces[:-1] + faces[1:])
-    if not np.all(np.diff(faces) > 0):
-        raise GridError("degenerate mesh: faces not strictly increasing")
 
     S = sphere_area(n)
     mu = S * (faces[1:] ** n - faces[:-1] ** n) / n

@@ -15,7 +15,8 @@ functional of it.  Two independent routes compute Q:
   converges Newton on the symmetric tridiagonal form of the profile
   equation on each mesh of the ladder in turn, up to the grid.  It certifies
   the result on the fixed-point residual in the (A + omega) energy
-  norm, the norm in which the map's convergence is analysed
+  norm (RESIDUAL_GATE), and on M_k within STAB_GATE of 1; the energy
+  norm is the one in which the map's convergence is analysed
   (Pelinovsky-Stepanyants, SIAM J. Numer. Anal. 42 (2004); Lakoba-Yang,
   J. Comput. Phys. 226 (2007)).  The defect of the profile equation,
   read off Newton's residual, is reported beside it in L2; it carries
@@ -70,7 +71,6 @@ __all__ = [
     "BracketNotFound",
     "GroundState",
     "GroundStateError",
-    "IndefiniteOperator",
     "NonConvergence",
     "OracleProfile",
     "derive_thresholds",
@@ -81,11 +81,12 @@ __all__ = [
     "shooting_solve",
 ]
 
-# Petviashvili solve: the exit gate on the fixed-point residual of every
-# returned state; the budget of stabilized maps; the successive relative
-# change at which the maps hand over to Newton; the relative correction
-# that ends Newton on each mesh, and the steps it may take there.
+# Petviashvili solve: the exit gates on the fixed-point residual and on
+# |M_k - 1| of every returned state; the budget of stabilized maps; the
+# successive relative change at which the maps hand over to Newton; the
+# relative correction that ends Newton on each mesh, and its step budget.
 RESIDUAL_GATE = 1e-8
+STAB_GATE = 1e-10
 MAX_ITER = 10_000
 NEWTON_SWITCH = 1e-2
 NEWTON_TOL = 1e-8
@@ -115,10 +116,6 @@ class GroundStateError(RuntimeError):
 
 class NonConvergence(GroundStateError):
     """Iteration exhausted or exit-state invariants violated."""
-
-
-class IndefiniteOperator(GroundStateError):
-    """Quadratic form <(A+omega)Q, Q> lost positivity."""
 
 
 class BracketNotFound(GroundStateError):
@@ -322,12 +319,14 @@ def petviashvili_solve(params: ProblemParams, grid: RadialGrid) -> GroundState:
     the same map function the coarsest mesh runs, keeps Q positive by
     construction and measures the stabilizing factor M_k at the
     polished profile; strong_residual is F at the profile it returns.
+    A map whose <(A+omega)Q, Q> or <r^c Q^{p+1}, Q> is not positive (Q
+    vanished or changed sign; A + omega is definite) raises NonConvergence.
     Q's report is read from the solve's own real Q and mu r^c, the same
     bits as evaluate_all of the profile.  Every gate is taken on the
-    grid: the returned state satisfies residual < RESIDUAL_GATE, both
-    Pohozaev defects < 1e-4, |M_k - 1| < 1e-10 at exit, strict
-    positivity, and monotone decay beyond the maximum; any violation
-    raises NonConvergence rather than returning a dressed-up failure.
+    grid: the returned state has residual < RESIDUAL_GATE, |M_k - 1| <
+    STAB_GATE, strict positivity, monotone decay beyond the maximum,
+    Pohozaev defects < 1e-4 and a positive action; any violation raises
+    NonConvergence rather than returning a dressed-up failure.
     """
     _admissible(params)
     check_grid(grid, params)
@@ -343,7 +342,13 @@ def petviashvili_solve(params: ProblemParams, grid: RadialGrid) -> GroundState:
     def relative_change(new: np.ndarray, old: np.ndarray, mesh: RadialGrid) -> float:
         change = float(abs(new - old).max() / abs(new).max())
         if not math.isfinite(change):
-            raise NonConvergence(f"iterate is no longer finite on the {mesh.N}-cell mesh")
+            message = f"iterate is no longer finite on the {mesh.N}-cell mesh"
+            negative = np.flatnonzero(old < 0)
+            if negative.size:
+                # a power of a negative node is NaN, and the step's solve spreads it
+                r = mesh.nodes[negative[0]]
+                message += f": the previous iterate was negative from r = {r:.6g}"
+            raise NonConvergence(message)
         return change
 
     def one_map(
@@ -355,10 +360,10 @@ def petviashvili_solve(params: ProblemParams, grid: RadialGrid) -> GroundState:
         nl = rc * Q ** (p + 1)
         num = energy_sq(mesh, Q)
         den = float((mesh.measure_weights * nl * Q).sum())
-        if num <= 0:
-            raise IndefiniteOperator(f"<(A+omega)Q, Q> = {num} <= 0")
-        if den <= 0:
-            raise NonConvergence(f"nonlinear pairing {den} <= 0: sign change")
+        if not (num > 0 and den > 0):
+            raise NonConvergence(
+                f"<(A+omega)Q, Q> = {num:.6g}, <r^c Q^(p+1), Q> = {den:.6g}: not both positive"
+            )
         stab = num / den
         return stab**gamma * solve(nl), stab
 
@@ -401,8 +406,8 @@ def petviashvili_solve(params: ProblemParams, grid: RadialGrid) -> GroundState:
     history: list[float] = []
     levels: list[tuple[int, int]] = []
     # A power of an iterate that went negative or overflowed is NaN or
-    # inf, not a warning: relative_change and the residual's finiteness
-    # check raise NonConvergence on it.
+    # inf, not a warning: relative_change, one_map and the residual gate
+    # raise NonConvergence on it.
     with np.errstate(all="ignore"):
         for k, mesh in enumerate(meshes):
             rc = mesh.nodes**c
@@ -434,14 +439,11 @@ def petviashvili_solve(params: ProblemParams, grid: RadialGrid) -> GroundState:
         defect = Q - solve(nl)
         residual = math.sqrt(energy_sq(grid, defect) / energy_sq(grid, Q))
         strong = profile_residual(grid, Q, rc * Q**p) / mu
-    stab_gap = abs(stab - 1.0)
-    if not math.isfinite(residual):
-        raise NonConvergence("iterate is no longer finite")
+    if not residual < RESIDUAL_GATE:
+        raise NonConvergence(f"exit residual {residual:.3e} not below {RESIDUAL_GATE:g}")
     strong_residual = float(np.sqrt(np.sum(mu * strong**2) / np.sum(mu * Q**2)))
-
-    if residual >= RESIDUAL_GATE:
-        raise NonConvergence(f"exit residual {residual:.3e} >= {RESIDUAL_GATE:g}")
-    if stab_gap >= 1e-10:
+    stab_gap = abs(stab - 1.0)
+    if stab_gap >= STAB_GATE:
         raise NonConvergence(f"stabilizing factor off by {stab_gap:.3e} at exit")
     if np.any(Q <= 0):
         raise NonConvergence("profile lost strict positivity")

@@ -14,6 +14,7 @@ from inls_lab.verification import (  # noqa: F401
     F3,
     MASS_CRITICAL as MC,
     NMINUS as NM,
+    STANDING,
     _grid as grid_for,
     _solve as solve,
 )

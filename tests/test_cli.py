@@ -176,16 +176,20 @@ def test_build_run_config_rejects(extra, fragment):
         ("classify.omega = nan\n", "line 5: classify.omega must be finite, got nan"),
         ("grid.r_max = inf\n", "line 5: grid.r_max must be finite, got inf"),
         ("grid.gamma = inf\n", "line 5: grid.gamma must be finite, got inf"),
-        ("grid.r_max = -1\n", "line 5: grid: r_max=-1.0 must be positive"),
-        ("grid.gamma = 0.5\n", "line 5: grid: grading=0.5 must be >= 1"),
-        ("grid.N = 8\n", "line 5: grid: N=8 too small (need >= 16)"),
+        # A grid error names params.n too: the mesh is refused for the dimension.
+        ("grid.r_max = -1\n", "lines 1, 5: grid: r_max=-1.0 must be positive"),
+        ("grid.gamma = 0.5\n", "lines 1, 5: grid: grading=0.5 must be >= 1"),
+        ("grid.N = 8\n", "lines 1, 5: grid: N=8 too small (need >= 16)"),
+        ("grid.r_max = 1e200\n", "lines 1, 5: grid: ball volume S r_max^n / n overflows"),
+        ("grid.gamma = 400\ngrid.N = 64\n", "lines 1, 5, 6: grid: innermost cell measure 0"),
     ],
     ids=[
         "alpha", "width", "kind", "from_file", "path", "path_directory", "classify_omega",
         "classify_omega_text", "sweep_values", "params", "potential", "evolve", "t_end_inf",
         "dt0_inf", "alpha_inf", "amplitude_inf", "amplitude_nan", "width_inf", "potential_a_nan",
         "potential_s_inf", "omega_inf", "classify_omega_inf", "classify_omega_nan", "r_max_inf",
-        "gamma_inf", "r_max_negative", "gamma_below_one", "N_too_small",
+        "gamma_inf", "r_max_negative", "gamma_below_one", "N_too_small", "ball_volume_overflows",
+        "innermost_cell_underflows",
     ],
 )
 def test_config_errors_name_their_lines(tmp_path, capsys, extra, message):
@@ -194,6 +198,12 @@ def test_config_errors_name_their_lines(tmp_path, capsys, extra, message):
     assert main(["evolve", "--config", cfg, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {message}")
     assert not out.exists()
+
+
+def test_a_default_grid_refused_for_the_dimension_names_params_n():
+    # At n = 60 the innermost cell measure of the default mesh underflows.
+    with pytest.raises(ConfigError, match=r"^line 1: grid: innermost cell measure 0 underflows"):
+        build_run_config(pairs_of("params.n = 60\nparams.b = 0\nparams.c = 0\nparams.p = 0.05\n"))
 
 
 def test_invalid_params_report_their_origin():

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -71,6 +72,17 @@ def test_step_is_time_reversible():
     assert np.max(np.abs(u2 - u0.values)) < 1e-12
     with pytest.raises(EvolveError):
         stepper.step(u0.values, 0.0)
+
+
+def test_step_names_a_failed_cayley_solve(monkeypatch):
+    def singular(dl, d, du, b, *overwrite):
+        return dl, d, du, b, 1
+
+    # the package binds the name evolve to the function, so reach the module by its name
+    monkeypatch.setattr(sys.modules[RelaxationStepper.__module__], "zgtsv", singular)
+    g = grid_for(3, -0.5, 512)
+    with pytest.raises(EvolveError, match=r"^Cayley solve failed \(zgtsv info 1\)$"):
+        RelaxationStepper(g, F2, BUMP).step(gaussian(g).values, 1e-3)
 
 
 def test_step_preserves_mass_exactly():

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -35,11 +36,20 @@ from conftest import SOLVE_AND_MARCH
         dict(n=3, b=0.0, r_max=-1.0),
         dict(n=3, b=0.0, grading=0.5),
         dict(n=3, b=-2.0),  # n-1+b = 0: inner flux weight would not vanish
+        # Cell measures beyond the floats, refused before any warning: a
+        # ball volume that overflows, then innermost cells that underflow
+        # to 0 (all 16 cells at r_max = 1e-300; 15 cells at grading 60).
+        dict(n=3, b=0.0, r_max=1e200, N=64),
+        dict(n=3, b=0.0, N=64, grading=400.0),
+        dict(n=3, b=0.0, r_max=1e-300, N=16),
+        dict(n=3, b=0.0, N=1024, grading=60.0),
     ],
 )
 def test_build_grid_rejects(kwargs):
-    with pytest.raises(GridError):
-        build_grid(**kwargs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GridError):
+            build_grid(**kwargs)
 
 
 def test_cell_volumes_fill_the_ball():

@@ -15,7 +15,7 @@ import pytest
 from scipy.linalg.lapack import dptsv
 
 from inls_lab import groundstate
-from inls_lab.functionals import evaluate_all
+from inls_lab.functionals import FunctionalReport, evaluate_all
 from inls_lab.grid import GridError, RadialField, add_stiffness, build_grid, gradient_norm_sq
 from inls_lab.groundstate import (
     BracketNotFound,
@@ -31,7 +31,7 @@ from inls_lab.groundstate import (
 from inls_lab.params import ProblemParams
 from inls_lab.potential import PotentialSpec
 
-from conftest import F1, F2, F3, MC, NM, grid_for, solve
+from conftest import F1, F2, F3, MC, NM, STANDING, grid_for, solve
 
 
 def report(u, params=F1):
@@ -175,6 +175,16 @@ def test_derive_thresholds_refuses_coarse_grid(gs_f1):
         derive_thresholds(gs_f1, F1)
 
 
+def test_derive_thresholds_refuses_a_sharp_constant_off_its_closed_form():
+    # Where p_c > 4(2-b) the sharp-constant cross-check is the stricter of
+    # the two: at p = 3.5 the energy-mass product agrees at N = 8192 and
+    # the sharp constant does not.
+    params = ProblemParams(3, 0.0, 0.0, 3.5)
+    gs = petviashvili_solve(params, grid=grid_for(3, 0.0, 8192))
+    with pytest.raises(GroundStateError, match="^sharp constant disagrees between routes: "):
+        derive_thresholds(gs, params)
+
+
 def test_derive_thresholds_requires_frequency_one():
     gs2 = solve(F1.with_omega(2.0), 2048)
     with pytest.raises(GroundStateError, match="require omega = 1"):
@@ -280,6 +290,81 @@ def test_a_newton_iterate_gone_negative_raises_naming_its_mesh(monkeypatch):
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(NonConvergence, match=r"no longer finite on the 512-cell mesh"):
             petviashvili_solve(F3, grid=grid_for(4, -1.0, 2048))
+
+
+def test_a_negative_newton_tail_is_named_by_its_radius():
+    # On a box far beyond r_max = 30 the first Newton step on the grid
+    # leaves 122 tail nodes negative, from r = 76.16; the next step takes
+    # their power 2.5.
+    with pytest.raises(NonConvergence, match=re.escape(
+        "iterate is no longer finite on the 4096-cell mesh: "
+        "the previous iterate was negative from r = 76.1572"
+    )):
+        petviashvili_solve(F3.with_omega(2.0), grid=build_grid(4, -1.0, 100.0, 4096, 2.0))
+
+
+def test_a_map_of_a_sign_changed_iterate_refuses_naming_both_pairings(monkeypatch):
+    # With the solve's sign flipped the first map turns the iterate
+    # negative, and the second map's nonlinear pairing is negative.
+    factor = groundstate.factor_shifted
+
+    def flipped(g, w):
+        solve = factor(g, w)
+        return lambda rhs: -solve(rhs)
+
+    monkeypatch.setattr(groundstate, "factor_shifted", flipped)
+    with pytest.raises(NonConvergence, match=(
+        r"^<\(A\+omega\)Q, Q> = \d+\.?\d*, <r\^c Q\^\(p\+1\), Q> = -\d+\.?\d*: "
+        r"not both positive$"
+    )):
+        petviashvili_solve(STANDING, grid=grid_for(3, 0.0, 256))
+
+
+def test_map_budget_refuses_naming_the_last_change(monkeypatch):
+    monkeypatch.setattr(groundstate, "MAX_ITER", 1)
+    budget = r"^no fixed point after 1 maps \(last change \d\.\d{3}e-01\)$"
+    with pytest.raises(NonConvergence, match=budget):
+        petviashvili_solve(F1, grid=grid_for(3, 0.0, 256))
+
+
+@pytest.mark.parametrize("gate, message", [
+    ("RESIDUAL_GATE", r"^exit residual \d\.\d{3}e-\d\d not below 1e-300$"),
+    ("STAB_GATE", r"^stabilizing factor off by \d\.\d{3}e[+-]\d\d at exit$"),
+])
+def test_exit_gates_refuse_naming_their_measure(monkeypatch, gate, message):
+    monkeypatch.setattr(groundstate, gate, 1e-300)
+    with pytest.raises(NonConvergence, match=message):
+        petviashvili_solve(F1, grid=grid_for(3, 0.0, 2048))
+
+
+def test_a_tail_beyond_the_floats_refuses_positivity():
+    # On a box far beyond r_max = 30 the tail of Q underflows to 0.
+    with pytest.raises(NonConvergence, match="^profile lost strict positivity$"):
+        petviashvili_solve(F2.with_omega(4.0), grid=build_grid(3, -0.5, 150.0, 4096, 2.0))
+
+
+def test_a_rising_tail_refuses_monotone_decay(monkeypatch):
+    # A solve that adds 1e-12 at the fifth node from the edge raises the
+    # tail there (Q is about 1e-15 near r = 30) and leaves every other gate
+    # passing: the final map and the residual see the same bump.
+    factor = groundstate.factor_shifted
+
+    def bumped(g, w):
+        solve, bump = factor(g, w), np.zeros(g.N)
+        bump[-5] = 1e-12
+        return lambda rhs: solve(rhs) + bump
+
+    monkeypatch.setattr(groundstate, "factor_shifted", bumped)
+    with pytest.raises(NonConvergence, match="^profile not monotone beyond its maximum$"):
+        petviashvili_solve(F1, grid=grid_for(3, 0.0, 2048))
+
+
+def test_a_non_positive_action_refuses(monkeypatch):
+    # Pohozaev defects below 1e-4 keep the action of a real solve positive
+    # for p > 4e-4, so a report whose action reads -1 stands in.
+    monkeypatch.setattr(FunctionalReport, "action", property(lambda self: -1.0))
+    with pytest.raises(NonConvergence, match=r"^ground-state action -1\.0 not positive$"):
+        petviashvili_solve(F1, grid=grid_for(3, 0.0, 4096))
 
 
 MESHES = {"N2048": (2048, 2.0), "N4096-uniform": (4096, 1.0), "N4100": (4100, 2.0)}
