@@ -238,9 +238,10 @@ def build_run_config(pairs: _Pairs) -> RunConfig:
     try:
         check_grid_settings(params.n, params.b, r_max, num_cells, grading)
     except GridError as e:
-        # The mesh is refused for the dimension too (its ball volume and
-        # innermost cell scale as r^n), so the error names params.n.
-        raise _section_error(pairs, "grid.", e, "params.n") from None
+        # The mesh is refused for the parameters too (its cell measures
+        # scale as r^n, its face weights as r^(n-1+b)), so the error names
+        # params.n and params.b.
+        raise _section_error(pairs, "grid.", e, "params.n", "params.b") from None
 
     unknown = sorted(set(pairs) - set(_KEYS))
     if unknown:

@@ -36,12 +36,17 @@ stops the run with an EvolveError.  A run never ends on a sliver: with
 one to two steps left before t_end, it takes two even ones.
 
 A sample is the report of evaluate_all's own body
-(functionals.Quadrature) on the node values, with weights the stepper
-forms once per march, so it equals evaluate_all of the same field to
-the last bit.  The trace keeps that FunctionalReport, and every series
-written from the trace is read from it.  The sample's finiteness is read from the
-six quadratures: a non-finite node makes the mass non-finite, and only
-then is the field scanned, to tell a non-finite field (EvolveError)
+(functionals.Quadrature) on the node values, with weights premultiplied
+by mu that the stepper forms once per march, so it equals evaluate_all
+of the same field to the last bit.  It forms |u|^2 once and reads each
+quadrature but the gradient as one dot product with it, and it only
+reads the state: the adaptive law reads the gradient norm by the same
+function between samples and at them, so a march takes the same steps
+to the same state whatever sample_every is, unless the blow-up trigger
+fires.  The trace keeps that FunctionalReport, and every series written
+from the trace is read from it.  The sample's finiteness is read from
+the six quadratures: a non-finite node makes the mass non-finite, and
+only then is the field scanned, to tell a non-finite field (EvolveError)
 from an overflowing quadrature (FunctionalError).
 
 Blow-up is reported as a candidate event, never a proof: the trigger
@@ -179,7 +184,7 @@ class RelaxationStepper:
     """Relaxation Cayley steps of one march on one grid (module docstring).
 
     Holds the march's Quadrature (functionals), whose mu r^c weighs the
-    nonlinear potential and whose V enters the band; the symmetric bands
+    nonlinear potential and whose mu V enters the band; the symmetric bands
     of M (the grid's M_{b,0} plus diag(mu V)), mu, 2 mu and p; and the
     relaxation state: the potential phi^{n-1/2} and the last dt.  The
     first step starts the state at phi^{-1/2} = |u^0|^p, so a new march
@@ -189,8 +194,8 @@ class RelaxationStepper:
     def __init__(self, grid: RadialGrid, params: ProblemParams, spec: PotentialSpec):
         self.quadrature = quadrature(grid, params, spec)
         self.mu = grid.measure_weights
-        V = self.quadrature.V
-        self.sym_diag = grid.stiffness_diag if V is None else grid.stiffness_diag + self.mu * V
+        mu_V = self.quadrature.mu_V
+        self.sym_diag = grid.stiffness_diag if mu_V is None else grid.stiffness_diag + mu_V
         self.sym_off = -grid.face_weights
         self.two_mu = 2 * self.mu
         self.mu_rc = self.quadrature.mu_rc

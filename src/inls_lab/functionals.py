@@ -28,16 +28,20 @@ Special slots: K^{1,0} is the Nehari functional and K^{n,2} = (2-b) P.
 L is formed with the first term squared; only that reading makes the
 two-sided bound 2S <= L (valid on K >= 0) an identity-tight estimate.
 
-Quadrature.report is the one body of quadratures over a field.  A
-Quadrature holds the node weights that depend only on (grid, params,
-spec): mu r^c and, for a nonzero potential, V and rV'.  evaluate_all
-forms them for its field and reports it; a march (evolve) forms them
-once and reports every sample with the same body, on the raw node
-values.  The FunctionalReport holds the six quadratures and the
-parameters they were evaluated at; every other scalar is a property of
-the report, K^{a,B} is its one method k (nehari and virial read it),
-and rep.at(w) is the report at another omega, equal to a new pass at
-that omega.
+Quadrature.report is the one body of quadratures over a field.  It
+forms |u|^2 once, as re^2 + im^2 of complex values and v v of real ones,
+and reads each of the mass, the variance, int V|u|^2, int (x.grad V)|u|^2
+and the nonlinear term as one dot product of a node weight premultiplied
+by mu with |u|^2 or, for the nonlinear term, with (|u|^2)^((p+2)/2).  The
+grid holds mu and mu r^(2-b); a Quadrature holds the weights that depend
+only on (grid, params, spec): mu r^c and, for a nonzero potential, mu V
+and mu rV'.  evaluate_all forms them for its field and reports it; a
+march (evolve) forms them once and reports every sample with the same
+body, on the raw node values.  The FunctionalReport holds the six
+quadratures and the parameters they were evaluated at; every other
+scalar is a property of the report, K^{a,B} is its one method k (nehari
+and virial read it), and rep.at(w) is the report at another omega, equal
+to a new pass at that omega.
 """
 
 from __future__ import annotations
@@ -120,36 +124,49 @@ class FunctionalReport:
 class Quadrature:
     """The quadratures of evaluate_all for one (grid, params, spec).
 
-    Holds the node weights that depend on nothing else: mu r^c of the
-    nonlinear term, and V and rV' of the potential terms (None for the
-    zero potential); the grid holds mu and the variance weight r^(2-b).
-    report is the one body of quadratures, so a march forms a
-    Quadrature once and reports every sample with it.
+    Holds the node weights, premultiplied by mu, that depend on nothing
+    else: mu r^c of the nonlinear term, and mu V and mu rV' of the
+    potential terms (None for the zero potential); the grid holds mu and
+    the variance weight mu r^(2-b).  report is the one body of
+    quadratures, so a march forms a Quadrature once and reports every
+    sample with it.
     """
 
     grid: RadialGrid
     params: ProblemParams
     mu_rc: np.ndarray
-    V: np.ndarray | None
-    rVp: np.ndarray | None
+    mu_V: np.ndarray | None
+    mu_rVp: np.ndarray | None
 
     def report(self, values: np.ndarray) -> FunctionalReport:
-        """The six quadratures of the node values.  Values are not
-        validated: a non-finite one makes the mass non-finite, and every
-        non-finite quadrature raises FunctionalError naming the first."""
+        """The six quadratures of the node values (real or complex): the
+        gradient term, then one |u|^2 array and one dot product of it (of
+        (|u|^2)^((p+2)/2) for the nonlinear term) per weight.  Values are
+        not validated: a non-finite one makes the mass non-finite, and
+        every non-finite quadrature raises FunctionalError naming the
+        first."""
         g = self.grid
         grad_sq = gradient_norm_sq(g, values)
-        a = np.abs(values)
-        dens = g.measure_weights * (a * a)
-        if self.V is None:
+        if np.iscomplexobj(values):
+            # re^2 + im^2 through the float view of the values as
+            # C-contiguous complex128, a copy only of strided or
+            # single-precision ones
+            w = np.ascontiguousarray(values, dtype=complex).view(float)
+            w = w * w
+            sq = w[0::2] + w[1::2]
+        else:
+            sq = np.asarray(values, dtype=float)
+            sq = sq * sq
+        if self.mu_V is None:
             pot = 0.0
             xgv = 0.0
         else:
-            pot = float((dens * self.V).sum())
-            xgv = float((dens * self.rVp).sum())
-        mass = float(dens.sum())
-        variance = float((dens * g.variance_weight).sum())
-        nl = float((self.mu_rc * a ** (self.params.p + 2)).sum())
+            pot = float(np.dot(self.mu_V, sq))
+            xgv = float(np.dot(self.mu_rVp, sq))
+        mass = float(np.dot(g.measure_weights, sq))
+        variance = float(np.dot(g.variance_weight, sq))
+        # p = 2 makes the exponent 2.0, NumPy's squaring fast path
+        nl = float(np.dot(self.mu_rc, sq ** ((self.params.p + 2) / 2)))
         for name, val in (
             ("gradient", grad_sq),
             ("potential_energy", pot),
@@ -166,11 +183,13 @@ class Quadrature:
 def quadrature(g: RadialGrid, params: ProblemParams, spec: PotentialSpec) -> Quadrature:
     """The Quadrature of (g, params, spec); refuses a grid not built for params."""
     check_grid(g, params)
+    mu = g.measure_weights
     if spec.is_zero:
-        V = rVp = None
+        mu_V = mu_rVp = None
     else:
         V, rVp, _ = eval_potential(spec, g.nodes)
-    return Quadrature(g, params, g.measure_weights * g.nodes**params.c, V, rVp)
+        mu_V, mu_rVp = mu * V, mu * rVp
+    return Quadrature(g, params, mu * g.nodes**params.c, mu_V, mu_rVp)
 
 
 def evaluate_all(

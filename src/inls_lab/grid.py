@@ -52,10 +52,10 @@ the diagonal for its own potential.  M v itself is formed in one
 place, add_stiffness, from the face fluxes nu_{i+1/2} (v_i - v_{i+1})
 and the Dirichlet edge term: diag v minus the neighbour terms would
 cancel to about h^2 of their size where v is smooth and lose those
-digits.  apply_operator and the ground-state solve's residual both
-call it.  The grid also stores r^(2-b) at the nodes, the weight of the
-variance, a grid constant because check_grid ties the parameters' b
-to the grid's.  A grid keeps its coarse mesh, the mesh of
+digits.  The ground-state solve's residual calls it.  The grid also
+stores mu r^(2-b) at the nodes, the quadrature weight of the variance,
+a grid constant because check_grid ties the parameters' b to the
+grid's.  A grid keeps its coarse mesh, the mesh of
 max(N // 4, 16) cells with the same radius and grading, built the
 first time it is read; the ground-state solve climbs grid.coarse,
 grid.coarse.coarse, ... and so builds each mesh below a grid once.
@@ -91,7 +91,6 @@ __all__ = [
     "RadialField",
     "RadialGrid",
     "add_stiffness",
-    "apply_operator",
     "build_grid",
     "check_grid",
     "check_grid_settings",
@@ -148,7 +147,7 @@ class RadialGrid:
     face_weights: np.ndarray  # nu_{i+1/2} interior, shape (N-1,)
     outer_face_weight: float  # nu_{N+1/2} with ghost spacing r_max - r_N
     stiffness_diag: np.ndarray  # diagonal of M_{b,0} = diag(mu) A_{b,0}, shape (N,)
-    variance_weight: np.ndarray  # r_i^(2-b), the weight of the variance, shape (N,)
+    variance_weight: np.ndarray  # mu_i r_i^(2-b), the variance's quadrature weight, shape (N,)
 
     @cached_property
     def coarse(self) -> RadialGrid:
@@ -161,9 +160,14 @@ class RadialGrid:
 
 def check_grid_settings(n: int, b: float, r_max: float, N: int, grading: float) -> None:
     """Refuse mesh settings build_grid cannot use, with GridError: among
-    them a ball volume S r_max^n / n beyond the float range, and an
-    innermost cell measure S (r_max N^-grading)^n / n, the smallest of
-    all, below the normal floats (a zero measure divides A = M / mu)."""
+    them a largest weight beyond the float range (the ball volume
+    S r_max^n / n, the outer face weight S r_max^(n-1+b) / (r_max - r_N)
+    and the outer variance weight mu_N r_N^(2-b); the last two exceed the
+    ball volume for b > 1 and b < 2 respectively), and an innermost cell
+    measure S (r_max N^-grading)^n / n, the smallest of all, below the
+    normal floats (a zero measure divides A = M / mu).  Each is formed in
+    Python floats, which raise OverflowError or give inf, never a
+    warning."""
     if N < 16:
         raise GridError(f"N={N} too small (need >= 16)")
     if not r_max > 0:
@@ -172,19 +176,36 @@ def check_grid_settings(n: int, b: float, r_max: float, N: int, grading: float) 
         raise GridError(f"grading={grading} must be >= 1")
     if not n - 1 + b > 0:
         raise GridError(f"n-1+b = {n - 1 + b} <= 0: inner flux weight would not vanish")
+
+    def refuse_overflow(name: str, weight: Callable[[], float]) -> None:
+        try:
+            finite = math.isfinite(weight())
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise GridError(f"{name} overflows at r_max={r_max}, N={N}, n={n}, b={b}")
+
     S = sphere_area(n)
-    try:
-        volume = S * float(r_max) ** n / n
-    except OverflowError:
-        volume = math.inf
-    if not math.isfinite(volume):
-        raise GridError(f"ball volume S r_max^n / n overflows at r_max={r_max}, n={n}")
-    inner = S * (r_max * (1 / N) ** grading) ** n / n
+    r = float(r_max)
+    refuse_overflow("ball volume S r_max^n / n", lambda: S * r**n / n)
+    inner = S * (r * (1 / N) ** grading) ** n / n
     if not inner >= sys.float_info.min:
         raise GridError(
             f"innermost cell measure {inner:.3g} underflows at r_max={r_max}, N={N}, "
             f"grading={grading}, n={n}"
         )
+    # A normal innermost cell keeps r_max far above the subnormals, so the
+    # outer half cell r_max - r_N is positive.
+    last = r * ((N - 1) / N) ** grading  # the face below r_max
+    r_N = 0.5 * (last + r)  # the outermost node
+    refuse_overflow(
+        "outer face weight S r_max^(n-1+b) / (r_max - r_N)",
+        lambda: S * r ** (n - 1 + b) / (r - r_N),
+    )
+    refuse_overflow(
+        "outer variance weight mu_N r_N^(2-b)",
+        lambda: S * (r**n - last**n) / n * r_N ** (2 - b),
+    )
 
 
 def build_grid(
@@ -229,7 +250,7 @@ def build_grid(
         face_weights=nu,
         outer_face_weight=float(nu_out),
         stiffness_diag=diag,
-        variance_weight=nodes ** (2 - b),
+        variance_weight=mu * nodes ** (2 - b),
     )
 
 
@@ -262,13 +283,21 @@ def check_grid(grid: RadialGrid, params: ProblemParams) -> None:
 
 def gradient_norm_sq(g: RadialGrid, values: np.ndarray) -> float:
     """Discrete ||grad f||^2_{b,2} of the node values (real or complex) of f
-    on g: face-difference sum plus the Dirichlet edge term.  Values are
-    not validated; non-finite values give a non-finite result."""
-    d = values[1:] - values[:-1]
-    if d.dtype.kind == "c":
-        sq = d.real * d.real
-        sq += d.imag * d.imag
+    on g: face-difference sum plus the Dirichlet edge term.  Complex
+    values are made C-contiguous complex128 (a copy only when they are
+    not) and differenced through their float view, the real and the
+    imaginary part of every face in one pass; each |f_{i+1} - f_i|^2 is
+    then re^2 + im^2.  Real values are taken as float64.  Values are not
+    validated; non-finite values give a non-finite result."""
+    if np.iscomplexobj(values):
+        values = np.ascontiguousarray(values, dtype=complex)
+        vf = values.view(float)
+        d = vf[2:] - vf[:-2]
+        d *= d
+        sq = d[0::2] + d[1::2]
     else:
+        values = np.asarray(values, dtype=float)
+        d = values[1:] - values[:-1]
         sq = d * d
     return float(np.dot(g.face_weights, sq) + g.outer_face_weight * abs(values[-1]) ** 2)
 
@@ -284,12 +313,6 @@ def add_stiffness(g: RadialGrid, values: np.ndarray, acc: np.ndarray) -> np.ndar
     acc[1:] -= flux
     acc[-1] += g.outer_face_weight * values[-1]
     return acc
-
-
-def apply_operator(g: RadialGrid, values: np.ndarray) -> np.ndarray:
-    """A_{b,0} v for node values v (real or complex) on g, computed as
-    (M v) * (1 / mu).  Values are not validated."""
-    return add_stiffness(g, values, np.zeros_like(values)) * (1.0 / g.measure_weights)
 
 
 def factor_shifted(g: RadialGrid, shift: float) -> Callable[[np.ndarray], np.ndarray]:

@@ -451,7 +451,7 @@ def petviashvili_solve(params: ProblemParams, grid: RadialGrid) -> GroundState:
     if np.any(np.diff(Q[peak:]) > 1e-14 * Q[peak]):
         raise NonConvergence("profile not monotone beyond its maximum")
 
-    # V and rV' are None for the zero potential, as in evaluate_all
+    # mu V and mu rV' are None for the zero potential, as in evaluate_all
     rep = Quadrature(grid, params, mu * rc, None, None).report(Q)
     poh = pohozaev_residuals(rep)
     if max(poh) >= 1e-4:

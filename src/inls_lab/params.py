@@ -102,11 +102,6 @@ class ProblemParams:
         return self.n * self.p - 2 * self.c
 
     @property
-    def s_c(self) -> float:
-        """Scaling index n/2 - (2-b+c)/p of the homogeneous Sobolev norm."""
-        return self.n / 2 - (2 - self.b + self.c) / self.p
-
-    @property
     def criticality(self) -> Criticality:
         """Where p_c sits against the mass line 2(2-b) and the energy line
         (2-b)(p+2); within _TIE_RTOL of a line counts as on it."""

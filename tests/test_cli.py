@@ -176,12 +176,14 @@ def test_build_run_config_rejects(extra, fragment):
         ("classify.omega = nan\n", "line 5: classify.omega must be finite, got nan"),
         ("grid.r_max = inf\n", "line 5: grid.r_max must be finite, got inf"),
         ("grid.gamma = inf\n", "line 5: grid.gamma must be finite, got inf"),
-        # A grid error names params.n too: the mesh is refused for the dimension.
-        ("grid.r_max = -1\n", "lines 1, 5: grid: r_max=-1.0 must be positive"),
-        ("grid.gamma = 0.5\n", "lines 1, 5: grid: grading=0.5 must be >= 1"),
-        ("grid.N = 8\n", "lines 1, 5: grid: N=8 too small (need >= 16)"),
-        ("grid.r_max = 1e200\n", "lines 1, 5: grid: ball volume S r_max^n / n overflows"),
-        ("grid.gamma = 400\ngrid.N = 64\n", "lines 1, 5, 6: grid: innermost cell measure 0"),
+        # A grid error names params.n and params.b too: the mesh is
+        # refused for the parameters.
+        ("grid.r_max = -1\n", "lines 1, 2, 5: grid: r_max=-1.0 must be positive"),
+        ("grid.gamma = 0.5\n", "lines 1, 2, 5: grid: grading=0.5 must be >= 1"),
+        ("grid.N = 8\n", "lines 1, 2, 5: grid: N=8 too small (need >= 16)"),
+        ("grid.r_max = 1e200\n", "lines 1, 2, 5: grid: ball volume S r_max^n / n overflows"),
+        ("grid.gamma = 400\ngrid.N = 64\n", "lines 1, 2, 5, 6: grid: innermost cell measure 0"),
+        ("grid.r_max = 1e80\n", "lines 1, 2, 5: grid: outer variance weight mu_N r_N^(2-b) overflows"),
     ],
     ids=[
         "alpha", "width", "kind", "from_file", "path", "path_directory", "classify_omega",
@@ -189,7 +191,7 @@ def test_build_run_config_rejects(extra, fragment):
         "dt0_inf", "alpha_inf", "amplitude_inf", "amplitude_nan", "width_inf", "potential_a_nan",
         "potential_s_inf", "omega_inf", "classify_omega_inf", "classify_omega_nan", "r_max_inf",
         "gamma_inf", "r_max_negative", "gamma_below_one", "N_too_small", "ball_volume_overflows",
-        "innermost_cell_underflows",
+        "innermost_cell_underflows", "variance_weight_overflows",
     ],
 )
 def test_config_errors_name_their_lines(tmp_path, capsys, extra, message):
@@ -200,9 +202,22 @@ def test_config_errors_name_their_lines(tmp_path, capsys, extra, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("b", ["1.5", "1.9"])
+def test_a_face_weight_beyond_the_floats_is_a_config_error(tmp_path, capsys, b):
+    # For b > 1 the outer face weight, r_max^(n-1+b) / (r_max - r_N),
+    # overflows at radii where the ball volume r_max^n is finite.
+    text = f"params.n = 3\nparams.b = {b}\nparams.c = 0\nparams.p = 0.05\ngrid.r_max = 1e102\n"
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "o"
+    assert main(["evolve", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: lines 1, 2, 5: grid: outer face weight S r_max^(n-1+b)")
+    assert not out.exists()
+
+
 def test_a_default_grid_refused_for_the_dimension_names_params_n():
     # At n = 60 the innermost cell measure of the default mesh underflows.
-    with pytest.raises(ConfigError, match=r"^line 1: grid: innermost cell measure 0 underflows"):
+    with pytest.raises(ConfigError, match=r"^lines 1, 2: grid: innermost cell measure 0 underflows"):
         build_run_config(pairs_of("params.n = 60\nparams.b = 0\nparams.c = 0\nparams.p = 0.05\n"))
 
 

@@ -23,7 +23,7 @@ from inls_lab.functionals import FunctionalError, FunctionalReport, evaluate_all
 from inls_lab.grid import GridError, RadialField, build_grid, gradient_norm_sq, zgtsv
 from inls_lab.potential import PotentialSpec, eval_potential
 
-from conftest import F1, F2, NM, grid_for, solve
+from conftest import F1, F2, MC, NM, grid_for, solve
 
 ZERO = PotentialSpec.zero()
 BUMP = PotentialSpec.smooth_bump(0.4, 2.0)
@@ -208,6 +208,27 @@ def test_march_samples_are_evaluate_all_reports(params, spec):
     trace = evolve(u0, EvolutionConfig(dt0=1e-3, t_end=0.02, sample_every=3), params, spec)
     for i, u in ((0, u0), (-1, trace.final_state)):
         assert trace.reports[i] == evaluate_all(u, params, spec)
+
+
+@pytest.mark.parametrize("adaptivity", [False, True], ids=["fixed", "adaptive"])
+@pytest.mark.parametrize("params, amp", [(F1, 2.5), (F2, 2.5), (MC, 6.0)], ids=["F1", "F2", "MC"])
+def test_sampling_only_reads_the_march(params, amp, adaptivity):
+    # Whatever sample_every is, a march takes the same steps to the same
+    # state, bit for bit.  The adaptive data focus, so that dt varies.
+    g = grid_for(params.n, params.b, 1024)
+    u0 = RadialField(g, amp * np.exp(-(g.nodes**2)))
+    runs = []
+    for every in (1, 7, 10):
+        cfg = EvolutionConfig(dt0=1e-3, t_end=0.3, sample_every=every, adaptivity=adaptivity)
+        trace = evolve(u0, cfg, params, ZERO)
+        assert trace.events == [("Completed", pytest.approx(0.3, abs=1e-12))]
+        runs.append((trace.steps, trace.dt_min, trace.dt_max, trace.final_state.values))
+    steps, dt_min, dt_max, final = runs[0]
+    if adaptivity:
+        assert dt_min < 0.75 * dt_max
+    for other in runs[1:]:
+        assert other[:3] == (steps, dt_min, dt_max)
+        assert np.array_equal(other[3], final)
 
 
 def test_march_evaluates_the_potential_once(count_calls):

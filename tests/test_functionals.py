@@ -2,13 +2,14 @@
 exact arcs."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
-from inls_lab.functionals import FunctionalError, evaluate_all
+from inls_lab.functionals import FunctionalError, evaluate_all, quadrature
 from inls_lab.grid import GridError, RadialField, gradient_norm_sq
-from inls_lab.potential import PotentialSpec
+from inls_lab.potential import PotentialSpec, eval_potential
 
 from conftest import F1, F2, NM, grid_for
 
@@ -60,12 +61,85 @@ def test_report_internal_identities():
 
 
 def test_nonlinear_term_is_the_midpoint_sum():
-    # ||u||^{p+2}_{c,p+2} is the midpoint sum itself, to the last bit.
+    # ||u||^{p+2}_{c,p+2} and the other quadratures but the gradient are
+    # midpoint sums, each one dot product of a weight premultiplied by mu
+    # with one |u|^2 array, to the last bit.  A one-node field makes each
+    # sum a single term, so the bits of |u|^2 = re^2 + im^2 reach the
+    # result; in a long sum a last-bit change of some terms mostly
+    # rounds away.
+    rng = np.random.default_rng(3)
     for params in (F2, NM):
         u = sample_field(params)
         g = u.grid
-        want = np.sum(g.measure_weights * g.nodes**params.c * abs(u.values) ** (params.p + 2))
-        assert evaluate_all(u, params, BUMP).nonlinear_term == want
+        mu, r = g.measure_weights, g.nodes
+        V, rVp, _ = eval_potential(BUMP, r)
+        fields = [u.values]
+        for k in rng.integers(0, g.N, 8):
+            one = np.zeros(g.N, dtype=complex)
+            one[k] = complex(*rng.standard_normal(2))
+            fields.append(one)
+        for v in fields:
+            sq = v.real * v.real + v.imag * v.imag
+            rep = evaluate_all(RadialField(g, v), params, BUMP)
+            assert rep.nonlinear_term == np.dot(mu * r**params.c, sq ** ((params.p + 2) / 2))
+            assert rep.mass == np.dot(mu, sq)
+            assert rep.variance == np.dot(mu * r ** (2 - params.b), sq)
+            assert rep.potential_energy == np.dot(mu * V, sq)
+            assert rep.xgradV_term == np.dot(mu * rVp, sq)
+
+
+# Bound on |quadrature - fsum(terms)| / fsum(|terms|): two units of
+# roundoff, 4.4e-16.  Measured with OpenBLAS 0.3.31 (Haswell kernels) at
+# N = 4096: the worst of the 8 cases below (4 seeds each) is 2.2e-16
+# (variance); over F1, F2, MC and NMINUS, both potentials, 100 seeds,
+# complex and real fields, it is 4.35e-16 (xgradV_term).  The dot
+# products sum in long runs, not pairwise, so the bound holds at this
+# N, not at any N: at N = 65536, over 10 seeds, the same sweep reads up
+# to 1.3e-15.
+FSUM_BOUND = 2 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("is_complex", [True, False], ids=["complex", "real"])
+@pytest.mark.parametrize("spec", [ZERO, BUMP], ids=["zero", "bump"])
+@pytest.mark.parametrize("params", [F2, NM], ids=["F2", "NMINUS"])
+def test_quadratures_lie_within_two_ulps_of_fsum(params, spec, is_complex):
+    g = grid_for(params.n, params.b, 4096)
+    mu, r = g.measure_weights, g.nodes
+    V, rVp, _ = eval_potential(spec, r) if not spec.is_zero else (0 * r, 0 * r, None)
+    for seed in range(4):
+        u = sample_profile(seed)(r)
+        if not is_complex:
+            u = u.real.copy()
+        a2 = np.abs(u) ** 2
+        terms = {
+            "grad_sq": np.append(
+                g.face_weights * np.abs(np.diff(u)) ** 2, g.outer_face_weight * abs(u[-1]) ** 2
+            ),
+            "mass": mu * a2,
+            "variance": mu * r ** (2 - params.b) * a2,
+            "potential_energy": mu * V * a2,
+            "xgradV_term": mu * rVp * a2,
+            "nonlinear_term": mu * r**params.c * np.abs(u) ** (params.p + 2),
+        }
+        rep = evaluate_all(RadialField(g, u), params, spec)
+        for name, t in terms.items():
+            err = abs(getattr(rep, name) - math.fsum(t))
+            assert err <= FSUM_BOUND * math.fsum(np.abs(t)), (name, seed)
+
+
+@pytest.mark.parametrize("params, spec", [(F2, BUMP), (NM, ZERO)], ids=["F2-bump", "NMINUS-zero"])
+def test_report_reads_strided_and_single_precision_values(params, spec):
+    # A strided view and complex64 values are read as their C-contiguous
+    # complex128 copy; a bare float view would raise on the first and
+    # misread the second.
+    g = grid_for(params.n, params.b, 2048)
+    body = quadrature(g, params, spec)
+    u2 = np.repeat(sample_profile(7)(g.nodes), 2)
+    assert body.report(u2[::2]) == body.report(np.ascontiguousarray(u2[::2]))
+    single = u2[::2].astype(np.complex64)
+    assert body.report(single) == body.report(single.astype(complex))
+    real = u2.real[::2]
+    assert body.report(real) == body.report(real.copy())
 
 
 def test_overflowing_nonlinear_term_is_refused():

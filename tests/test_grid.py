@@ -17,7 +17,7 @@ from inls_lab.grid import (
     GridError,
     RadialField,
     RadialGrid,
-    apply_operator,
+    add_stiffness,
     build_grid,
     factor_shifted,
     gradient_norm_sq,
@@ -43,6 +43,9 @@ from conftest import SOLVE_AND_MARCH
         dict(n=3, b=0.0, N=64, grading=400.0),
         dict(n=3, b=0.0, r_max=1e-300, N=16),
         dict(n=3, b=0.0, N=1024, grading=60.0),
+        # The smallest positive float, whose outer half cell r_max - r_N
+        # rounds to 0: refused by its innermost cell, before any division.
+        dict(n=3, b=0.0, r_max=5e-324, N=16),
     ],
 )
 def test_build_grid_rejects(kwargs):
@@ -50,6 +53,27 @@ def test_build_grid_rejects(kwargs):
         warnings.simplefilter("error")
         with pytest.raises(GridError):
             build_grid(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "b, r_max, weight",
+    [
+        # The outer face weight grows as r_max^(n-1+b), beyond the ball
+        # volume's r_max^n for b > 1; the outer variance weight grows as
+        # r_max^(n+2-b), beyond it for b < 2.
+        (1.5, 1e102, "outer face weight S r_max^(n-1+b) / (r_max - r_N)"),
+        (1.9, 1e102, "outer face weight S r_max^(n-1+b) / (r_max - r_N)"),
+        (0.0, 1e80, "outer variance weight mu_N r_N^(2-b)"),
+    ],
+    ids=["face_b1.5", "face_b1.9", "variance_b0"],
+)
+def test_build_grid_refuses_a_weight_beyond_the_floats_naming_it(b, r_max, weight):
+    # The ball volume is finite on each of these meshes; the refusal comes
+    # before any weight is formed in NumPy, so no overflow warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GridError, match="^" + re.escape(f"{weight} overflows at r_max={r_max}")):
+            build_grid(3, b, r_max=r_max, N=64)
 
 
 def test_cell_volumes_fill_the_ball():
@@ -106,6 +130,11 @@ def test_quadrature_is_second_order():
     assert err(512) / err(1024) > 3.0
 
 
+def apply_A(g, v):
+    """A_{b,0} v, formed as (M v) / mu from the grid's add_stiffness."""
+    return add_stiffness(g, v, np.zeros_like(v)) * (1.0 / g.measure_weights)
+
+
 def test_operator_is_self_adjoint_and_matches_energy():
     rng = np.random.default_rng(7)
     for n, b in [(3, 0.0), (3, -0.5), (4, -1.0)]:
@@ -113,11 +142,11 @@ def test_operator_is_self_adjoint_and_matches_energy():
         u = rng.standard_normal(g.N)
         v = rng.standard_normal(g.N)
         mu = g.measure_weights
-        left = np.sum(mu * apply_operator(g, u) * v)
-        right = np.sum(mu * u * apply_operator(g, v))
+        left = np.sum(mu * apply_A(g, u) * v)
+        right = np.sum(mu * u * apply_A(g, v))
         assert left == pytest.approx(right, rel=1e-12)
         # Summation by parts: <A_{b,0} u, u>_mu is exactly the Dirichlet energy.
-        quad = np.sum(mu * apply_operator(g, u) * u)
+        quad = np.sum(mu * apply_A(g, u) * u)
         assert quad == pytest.approx(gradient_norm_sq(g, u), rel=1e-12)
 
 
@@ -128,7 +157,7 @@ def test_operator_maps_a_constant_to_exact_zeros_off_the_edge(n, b, N):
     # term survives.  Diag minus neighbour terms would leave rounding
     # residue, divided by the small cell measures near the origin.
     g = build_grid(n, b, r_max=30.0, N=N)
-    y = apply_operator(g, np.ones(N))
+    y = apply_A(g, np.ones(N))
     assert np.all(y[:-1] == 0.0)
     assert y[-1] > 0
 
@@ -146,11 +175,45 @@ def test_gradient_norm_is_the_face_difference_sum(is_complex):
     assert gradient_norm_sq(g, u) == pytest.approx(want, rel=1e-13)
 
 
+@pytest.mark.parametrize("is_complex", [False, True])
+def test_gradient_norm_is_one_dot_of_the_face_differences(is_complex):
+    # The bits of nu . (re(d)^2 + im(d)^2) + nu_out |u_N|^2, d the face
+    # differences: the adaptive step reads them, so a march's steps
+    # depend on them.  A step field has one nonzero difference, so the
+    # bits of its square reach the result; in a long sum a last-bit
+    # change of some terms mostly rounds away.
+    g = build_grid(3, -0.5, r_max=20.0, N=512, grading=2.0)
+    rng = np.random.default_rng(12)
+    fields = [rng.standard_normal(g.N) + 1j * rng.standard_normal(g.N)]
+    for k in rng.integers(1, g.N, 8):
+        fields.append(np.where(np.arange(g.N) < k, complex(*rng.standard_normal(2)), 0))
+    for u in fields:
+        if not is_complex:
+            u = u.real.copy()
+        d = u[1:] - u[:-1]
+        sq = d.real * d.real + d.imag * d.imag if is_complex else d * d
+        want = float(np.dot(g.face_weights, sq) + g.outer_face_weight * abs(u[-1]) ** 2)
+        assert gradient_norm_sq(g, u) == want
+
+
+def test_gradient_norm_reads_strided_and_single_precision_values():
+    # A strided view and complex64 values are read as their C-contiguous
+    # complex128 copy; a bare float view would raise on the first and
+    # misread the second.
+    g = build_grid(3, -0.5, r_max=20.0, N=512, grading=2.0)
+    rng = np.random.default_rng(13)
+    u2 = rng.standard_normal(2 * g.N) + 1j * rng.standard_normal(2 * g.N)
+    assert gradient_norm_sq(g, u2[::2]) == gradient_norm_sq(g, u2[::2].copy())
+    single = u2[: g.N].astype(np.complex64)
+    assert gradient_norm_sq(g, single) == gradient_norm_sq(g, single.astype(complex))
+    assert gradient_norm_sq(g, u2.real[::2]) == gradient_norm_sq(g, u2.real[::2].copy())
+
+
 def test_solve_shifted_recovers_manufactured_solution():
     g = build_grid(3, -0.5, r_max=20.0, N=512, grading=2.0)
     x_true = np.exp(-g.nodes**2)
     for shift in (1.7, 0.3):
-        rhs = apply_operator(g, x_true) + shift * x_true
+        rhs = apply_A(g, x_true) + shift * x_true
         x = factor_shifted(g, shift)(rhs)
         assert np.max(np.abs(x - x_true)) < 1e-12 * np.max(np.abs(x_true))
 

@@ -18,16 +18,21 @@ from inls_lab.params import (
 from conftest import F1, MC, NM
 
 
+def s_c(params):
+    """The scaling index n/2 - (2-b+c)/p of the homogeneous Sobolev norm."""
+    return params.n / 2 - (2 - params.b + params.c) / params.p
+
+
 def test_intercritical_fixture_exponents():
     assert F1.p_c == pytest.approx(6.0, rel=1e-15)
-    assert F1.s_c == pytest.approx(0.5, rel=1e-15)
+    assert s_c(F1) == pytest.approx(0.5, rel=1e-15)
     assert F1.criticality is Criticality.INTERCRITICAL
     assert F1.sigma == pytest.approx(1.0, rel=1e-12)
 
 
 def test_mass_critical_fixture_exponents():
     assert MC.p_c == pytest.approx(4.0, rel=1e-15)
-    assert MC.s_c == pytest.approx(0.0, abs=1e-15)
+    assert s_c(MC) == pytest.approx(0.0, abs=1e-15)
     assert MC.criticality is Criticality.MASS_CRITICAL
     assert MC.sigma is None
 
@@ -47,7 +52,7 @@ def test_mass_subcritical():
 def test_energy_critical():
     d = ProblemParams(3, 0.0, 0.0, 4.0)
     assert d.criticality is Criticality.ENERGY_CRITICAL
-    assert d.s_c == pytest.approx(1.0, rel=1e-12)
+    assert s_c(d) == pytest.approx(1.0, rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -124,8 +129,8 @@ def admissible_params(draw):
 def test_exponent_identities(params):
     assert params.p_c == pytest.approx(params.n * params.p - 2 * params.c, rel=1e-12)
     # The two closed forms of the scaling index must agree.
-    s_c = (params.p_c - 2 * (2 - params.b)) / (2 * params.p)
-    assert params.s_c == pytest.approx(s_c, rel=1e-9, abs=1e-12)
+    from_p_c = (params.p_c - 2 * (2 - params.b)) / (2 * params.p)
+    assert s_c(params) == pytest.approx(from_p_c, rel=1e-9, abs=1e-12)
     if params.criticality is Criticality.INTERCRITICAL:
         assert params.sigma is not None and params.sigma > 0
         assert_sigma_within_rounding(params)
@@ -161,5 +166,5 @@ def test_sigma_near_the_mass_line(n, b, c, p):
     # they agree to 1e-12 refused these intercritical sets.
     params = ProblemParams(n, b, c, p)
     assert params.criticality is Criticality.INTERCRITICAL
-    assert params.sigma == pytest.approx((2 - b - 2 * params.s_c) / (2 * params.s_c), rel=1e-9)
+    assert params.sigma == pytest.approx((2 - b - 2 * s_c(params)) / (2 * s_c(params)), rel=1e-9)
     assert_sigma_within_rounding(params)
