@@ -15,7 +15,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import hashlib
 import json
@@ -25,12 +24,18 @@ import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .classify import NOT_APPLICABLE, ClassificationEntry, classify_all
 from .evolve import EvolutionConfig, EvolutionTrace, evolve
-from .grid import GridError, RadialField, RadialGrid, build_grid, check_grid_settings
+from .grid import (
+    SCIPY_VERSION,
+    GridError,
+    RadialField,
+    RadialGrid,
+    build_grid,
+    check_grid_settings,
+)
 from .groundstate import GroundState, is_frequency_one, petviashvili_solve
 from .params import ProblemParams
 from .potential import PotentialSpec, check_assumptions
@@ -399,7 +404,7 @@ class _Outputs:
             "versions": {
                 "inls-lab": __version__,
                 "numpy": np.__version__,
-                "scipy": scipy.__version__,
+                "scipy": SCIPY_VERSION,
             },
             "outputs": sorted(self.names),
         }
@@ -490,6 +495,30 @@ def _run_sweep_point(args: tuple) -> tuple[int, str, str, str, float, float | No
     return idx, value, headline_verdict(entries), kind, t, growth
 
 
+def _bind_worker(turns) -> None:
+    """Pool initializer: bind this worker process to the next CPU the queue turns holds."""
+    os.sched_setaffinity(0, {turns.get()})
+
+
+def _process_pool(workers: int):
+    """A pool of `workers` processes, each bound to its own CPU of this
+    process's affinity set, in turn, wrapping around when the workers
+    outnumber the CPUs; unbound where the platform has no
+    os.sched_setaffinity.  Unbound, two workers were seen to share one
+    CPU of two."""
+    # Only a pool needs these; their import costs 5-8 ms, logging included.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    if not hasattr(os, "sched_setaffinity"):
+        return ProcessPoolExecutor(max_workers=workers)
+    cpus = sorted(os.sched_getaffinity(0))
+    turns = multiprocessing.SimpleQueue()
+    for k in range(workers):
+        turns.put(cpus[k % len(cpus)])
+    return ProcessPoolExecutor(max_workers=workers, initializer=_bind_worker, initargs=(turns,))
+
+
 def cmd_sweep(cfg: RunConfig, out: _Outputs, pairs: _Pairs, args: argparse.Namespace) -> int:
     """Run every sweep point of cfg, args.jobs at a time; pairs are the
     parsed config cfg was built from."""
@@ -513,7 +542,7 @@ def cmd_sweep(cfg: RunConfig, out: _Outputs, pairs: _Pairs, args: argparse.Names
     workers = min(args.jobs, len(tasks))
     if workers > 1:
         # Under fork the pool starts all max_workers processes at once.
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        with _process_pool(workers) as pool:
             rows = list(pool.map(_run_sweep_point, tasks))
     else:
         rows = [_run_sweep_point(t) for t in tasks]

@@ -65,7 +65,13 @@ in the Newton polish and zgtsv in the Cayley step.  All four are bound from
 scipy's compiled wrapper module scipy.linalg._flapack, loaded by path:
 importing scipy.linalg would run its package __init__, which costs
 about half of every CLI command's time.  A later import of
-scipy.linalg.lapack exposes these same function objects.
+scipy.linalg.lapack exposes these same function objects.  scipy itself
+is located by its import spec, and its package __init__ is not run
+either (about 8 ms after numpy, by -X importtime); SCIPY_VERSION, which
+each CLI manifest records, comes from scipy/version.py, loaded by path
+through the same loader.  A scipy build whose _distributor_init_local
+must run before its compiled modules load (one that ships its own
+shared libraries that way) is not supported.
 """
 
 from __future__ import annotations
@@ -82,7 +88,6 @@ from math import gamma, pi
 from types import ModuleType
 
 import numpy as np
-import scipy
 
 from .params import ProblemParams
 
@@ -103,28 +108,42 @@ class GridError(ValueError):
     """Mesh construction or field/grid consistency failure."""
 
 
-def load_flapack(scipy_dir: str) -> ModuleType:
-    """scipy.linalg._flapack from the scipy package at scipy_dir.
+def load_from_scipy(scipy_dir: str, name: str, suffix: str) -> ModuleType:
+    """scipy.<name> from the scipy package at scipy_dir, loaded by path from
+    the file <name, dots as separators><suffix>, without scipy's __init__.
 
-    The module must load under its real name, which its PyInit_ symbol
-    carries, and is entered in sys.modules under it, so that a later
-    import of scipy.linalg finds this module instead of loading a
-    second one.  A missing file raises ImportError naming the path.
+    The module must load under its real name, which an extension's PyInit_
+    symbol carries.  It is not entered in sys.modules; the caller decides.
+    A missing file raises ImportError naming the path.
     """
-    name = "scipy.linalg._flapack"
-    path = os.path.join(scipy_dir, "linalg", "_flapack" + sysconfig.get_config_var("EXT_SUFFIX"))
+    full_name = "scipy." + name
+    path = os.path.join(scipy_dir, *name.split(".")) + suffix
     if not os.path.isfile(path):
-        raise ImportError(f"LAPACK wrappers not found: {path}", name=name, path=path)
-    spec = importlib.util.spec_from_file_location(name, path)
+        raise ImportError(f"scipy module not found: {path}", name=full_name, path=path)
+    spec = importlib.util.spec_from_file_location(full_name, path)
     module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
     spec.loader.exec_module(module)
     return module
 
 
-_flapack = load_flapack(os.path.dirname(scipy.__file__))
+def scipy_dir() -> str:
+    """The directory of the installed scipy package, found by its import
+    spec, which runs none of its code; ImportError where there is none."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        raise ImportError("scipy is not installed", name="scipy")
+    return spec.submodule_search_locations[0]
+
+
+_scipy_dir = scipy_dir()
+# The wrappers are entered in sys.modules, so that a later import of
+# scipy.linalg finds them instead of loading a second module; version.py
+# is not, so that a later import of scipy loads it and sets scipy.version.
+_flapack = load_from_scipy(_scipy_dir, "linalg._flapack", sysconfig.get_config_var("EXT_SUFFIX"))
+sys.modules[_flapack.__name__] = _flapack
 dpttrf, dpttrs = _flapack.dpttrf, _flapack.dpttrs
 dgtsv, zgtsv = _flapack.dgtsv, _flapack.zgtsv
+SCIPY_VERSION: str = load_from_scipy(_scipy_dir, "version", ".py").version
 
 
 def sphere_area(n: int) -> float:

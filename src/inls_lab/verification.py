@@ -3,7 +3,8 @@
 One registry defines what "verified" means for this package; the CLI
 verify subcommand and tests/test_acceptance.py both run it.  Each
 criterion function returns CheckResult rows carrying the measured
-number, the bound it must meet, and a short diagnostic detail.
+number, the bound it must meet, and a short diagnostic detail; run_all
+ends each row's detail with the wall time of its criterion.
 
 The fixtures are frozen here: three intercritical parameter sets for
 the stationary identities, a mass-critical and a subcritical set for
@@ -13,7 +14,7 @@ the flow checks, and the negative-K collapse fixture.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -535,13 +536,15 @@ CRITERIA: tuple[tuple[str, object], ...] = (
 
 
 def run_all() -> list[CheckResult]:
-    """Every criterion; an exception inside one becomes a failed row."""
+    """Every criterion, each row's detail ending in its criterion's wall
+    time; an exception inside one becomes a failed row."""
     out: list[CheckResult] = []
     for name, fn in CRITERIA:
+        t0 = time.perf_counter()
         try:
-            out.extend(fn())
+            rows = fn()
         except Exception as e:  # a crashed check must fail, not abort the suite
-            out.append(
-                CheckResult(name, False, float("nan"), 0.0, f"{type(e).__name__}: {e}")
-            )
+            rows = [CheckResult(name, False, float("nan"), 0.0, f"{type(e).__name__}: {e}")]
+        took = f"criterion {name} {(time.perf_counter() - t0) * 1e3:.1f} ms"
+        out.extend(replace(r, detail="; ".join(filter(None, (r.detail, took)))) for r in rows)
     return out

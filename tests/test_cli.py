@@ -2,8 +2,12 @@
 
 import json
 import math
+import multiprocessing
+import os
+import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -477,13 +481,18 @@ def test_sweep_parallel_matches_serial(tmp_path):
         assert (s1 / f"point_{i:03d}" / "manifest.json").exists()
 
 
-def test_sweep_pool_never_outnumbers_its_points(tmp_path, monkeypatch):
-    # A fake pool records max_workers, so no worker process is started.
-    sizes = []
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """Replace the process pool by one that runs each task in this process,
+    so no worker process is started; returns the max_workers and the
+    initializer keywords of every pool made."""
+    import concurrent.futures
+
+    made = []
 
     class FakePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+        def __init__(self, max_workers, **initializer):
+            made.append((max_workers, initializer))
 
         def __enter__(self):
             return self
@@ -494,18 +503,79 @@ def test_sweep_pool_never_outnumbers_its_points(tmp_path, monkeypatch):
         def map(self, fn, tasks):
             return [fn(t) for t in tasks]
 
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    return made
+
+
+def test_sweep_pool_never_outnumbers_its_points(tmp_path, monkeypatch, fake_pool):
     def fake_point(task):
         idx, _, value = task
         return idx, value, "GlobalCandidate", "Completed", 0.3, 1.0
 
-    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(cli, "_run_sweep_point", fake_point)
     cfg = write_config(tmp_path, BASE + "sweep.key = initial.alpha\nsweep.values = 0.5, 0.6, 0.7\n")
     out = str(tmp_path / "s")
     assert main(["sweep", "--config", cfg, "--out", out, "--jobs", "64"]) == 0
-    assert sizes == [3]
+    assert [size for size, _ in fake_pool] == [3]
     assert main(["sweep", "--config", cfg, "--out", out, "--jobs", "1"]) == 0
-    assert sizes == [3]  # one worker runs in process
+    assert len(fake_pool) == 1  # one worker runs in process
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no os.sched_setaffinity")
+def test_pool_workers_bind_one_per_cpu_in_turn(fake_pool):
+    # Pool workers leave through os._exit and record no coverage, so the
+    # initializer runs here, once per worker, and this process's affinity
+    # is restored after.
+    cpus = sorted(os.sched_getaffinity(0))
+    workers = len(cpus) + 1  # the last worker wraps around to the first CPU
+    cli._process_pool(workers)
+    ((size, binding),) = fake_pool
+    assert size == workers
+    seen = []
+    try:
+        for _ in range(workers):
+            binding["initializer"](*binding["initargs"])
+            seen.append(os.sched_getaffinity(0))
+    finally:
+        os.sched_setaffinity(0, cpus)
+    assert seen == [{c} for c in cpus] + [{cpus[0]}]
+
+
+def test_pool_workers_stay_unbound_without_sched_setaffinity(monkeypatch, fake_pool):
+    monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+    cli._process_pool(2)
+    assert fake_pool == [(2, {})]
+
+
+# Set before a pool forks its workers; each sweep point waits at it, so
+# each of the two workers holds one point.
+_BOTH_WORKERS = None
+
+
+def _report_cpus(task):
+    """A sweep point whose verdict is the CPUs its worker may run on."""
+    idx, _, value = task
+    _BOTH_WORKERS.wait(timeout=30)
+    return idx, value, " ".join(map(str, sorted(os.sched_getaffinity(0)))), "Completed", 0.0, None
+
+
+@pytest.mark.skipif(
+    len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+    reason="binding one worker per CPU needs at least two CPUs in the affinity set",
+)
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="only a forked worker runs the sweep point patched in here",
+)
+def test_sweep_workers_run_on_distinct_cpus(tmp_path, monkeypatch):
+    monkeypatch.setitem(globals(), "_BOTH_WORKERS", multiprocessing.Barrier(2))
+    monkeypatch.setattr(cli, "_run_sweep_point", _report_cpus)
+    cfg = write_config(tmp_path, BASE + "sweep.key = initial.alpha\nsweep.values = 0.5, 0.6\n")
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--jobs", "2"]) == 0
+    cpus = [row.split(",")[3] for row in (out / "summary.csv").read_text().splitlines()[1:]]
+    assert len(cpus) == len(set(cpus)) == 2
+    assert all(len(c.split()) == 1 for c in cpus)
 
 
 def test_sweep_rejects_jobs_below_one(tmp_path, capsys):
@@ -645,18 +715,28 @@ def test_every_csv_has_lf_lines_its_header_and_exact_floats(tmp_path, argv, text
         assert np.array_equal(values[:, 1], solve(F1, 1024).profile.values.real)
 
 
-def test_cli_import_leaves_scipy_solvers_unloaded():
-    # Only the shooting oracle needs these, and
-    # every CLI command pays for what the package imports up front.  The
-    # LAPACK wrappers come without scipy.linalg, on every solve path too.
+def test_cli_import_leaves_scipy_solvers_unloaded(tmp_path):
+    # Only the shooting oracle needs scipy's solvers, only a sweep's pool
+    # needs concurrent.futures and multiprocessing, and every CLI command
+    # pays for what the package imports up front.  The LAPACK wrappers and
+    # the version in each manifest come without scipy's package __init__,
+    # on every solve path too.
+    cfg = write_config(tmp_path, MINI)
+    out_dir = tmp_path / "pot"
     code = (
         "import sys, inls_lab.cli\n"
         + SOLVE_AND_MARCH
-        + "print([m for m in ('scipy.linalg', 'scipy.integrate', 'scipy.interpolate', "
-        "'scipy.optimize', 'scipy.special') if m in sys.modules])"
+        + f"inls_lab.cli.main(['check-potential', '--config', {cfg!r}, '--out', {str(out_dir)!r}])\n"
+        "print([m for m in ('scipy', 'scipy.linalg', 'scipy.integrate', 'scipy.interpolate', "
+        "'scipy.optimize', 'scipy.special', 'concurrent.futures', 'multiprocessing') "
+        "if m in sys.modules])"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.strip().splitlines()[-1] == "[]"
+    from importlib.metadata import version
+
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["versions"]["scipy"] == version("scipy")
 
 
 def test_sweep_requires_axis(tmp_path):
@@ -717,8 +797,10 @@ def test_run_all_turns_a_crashed_criterion_into_one_failed_row(monkeypatch):
     bad, after = verification.run_all()
     assert (bad.name, bad.passed, bad.tolerance) == ("broken", False, 0.0)
     assert np.isnan(bad.measured)
-    assert bad.detail == "ValueError: no ground state"
-    assert after is ok
+    # each row's detail ends with its criterion's wall time
+    assert re.fullmatch(r"ValueError: no ground state; criterion broken \d+\.\d ms", bad.detail)
+    assert re.fullmatch(r"criterion fine \d+\.\d ms", after.detail)
+    assert after == replace(ok, detail=after.detail)
 
 
 def test_headline_verdict_route_order():

@@ -21,7 +21,8 @@ from inls_lab.grid import (
     build_grid,
     factor_shifted,
     gradient_norm_sq,
-    load_flapack,
+    load_from_scipy,
+    scipy_dir,
 )
 from inls_lab.cli import field_from_csv, field_to_csv
 
@@ -266,9 +267,17 @@ def test_lapack_wrappers_are_scipys_own(first):
 
 
 def test_load_flapack_names_a_missing_wrapper_module(tmp_path):
-    path = os.path.join(str(tmp_path), "linalg", "_flapack")
-    with pytest.raises(ImportError, match=re.escape(f"LAPACK wrappers not found: {path}")):
-        load_flapack(str(tmp_path))
+    path = os.path.join(str(tmp_path), "linalg", "_flapack.so")
+    with pytest.raises(ImportError, match=re.escape(f"scipy module not found: {path}")):
+        load_from_scipy(str(tmp_path), "linalg._flapack", ".so")
+
+
+def test_scipy_dir_refuses_a_missing_scipy(monkeypatch):
+    import importlib.util
+
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+    with pytest.raises(ImportError, match="scipy is not installed"):
+        scipy_dir()
 
 
 def test_field_csv_roundtrip(tmp_path):

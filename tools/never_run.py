@@ -17,7 +17,8 @@ check does too, since its line counts would not describe a green tree.
 
 Pool workers of `inls-lab sweep --jobs 2` leave through os._exit, which runs
 no atexit handler, so they record nothing; the serial sweep path runs the
-same code in the parent process.  Under the tracer tier-1 takes about 17 s
+same code in the parent process, and a tier-1 test calls the pool's
+initializer in process.  Under the tracer tier-1 takes about 17 s
 against 11 s plain (2-core Intel Xeon).
 """
 
