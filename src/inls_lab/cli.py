@@ -28,14 +28,7 @@ import numpy as np
 from . import __version__
 from .classify import NOT_APPLICABLE, ClassificationEntry, classify_all
 from .evolve import EvolutionConfig, EvolutionTrace, evolve
-from .grid import (
-    SCIPY_VERSION,
-    GridError,
-    RadialField,
-    RadialGrid,
-    build_grid,
-    check_grid_settings,
-)
+from .grid import SCIPY_VERSION, GridError, RadialField, RadialGrid, build_grid
 from .groundstate import GroundState, is_frequency_one, petviashvili_solve
 from .params import ProblemParams
 from .potential import PotentialSpec, check_assumptions
@@ -241,7 +234,7 @@ def build_run_config(pairs: _Pairs) -> RunConfig:
     num_cells = _value(pairs, "grid.N")
     grading = _value(pairs, "grid.gamma")
     try:
-        check_grid_settings(params.n, params.b, r_max, num_cells, grading)
+        build_grid(params.n, params.b, r_max, num_cells, grading)
     except GridError as e:
         # The mesh is refused for the parameters too (its cell measures
         # scale as r^n, its face weights as r^(n-1+b)), so the error names

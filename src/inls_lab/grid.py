@@ -60,6 +60,12 @@ max(N // 4, 16) cells with the same radius and grading, built the
 first time it is read; the ground-state solve climbs grid.coarse,
 grid.coarse.coarse, ... and so builds each mesh below a grid once.
 
+build_grid alone decides whether a mesh can be held.  It forms every
+weight once, with floating-point warnings off, and reads them: a ball
+volume, a face weight or a variance weight beyond the floats, or an
+innermost cell measure below the normal floats, is refused with a
+GridError naming it.  The CLI checks a config's mesh by building it.
+
 The package calls four LAPACK routines: dpttrf and dpttrs here, dgtsv
 in the Newton polish and zgtsv in the Cayley step.  All four are bound from
 scipy's compiled wrapper module scipy.linalg._flapack, loaded by path:
@@ -77,7 +83,6 @@ shared libraries that way) is not supported.
 from __future__ import annotations
 
 import importlib.util
-import math
 import os
 import sys
 import sysconfig
@@ -98,7 +103,6 @@ __all__ = [
     "add_stiffness",
     "build_grid",
     "check_grid",
-    "check_grid_settings",
     "factor_shifted",
     "gradient_norm_sq",
 ]
@@ -113,8 +117,9 @@ def load_from_scipy(scipy_dir: str, name: str, suffix: str) -> ModuleType:
     the file <name, dots as separators><suffix>, without scipy's __init__.
 
     The module must load under its real name, which an extension's PyInit_
-    symbol carries.  It is not entered in sys.modules; the caller decides.
-    A missing file raises ImportError naming the path.
+    symbol carries.  The extension loader enters an extension module in
+    sys.modules itself; a source module is not entered.  A missing file
+    raises ImportError naming the path.
     """
     full_name = "scipy." + name
     path = os.path.join(scipy_dir, *name.split(".")) + suffix
@@ -136,11 +141,16 @@ def scipy_dir() -> str:
 
 
 _scipy_dir = scipy_dir()
-# The wrappers are entered in sys.modules, so that a later import of
-# scipy.linalg finds them instead of loading a second module; version.py
-# is not, so that a later import of scipy loads it and sets scipy.version.
+# Where scipy.linalg is not loaded yet, the wrappers' sys.modules entry is
+# removed, so that a later import of scipy.linalg loads _flapack itself and
+# binds it on the package; the extension's cached state hands that load
+# these same function objects.  Where it is loaded, the loader returns
+# scipy's own module and its entry stays.  version.py is not entered, so
+# that a later import of scipy loads it and sets scipy.version.
+_linalg_loaded = "scipy.linalg" in sys.modules
 _flapack = load_from_scipy(_scipy_dir, "linalg._flapack", sysconfig.get_config_var("EXT_SUFFIX"))
-sys.modules[_flapack.__name__] = _flapack
+if not _linalg_loaded:
+    sys.modules.pop(_flapack.__name__, None)
 dpttrf, dpttrs = _flapack.dpttrf, _flapack.dpttrs
 dgtsv, zgtsv = _flapack.dgtsv, _flapack.zgtsv
 SCIPY_VERSION: str = load_from_scipy(_scipy_dir, "version", ".py").version
@@ -177,16 +187,26 @@ class RadialGrid:
         return build_grid(self.n, self.b, self.r_max, max(self.N // 4, 16), self.grading)
 
 
-def check_grid_settings(n: int, b: float, r_max: float, N: int, grading: float) -> None:
-    """Refuse mesh settings build_grid cannot use, with GridError: among
-    them a largest weight beyond the float range (the ball volume
-    S r_max^n / n, the outer face weight S r_max^(n-1+b) / (r_max - r_N)
-    and the outer variance weight mu_N r_N^(2-b); the last two exceed the
-    ball volume for b > 1 and b < 2 respectively), and an innermost cell
-    measure S (r_max N^-grading)^n / n, the smallest of all, below the
-    normal floats (a zero measure divides A = M / mu).  Each is formed in
-    Python floats, which raise OverflowError or give inf, never a
-    warning."""
+def build_grid(
+    n: int,
+    b: float,
+    r_max: float = 30.0,
+    N: int = 4096,
+    grading: float = 2.0,
+) -> RadialGrid:
+    """Construct the graded mesh and all quadrature/flux weights.
+
+    Settings it cannot use raise GridError: N < 16, r_max <= 0,
+    grading < 1, n-1+b <= 0, and a mesh whose weights leave the floats.
+    The weights are formed once, with floating-point warnings off, and
+    read in turn: the ball volume S r_max^n / n, against which the cell
+    measures are checked, must be finite; the innermost cell measure, the
+    smallest of all, must be a normal float (a zero measure divides
+    A = M / mu); every face weight and the stiffness diagonal they sum to
+    must be finite (the outer face weight is the largest, and exceeds the
+    ball volume for b > 1); and so must every variance weight (the outer
+    one is the largest, and exceeds the ball volume for b < 2).
+    """
     if N < 16:
         raise GridError(f"N={N} too small (need >= 16)")
     if not r_max > 0:
@@ -196,65 +216,34 @@ def check_grid_settings(n: int, b: float, r_max: float, N: int, grading: float) 
     if not n - 1 + b > 0:
         raise GridError(f"n-1+b = {n - 1 + b} <= 0: inner flux weight would not vanish")
 
-    def refuse_overflow(name: str, weight: Callable[[], float]) -> None:
-        try:
-            finite = math.isfinite(weight())
-        except OverflowError:
-            finite = False
-        if not finite:
-            raise GridError(f"{name} overflows at r_max={r_max}, N={N}, n={n}, b={b}")
-
     S = sphere_area(n)
-    r = float(r_max)
-    refuse_overflow("ball volume S r_max^n / n", lambda: S * r**n / n)
-    inner = S * (r * (1 / N) ** grading) ** n / n
-    if not inner >= sys.float_info.min:
+    with np.errstate(all="ignore"):
+        i = np.arange(N + 1, dtype=float)
+        faces = r_max * (i / N) ** grading
+        nodes = 0.5 * (faces[:-1] + faces[1:])
+        ball = S * faces[-1] ** n / n
+        mu = S * (faces[1:] ** n - faces[:-1] ** n) / n
+        nu = S * faces[1:-1] ** (n - 1 + b) / np.diff(nodes)
+        nu_out = S * faces[-1] ** (n - 1 + b) / (faces[-1] - nodes[-1])
+        diag = np.zeros(N)
+        diag[:-1] += nu
+        diag[1:] += nu
+        diag[-1] += nu_out
+        variance_weight = mu * nodes ** (2 - b)
+
+    overflows = f"overflows at r_max={r_max}, N={N}, n={n}, b={b}"
+    if not np.isfinite(ball):
+        raise GridError(f"ball volume S r_max^n / n {overflows}")
+    if not mu[0] >= sys.float_info.min:
         raise GridError(
-            f"innermost cell measure {inner:.3g} underflows at r_max={r_max}, N={N}, "
+            f"innermost cell measure {mu[0]:.3g} underflows at r_max={r_max}, N={N}, "
             f"grading={grading}, n={n}"
         )
-    # A normal innermost cell keeps r_max far above the subnormals, so the
-    # outer half cell r_max - r_N is positive.
-    last = r * ((N - 1) / N) ** grading  # the face below r_max
-    r_N = 0.5 * (last + r)  # the outermost node
-    refuse_overflow(
-        "outer face weight S r_max^(n-1+b) / (r_max - r_N)",
-        lambda: S * r ** (n - 1 + b) / (r - r_N),
-    )
-    refuse_overflow(
-        "outer variance weight mu_N r_N^(2-b)",
-        lambda: S * (r**n - last**n) / n * r_N ** (2 - b),
-    )
-
-
-def build_grid(
-    n: int,
-    b: float,
-    r_max: float = 30.0,
-    N: int = 4096,
-    grading: float = 2.0,
-) -> RadialGrid:
-    """Construct the graded mesh and all quadrature/flux weights."""
-    check_grid_settings(n, b, r_max, N, grading)
-
-    i = np.arange(N + 1, dtype=float)
-    faces = r_max * (i / N) ** grading
-    nodes = 0.5 * (faces[:-1] + faces[1:])
-
-    S = sphere_area(n)
-    mu = S * (faces[1:] ** n - faces[:-1] ** n) / n
-    dr = np.diff(nodes)
-    nu = S * faces[1:-1] ** (n - 1 + b) / dr
-    nu_out = S * faces[-1] ** (n - 1 + b) / (faces[-1] - nodes[-1])
-
-    diag = np.zeros(N)
-    diag[:-1] += nu
-    diag[1:] += nu
-    diag[-1] += nu_out
-
-    total = float(np.sum(mu))
-    exact = S * r_max**n / n
-    if abs(total - exact) > 1e-12 * exact:
+    if not np.isfinite(diag).all():
+        raise GridError(f"outer face weight S r_max^(n-1+b) / (r_max - r_N) {overflows}")
+    if not np.isfinite(variance_weight).all():
+        raise GridError(f"outer variance weight mu_N r_N^(2-b) {overflows}")
+    if abs(float(np.sum(mu)) - ball) > 1e-12 * ball:
         raise GridError("cell measures do not telescope to the ball volume")
 
     return RadialGrid(
@@ -269,7 +258,7 @@ def build_grid(
         face_weights=nu,
         outer_face_weight=float(nu_out),
         stiffness_diag=diag,
-        variance_weight=mu * nodes ** (2 - b),
+        variance_weight=variance_weight,
     )
 
 

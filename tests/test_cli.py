@@ -523,9 +523,8 @@ def test_sweep_pool_never_outnumbers_its_points(tmp_path, monkeypatch, fake_pool
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no os.sched_setaffinity")
 def test_pool_workers_bind_one_per_cpu_in_turn(fake_pool):
-    # Pool workers leave through os._exit and record no coverage, so the
-    # initializer runs here, once per worker, and this process's affinity
-    # is restored after.
+    # The initializer runs here, once per worker, so that each binding can
+    # be read back; this process's affinity is restored after.
     cpus = sorted(os.sched_getaffinity(0))
     workers = len(cpus) + 1  # the last worker wraps around to the first CPU
     cli._process_pool(workers)

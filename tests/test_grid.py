@@ -2,6 +2,7 @@
 
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -69,12 +70,42 @@ def test_build_grid_rejects(kwargs):
     ids=["face_b1.5", "face_b1.9", "variance_b0"],
 )
 def test_build_grid_refuses_a_weight_beyond_the_floats_naming_it(b, r_max, weight):
-    # The ball volume is finite on each of these meshes; the refusal comes
-    # before any weight is formed in NumPy, so no overflow warning.
+    # The ball volume is finite on each of these meshes; the weights are
+    # formed with floating-point warnings off, so the overflow is a
+    # refusal naming the weight, not a warning.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(GridError, match="^" + re.escape(f"{weight} overflows at r_max={r_max}")):
             build_grid(3, b, r_max=r_max, N=64)
+
+
+def test_build_grid_refuses_or_returns_a_mesh_of_finite_normal_weights():
+    # Seeded settings across the whole float range, half of them drawn near
+    # the radii where some weight of dimension n leaves the floats.
+    rng = random.Random(20261022)
+    outcomes = set()
+    for _ in range(3000):
+        n = rng.randint(3, 80)
+        b = rng.uniform(2 - n, 2)
+        edge = rng.choice([308 / n, -308 / n, 308 / (n + 2 - b), 308 / (n - 1 + b)])
+        exponent = rng.uniform(-307, 307) if rng.random() < 0.5 else edge + rng.uniform(-1, 1)
+        r_max = 10 ** min(307.0, max(-307.0, exponent))
+        N = rng.choice([16, 17, 64, 1000, 4096])
+        grading = rng.choice([1.0, 2.0, 400 ** rng.random()])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                g = build_grid(n, b, r_max=r_max, N=N, grading=grading)
+            except GridError as e:
+                outcomes.add(" ".join(str(e).split()[:2]))  # the refused weight
+                continue
+        arrays = [g.nodes, g.faces, g.measure_weights, g.face_weights, g.stiffness_diag,
+                  g.variance_weight]
+        assert all(np.isfinite(a).all() for a in arrays), (n, b, r_max, N, grading)
+        assert math.isfinite(g.outer_face_weight), (n, b, r_max, N, grading)
+        assert g.measure_weights[0] >= sys.float_info.min, (n, b, r_max, N, grading)
+        outcomes.add("mesh")
+    assert outcomes == {"mesh", "ball volume", "innermost cell", "outer face", "outer variance"}
 
 
 def test_cell_volumes_fill_the_ball():
@@ -252,7 +283,8 @@ def test_a_grid_keeps_the_mesh_of_a_quarter_of_its_cells(N, grading):
 
 @pytest.mark.parametrize("first", ["", "import scipy.linalg.lapack\n"], ids=["inls_lab", "scipy"])
 def test_lapack_wrappers_are_scipys_own(first):
-    # One wrapper module, whichever of inls_lab and scipy.linalg loads it.
+    # The same wrapper functions, whichever of inls_lab and scipy.linalg
+    # loads them.
     code = (
         first
         + SOLVE_AND_MARCH
@@ -264,6 +296,17 @@ def test_lapack_wrappers_are_scipys_own(first):
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "True True True True"
+
+
+@pytest.mark.parametrize("first", ["inls_lab.cli", "scipy.linalg"])
+def test_scipy_linalg_binds_its_wrapper_module_in_either_import_order(first):
+    second = "scipy.linalg" if first == "inls_lab.cli" else "inls_lab.cli"
+    code = (
+        f"import sys, {first}, {second}, scipy.linalg\n"
+        "print(scipy.linalg._flapack is sys.modules['scipy.linalg._flapack'])"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "True"
 
 
 def test_load_flapack_names_a_missing_wrapper_module(tmp_path):
