@@ -4,9 +4,10 @@ Config files are flat key = value text with # comments and dotted
 section prefixes (grid.N = 4096).  Numeric bulk output is CSV, scalar
 summaries are JSON, and every command writes a manifest recording the
 config hash, the grid, the library versions and the files it wrote, so
-a run can be reproduced from its output directory alone.  This is the
-one module that reads or writes a file: every CSV goes through
-_write_csv and every JSON file through _write_json.
+a run can be reproduced from its output directory alone.  A run config
+holds the mesh it was checked by, and every command and sweep point runs
+on that mesh.  This is the one module that reads or writes a file: every
+CSV goes through _write_csv and every JSON file through _write_json.
 
 Exit codes: 0 success, 1 module error, 2 config error, 3 verification
 failure.
@@ -166,13 +167,11 @@ def config_hash(pairs: _Pairs) -> str:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully validated configuration of one run."""
+    """Fully validated configuration of one run, holding the mesh it was checked by."""
 
     params: ProblemParams
     potential: PotentialSpec
-    r_max: float
-    num_cells: int
-    grading: float
+    grid: RadialGrid
     initial_kind: str
     initial_alpha: float
     initial_amplitude: float
@@ -230,11 +229,9 @@ def build_run_config(pairs: _Pairs) -> RunConfig:
         if not sweep_values:
             raise _error(pairs, "sweep.values is empty", "sweep.values")
 
-    r_max = _value(pairs, "grid.r_max")
-    num_cells = _value(pairs, "grid.N")
-    grading = _value(pairs, "grid.gamma")
     try:
-        build_grid(params.n, params.b, r_max, num_cells, grading)
+        # r_max, N and gamma, in table order
+        grid = build_grid(params.n, params.b, *_section(pairs, "grid.").values())
     except GridError as e:
         # The mesh is refused for the parameters too (its cell measures
         # scale as r^n, its face weights as r^(n-1+b)), so the error names
@@ -247,9 +244,7 @@ def build_run_config(pairs: _Pairs) -> RunConfig:
     return RunConfig(
         params=params,
         potential=potential,
-        r_max=r_max,
-        num_cells=num_cells,
-        grading=grading,
+        grid=grid,
         initial_kind=kind,
         initial_alpha=alpha,
         initial_amplitude=amplitude,
@@ -273,18 +268,13 @@ def _read_config(path: str) -> _Pairs:
     return parse_config_text(text)
 
 
-def _make_grid(cfg: RunConfig) -> RadialGrid:
-    return build_grid(
-        cfg.params.n, cfg.params.b, r_max=cfg.r_max, N=cfg.num_cells, grading=cfg.grading
-    )
+def build_initial(cfg: RunConfig, gs: GroundState | None = None) -> RadialField:
+    """Construct the initial datum declared by the config, on cfg.grid.
 
-
-def build_initial(cfg: RunConfig, grid: RadialGrid, gs: GroundState | None = None) -> RadialField:
-    """Construct the initial datum declared by the config.
-
-    gs, when given, is the ground state of cfg.params on grid; it spares
-    the solve of a ground-state multiple.
+    gs, when given, is the ground state of cfg.params on cfg.grid; it
+    spares the solve of a ground-state multiple.
     """
+    grid = cfg.grid
     if cfg.initial_kind == "ground_state_multiple":
         if gs is None:
             gs = petviashvili_solve(cfg.params, grid=grid)
@@ -383,16 +373,16 @@ class _Outputs:
         return os.path.join(self.cfg.out_dir, name)
 
     def manifest(self, command: str) -> None:
-        cfg = self.cfg
+        cfg, grid = self.cfg, self.cfg.grid
         manifest = {
             "command": command,
             "config_sha256": cfg.sha,
             "grid": {
-                "r_max": cfg.r_max,
-                "N": cfg.num_cells,
-                "gamma": cfg.grading,
-                "n": cfg.params.n,
-                "b": cfg.params.b,
+                "r_max": grid.r_max,
+                "N": grid.N,
+                "gamma": grid.grading,
+                "n": grid.n,
+                "b": grid.b,
             },
             "versions": {
                 "inls-lab": __version__,
@@ -405,7 +395,7 @@ class _Outputs:
 
 
 def cmd_groundstate(cfg: RunConfig, out: _Outputs, pairs: _Pairs, args: argparse.Namespace) -> int:
-    gs = petviashvili_solve(cfg.params, grid=_make_grid(cfg))
+    gs = petviashvili_solve(cfg.params, grid=cfg.grid)
     field_to_csv(gs.profile, out.path("profile.csv"))
     _write_json(out.path("groundstate.json"), gs.as_dict())
     print(f"groundstate: residual {gs.residual:.3e}, action {gs.m_omega:.12g}")
@@ -435,9 +425,8 @@ def _reference_and_initial(cfg: RunConfig) -> tuple[GroundState, RadialField]:
     """The frequency-1 ground state and the initial datum; where cfg.params
     is at frequency 1 (is_frequency_one), a ground-state multiple reuses
     that state."""
-    grid = _make_grid(cfg)
-    gs1 = petviashvili_solve(cfg.params.with_omega(1.0), grid=grid)
-    return gs1, build_initial(cfg, grid, gs1 if is_frequency_one(cfg.params.omega) else None)
+    gs1 = petviashvili_solve(cfg.params.with_omega(1.0), grid=cfg.grid)
+    return gs1, build_initial(cfg, gs1 if is_frequency_one(cfg.params.omega) else None)
 
 
 def _classify_and_write(
@@ -470,22 +459,23 @@ def cmd_classify(cfg: RunConfig, out: _Outputs, pairs: _Pairs, args: argparse.Na
 
 
 def cmd_evolve(cfg: RunConfig, out: _Outputs, pairs: _Pairs, args: argparse.Namespace) -> int:
-    u0 = build_initial(cfg, _make_grid(cfg))
+    u0 = build_initial(cfg)
     kind, t, growth = _evolve_and_write(cfg, out, u0)
     growth_text = "undefined" if growth is None else f"{growth:.6g}"
     print(f"evolve: {kind} at t = {t:.6g}, gradient growth {growth_text}")
     return 0
 
 
-def _run_sweep_point(args: tuple) -> tuple[int, str, str, str, float, float | None]:
-    """One sweep point, from its built config: classify and evolve in its own directory."""
-    idx, cfg, value = args
+def _run_sweep_point(cfg: RunConfig) -> tuple[str, str, float, float | None]:
+    """One sweep point, from its built config: classify and evolve in its
+    own directory; returns the headline verdict, then the final event, its
+    time and the gradient growth."""
     out = _Outputs(cfg)
     gs1, u0 = _reference_and_initial(cfg)
     entries = _classify_and_write(cfg, out, u0, gs1)
     kind, t, growth = _evolve_and_write(cfg, out, u0)
     out.manifest("sweep-point")
-    return idx, value, headline_verdict(entries), kind, t, growth
+    return headline_verdict(entries), kind, t, growth
 
 
 def _bind_worker(turns) -> None:
@@ -523,31 +513,29 @@ def cmd_sweep(cfg: RunConfig, out: _Outputs, pairs: _Pairs, args: argparse.Names
     if cfg.sweep_key == "output.dir" or cfg.sweep_key.startswith("sweep."):
         raise ConfigError(f"line {line}: sweep.key {cfg.sweep_key!r} is not a sweep axis")
     # The axis may introduce a key the base config leaves at default, so
-    # every point's config, its axis entry on the line of sweep.key, is
-    # built before any directory exists.
-    points = [build_run_config({**pairs, cfg.sweep_key: (v, line)}) for v in cfg.sweep_values]
+    # every point's config, mesh included, its axis entry on the line of
+    # sweep.key, is built before any directory exists.
+    tasks = [
+        replace(build_run_config({**pairs, cfg.sweep_key: (v, line)}),
+                out_dir=os.path.join(cfg.out_dir, f"point_{i:03d}"))
+        for i, v in enumerate(cfg.sweep_values)
+    ]
 
     summary = out.path("summary.csv")  # the sweep's directory exists before its points run
-    tasks = [
-        (i, replace(point, out_dir=os.path.join(cfg.out_dir, f"point_{i:03d}")), v)
-        for i, (point, v) in enumerate(zip(points, cfg.sweep_values))
-    ]
     workers = min(args.jobs, len(tasks))
     if workers > 1:
         # Under fork the pool starts all max_workers processes at once.
         with _process_pool(workers) as pool:
-            rows = list(pool.map(_run_sweep_point, tasks))
+            results = list(pool.map(_run_sweep_point, tasks))
     else:
-        rows = [_run_sweep_point(t) for t in tasks]
-    rows.sort(key=lambda r: r[0])
+        results = [_run_sweep_point(t) for t in tasks]
 
-    _write_csv(
-        summary,
-        ("index", "key", "value", "verdict", "event", "event_time", "grad_growth"),
-        ((idx, cfg.sweep_key, *rest) for idx, *rest in rows),
-    )
-    for idx, value, verdict, kind, t, growth in rows:
-        print(f"point {idx:03d} {cfg.sweep_key}={value}: {verdict}, {kind} at t={t:.6g}")
+    # Both return the results in task order.
+    rows = [(i, cfg.sweep_key, v, *r) for i, (v, r) in enumerate(zip(cfg.sweep_values, results))]
+    header = ("index", "key", "value", "verdict", "event", "event_time", "grad_growth")
+    _write_csv(summary, header, rows)
+    for idx, key, value, verdict, kind, t, _ in rows:
+        print(f"point {idx:03d} {key}={value}: {verdict}, {kind} at t={t:.6g}")
     return 0
 
 

@@ -109,9 +109,15 @@ def test_config_hash_is_order_insensitive(d, rnd):
 def test_build_run_config_defaults():
     cfg = build_run_config(pairs_of("params.n = 3\nparams.b = 0\nparams.c = 0\nparams.p = 2\n"))
     assert cfg.params == F1
-    assert cfg.num_cells == 4096
-    assert cfg.r_max == 30.0
-    assert cfg.grading == 2.0
+    # The config keeps the mesh it was checked by: the default one.
+    want = build_grid(3, 0.0, 30.0, 4096, 2.0)
+    assert (cfg.grid.n, cfg.grid.b, cfg.grid.r_max, cfg.grid.N, cfg.grid.grading) == (
+        3, 0.0, 30.0, 4096, 2.0
+    )
+    for name in ("nodes", "faces", "measure_weights", "face_weights", "stiffness_diag",
+                 "variance_weight"):
+        assert np.array_equal(getattr(cfg.grid, name), getattr(want, name)), name
+    assert cfg.grid.outer_face_weight == want.outer_face_weight
     assert cfg.potential.is_zero
     assert cfg.initial_kind == "ground_state_multiple"
     assert cfg.initial_alpha == 1.0
@@ -508,9 +514,8 @@ def fake_pool(monkeypatch):
 
 
 def test_sweep_pool_never_outnumbers_its_points(tmp_path, monkeypatch, fake_pool):
-    def fake_point(task):
-        idx, _, value = task
-        return idx, value, "GlobalCandidate", "Completed", 0.3, 1.0
+    def fake_point(cfg):
+        return "GlobalCandidate", "Completed", 0.3, 1.0
 
     monkeypatch.setattr(cli, "_run_sweep_point", fake_point)
     cfg = write_config(tmp_path, BASE + "sweep.key = initial.alpha\nsweep.values = 0.5, 0.6, 0.7\n")
@@ -551,11 +556,10 @@ def test_pool_workers_stay_unbound_without_sched_setaffinity(monkeypatch, fake_p
 _BOTH_WORKERS = None
 
 
-def _report_cpus(task):
+def _report_cpus(cfg):
     """A sweep point whose verdict is the CPUs its worker may run on."""
-    idx, _, value = task
     _BOTH_WORKERS.wait(timeout=30)
-    return idx, value, " ".join(map(str, sorted(os.sched_getaffinity(0)))), "Completed", 0.0, None
+    return " ".join(map(str, sorted(os.sched_getaffinity(0)))), "Completed", 0.0, None
 
 
 @pytest.mark.skipif(
@@ -622,9 +626,18 @@ def test_classify_command_honours_classify_omega(tmp_path):
     assert json.loads((out / "classification.json").read_text()) == json.loads(json.dumps(want))
 
 
-def test_sweep_point_matches_separate_commands(tmp_path):
-    single = write_config(tmp_path, BASE)
-    axis = "sweep.key = initial.alpha\nsweep.values = 0.5\n"
+@pytest.mark.parametrize(
+    "key, value",
+    [("initial.alpha", "0.5"), ("grid.N", "2048"), ("params.b", "-0.5")],
+    ids=["initial.alpha", "grid.N", "params.b"],
+)
+def test_sweep_point_matches_separate_commands(tmp_path, key, value):
+    # The point runs on its own config, mesh included: the grid.N and
+    # params.b axes move the mesh off the one BASE builds.
+    text, count = re.subn(rf"^{re.escape(key)} = .*$", f"{key} = {value}", BASE, flags=re.M)
+    assert count == 1
+    single = write_config(tmp_path, text)
+    axis = f"sweep.key = {key}\nsweep.values = {value}\n"
     sweep = write_config(tmp_path, BASE + axis, "s.cfg")
     cls, ev, sw = tmp_path / "cls", tmp_path / "ev", tmp_path / "sw"
     assert main(["classify", "--config", single, "--out", str(cls)]) == 0
@@ -635,6 +648,8 @@ def test_sweep_point_matches_separate_commands(tmp_path):
         assert (point / name).read_bytes() == (cls / name).read_bytes()
     for name in ("trace.csv", "trace.events.json"):
         assert (point / name).read_bytes() == (ev / name).read_bytes()
+    grids = [json.loads((d / "manifest.json").read_text())["grid"] for d in (point, cls, ev)]
+    assert grids[0] == grids[1] == grids[2]
 
 
 def assert_manifest_lists_its_files(out):

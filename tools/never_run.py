@@ -60,14 +60,15 @@ ALLOWED_FUNCTIONS = {
 }
 
 # The README's example config, and the two other initial.kind values on its
-# parameters; {profile} is the ground-state profile the first one writes.
+# parameters; {profile} is the ground-state profile the first one writes.  The
+# gaussian one sweeps the mesh, so each of its pool workers gets its own grid.
 CONFIGS = {
     "readme": "params.n = 3\nparams.b = -0.5\nparams.c = -0.5\nparams.p = 2\n"
               "grid.N = 4096\ninitial.kind = ground_state_multiple\n"
               "sweep.key = initial.alpha\nsweep.values = 0.5, 0.9, 1.5\n",
     "gaussian": "params.n = 3\nparams.b = -0.5\nparams.c = -0.5\nparams.p = 2\n"
                 "initial.kind = gaussian\ninitial.amplitude = 0.5\n"
-                "sweep.key = initial.width\nsweep.values = 1, 2\n",
+                "sweep.key = grid.N\nsweep.values = 2048, 4096\n",
     "from_file": "params.n = 3\nparams.b = -0.5\nparams.c = -0.5\nparams.p = 2\n"
                  "initial.kind = from_file\ninitial.path = {profile}\n"
                  "sweep.key = evolve.t_end\nsweep.values = 0.25, 0.5\n",
